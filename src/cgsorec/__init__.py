@@ -53,12 +53,8 @@ from .evaluation import (
 from .guidance import (
     GuidanceConfig,
     binarize_social,
-    denoise_social,
-    guided_mean,
     joint_chains,
     joint_inference,
-    recommend,
-    reverse_chain,
     unconditional_scores,
 )
 from .schedule import (

@@ -8,16 +8,26 @@ Guidance mixes the model mean toward the mean evaluated at the clean
 condition vector at every step; a second, unconditional chain run on the
 corrupted condition vector is blended into the final output.
 
-Determinism: every noise draw comes from a stream keyed by
-(seed XOR user_id, stage), so results are independent of batching and
-of which chains are skipped; rows are processed in fixed 512-row chunks
-so BLAS sees identical shapes regardless of worker count.
+The chain runs in the denoiser's first hidden width.  The denoiser sees
+a row x only through z = x @ W0x, W0x being the rows of its first
+weight matrix that multiply x; the posterior mean is linear in x_t and
+the output head is linear, so a step maps z to
+c_xt * z + c_x0 * (h_t(z) @ head_z + bias_z), with head_z = W_out @ W0x
+and bias_z = b_out @ W0x.  Since c_xt(1) = 0, the chain leaves hidden
+width once, through the output head at t = 1.  It equals stepping
+full-width rows with predict_x0 and model_mean up to rounding in the
+order of sums; the tests hold it to that item-space stepper at
+rtol 1e-10.
+
+Determinism: corruption noise comes from a stream keyed by
+(seed XOR user_id, stage), stochastic-step noise from one keyed by
+(seed, stage, chunk start), so results do not depend on which chains
+are skipped; rows are processed in fixed 512-row chunks so BLAS sees
+the same shapes on every run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +43,9 @@ from .corpus import (
     social_condition,
     social_preference,
 )
-from .denoiser import DenoiserParams, predict_x0
-from .errors import ConfigError, ShapeError
+from .denoiser import DenoiserParams, last_hidden
+from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
+from .errors import ConfigError, NumericError, ShapeError
 from .schedule import NoiseSchedule, model_mean, posterior_coeffs, q_sample
 from .trainer import Checkpoint
 
@@ -45,6 +56,7 @@ STAGE_SOCIAL_COND = 1
 STAGE_ITEM = 2
 STAGE_ITEM_COND = 3
 STAGE_VALID = 4
+STAGE_NAMES = ("social", "social-condition", "item", "item-condition", "validation")
 
 CHUNK = 512
 
@@ -91,90 +103,12 @@ def resolve_T_inf(cfg: GuidanceConfig, sched: NoiseSchedule) -> int:
     return cfg.T_inf
 
 
-def n_workers() -> int:
-    """Worker count for chunk fan-out, capped by CGSOREC_THREADS (default 1)."""
-    raw = os.environ.get("CGSOREC_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"CGSOREC_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
-def guided_mean(
-    params: DenoiserParams,
-    x_t: np.ndarray,
-    cond: np.ndarray | None,
-    t: int,
-    mix: float,
-    sched: NoiseSchedule,
-) -> np.ndarray:
-    """One reverse-step mean, steered toward the clean condition vector.
-
-    Returns (1-mix) * mean(x_t) + mix * mean(cond), where each branch is
-    the posterior mean with the denoiser's clean-vector prediction
-    plugged in.  The condition branch is evaluated at the clean cond at
-    every step.  Works on single vectors or (B, width) batches.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    mean = model_mean(x_t, predict_x0(params, x_t, t), t, sched)
-    if cond is None or mix == 0.0:
-        return mean
-    cond = np.asarray(cond, dtype=np.float64)
-    if cond.shape != x_t.shape:
-        raise ShapeError(f"cond shape {cond.shape} != x shape {x_t.shape}")
-    cond_mean = model_mean(cond, predict_x0(params, cond, t), t, sched)
-    return (1.0 - mix) * mean + mix * cond_mean
-
-
-def reverse_chain(
-    params: DenoiserParams,
-    x_start: np.ndarray,
-    cond: np.ndarray | None,
-    mix: float,
-    sched: NoiseSchedule,
-    cfg: GuidanceConfig,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Run the reverse process from a vector corrupted at T_inf down to 0.
-
-    Deterministic (mean-only) unless cfg.stochastic, which adds the
-    posterior-variance noise at every step above 1 using `rng`.
-    """
-    T_inf = resolve_T_inf(cfg, sched)
-    if cfg.stochastic and rng is None:
-        raise ConfigError("stochastic chain needs an rng")
-    x = np.asarray(x_start, dtype=np.float64)
-    for t in range(T_inf, 0, -1):
-        x = guided_mean(params, x, cond, t, mix, sched)
-        if cfg.stochastic and t > 1:
-            _, _, sigma2 = posterior_coeffs(sched, t)
-            x = x + np.sqrt(sigma2) * rng.standard_normal(x.shape)
-    return x
-
-
 def _user_eps(seed: int, stage: int, users: np.ndarray, width: int) -> np.ndarray:
     """Corruption noise for a block of users, one stream per (user, stage)."""
     eps = np.empty((len(users), width), dtype=np.float64)
     for j, u in enumerate(users):
         eps[j] = np.random.default_rng([seed ^ int(u), stage]).standard_normal(width)
     return eps
-
-
-def _chunk_ranges(n_rows: int):
-    return [(s, min(s + CHUNK, n_rows)) for s in range(0, n_rows, CHUNK)]
-
-
-def _run_chunks(fn, n_rows: int) -> np.ndarray:
-    """Apply fn(start, stop) -> block over fixed chunks; assemble in order."""
-    ranges = _chunk_ranges(n_rows)
-    workers = n_workers()
-    if workers == 1 or len(ranges) == 1:
-        blocks = [fn(s, e) for s, e in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda r: fn(*r), ranges))
-    return np.concatenate(blocks, axis=0)
 
 
 def _dense_rows(matrix, start: int, stop: int) -> np.ndarray:
@@ -193,31 +127,58 @@ def _chain_rows(
     seed: int,
     stage: int,
 ) -> np.ndarray:
-    """Chunked reverse chains over clean `rows` (corrupted here), with an
-    optional clean condition matrix guiding every step."""
-    T_inf = resolve_T_inf(cfg, sched)
-    n_rows = rows.shape[0]
-    width = rows.shape[1]
+    """Reverse chains over clean `rows` (corrupted here to T_inf), each
+    step's mean mixed with weight `mix` toward the mean at the clean
+    `cond` row, in fixed CHUNK-row blocks.
 
-    def job(start: int, stop: int) -> np.ndarray:
-        users = np.arange(start, stop)
-        x0 = _dense_rows(rows, start, stop)
-        eps = _user_eps(seed, stage, users, width)
-        x = q_sample(x0, T_inf, eps, sched) if T_inf > 0 else x0
-        c = _dense_rows(cond, start, stop) if cond is not None else None
+    Steps run on z = x @ W0x (module docstring); the output head is
+    applied once, at t = 1.  Raises NumericError naming the stage and
+    the first user whose output is not finite.
+    """
+    T_inf = resolve_T_inf(cfg, sched)
+    n_rows, width = rows.shape
+    if width != params.in_dim:
+        raise ShapeError(f"row width {width} != model width {params.in_dim}")
+    guided = cond is not None and mix > 0.0
+    if guided and cond.shape != rows.shape:
+        raise ShapeError(f"cond shape {cond.shape} != rows shape {rows.shape}")
+    w0x = params.weights[0][:width]
+    w_out, b_out = params.weights[-1], params.biases[-1]
+    head_z = w_out @ w0x
+    bias_z = b_out @ w0x
+
+    def hidden(z, zc, t):
+        h = last_hidden(params, z, t)
+        return h if zc is None else (1.0 - mix) * h + mix * last_hidden(params, zc, t)
+
+    out = np.empty((n_rows, width), dtype=np.float64)
+    for start in range(0, n_rows, CHUNK):
+        stop = min(start + CHUNK, n_rows)
+        eps = _user_eps(seed, stage, np.arange(start, stop), width)
+        z = q_sample(_dense_rows(rows, start, stop), T_inf, eps, sched) @ w0x
+        zc = _dense_rows(cond, start, stop) @ w0x if guided else None
         rng = (
             np.random.default_rng([seed, stage, start, 0xD1CE])
             if cfg.stochastic
             else None
         )
-        for t in range(T_inf, 0, -1):
-            x = guided_mean(params, x, c, t, mix, sched)
-            if cfg.stochastic and t > 1:
+        for t in range(T_inf, 1, -1):
+            z_mix = z if zc is None else (1.0 - mix) * z + mix * zc
+            z = model_mean(z_mix, hidden(z, zc, t) @ head_z + bias_z, t, sched)
+            if rng is not None:
                 _, _, sigma2 = posterior_coeffs(sched, t)
-                x = x + np.sqrt(sigma2) * rng.standard_normal(x.shape)
-        return x
-
-    return _run_chunks(job, n_rows)
+                z += np.sqrt(sigma2) * (rng.standard_normal((stop - start, width)) @ w0x)
+        # c_xt(1) = 0 and c_x0(1) = 1: the last mean is the mixed prediction.
+        block = out[start:stop]
+        np.matmul(hidden(z, zc, 1), w_out, out=block)
+        block += b_out
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            user = start + int(np.argmin(finite))
+            raise NumericError(
+                f"non-finite {STAGE_NAMES[stage]} chain output, first at user {user}"
+            )
+    return out
 
 
 def unconditional_scores(
@@ -231,57 +192,6 @@ def unconditional_scores(
     """Plain diffusion denoising of every row; the no-guidance baseline."""
     cfg = GuidanceConfig(T_inf=T_inf)
     return _chain_rows(params, sched, rows, None, 0.0, cfg, seed, stage)
-
-
-def denoise_social(
-    ckpt: Checkpoint,
-    s_i: np.ndarray,
-    s_prime_i: np.ndarray,
-    cfg: GuidanceConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Denoise one user's neighbor row under its condition row.
-
-    Draws corruption noise for s_i first, then (only if w_s > 0) for
-    s_prime_i, runs the guided chain on the former and an unconditional
-    chain on the latter, and blends them with w_s.
-    """
-    s_i = np.asarray(s_i, dtype=np.float64)
-    s_prime_i = np.asarray(s_prime_i, dtype=np.float64)
-    if s_i.shape != s_prime_i.shape:
-        raise ShapeError(f"row shapes differ: {s_i.shape} vs {s_prime_i.shape}")
-    sched = ckpt.sched
-    T_inf = resolve_T_inf(cfg, sched)
-    x_a = q_sample(s_i, T_inf, rng.standard_normal(s_i.shape), sched)
-    out_a = reverse_chain(ckpt.params, x_a, s_prime_i, cfg.eta, sched, cfg, rng)
-    if cfg.w_s == 0.0:
-        return out_a
-    x_b = q_sample(s_prime_i, T_inf, rng.standard_normal(s_i.shape), sched)
-    out_b = reverse_chain(ckpt.params, x_b, None, 0.0, sched, cfg, rng)
-    return (1.0 - cfg.w_s) * out_a + cfg.w_s * out_b
-
-
-def recommend(
-    ckpt: Checkpoint,
-    x_i: np.ndarray,
-    x_prime_i: np.ndarray,
-    cfg: GuidanceConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Score all items for one user: the item-side mirror of denoise_social."""
-    x_i = np.asarray(x_i, dtype=np.float64)
-    x_prime_i = np.asarray(x_prime_i, dtype=np.float64)
-    if x_i.shape != x_prime_i.shape:
-        raise ShapeError(f"row shapes differ: {x_i.shape} vs {x_prime_i.shape}")
-    sched = ckpt.sched
-    T_inf = resolve_T_inf(cfg, sched)
-    x_a = q_sample(x_i, T_inf, rng.standard_normal(x_i.shape), sched)
-    out_a = reverse_chain(ckpt.params, x_a, x_prime_i, cfg.gamma, sched, cfg, rng)
-    if cfg.w_r == 0.0:
-        return out_a
-    x_b = q_sample(x_prime_i, T_inf, rng.standard_normal(x_i.shape), sched)
-    out_b = reverse_chain(ckpt.params, x_b, None, 0.0, sched, cfg, rng)
-    return (1.0 - cfg.w_r) * out_a + cfg.w_r * out_b
 
 
 def binarize_social(s_bar: np.ndarray, keep: int, self_id: int) -> np.ndarray:

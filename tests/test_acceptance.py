@@ -490,8 +490,7 @@ def test_criterion_8_blend_weight_sweep_interior_max(acc_root, planted_ws):
     ))
 
 
-def test_criterion_9_inference_scaling(monkeypatch):
-    monkeypatch.setenv("CGSOREC_THREADS", "1")
+def test_criterion_9_inference_scaling():
     rng = np.random.default_rng(909)
     med = {}
     for n_items in (256, 512):

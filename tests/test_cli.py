@@ -9,7 +9,7 @@ import pytest
 from cgsorec import pipeline
 from cgsorec.cli import main
 from cgsorec.config import load_config
-from cgsorec.synth import community_dataset, write_dataset
+from cgsorec.synth import community_dataset, planted, write_dataset
 from cgsorec.trainer import save_checkpoint
 
 from conftest import untrained_checkpoint
@@ -192,6 +192,36 @@ class TestInfer:
         )
         assert code == 0
         assert with_social.read_bytes() == without.read_bytes()
+
+    def test_nan_checkpoint_exits_4(self, tmp_path, capsys):
+        # one NaN weight makes every score NaN; infer must stop, not rank
+        # the masked train items first at -inf
+        write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+        cfg = {
+            "seed": 1,
+            "output_dir": str(tmp_path / "run"),
+            "dataset": {
+                "interactions": str(tmp_path / "r.tsv"),
+                "social": str(tmp_path / "s.tsv"),
+            },
+            "cgd": {
+                "T": 3, "hidden_dims": [16], "time_embed_dim": 8,
+                "learning_rate": 1e-3, "epochs": 1, "batch_size": 64,
+            },
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["prepare", str(cfg_path)]) == 0
+        assert main(["train", str(cfg_path), "--model", "cgd"]) == 0
+        blob = tmp_path / "run" / "ckpt-cgd" / "params.bin"
+        params = np.fromfile(blob, dtype="<f8")
+        params[0] = np.nan
+        params.tofile(blob)
+        out = tmp_path / "lists.tsv"
+        code, _, err = run(capsys, "infer", str(cfg_path), "--out", str(out))
+        assert code == 4
+        assert "item chain" in err and "user 0" in err
+        assert not out.exists()
 
 
 class TestGoldenFixtureThroughCli:

@@ -6,25 +6,25 @@ import scipy.sparse as sp
 
 from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
 from cgsorec.denoiser import predict_x0
-from cgsorec.errors import ConfigError, ShapeError
+from cgsorec.errors import ConfigError, NumericError, ShapeError
 from cgsorec.guidance import (
+    CHUNK,
     GuidanceConfig,
     STAGE_ITEM,
     STAGE_ITEM_COND,
     STAGE_SOCIAL,
     STAGE_SOCIAL_COND,
+    _chain_rows,
     _rebinarized_graph,
     binarize_social,
     build_item_condition,
     build_social_condition,
-    denoise_social,
-    guided_mean,
+    item_phase,
     joint_inference,
-    recommend,
-    reverse_chain,
+    social_phase,
     unconditional_scores,
 )
-from cgsorec.schedule import make_schedule, model_mean, q_sample
+from cgsorec.schedule import model_mean, posterior_coeffs, q_sample
 
 from conftest import rand_binary_csr, untrained_checkpoint
 
@@ -48,186 +48,226 @@ class TestGuidanceConfig:
             GuidanceConfig(**kwargs)
 
 
+def reference_chain(params, sched, x, cond, mix, T_inf, rng=None):
+    """Item-space stepper: full-width denoiser passes, one step at a time."""
+    for t in range(T_inf, 0, -1):
+        mean = model_mean(x, predict_x0(params, x, t), t, sched)
+        if cond is not None and mix > 0:
+            cond_mean = model_mean(cond, predict_x0(params, cond, t), t, sched)
+            mean = (1.0 - mix) * mean + mix * cond_mean
+        x = mean
+        if rng is not None and t > 1:
+            x = x + np.sqrt(posterior_coeffs(sched, t)[2]) * rng.standard_normal(x.shape)
+    return x
+
+
+def corrupt(rows, T_inf, sched, seed, stage, start=0):
+    """q_sample of clean rows with each user's own (seed ^ user, stage) noise."""
+    eps = np.stack([
+        np.random.default_rng([seed ^ (start + j), stage]).standard_normal(rows.shape[1])
+        for j in range(rows.shape[0])
+    ])
+    return q_sample(rows, T_inf, eps, sched)
+
+
+def reference_rows(ckpt, rows, cond, mix, cfg, seed, stage):
+    """What _chain_rows computes, stepped in item space with the same noise."""
+    rows = rows.toarray() if sp.issparse(rows) else rows
+    cond = cond.toarray() if sp.issparse(cond) else cond
+    T_inf = cfg.T_inf or ckpt.sched.T
+    blocks = []
+    for start in range(0, rows.shape[0], CHUNK):
+        stop = start + CHUNK
+        x = corrupt(rows[start:stop], T_inf, ckpt.sched, seed, stage, start)
+        rng = np.random.default_rng([seed, stage, start, 0xD1CE]) if cfg.stochastic else None
+        c = None if cond is None else cond[start:stop]
+        blocks.append(reference_chain(ckpt.params, ckpt.sched, x, c, mix, T_inf, rng))
+    return np.vstack(blocks)
+
+
+class TestItemSpaceReference:
+    """The hidden-space chain against the item-space stepper."""
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("T_inf", [None, 2])
+    @pytest.mark.parametrize("mix", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("hidden", [(8,), (8, 6)])
+    def test_matches_reference(self, rng, hidden, mix, T_inf, stochastic):
+        ckpt = untrained_checkpoint(7, T=4, seed=8, hidden=hidden)
+        for b in ckpt.params.biases:  # initialised to zero; exercise them
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+        rows = rand_binary_csr(rng, CHUNK + 40, 7, 0.3)
+        cond = rows + sp.csr_matrix(2.0 * (rng.random(rows.shape) < 0.2))
+        cfg = GuidanceConfig(T_inf=T_inf, stochastic=stochastic)
+        got = _chain_rows(ckpt.params, ckpt.sched, rows, cond, mix, cfg, 5, STAGE_ITEM)
+        want = reference_rows(ckpt, rows, cond, mix, cfg, 5, STAGE_ITEM)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    def test_non_finite_names_stage_and_user(self, rng):
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rng.random((CHUNK + 40, 7))
+        rows[CHUNK + 3, 2] = np.nan
+        with pytest.raises(NumericError, match="item chain .* user 515"):
+            unconditional_scores(ckpt.params, ckpt.sched, rows, stage=STAGE_ITEM)
+
+
 class TestGuidedMean:
+    """The per-step mix toward the mean at the clean condition."""
+
     def setup_method(self):
-        self.sched = make_schedule(4, 0.05, 0.2)
         self.ckpt = untrained_checkpoint(6, T=4, seed=2)
+        self.sched = self.ckpt.sched
+
+    def chain(self, rows, cond, mix, T_inf, seed=3):
+        cfg = GuidanceConfig(T_inf=T_inf)
+        return _chain_rows(
+            self.ckpt.params, self.sched, rows, cond, mix, cfg, seed, STAGE_ITEM
+        )
 
     def test_mix_zero_is_unconditional(self, rng):
-        x = rng.standard_normal(6)
-        cond = rng.standard_normal(6)
-        base = model_mean(x, predict_x0(self.ckpt.params, x, 3), 3, self.sched)
-        out = guided_mean(self.ckpt.params, x, cond, 3, 0.0, self.sched)
-        assert np.array_equal(out, base)
-        out_none = guided_mean(self.ckpt.params, x, None, 3, 0.7, self.sched)
-        assert np.array_equal(out_none, base)
+        rows = rng.standard_normal((5, 6))
+        cond = rng.standard_normal((5, 6))
+        base = unconditional_scores(
+            self.ckpt.params, self.sched, rows, T_inf=3, seed=3, stage=STAGE_ITEM
+        )
+        assert np.array_equal(self.chain(rows, cond, 0.0, 3), base)
+        assert np.array_equal(self.chain(rows, None, 0.7, 3), base)
 
     def test_mix_one_is_condition_branch(self, rng):
-        x = rng.standard_normal(6)
-        cond = rng.standard_normal(6)
-        cond_mean = model_mean(
-            cond, predict_x0(self.ckpt.params, cond, 2), 2, self.sched
-        )
-        out = guided_mean(self.ckpt.params, x, cond, 2, 1.0, self.sched)
-        np.testing.assert_allclose(out, cond_mean, rtol=1e-15)
+        # every step, the last one included, takes the condition's mean,
+        # so the output is the prediction at the clean condition
+        rows = rng.standard_normal((5, 6))
+        cond = rng.standard_normal((5, 6))
+        want = predict_x0(self.ckpt.params, cond, 1)
+        np.testing.assert_allclose(self.chain(rows, cond, 1.0, 3), want, rtol=1e-10)
 
     def test_affine_mix(self, rng):
-        x = rng.standard_normal(6)
-        cond = rng.standard_normal(6)
-        a = guided_mean(self.ckpt.params, x, cond, 2, 0.0, self.sched)
-        b = guided_mean(self.ckpt.params, x, cond, 2, 1.0, self.sched)
-        mid = guided_mean(self.ckpt.params, x, cond, 2, 0.5, self.sched)
+        rows = rng.standard_normal((5, 6))
+        cond = rng.standard_normal((5, 6))
+        a = self.chain(rows, cond, 0.0, 1)
+        b = self.chain(rows, cond, 1.0, 1)
+        mid = self.chain(rows, cond, 0.5, 1)
         np.testing.assert_allclose(mid, 0.5 * a + 0.5 * b, rtol=1e-12)
 
     def test_shape_error(self, rng):
         with pytest.raises(ShapeError):
-            guided_mean(
-                self.ckpt.params, rng.standard_normal(6),
-                rng.standard_normal(5), 2, 0.5, self.sched,
-            )
+            self.chain(rng.standard_normal((5, 6)), rng.standard_normal((5, 5)), 0.5, 2)
 
 
 class TestReverseChain:
     def setup_method(self):
-        self.sched = make_schedule(4, 0.05, 0.2)
         self.ckpt = untrained_checkpoint(6, T=4, seed=3)
+        self.sched = self.ckpt.sched
+
+    def chain(self, rows, cond, mix, cfg, seed=4):
+        return _chain_rows(
+            self.ckpt.params, self.sched, rows, cond, mix, cfg, seed, STAGE_SOCIAL
+        )
 
     def test_single_step_is_mixed_prediction(self, rng):
-        cfg = GuidanceConfig(T_inf=1)
-        x_start = rng.standard_normal(6)
-        cond = rng.standard_normal(6)
-        out = reverse_chain(self.ckpt.params, x_start, cond, 0.3, self.sched, cfg)
+        rows = rng.standard_normal((5, 6))
+        cond = rng.standard_normal((5, 6))
+        out = self.chain(rows, cond, 0.3, GuidanceConfig(T_inf=1))
         # at t=1 the reverse mean IS the x0 prediction, so one step mixes
         # the two predictions directly
-        expected = 0.7 * predict_x0(self.ckpt.params, x_start, 1) + 0.3 * predict_x0(
+        x1 = corrupt(rows, 1, self.sched, 4, STAGE_SOCIAL)
+        expected = 0.7 * predict_x0(self.ckpt.params, x1, 1) + 0.3 * predict_x0(
             self.ckpt.params, cond, 1
         )
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        np.testing.assert_allclose(out, expected, rtol=1e-10)
 
     def test_mix_zero_equals_no_cond(self, rng):
-        cfg = GuidanceConfig(T_inf=4)
-        x_start = rng.standard_normal(6)
-        cond = rng.standard_normal(6)
-        a = reverse_chain(self.ckpt.params, x_start, cond, 0.0, self.sched, cfg)
-        b = reverse_chain(self.ckpt.params, x_start, None, 0.0, self.sched, cfg)
-        assert np.array_equal(a, b)
+        cfg = GuidanceConfig(T_inf=4, stochastic=True)
+        rows = rng.standard_normal((5, 6))
+        cond = rng.standard_normal((5, 6))
+        a = self.chain(rows, cond, 0.0, cfg)
+        assert np.array_equal(a, self.chain(rows, None, 0.0, cfg))
 
     def test_two_step_composition_oracle(self, rng):
-        cfg = GuidanceConfig(T_inf=2)
-        x2 = rng.standard_normal(6)
+        rows = rng.standard_normal((5, 6))
         # compose two closed-form steps independently
+        x2 = corrupt(rows, 2, self.sched, 4, STAGE_SOCIAL)
         x1 = model_mean(x2, predict_x0(self.ckpt.params, x2, 2), 2, self.sched)
         x0 = predict_x0(self.ckpt.params, x1, 1)
-        out = reverse_chain(self.ckpt.params, x2, None, 0.0, self.sched, cfg)
-        np.testing.assert_allclose(out, x0, rtol=1e-14)
-
-    def test_stochastic_needs_rng(self, rng):
-        cfg = GuidanceConfig(T_inf=3, stochastic=True)
-        with pytest.raises(ConfigError):
-            reverse_chain(
-                self.ckpt.params, rng.standard_normal(6), None, 0.0, self.sched, cfg
-            )
+        out = self.chain(rows, None, 0.0, GuidanceConfig(T_inf=2))
+        np.testing.assert_allclose(out, x0, rtol=1e-10)
 
     def test_stochastic_deterministic_given_seed(self, rng):
         cfg = GuidanceConfig(T_inf=4, stochastic=True)
-        x = rng.standard_normal(6)
-        a = reverse_chain(
-            self.ckpt.params, x, None, 0.0, self.sched, cfg,
-            rng=np.random.default_rng(77),
-        )
-        b = reverse_chain(
-            self.ckpt.params, x, None, 0.0, self.sched, cfg,
-            rng=np.random.default_rng(77),
-        )
-        assert np.array_equal(a, b)
-        c = reverse_chain(self.ckpt.params, x, None, 0.0, self.sched, cfg,
-                          rng=np.random.default_rng(78))
-        assert not np.array_equal(a, c)
+        rows = rng.standard_normal((5, 6))
+        a = self.chain(rows, None, 0.0, cfg, seed=77)
+        assert np.array_equal(a, self.chain(rows, None, 0.0, cfg, seed=77))
+        assert not np.array_equal(a, self.chain(rows, None, 0.0, cfg, seed=78))
 
     def test_stochastic_single_step_equals_deterministic(self, rng):
         # no noise is added at t=1, so a one-step stochastic chain is
         # exactly the deterministic one
-        x = rng.standard_normal(6)
-        det = reverse_chain(
-            self.ckpt.params, x, None, 0.0, self.sched, GuidanceConfig(T_inf=1)
-        )
-        sto = reverse_chain(
-            self.ckpt.params, x, None, 0.0, self.sched,
-            GuidanceConfig(T_inf=1, stochastic=True), rng=np.random.default_rng(1),
-        )
+        rows = rng.standard_normal((5, 6))
+        det = self.chain(rows, None, 0.0, GuidanceConfig(T_inf=1))
+        sto = self.chain(rows, None, 0.0, GuidanceConfig(T_inf=1, stochastic=True))
         assert np.array_equal(det, sto)
 
 
 class TestSingleRowBlends:
+    """social_phase / item_phase blends against the item-space stepper."""
+
     def setup_method(self):
         self.ckpt = untrained_checkpoint(5, T=3, seed=4, tag="CSD")
-        self.sched = self.ckpt.sched
 
-    def manual_chains(self, row, cond_row, cfg, seed, mix):
-        """Replicate denoise_social's rng draw order with reverse_chain."""
-        rng = np.random.default_rng(seed)
-        T_inf = cfg.T_inf or self.sched.T
-        x_a = q_sample(row, T_inf, rng.standard_normal(row.shape), self.sched)
-        out_a = reverse_chain(self.ckpt.params, x_a, cond_row, mix, self.sched, cfg)
-        x_b = q_sample(cond_row, T_inf, rng.standard_normal(row.shape), self.sched)
-        out_b = reverse_chain(self.ckpt.params, x_b, None, 0.0, self.sched, cfg)
-        return out_a, out_b
+    def graphs(self, rng):
+        S = SocialMatrix(rand_binary_csr(rng, 5, 5, 0.4))
+        S_prime = SocialMatrix(S.matrix + sp.csr_matrix(0.5 * np.ones((5, 5))))
+        return S, S_prime
 
     def test_all_zero_reduces_to_unconditional(self, rng):
-        cfg = GuidanceConfig()
-        row = rng.standard_normal(5)
-        cond = rng.standard_normal(5)
-        got = denoise_social(self.ckpt, row, cond, cfg, np.random.default_rng(9))
-        manual_rng = np.random.default_rng(9)
-        x_a = q_sample(row, 3, manual_rng.standard_normal(5), self.sched)
-        expected = reverse_chain(self.ckpt.params, x_a, None, 0.0, self.sched, cfg)
+        S, S_prime = self.graphs(rng)
+        got = social_phase(self.ckpt, S, S_prime, GuidanceConfig(), seed=9)
+        expected = unconditional_scores(
+            self.ckpt.params, self.ckpt.sched, S.matrix, seed=9, stage=STAGE_SOCIAL
+        )
         assert np.array_equal(got, expected)
 
     def test_ws_one_returns_chain_b(self, rng):
+        S, S_prime = self.graphs(rng)
         cfg = GuidanceConfig(w_s=1.0, eta=0.2)
-        row = rng.standard_normal(5)
-        cond = rng.standard_normal(5)
-        got = denoise_social(self.ckpt, row, cond, cfg, np.random.default_rng(9))
-        _, out_b = self.manual_chains(row, cond, cfg, 9, cfg.eta)
-        np.testing.assert_allclose(got, out_b, rtol=1e-15, atol=0)
+        got = social_phase(self.ckpt, S, S_prime, cfg, seed=9)
+        out_b = reference_rows(self.ckpt, S_prime.matrix, None, 0.0, cfg, 9, STAGE_SOCIAL_COND)
+        np.testing.assert_allclose(got, out_b, rtol=1e-10)
 
     def test_ws_linear_mix(self, rng):
+        S, S_prime = self.graphs(rng)
         cfg = GuidanceConfig(w_s=0.4, eta=0.2)
-        row = rng.standard_normal(5)
-        cond = rng.standard_normal(5)
-        got = denoise_social(self.ckpt, row, cond, cfg, np.random.default_rng(9))
-        out_a, out_b = self.manual_chains(row, cond, cfg, 9, cfg.eta)
-        np.testing.assert_allclose(got, 0.6 * out_a + 0.4 * out_b, rtol=1e-12)
+        got = social_phase(self.ckpt, S, S_prime, cfg, seed=9)
+        out_a = reference_rows(self.ckpt, S.matrix, S_prime.matrix, 0.2, cfg, 9, STAGE_SOCIAL)
+        out_b = reference_rows(self.ckpt, S_prime.matrix, None, 0.0, cfg, 9, STAGE_SOCIAL_COND)
+        np.testing.assert_allclose(got, 0.6 * out_a + 0.4 * out_b, rtol=1e-10)
 
     def test_recommend_mirrors_with_wr(self, rng):
         ckpt = untrained_checkpoint(7, T=3, seed=5)
+        R = InteractionMatrix(rand_binary_csr(rng, 6, 7, 0.3))
+        R_prime = InteractionMatrix(R.matrix * 2.0)
         cfg = GuidanceConfig(w_r=0.5, gamma=0.3)
-        row = rng.standard_normal(7)
-        cond = rng.standard_normal(7)
-        got = recommend(ckpt, row, cond, cfg, np.random.default_rng(4))
-        manual_rng = np.random.default_rng(4)
-        x_a = q_sample(row, 3, manual_rng.standard_normal(7), ckpt.sched)
-        out_a = reverse_chain(ckpt.params, x_a, cond, 0.3, ckpt.sched, cfg)
-        x_b = q_sample(cond, 3, manual_rng.standard_normal(7), ckpt.sched)
-        out_b = reverse_chain(ckpt.params, x_b, None, 0.0, ckpt.sched, cfg)
-        np.testing.assert_allclose(got, 0.5 * out_a + 0.5 * out_b, rtol=1e-12)
+        out_a, out_b = item_phase(ckpt, R, R_prime, cfg, seed=4)
+        want_a = reference_rows(ckpt, R.matrix, R_prime.matrix, 0.3, cfg, 4, STAGE_ITEM)
+        want_b = reference_rows(ckpt, R_prime.matrix, None, 0.0, cfg, 4, STAGE_ITEM_COND)
+        np.testing.assert_allclose(out_a, want_a, rtol=1e-10)
+        np.testing.assert_allclose(out_b, want_b, rtol=1e-10)
 
     def test_recommend_wr_zero_skips_chain_b(self, rng):
         ckpt = untrained_checkpoint(7, T=3, seed=5)
-        cfg = GuidanceConfig()
-        row = rng.standard_normal(7)
-        cond = rng.standard_normal(7)
-        got = recommend(ckpt, row, cond, cfg, np.random.default_rng(4))
-        manual_rng = np.random.default_rng(4)
-        x_a = q_sample(row, 3, manual_rng.standard_normal(7), ckpt.sched)
-        expected = reverse_chain(ckpt.params, x_a, None, 0.0, ckpt.sched, cfg)
-        assert np.array_equal(got, expected)
+        R = InteractionMatrix(rand_binary_csr(rng, 6, 7, 0.3))
+        out_a, out_b = item_phase(ckpt, R, R, GuidanceConfig(), seed=4)
+        assert out_b is None
+        expected = unconditional_scores(
+            ckpt.params, ckpt.sched, R.matrix, seed=4, stage=STAGE_ITEM
+        )
+        assert np.array_equal(out_a, expected)
 
     def test_shape_mismatch(self, rng):
+        # rows narrower than the model are rejected, not silently projected
         with pytest.raises(ShapeError):
-            denoise_social(
-                self.ckpt, rng.standard_normal(5), rng.standard_normal(4),
-                GuidanceConfig(), np.random.default_rng(0),
+            unconditional_scores(
+                self.ckpt.params, self.ckpt.sched, rng.standard_normal((3, 4))
             )
 
 
@@ -345,15 +385,6 @@ class TestJointInference:
         assert np.array_equal(a, b)
         c = joint_inference(ckpt_social, ckpt_item, S, R, groups, cfg, seed=10)
         assert not np.array_equal(a, c)
-
-    def test_worker_count_does_not_change_output(self, rng, monkeypatch):
-        ckpt_social, ckpt_item, S, R, groups = self.build_fixture(rng, n_users=30)
-        cfg = GuidanceConfig(T_inf=3, lam=0.5, delta=0.2, eta=0.1, gamma=0.2, w_s=0.3, w_r=0.4)
-        monkeypatch.setenv("CGSOREC_THREADS", "1")
-        a = joint_inference(ckpt_social, ckpt_item, S, R, groups, cfg, seed=3)
-        monkeypatch.setenv("CGSOREC_THREADS", "4")
-        b = joint_inference(ckpt_social, ckpt_item, S, R, groups, cfg, seed=3)
-        assert np.array_equal(a, b)
 
     def test_isolated_user_zero_condition(self, rng):
         # user 0 has no neighbors and interacts with a unique tail item,
