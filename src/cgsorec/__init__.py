@@ -41,12 +41,10 @@ from .errors import (
 from .evaluation import (
     EvalReport,
     RankedList,
-    evaluate,
     evaluate_lists,
     frequency_histogram,
     group_metrics,
     ndcg_at_k,
-    rank_items,
     recall_at_k,
     topk_lists,
 )

@@ -21,7 +21,7 @@ from . import pipeline
 from .config import ExperimentConfig, apply_set, load_config
 from .corpus import partition_items
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import frequency_histogram, group_metrics
+from .evaluation import frequency_histogram, group_metrics, keys_to_str
 from .guidance import joint_chains
 from .trainer import load_checkpoint, save_checkpoint
 
@@ -103,7 +103,7 @@ def cmd_infer(cfg: ExperimentConfig, args) -> int:
     ckpt_social, ckpt_item = _load_both_checkpoints(cfg, args)
     scores = pipeline.joint_scores(cfg, ckpt_social, ckpt_item, S, bundle)
     top_k = args.top or max(cfg.eval_ks)
-    lists = pipeline.score_lists(cfg, scores, bundle, top_k)
+    lists = pipeline.topk_lists(scores, top_k, mask=bundle.train)
     out = args.out or os.path.join(cfg.output_dir, "lists.tsv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     pipeline.write_lists(lists, out)
@@ -161,28 +161,30 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     ckpt_social, ckpt_item = _load_both_checkpoints(cfg, args)
     groups = partition_items(bundle.train, cfg.hot_fraction)
 
-    rows = []
+    cfgs = [None] * len(values)
     if param == "guidance.w_r":
         # The two chains do not depend on w_r; compute once, remix per value.
         g = replace(cfg.guidance(), w_r=1.0 if any(v > 0 for v in values) else 0.0)
         seed = cfg.seed_for("inference")
         out_a, out_b = joint_chains(ckpt_social, ckpt_item, S, bundle.train, groups, g, seed)
-        score_matrices = [
-            out_a if (v == 0 or out_b is None) else (1.0 - v) * out_a + v * out_b
-            for v in values
-        ]
     else:
-        score_matrices = []
+        # Every value's config is validated before any value is scored.
+        cfgs = []
         for v in values:
             raw = copy.deepcopy(cfg.raw)
             apply_set(raw, f"{param}={json.dumps(v)}")
-            cfg_v = ExperimentConfig(raw).validate()
-            score_matrices.append(
-                pipeline.joint_scores(cfg_v, ckpt_social, ckpt_item, S, bundle)
-            )
+            cfgs.append(ExperimentConfig(raw).validate())
 
-    for v, scores in zip(values, score_matrices):
-        lists = pipeline.score_lists(cfg, scores, bundle, max(cfg.eval_ks))
+    rows = []
+    for v, cfg_v in zip(values, cfgs):
+        if cfg_v is not None:
+            scores = pipeline.joint_scores(cfg_v, ckpt_social, ckpt_item, S, bundle)
+        elif v == 0 or out_b is None:
+            scores = out_a
+        else:
+            scores = (1.0 - v) * out_a + v * out_b
+        lists = pipeline.topk_lists(scores, max(cfg.eval_ks), mask=bundle.train)
+        del scores  # one score matrix at a time: gone before the next is built
         report = pipeline.eval_report(cfg, lists, bundle)
         report.config_echo = dict(report.config_echo, swept={param: v})
         name = f"report_{param.replace('.', '-')}={v}.json"
@@ -220,21 +222,9 @@ def cmd_bias_report(cfg: ExperimentConfig, args) -> int:
     per_group, notices = group_metrics(lists, target, groups, cfg.eval_ks)
     out = args.out or os.path.join(cfg.output_dir, "bias.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    payload = {
-        "freq_hist": {
-            "decile_mean_freq": {str(k): v for k, v in hist["decile_mean_freq"].items()},
-            "hot_mean_freq": hist["hot_mean_freq"],
-            "tail_mean_freq": hist["tail_mean_freq"],
-            "total_count": hist["total_count"],
-        },
-        "per_group": {
-            g: {m: {str(k): v for k, v in kv.items()} for m, kv in metrics.items()}
-            for g, metrics in per_group.items()
-        },
-        "notices": notices,
-    }
+    payload = {"freq_hist": hist, "per_group": per_group, "notices": notices}
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(keys_to_str(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_freq_tsv(hist, out + ".freq.tsv")
     print(f"hot_mean_freq\t{hist['hot_mean_freq']!r}")

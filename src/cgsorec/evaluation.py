@@ -3,8 +3,13 @@
 Recall is the global hit ratio (summed hits over summed test-set sizes);
 NDCG is a per-user mean of DCG/IDCG with log-2 discounting.  Users whose
 test row is empty are excluded everywhere — both metrics are undefined
-for them.  Ties in scores always break toward the lower item id, which
-keeps every ranking reproducible bit-for-bit.
+for them.
+
+Every ranking in the package goes through top_k_rows: the top-K lists
+evaluated here and at each validation epoch, and the re-binarized social
+graph (guidance.binarize_social).  Ties in scores always break toward
+the lower id, which keeps every ranking reproducible bit-for-bit, and
+rows are ranked in bounded blocks with no per-row Python loop.
 """
 
 from __future__ import annotations
@@ -38,36 +43,54 @@ def _row_indices(m: sp.csr_matrix, u: int) -> np.ndarray:
     return m.indices[m.indptr[u] : m.indptr[u + 1]]
 
 
-def rank_items(x_bar: np.ndarray, masked: np.ndarray | None, K: int, user: int = 0) -> RankedList:
-    """Top-K items by score with the given item ids masked out.
+ROW_BLOCK = 256
 
-    Ties break by ascending item id.  K larger than the number of
-    unmasked items is a config error.
+
+def top_k_rows(scores: np.ndarray, k: int, mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k best column ids and their scores, best first.
+
+    Ties break toward the lower column id and NaN ranks last.  Masked
+    entries (a sparse matrix of already-seen (row, column) positions,
+    duplicates allowed) score -inf; k larger than a row's unmasked count
+    is a config error.  Rows are ranked ROW_BLOCK at a time: a partition
+    finds each row's k-th best value, a running count keeps the lowest-id
+    ties at that value, and a stable sort orders the k survivors.
     """
-    scores = np.asarray(x_bar, dtype=np.float64).copy()
-    n = len(scores)
-    n_masked = 0
-    if masked is not None and len(masked):
-        scores[masked] = -np.inf
-        n_masked = len(np.unique(masked))
-    if K > n - n_masked:
-        raise ConfigError(f"K={K} exceeds {n - n_masked} unmasked items")
-    order = np.lexsort((np.arange(n), -scores))[:K]
-    return RankedList(user=user, items=order, scores=scores[order])
+    scores = np.asarray(scores, dtype=np.float64)
+    n_rows, n = scores.shape
+    mask = _as_csr(mask) if mask is not None else sp.csr_matrix(scores.shape)
+    ids = np.empty((n_rows, k), dtype=np.intp)
+    top = np.empty((n_rows, k))
+    for start in range(0, n_rows, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n_rows)
+        ptr = mask.indptr[start : stop + 1]
+        masked = np.zeros((stop - start, n), dtype=bool)
+        rows = np.repeat(np.arange(stop - start), np.diff(ptr))
+        masked[rows, mask.indices[ptr[0] : ptr[-1]]] = True
+        free = n - masked.sum(axis=1)
+        if (free < k).any():
+            raise ConfigError(f"K={k} exceeds {free[free < k][0]} unmasked items")
+        if k == 0:
+            continue
+        neg = np.where(masked, np.inf, -scores[start:stop])
+        kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+        nan_kth, nan = np.isnan(kth), np.isnan(neg)
+        below = (neg < kth) | (nan_kth & ~nan)
+        at = (neg == kth) | (nan_kth & nan)
+        need = k - below.sum(axis=1, keepdims=True)
+        keep = below | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= need))
+        cols = np.nonzero(keep)[1].reshape(stop - start, k)
+        vals = np.take_along_axis(neg, cols, axis=1)
+        order = np.argsort(vals, axis=1, kind="stable")
+        ids[start:stop] = np.take_along_axis(cols, order, axis=1)
+        top[start:stop] = -np.take_along_axis(vals, order, axis=1)
+    return ids, top
 
 
 def topk_lists(score_matrix: np.ndarray, K: int, mask=None) -> list[RankedList]:
-    """Per-user ranked lists from a dense score matrix.
-
-    mask, if given, is a sparse matrix of already-seen entries (train
-    interactions) excluded from ranking.
-    """
-    mask_csr = _as_csr(mask) if mask is not None else None
-    lists = []
-    for u in range(score_matrix.shape[0]):
-        masked = _row_indices(mask_csr, u) if mask_csr is not None else None
-        lists.append(rank_items(score_matrix[u], masked, K, user=u))
-    return lists
+    """One RankedList per row of top_k_rows(score_matrix, K, mask)."""
+    ids, top = top_k_rows(score_matrix, K, mask)
+    return [RankedList(user=u, items=ids[u], scores=top[u]) for u in range(len(ids))]
 
 
 def _truncate(rl: RankedList, k: int | None) -> np.ndarray:
@@ -179,6 +202,15 @@ def frequency_histogram(
     }
 
 
+def keys_to_str(obj):
+    """`obj` with every dict key stringified, nested dicts and lists included."""
+    if isinstance(obj, dict):
+        return {str(k): keys_to_str(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [keys_to_str(v) for v in obj]
+    return obj
+
+
 @dataclass
 class EvalReport:
     """Everything one evaluation run produces, JSON-serializable."""
@@ -191,22 +223,15 @@ class EvalReport:
     config_echo: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        def keys_to_str(obj):
-            if isinstance(obj, dict):
-                return {str(k): keys_to_str(v) for k, v in obj.items()}
-            if isinstance(obj, list):
-                return [keys_to_str(v) for v in obj]
-            return obj
-
         payload = {
-            "recall": keys_to_str(self.recall),
-            "ndcg": keys_to_str(self.ndcg),
-            "per_group": keys_to_str(self.per_group),
-            "freq_hist": keys_to_str(self.freq_hist),
+            "recall": self.recall,
+            "ndcg": self.ndcg,
+            "per_group": self.per_group,
+            "freq_hist": self.freq_hist,
             "notices": list(self.notices),
-            "config": keys_to_str(self.config_echo),
+            "config": self.config_echo,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(keys_to_str(payload), indent=2, sort_keys=True) + "\n"
 
 
 def evaluate_lists(
@@ -235,20 +260,4 @@ def evaluate_lists(
         freq_hist=hist,
         notices=notices,
         config_echo=dict(config_echo or {}),
-    )
-
-
-def evaluate(
-    score_matrix: np.ndarray,
-    test,
-    train,
-    groups: ItemGroups,
-    ks,
-    config_echo: dict | None = None,
-    per_user_recall: bool = False,
-) -> EvalReport:
-    """Full evaluation of a score matrix against a test split."""
-    lists = topk_lists(score_matrix, max(int(k) for k in ks), mask=train)
-    return evaluate_lists(
-        lists, test, train, groups, ks, config_echo, per_user_recall
     )

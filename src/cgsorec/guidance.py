@@ -2,7 +2,8 @@
 
 Layout of a run: the social model denoises each user's neighbor row
 under a co-interaction condition, the denoised rows are re-binarized
-(degree-preserving), the rebuilt graph produces an inverted-popularity
+(degree-preserving, ranked by evaluation.top_k_rows like every top-K
+list), the rebuilt graph produces an inverted-popularity
 item condition, and the item model denoises interaction rows under it.
 Guidance mixes the model mean toward the mean evaluated at the clean
 condition vector at every step; a second, unconditional chain run on the
@@ -46,6 +47,7 @@ from .corpus import (
 from .denoiser import DenoiserParams, last_hidden
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError, ShapeError
+from .evaluation import top_k_rows
 from .schedule import NoiseSchedule, model_mean, posterior_coeffs, q_sample
 from .trainer import Checkpoint
 
@@ -194,38 +196,27 @@ def unconditional_scores(
     return _chain_rows(params, sched, rows, None, 0.0, cfg, seed, stage)
 
 
-def binarize_social(s_bar: np.ndarray, keep: int, self_id: int) -> np.ndarray:
-    """Ids of the `keep` highest-scoring users, self excluded.
-
-    Ties break toward the lower user id; returned ascending.
-    """
-    if keep < 0:
-        raise ConfigError(f"keep must be >= 0, got {keep}")
-    m = len(s_bar)
-    if keep == 0:
-        return np.empty(0, dtype=np.int64)
-    scores = np.asarray(s_bar, dtype=np.float64).copy()
-    scores[self_id] = -np.inf
-    order = np.lexsort((np.arange(m), -scores))
-    return np.sort(order[: min(keep, m - 1)])
-
-
-def _rebinarized_graph(
-    S: SocialMatrix, s_bar: np.ndarray, keep_override: int | None
+def binarize_social(
+    S: SocialMatrix, s_bar: np.ndarray, keep: int | None
 ) -> SocialMatrix:
-    """Turn denoised score rows back into a 0/1 graph, degree-preserving."""
-    degrees = np.diff(S.matrix.indptr)
-    indices: list[np.ndarray] = []
-    indptr = np.zeros(S.n_users + 1, dtype=np.int64)
-    for u in range(S.n_users):
-        keep = int(degrees[u]) if keep_override is None else keep_override
-        neigh = binarize_social(s_bar[u], keep, u)
-        indices.append(neigh)
-        indptr[u + 1] = indptr[u] + len(neigh)
-    idx = np.concatenate(indices) if indices else np.empty(0, dtype=np.int64)
-    data = np.ones(len(idx), dtype=np.float64)
+    """Turn denoised score rows back into a 0/1 graph.
+
+    Each user keeps its `keep` highest-scoring other users (its degree in
+    S when keep is None), at most n - 1; ties break toward the lower user
+    id, as in every ranking (evaluation.top_k_rows).
+    """
+    if keep is not None and keep < 0:
+        raise ConfigError(f"keep must be >= 0, got {keep}")
+    n = S.n_users
+    degrees = np.diff(S.matrix.indptr) if keep is None else np.full(n, keep)
+    keep_u = np.minimum(degrees, max(n - 1, 0))
+    ids, _ = top_k_rows(s_bar, int(keep_u.max(initial=0)), sp.identity(n, format="csr"))
+    # Ids past a row's own keep become n, so they sort behind the kept ones.
+    kept = np.arange(ids.shape[1]) < keep_u[:, None]
+    neigh = np.sort(np.where(kept, ids, n), axis=1)[kept]
+    indptr = np.concatenate(([0], np.cumsum(keep_u)))
     return SocialMatrix(
-        sp.csr_matrix((data, idx, indptr), shape=(S.n_users, S.n_users))
+        sp.csr_matrix((np.ones(len(neigh)), neigh, indptr), shape=(n, n))
     )
 
 
@@ -316,7 +307,7 @@ def joint_chains(
             )
         s_prime = build_social_condition(S, R, groups, cfg.delta)
         s_bar = social_phase(ckpt_social, S, s_prime, cfg, seed)
-        S_bar = _rebinarized_graph(S, s_bar, cfg.social_keep)
+        S_bar = binarize_social(S, s_bar, cfg.social_keep)
         r_prime = build_item_condition(S_bar, R, cfg.lam)
     else:
         # lam = 0 zeroes the social term of the item condition, so the

@@ -26,7 +26,8 @@ from .corpus import (
     split,
 )
 from .errors import DataError, IntegrityError
-from .evaluation import RankedList, evaluate_lists, topk_lists
+from .evaluation import RankedList, evaluate_lists
+from .evaluation import topk_lists  # noqa: F401  (cli ranks through pipeline.topk_lists)
 from .guidance import joint_inference
 from .trainer import Checkpoint, train_model
 
@@ -258,10 +259,6 @@ def eval_report(cfg: ExperimentConfig, lists, bundle: SplitBundle):
         config_echo=cfg.raw,
         per_user_recall=cfg.recall_per_user,
     )
-
-
-def score_lists(cfg: ExperimentConfig, scores: np.ndarray, bundle: SplitBundle, top_k: int):
-    return topk_lists(scores, top_k, mask=bundle.train)
 
 
 def write_lists(lists, path) -> None:

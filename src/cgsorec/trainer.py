@@ -245,7 +245,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild a checkpoint; forward outputs are bitwise equal post-load."""
+    """Rebuild a checkpoint; forward outputs are bitwise equal post-load.
+
+    A tensor holding a non-finite value raises NumericError naming it.
+    """
     import os
 
     manifest_path = os.path.join(path, "manifest.json")
@@ -287,10 +290,19 @@ def load_checkpoint(path) -> Checkpoint:
         size = int(np.prod(s))
         tensors.append(raw[offset : offset + size].reshape(s).astype(np.float64))
         offset += size
+    tag = str(manifest["model_tag"])
+    bad = [i for i, t in enumerate(tensors) if not np.isfinite(t).all()]
+    if bad:  # weights are shared, so one bad value reaches every user's output
+        name = f"{('weights', 'biases')[bad[0] % 2]}[{bad[0] // 2}]"
+        chain = {"CGD": "item", "CSD": "social"}.get(tag, tag)
+        raise NumericError(
+            f"non-finite {name} in {tag} checkpoint {blob_path}: every "
+            f"{chain} chain output would be non-finite, first at user 0"
+        )
     params = DenoiserParams(
         layer_dims=layer_dims,
         time_embed_dim=time_embed_dim,
-        model_tag=str(manifest["model_tag"]),
+        model_tag=tag,
         weights=tensors[0::2],
         biases=tensors[1::2],
     )

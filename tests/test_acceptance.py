@@ -25,7 +25,7 @@ from cgsorec import pipeline
 from cgsorec.config import config_from_dict
 from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
 from cgsorec.denoiser import init_params, loss_and_grad
-from cgsorec.evaluation import evaluate, ndcg_at_k, recall_at_k, topk_lists
+from cgsorec.evaluation import evaluate_lists, ndcg_at_k, recall_at_k, topk_lists
 from cgsorec.guidance import (
     STAGE_ITEM,
     GuidanceConfig,
@@ -189,8 +189,9 @@ def _write_c5(ws, out_dir):
         ("base_report.json", res.base_scores, {"guidance": "disabled"}),
         ("best_report.json", res.best.scores, res.best.params),
     ):
-        report = evaluate(
-            scores, ws.bundle.debiased_test, ws.bundle.train, ws.groups,
+        report = evaluate_lists(
+            topk_lists(scores, 10, mask=ws.bundle.train),
+            ws.bundle.debiased_test, ws.bundle.train, ws.groups,
             ks=[5, 10], config_echo=echo,
         )
         (out_dir / name).write_text(report.to_json(), encoding="utf-8")
@@ -210,8 +211,9 @@ def _write_c7(ws, out_dir):
         ("base_report.json", base, {"conditions": "disabled"}),
         ("guided_report.json", cond, dict(C7_GUIDANCE)),
     ):
-        report = evaluate(
-            scores, ws.bundle.test, ws.bundle.train, ws.groups,
+        report = evaluate_lists(
+            topk_lists(scores, 10, mask=ws.bundle.train),
+            ws.bundle.test, ws.bundle.train, ws.groups,
             ks=[5, 10], config_echo=echo,
         )
         (out_dir / name).write_text(report.to_json(), encoding="utf-8")

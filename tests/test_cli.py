@@ -29,6 +29,32 @@ def stdout_table(out):
     return rows
 
 
+def nan_planted_checkpoint(tmp_path):
+    """Config path of a 1-epoch `planted` run whose CGD params.bin[0] is NaN."""
+    write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = {
+        "seed": 1,
+        "output_dir": str(tmp_path / "run"),
+        "dataset": {
+            "interactions": str(tmp_path / "r.tsv"),
+            "social": str(tmp_path / "s.tsv"),
+        },
+        "cgd": {
+            "T": 3, "hidden_dims": [16], "time_embed_dim": 8,
+            "learning_rate": 1e-3, "epochs": 1, "batch_size": 64,
+        },
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["prepare", str(cfg_path)]) == 0
+    assert main(["train", str(cfg_path), "--model", "cgd"]) == 0
+    blob = tmp_path / "run" / "ckpt-cgd" / "params.bin"
+    params = np.fromfile(blob, dtype="<f8")
+    params[0] = np.nan
+    params.tofile(blob)
+    return cfg_path
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Workspace with a small dataset, config, and both trained checkpoints."""
@@ -143,6 +169,13 @@ class TestTrain:
             "--set", "cgd.learning_rate=0",
         )
         assert code == 2
+
+    def test_nan_checkpoint_resume_exits_4(self, tmp_path, capsys):
+        # a checkpoint holding NaN is refused at load, before any epoch runs
+        cfg_path = nan_planted_checkpoint(tmp_path)
+        code, _, err = run(capsys, "train", str(cfg_path), "--model", "cgd", "--resume")
+        assert code == 4
+        assert "weights[0]" in err
 
 
 class TestInfer:
@@ -275,7 +308,7 @@ class TestGoldenFixtureThroughCli:
         ckpt_social = untrained_checkpoint(5, T=3, seed=22, tag="CSD")
         ckpt_item = untrained_checkpoint(8, T=3, seed=21)
         scores = pipeline.joint_scores(cfg_obj, ckpt_social, ckpt_item, S, bundle)
-        lists = pipeline.score_lists(cfg_obj, scores, bundle, 3)
+        lists = pipeline.topk_lists(scores, 3, mask=bundle.train)
         expected = tmp_path / "expected.tsv"
         pipeline.write_lists(lists, expected)
         assert out.read_bytes() == expected.read_bytes()

@@ -9,15 +9,15 @@ import scipy.sparse as sp
 from cgsorec.corpus import InteractionMatrix, ItemGroups, partition_items
 from cgsorec.errors import ConfigError, DataError
 from cgsorec.evaluation import (
+    ROW_BLOCK,
     EvalReport,
     RankedList,
-    evaluate,
     evaluate_lists,
     frequency_histogram,
     group_metrics,
     ndcg_at_k,
-    rank_items,
     recall_at_k,
+    top_k_rows,
     topk_lists,
 )
 
@@ -78,37 +78,125 @@ def make_lists(rows):
     ]
 
 
+def one_row(scores, masked, K):
+    """topk_lists on a single score row, `masked` item ids excluded."""
+    masked = [] if masked is None else list(masked)
+    mask = sp.csr_matrix(
+        (np.ones(len(masked)), masked, [0, len(masked)]), shape=(1, len(scores))
+    )
+    return topk_lists(np.asarray(scores, dtype=np.float64)[None], K, mask=mask)[0]
+
+
+def loop_topk(scores, mask, K):
+    """Reference ranking: one lexsort per row, masked entries at -inf."""
+    mask = sp.csr_matrix(scores.shape) if mask is None else sp.csr_matrix(mask)
+    items, tops = [], []
+    for u in range(scores.shape[0]):
+        row = np.asarray(scores[u], dtype=np.float64).copy()
+        row[mask.indices[mask.indptr[u] : mask.indptr[u + 1]]] = -np.inf
+        order = np.lexsort((np.arange(len(row)), -row))[:K]
+        items.append(order)
+        tops.append(row[order])
+    return items, tops
+
+
+def assert_same_as_loop(scores, mask, K):
+    lists = topk_lists(scores, K, mask=mask)
+    items, tops = loop_topk(scores, mask, K)
+    assert [rl.user for rl in lists] == list(range(scores.shape[0]))
+    for rl, want_items, want_scores in zip(lists, items, tops):
+        assert rl.items.dtype == want_items.dtype
+        assert np.array_equal(rl.items, want_items)
+        # bytes, so 0.0 vs -0.0 and the NaN/-inf positions count too
+        assert rl.scores.tobytes() == want_scores.tobytes()
+
+
 class TestRankItems:
+    """Single-row rankings through topk_lists."""
+
     def test_masked_argmax(self):
-        rl = rank_items(np.array([0.1, 0.9, 0.5]), np.array([1]), 1)
+        rl = one_row([0.1, 0.9, 0.5], [1], 1)
         assert np.array_equal(rl.items, [2])
         assert rl.scores[0] == 0.5
 
     def test_tie_break_by_id(self):
-        rl = rank_items(np.ones(4), None, 2)
+        rl = one_row(np.ones(4), None, 2)
         assert np.array_equal(rl.items, [0, 1])
 
     def test_k_too_large(self):
         with pytest.raises(ConfigError):
-            rank_items(np.ones(4), np.array([0, 1]), 3)
+            one_row(np.ones(4), [0, 1], 3)
 
     def test_masked_never_present(self, rng):
         scores = rng.standard_normal(15)
         scores[[2, 7]] = 100.0  # masked items score highest
-        rl = rank_items(scores, np.array([2, 7]), 10)
+        rl = one_row(scores, [2, 7], 10)
         assert not set(rl.items) & {2, 7}
 
     def test_matches_full_sort(self, rng):
         for _ in range(20):
             scores = rng.standard_normal(30)
             masked = rng.choice(30, size=4, replace=False)
-            rl = rank_items(scores, masked, 5)
+            rl = one_row(scores, masked, 5)
             assert list(rl.items) == brute_topk(scores, masked, 5)
 
     def test_scores_parallel(self, rng):
         scores = rng.standard_normal(10)
-        rl = rank_items(scores, None, 4)
+        rl = one_row(scores, None, 4)
         np.testing.assert_array_equal(rl.scores, scores[rl.items])
+
+
+class TestTopKAgainstLoop:
+    """The block ranking equals a per-row lexsort, bit for bit."""
+
+    @pytest.mark.parametrize("K", [1, 3, 10, 40])
+    def test_heavy_ties(self, rng, K):
+        scores = rng.integers(0, 4, size=(30, 40)).astype(np.float64)
+        assert_same_as_loop(scores, None, K)
+        assert_same_as_loop(scores, rand_binary_csr(rng, 30, 40, 0.2), min(K, 20))
+
+    def test_signed_zeros_tie(self, rng):
+        scores = rng.choice([0.0, -0.0, 1.0, -1.0], size=(20, 16))
+        assert_same_as_loop(scores, None, 8)
+        rl = one_row([-0.0, 0.0, -0.0, 0.0], None, 4)
+        assert np.array_equal(rl.items, [0, 1, 2, 3])
+        assert rl.scores.tobytes() == np.array([-0.0, 0.0, -0.0, 0.0]).tobytes()
+
+    def test_duplicate_mask_entries(self, rng):
+        scores = rng.integers(0, 3, size=(6, 10)).astype(np.float64)
+        cols = [3, 3, 7, 1, 1, 9]  # rows 0, 0, 0, 2, 2, 5
+        mask = sp.csr_matrix((np.ones(6), cols, [0, 3, 3, 5, 5, 5, 6]), shape=(6, 10))
+        assert mask.nnz == 6  # the duplicates stay stored
+        assert_same_as_loop(scores, mask, 8)
+        with pytest.raises(ConfigError, match="exceeds 8"):
+            topk_lists(scores, 9, mask=mask)
+
+    def test_k_equals_unmasked_count(self, rng):
+        scores = rng.integers(0, 3, size=(5, 12)).astype(np.float64)
+        mask = sp.csr_matrix(np.tile(np.arange(12) % 3 == 0, (5, 1)))
+        assert_same_as_loop(scores, mask, 8)
+        lists = topk_lists(scores, 8, mask=mask)
+        assert all(not np.isin(rl.items, [0, 3, 6, 9]).any() for rl in lists)
+
+    def test_more_rows_than_one_block(self, rng):
+        n_rows = 2 * ROW_BLOCK + 37
+        scores = np.round(rng.standard_normal((n_rows, 50)), 1)
+        mask = rand_binary_csr(rng, n_rows, 50, 0.1)
+        assert_same_as_loop(scores, mask, 10)
+
+    def test_infinities_and_nan_rank_like_lexsort(self):
+        scores = np.array(
+            [[np.nan, 1.0, np.inf, -np.inf, 1.0, np.nan],
+             [np.nan, np.nan, np.nan, 0.5, np.nan, -np.inf]]
+        )
+        assert_same_as_loop(scores, sp.csr_matrix(([1.0], [4], [0, 1, 1]), shape=(2, 6)), 5)
+        assert_same_as_loop(scores, None, 6)
+
+    def test_k_zero_and_empty_rows(self, rng):
+        ids, top = top_k_rows(rng.standard_normal((3, 5)), 0)
+        assert ids.shape == top.shape == (3, 0)
+        ids, top = top_k_rows(np.empty((0, 5)), 2)
+        assert ids.shape == (0, 2)
 
 
 class TestRecall:
@@ -316,8 +404,8 @@ class TestEvalReport:
         test_sets = {u: {int(11 - u)} for u in range(6)}
         test = sets_to_csr(test_sets, 6, 12)
         groups = partition_items(InteractionMatrix(train), 0.25)
-        return evaluate(
-            scores, test, train, groups, ks=[1, 5],
+        return evaluate_lists(
+            topk_lists(scores, 5, mask=train), test, train, groups, ks=[1, 5],
             config_echo={"seed": 7, "variant": "test"},
         )
 

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
 from cgsorec.denoiser import predict_x0
 from cgsorec.errors import ConfigError, NumericError, ShapeError
+from cgsorec.evaluation import ROW_BLOCK
 from cgsorec.guidance import (
     CHUNK,
     GuidanceConfig,
@@ -15,7 +16,6 @@ from cgsorec.guidance import (
     STAGE_SOCIAL,
     STAGE_SOCIAL_COND,
     _chain_rows,
-    _rebinarized_graph,
     binarize_social,
     build_item_condition,
     build_social_condition,
@@ -271,25 +271,58 @@ class TestSingleRowBlends:
             )
 
 
+def loop_binarize(S, s_bar, keep):
+    """Reference re-binarization: one lexsort per user, the old CSR build."""
+    n = S.n_users
+    degrees = np.diff(S.matrix.indptr)
+    indices, indptr = [], np.zeros(n + 1, dtype=np.int64)
+    for u in range(n):
+        k = int(degrees[u]) if keep is None else keep
+        row = np.asarray(s_bar[u], dtype=np.float64).copy()
+        row[u] = -np.inf
+        order = np.lexsort((np.arange(n), -row))
+        neigh = np.sort(order[: min(k, n - 1)]) if k else np.empty(0, dtype=np.int64)
+        indices.append(neigh)
+        indptr[u + 1] = indptr[u] + len(neigh)
+    idx = np.concatenate(indices) if indices else np.empty(0, dtype=np.int64)
+    return sp.csr_matrix((np.ones(len(idx)), idx, indptr), shape=(n, n))
+
+
+def row_graph(row, u):
+    """A graph on len(row) users, and score rows where user u scores `row`."""
+    n = len(row)
+    s_bar = np.zeros((n, n))
+    s_bar[u] = row
+    return SocialMatrix(sp.csr_matrix((n, n))), s_bar
+
+
+def neighbors(S_bar, u):
+    m = S_bar.matrix
+    return m.indices[m.indptr[u] : m.indptr[u + 1]]
+
+
 class TestBinarizeSocial:
     def test_keep_zero_empty(self):
-        assert binarize_social(np.array([0.5, 0.1, 0.9]), 0, 0).size == 0
+        S, s_bar = row_graph([0.5, 0.1, 0.9], 0)
+        out = binarize_social(S, s_bar, 0)
+        assert out.matrix.shape == (3, 3) and out.matrix.nnz == 0
 
     def test_keep_all_others(self):
-        out = binarize_social(np.array([0.5, 0.1, 0.9, 0.2]), 3, 1)
-        assert np.array_equal(out, [0, 2, 3])
+        S, s_bar = row_graph([0.5, 0.1, 0.9, 0.2], 1)
+        assert np.array_equal(neighbors(binarize_social(S, s_bar, 3), 1), [0, 2, 3])
 
     def test_tie_break_by_id(self):
-        out = binarize_social(np.array([0.9, 0.1, 0.9]), 1, 1)
-        assert np.array_equal(out, [0])
+        S, s_bar = row_graph([0.9, 0.1, 0.9], 1)
+        assert np.array_equal(neighbors(binarize_social(S, s_bar, 1), 1), [0])
 
     def test_self_excluded_even_at_max(self):
-        out = binarize_social(np.array([0.1, 99.0, 0.2]), 3, 1)
-        assert np.array_equal(out, [0, 2])
+        S, s_bar = row_graph([0.1, 99.0, 0.2], 1)
+        assert np.array_equal(neighbors(binarize_social(S, s_bar, 3), 1), [0, 2])
 
     def test_negative_keep_rejected(self):
+        S, s_bar = row_graph([0.0, 0.0, 0.0], 0)
         with pytest.raises(ConfigError):
-            binarize_social(np.zeros(3), -1, 0)
+            binarize_social(S, s_bar, -1)
 
     def test_degree_preservation_property(self, rng):
         S = rand_binary_csr(rng, 12, 12, 0.25)
@@ -297,11 +330,47 @@ class TestBinarizeSocial:
         S.eliminate_zeros()
         S = SocialMatrix(S.maximum(S.T).tocsr())
         scores = rng.standard_normal((12, 12))
-        rebuilt = _rebinarized_graph(S, scores, None)
+        rebuilt = binarize_social(S, scores, None)
         old_deg = np.diff(S.matrix.indptr)
         new_deg = np.diff(rebuilt.matrix.indptr)
         assert np.array_equal(old_deg, new_deg)
         assert rebuilt.matrix.diagonal().sum() == 0.0
+
+
+class TestBinarizeAgainstLoop:
+    """The whole-matrix re-binarization equals a per-user lexsort loop."""
+
+    @staticmethod
+    def assert_same(S, s_bar, keep):
+        got = binarize_social(S, s_bar, keep).matrix
+        want = loop_binarize(S, s_bar, keep)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("keep", [None, 0, 3, 45])
+    def test_heavy_ties(self, rng, keep):
+        S = SocialMatrix(rand_binary_csr(rng, 40, 40, 0.15))  # self-loops included
+        s_bar = rng.integers(0, 3, size=(40, 40)).astype(np.float64)
+        self.assert_same(S, s_bar, keep)
+
+    def test_signed_zeros_tie(self, rng):
+        S = SocialMatrix(rand_binary_csr(rng, 16, 16, 0.3))
+        s_bar = rng.choice([0.0, -0.0, 0.5], size=(16, 16))
+        for keep in (None, 2, 15):
+            self.assert_same(S, s_bar, keep)
+
+    def test_more_users_than_one_block(self, rng):
+        n = ROW_BLOCK + 70
+        S = SocialMatrix(rand_binary_csr(rng, n, n, 0.02))
+        s_bar = np.round(rng.standard_normal((n, n)), 1)
+        self.assert_same(S, s_bar, None)
+        self.assert_same(S, s_bar, n + 5)
+
+    def test_single_user(self):
+        S = SocialMatrix(sp.csr_matrix(np.ones((1, 1))))
+        self.assert_same(S, np.ones((1, 1)), None)
+        self.assert_same(S, np.ones((1, 1)), 2)
 
 
 class TestConditionBuilders:

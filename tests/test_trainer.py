@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from cgsorec.denoiser import ParamGrads, init_params, predict_x0
-from cgsorec.errors import ConfigError, IntegrityError
+from cgsorec.errors import ConfigError, IntegrityError, NumericError
 from cgsorec.schedule import make_schedule
 from cgsorec.trainer import (
     AdamState,
@@ -249,6 +249,16 @@ class TestCheckpointIO:
         del manifest["schedule"]
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(IntegrityError, match="schedule"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_non_finite_tensor_is_numeric_error(self, tmp_path):
+        ckpt = self.make_ckpt()
+        save_checkpoint(ckpt, tmp_path / "ck")
+        blob = tmp_path / "ck" / "params.bin"
+        values = np.fromfile(blob, dtype="<f8")
+        values[(5 + 4) * 3 + 1] = np.inf  # second entry of biases[0]
+        values.tofile(blob)
+        with pytest.raises(NumericError, match=r"biases\[0\]"):
             load_checkpoint(tmp_path / "ck")
 
     def test_unreadable_manifest(self, tmp_path):
