@@ -162,7 +162,10 @@ class ExperimentConfig:
 
     @property
     def eval_ks(self) -> tuple[int, ...]:
-        return tuple(int(k) for k in self.raw["eval"]["ks"])
+        ks = tuple(int(k) for k in self.raw["eval"]["ks"])
+        if not ks or min(ks) < 1:
+            raise ConfigError(f"eval.ks must be positive cutoffs, got {list(ks)}")
+        return ks
 
     @property
     def hot_fraction(self) -> float:

@@ -1,15 +1,16 @@
 """Ranking metrics, hot/tail breakdowns, and popularity diagnostics.
 
-Recall is the global hit ratio (summed hits over summed test-set sizes);
-NDCG is a per-user mean of DCG/IDCG with log-2 discounting.  Users whose
-test row is empty are excluded everywhere — both metrics are undefined
-for them.
+Every metric comes from one hit matrix: the listed item ids stacked into
+a (lists × K) array, checked once, and looked up once against the test
+rows.  Recall@k (global hit ratio, or per-user mean) and NDCG@k (per-user
+DCG/IDCG, log-2 discounts) are column k of row-wise cumsums; a hot or
+tail group masks the hits and each user's relevant count, and users with
+none are left out.  The popularity histogram is one bincount.
 
-Every ranking in the package goes through top_k_rows: the top-K lists
-evaluated here and at each validation epoch, and the re-binarized social
-graph (guidance.binarize_social).  Ties in scores always break toward
-the lower id, which keeps every ranking reproducible bit-for-bit, and
-rows are ranked in bounded blocks with no per-row Python loop.
+Every ranking goes through top_k_rows: the top-K lists evaluated here and
+at each validation epoch, and the re-binarized social graph
+(guidance.binarize_social).  Ties break toward the lower id, so every
+ranking is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ def _as_csr(matrix) -> sp.csr_matrix:
     if isinstance(matrix, InteractionMatrix):
         return matrix.matrix
     return matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(matrix)
-
-
-def _row_indices(m: sp.csr_matrix, u: int) -> np.ndarray:
-    return m.indices[m.indptr[u] : m.indptr[u + 1]]
 
 
 ROW_BLOCK = 256
@@ -93,8 +90,70 @@ def topk_lists(score_matrix: np.ndarray, K: int, mask=None) -> list[RankedList]:
     return [RankedList(user=u, items=ids[u], scores=top[u]) for u in range(len(ids))]
 
 
-def _truncate(rl: RankedList, k: int | None) -> np.ndarray:
-    return rl.items if k is None else rl.items[:k]
+def _refuse(users: np.ndarray, bad: np.ndarray, reason: str) -> None:
+    if bad.any():
+        raise DataError(f"lists: user {users[np.argmax(bad)]}: {reason}")
+
+
+def _stack(lists, n_items: int, n_users: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The users of `lists` and their item ids as one (lists × K) array.
+
+    Each list must hold K distinct ids in 0..n_items-1, and its user must
+    be in 0..n_users-1 when n_users is given; a DataError names the first
+    user whose list breaks a rule.
+    """
+    users = np.array([rl.user for rl in lists], dtype=np.int64)
+    sizes = np.array([len(rl.items) for rl in lists], dtype=np.int64)
+    K = int(sizes[0]) if len(sizes) else 0
+    _refuse(users, sizes != K, f"list length differs from the first list's {K}")
+    if n_users is not None:
+        _refuse(users, (users < 0) | (users >= n_users), f"user id outside 0..{n_users - 1}")
+    ids = np.array([rl.items for rl in lists], dtype=np.int64).reshape(len(users), K)
+    _refuse(users, ((ids < 0) | (ids >= n_items)).any(axis=1), f"item id outside 0..{n_items - 1}")
+    ranked = np.sort(ids, axis=1)
+    _refuse(users, (ranked[:, 1:] == ranked[:, :-1]).any(axis=1), "an item is listed twice")
+    return users, ids
+
+
+def _ranking_metrics(lists, test, ks, in_groups=(None,), per_user=False) -> list:
+    """(recall, ndcg) at every k in `ks`, for each item mask in `in_groups`.
+
+    Only the masked test items count (None: all items), and lists whose
+    user holds none are left out; with none left, the overall metrics
+    raise DataError and a group's are None.  IDCG comes from a table by
+    min(relevant, k); k None or beyond the list length is the whole list.
+    """
+    test = _as_csr(test)
+    (n_rows, n), ptr = test.shape, test.indptr
+    users, ids = _stack(lists, n, n_rows)
+    rows = np.repeat(np.arange(n_rows), np.diff(ptr))
+    hit = np.isin(users[:, None] * n + ids, rows * n + test.indices)
+    K = ids.shape[1]
+    gain = 1.0 / np.log2(np.arange(2, K + 2))
+    idcg = np.array([np.sum(gain[:m]) for m in range(K + 1)])
+    pad = ((0, 0), (1, 0))  # column k of a cumsum covers the top k
+    out = []
+    for in_group in in_groups:
+        member = np.ones(n, dtype=bool) if in_group is None else in_group
+        held = np.concatenate(([0], np.cumsum(member[test.indices])))
+        relevant = (held[ptr[1:]] - held[ptr[:-1]])[users]
+        keep = relevant > 0
+        if not keep.any():
+            if in_group is None:
+                raise DataError("metrics undefined: every listed user's test row is empty")
+            out.append(None)
+            continue
+        relevant, hits = relevant[keep], (hit & member[ids])[keep]
+        found = np.cumsum(np.pad(hits, pad), axis=1)
+        dcg = np.cumsum(np.pad(np.where(hits, gain, 0.0), pad), axis=1)
+        recall, ndcg = {}, {}
+        for k in ks:
+            col = K if k is None else min(k, K)
+            got = found[:, col]
+            recall[k] = float(np.mean(got / relevant) if per_user else got.sum() / relevant.sum())
+            ndcg[k] = float(np.mean(dcg[:, col] / idcg[np.minimum(relevant, col)]))
+        out.append((recall, ndcg))
+    return out
 
 
 def recall_at_k(lists, test, k: int | None = None, per_user: bool = False) -> float:
@@ -104,43 +163,12 @@ def recall_at_k(lists, test, k: int | None = None, per_user: bool = False) -> fl
     averages the per-user ratios instead (both appear in the
     literature — the global form is the primary one here).
     """
-    test = _as_csr(test)
-    hits_total = 0
-    relevant_total = 0
-    ratios = []
-    for rl in lists:
-        t_items = _row_indices(test, rl.user)
-        if len(t_items) == 0:
-            continue
-        rec = _truncate(rl, k)
-        hits = int(np.isin(rec, t_items).sum())
-        hits_total += hits
-        relevant_total += len(t_items)
-        ratios.append(hits / len(t_items))
-    if relevant_total == 0:
-        raise DataError("recall undefined: every test row is empty")
-    if per_user:
-        return float(np.mean(ratios))
-    return hits_total / relevant_total
+    return _ranking_metrics(lists, test, [k], per_user=per_user)[0][0][k]
 
 
 def ndcg_at_k(lists, test, k: int | None = None) -> float:
     """Mean over users of DCG/IDCG with 1/log2(rank+1) gains."""
-    test = _as_csr(test)
-    values = []
-    for rl in lists:
-        t_items = _row_indices(test, rl.user)
-        if len(t_items) == 0:
-            continue
-        rec = _truncate(rl, k)
-        ranks = np.flatnonzero(np.isin(rec, t_items)) + 1
-        dcg = float(np.sum(1.0 / np.log2(ranks + 1)))
-        ideal = min(len(t_items), len(rec))
-        idcg = float(np.sum(1.0 / np.log2(np.arange(1, ideal + 1) + 1)))
-        values.append(dcg / idcg)
-    if not values:
-        raise DataError("ndcg undefined: every test row is empty")
-    return float(np.mean(values))
+    return _ranking_metrics(lists, test, [k])[0][1][k]
 
 
 def group_metrics(
@@ -149,30 +177,18 @@ def group_metrics(
     """Recall/NDCG per item group, test rows restricted to the group.
 
     Ranks stay those of the full recommendation list; only the relevant
-    sets shrink.  A group with no test interactions is omitted, with a
-    notice saying so.
+    sets shrink.  A group in which the listed users hold no test items is
+    omitted, with a notice saying so.
     """
-    test = _as_csr(test)
-    out: dict[str, dict[str, dict[int, float]]] = {}
-    notices: list[str] = []
-    for name, members in (("hot", groups.hot), ("tail", groups.tail)):
-        cols = np.zeros(test.shape[1], dtype=bool)
-        cols[members] = True
-        restricted = (test @ sp.diags(cols.astype(np.float64))).tocsr()
-        restricted.eliminate_zeros()
-        if restricted.nnz == 0:
-            notices.append(f"group {name!r} has no test interactions; metrics omitted")
-            continue
-        out[name] = {
-            "recall": {k: recall_at_k(lists, restricted, k) for k in ks},
-            "ndcg": {k: ndcg_at_k(lists, restricted, k) for k in ks},
-        }
+    masks = (groups.hot_mask, ~groups.hot_mask)
+    scored = dict(zip(("hot", "tail"), _ranking_metrics(lists, test, ks, masks)))
+    out = {name: {"recall": m[0], "ndcg": m[1]} for name, m in scored.items() if m}
+    notice = "group {!r} has no test interactions; metrics omitted"
+    notices = [notice.format(name) for name, m in scored.items() if m is None]
     return out, notices
 
 
-def frequency_histogram(
-    lists, train, groups: ItemGroups, n_buckets: int = 10
-) -> dict:
+def frequency_histogram(lists, train, groups: ItemGroups, n_buckets: int = 10) -> dict:
     """How often each popularity bucket gets recommended.
 
     Items are bucketed by train interaction count (bucket 1 = least
@@ -184,15 +200,13 @@ def frequency_histogram(
         raise DataError("no ranked lists to histogram")
     train = _as_csr(train)
     n_items = train.shape[1]
-    counts = np.zeros(n_items, dtype=np.int64)
-    for rl in lists:
-        counts[rl.items] += 1
+    _, ids = _stack(lists, n_items)
+    counts = np.bincount(ids.ravel(), minlength=n_items)
     popularity = np.asarray(train.sum(axis=0)).ravel()
     order = np.lexsort((np.arange(n_items), popularity))
     buckets = np.array_split(order, n_buckets)
     decile_means = {
-        i + 1: float(counts[b].mean()) if len(b) else 0.0
-        for i, b in enumerate(buckets)
+        i + 1: float(counts[b].mean()) if len(b) else 0.0 for i, b in enumerate(buckets)
     }
     return {
         "decile_mean_freq": decile_means,
@@ -235,29 +249,14 @@ class EvalReport:
 
 
 def evaluate_lists(
-    lists,
-    test,
-    train,
-    groups: ItemGroups,
-    ks,
-    config_echo: dict | None = None,
-    per_user_recall: bool = False,
+    lists, test, train, groups: ItemGroups, ks,
+    config_echo: dict | None = None, per_user_recall: bool = False,
 ) -> EvalReport:
     """Full evaluation of already-ranked lists against a test split."""
     ks = sorted(int(k) for k in ks)
     if lists and len(lists[0].items) < max(ks):
-        raise ConfigError(
-            f"lists hold {len(lists[0].items)} items, need {max(ks)} for K={max(ks)}"
-        )
-    recall = {k: recall_at_k(lists, test, k, per_user=per_user_recall) for k in ks}
-    ndcg = {k: ndcg_at_k(lists, test, k) for k in ks}
+        raise ConfigError(f"lists hold {len(lists[0].items)} items, fewer than K={max(ks)}")
+    [(recall, ndcg)] = _ranking_metrics(lists, test, ks, per_user=per_user_recall)
     per_group, notices = group_metrics(lists, test, groups, ks)
     hist = frequency_histogram(lists, train, groups)
-    return EvalReport(
-        recall=recall,
-        ndcg=ndcg,
-        per_group=per_group,
-        freq_hist=hist,
-        notices=notices,
-        config_echo=dict(config_echo or {}),
-    )
+    return EvalReport(recall, ndcg, per_group, hist, notices, dict(config_echo or {}))

@@ -9,6 +9,7 @@ import pytest
 from cgsorec import pipeline
 from cgsorec.cli import main
 from cgsorec.config import load_config
+from cgsorec.corpus import partition_items
 from cgsorec.synth import community_dataset, planted, write_dataset
 from cgsorec.trainer import save_checkpoint
 
@@ -361,6 +362,74 @@ class TestEval:
         bad.write_text("0\tnotanumber\t1.0\n")
         code, _, err = run(capsys, "eval", ws["cfg"], "--lists", str(bad))
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def planted_ws(tmp_path_factory):
+    """A prepared `planted` dataset evaluated on its plain test split."""
+    root = tmp_path_factory.mktemp("plantedws")
+    write_dataset(planted(seed=0), root / "r.tsv", root / "s.tsv")
+    cfg = {
+        "seed": 1,
+        "output_dir": str(root / "run"),
+        "dataset": {"interactions": str(root / "r.tsv"), "social": str(root / "s.tsv")},
+        "eval": {"split": "test"},
+    }
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["prepare", str(cfg_path)]) == 0
+    return root, str(cfg_path)
+
+
+class TestListsChecks:
+    """eval and bias-report on hand-written lists files (K = 10)."""
+
+    def run_on(self, capsys, planted_ws, command, rows):
+        root, cfg = planted_ws
+        path = root / f"{command}.tsv"
+        path.write_text("".join(f"{u}\t{i}\t0.0\n" for u, items in rows for i in items))
+        return run(capsys, command, cfg, "--lists", str(path), "--out", str(root / "out.json"))
+
+    def test_group_the_listed_users_never_touch(self, planted_ws, capsys):
+        root, cfg_path = planted_ws
+        cfg = load_config(cfg_path)
+        bundle = pipeline.ensure_bundle(cfg, pipeline.load_dataset(cfg)[0])
+        hot = partition_items(bundle.train, cfg.hot_fraction).hot_mask
+        test = bundle.test.matrix
+        tail_only = [
+            u for u in range(test.shape[0])
+            if test[u].nnz and not hot[test[u].indices].any()
+        ][:2]
+        assert len(tail_only) == 2 and test[:, hot].nnz > 0
+        rows = [(u, range(10)) for u in tail_only]
+        for command in ("eval", "bias-report"):
+            code, out, err = self.run_on(capsys, planted_ws, command, rows)
+            assert code == 0, err
+            assert "group 'hot' has no test interactions" in out
+            per_group = json.loads((root / "out.json").read_text())["per_group"]
+            assert list(per_group) == ["tail"]
+
+    def test_user_beyond_n_users(self, planted_ws, capsys):
+        code, _, err = self.run_on(capsys, planted_ws, "eval", [(0, range(10)), (5000, range(10))])
+        assert code == 3
+        assert "user 5000: user id outside" in err
+
+    def test_negative_user(self, planted_ws, capsys):
+        code, _, err = self.run_on(capsys, planted_ws, "eval", [(-1, range(10)), (0, range(10))])
+        assert code == 3
+        assert "user -1: user id outside" in err
+
+    def test_item_beyond_n_items(self, planted_ws, capsys):
+        code, _, err = self.run_on(
+            capsys, planted_ws, "bias-report", [(0, range(10)), (1, range(295, 305))]
+        )
+        assert code == 3
+        assert "user 1: item id outside 0..299" in err
+
+    def test_negative_item(self, planted_ws, capsys):
+        code, _, err = self.run_on(capsys, planted_ws, "bias-report", [(0, range(-1, 9))])
+        assert code == 3
+        assert "user 0: item id outside" in err
 
 
 class TestSweep:

@@ -115,6 +115,8 @@ class TestValidation:
             {"cgd": {"T": 0}},
             {"guidance": {"w_r": 1.5}},
             {"guidance": {"T_inf": 0}},
+            {"eval": {"ks": [0, 10]}},
+            {"eval": {"ks": []}},
         ],
     )
     def test_bad_values_fail_at_parse(self, user):

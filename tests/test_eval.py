@@ -37,15 +37,17 @@ def brute_topk(scores, masked, k):
     return candidates[:k]
 
 
-def brute_recall(lists, test_sets, k):
-    hits, relevant = 0, 0
+def brute_recall(lists, test_sets, k, per_user=False):
+    hits, relevant, ratios = 0, 0, []
     for rl in lists:
         t = test_sets.get(rl.user, set())
         if not t:
             continue
-        hits += sum(1 for item in list(rl.items[:k]) if item in t)
+        found = sum(1 for item in list(rl.items[:k]) if item in t)
+        hits += found
         relevant += len(t)
-    return hits / relevant
+        ratios.append(found / len(t))
+    return float(np.mean(ratios)) if per_user else hits / relevant
 
 
 def brute_ndcg(lists, test_sets, k):
@@ -309,6 +311,63 @@ class TestBruteForceAgreement:
                 assert recall_at_k(lists, test, k) == brute_recall(lists, test_sets, k)
                 assert ndcg_at_k(lists, test, k) == brute_ndcg(lists, test_sets, k)
 
+    def random_case(self, rng, n_users, n_items, K, test_size):
+        """Lists of K random distinct items per user and random test sets."""
+        lists = make_lists([rng.choice(n_items, K, replace=False) for _ in range(n_users)])
+        test_sets = {
+            u: set(rng.choice(n_items, int(rng.integers(*test_size)), replace=False).tolist())
+            for u in range(n_users)
+        }
+        return lists, test_sets, sets_to_csr(test_sets, n_users, n_items)
+
+    def test_per_group_metrics(self, rng):
+        groups = ItemGroups(
+            hot=np.array([0, 1]), tail=np.array([2, 3, 4, 5]), hot_fraction=1 / 3, n_items=6
+        )
+        for _ in range(30):
+            lists, test_sets, test = self.random_case(rng, 12, 6, 4, (0, 4))
+            per_group, _ = group_metrics(lists, test, groups, [1, 2, 4])
+            for name, members in (("hot", groups.hot), ("tail", groups.tail)):
+                restricted = {u: t & set(members.tolist()) for u, t in test_sets.items()}
+                if not any(restricted.values()):
+                    assert name not in per_group
+                    continue
+                for k in (1, 2, 4):
+                    assert per_group[name]["recall"][k] == brute_recall(lists, restricted, k)
+                    assert per_group[name]["ndcg"][k] == brute_ndcg(lists, restricted, k)
+
+    def test_per_user_recall(self, rng):
+        for _ in range(30):
+            lists, test_sets, test = self.random_case(rng, 10, 20, 5, (0, 4))
+            test_sets[0] = test_sets[0] or {int(lists[0].items[0])}
+            test = sets_to_csr(test_sets, 10, 20)
+            for k in (1, 3, 5, None):
+                got = recall_at_k(lists, test, k, per_user=True)
+                assert got == brute_recall(lists, test_sets, k, per_user=True)
+
+    def test_test_users_missing_from_lists(self, rng):
+        for _ in range(30):
+            lists, test_sets, test = self.random_case(rng, 15, 20, 5, (1, 5))
+            kept = [rl for rl in lists if rng.random() < 0.5] or lists[:1]
+            for k in (1, 3, 5):
+                assert recall_at_k(kept, test, k) == brute_recall(kept, test_sets, k)
+                assert ndcg_at_k(kept, test, k) == brute_ndcg(kept, test_sets, k)
+
+    def test_k20_with_eight_or_more_hits(self, rng):
+        # A sequential cumsum and np.sum group 8 or more addends differently,
+        # so DCG may differ in the last bit once a user holds 8+ hits.  Here
+        # 4 of the 90 NDCG values differ, by at most 4.2e-16 relative (rtol
+        # is 1e-14); recall is a ratio of integers and stays exact.  Every
+        # other case in this class has fewer than 8 hits and is held exact.
+        for _ in range(30):
+            lists, test_sets, test = self.random_case(rng, 20, 30, 20, (8, 20))
+            assert max(len(set(rl.items.tolist()) & test_sets[rl.user]) for rl in lists) >= 8
+            for k in (5, 10, 20):
+                assert recall_at_k(lists, test, k) == brute_recall(lists, test_sets, k)
+                np.testing.assert_allclose(
+                    ndcg_at_k(lists, test, k), brute_ndcg(lists, test_sets, k), rtol=1e-14, atol=0
+                )
+
 
 class TestFrequencyHistogram:
     def test_counting_example(self):
@@ -389,12 +448,46 @@ class TestGroupMetrics:
         u1 = (1 / log2(3)) / (1 / log2(2) + 1 / log2(3))
         assert per_group["tail"]["ndcg"][3] == pytest.approx((u0 + u1) / 2)
 
+    def test_listed_users_outside_group_omit_it(self):
+        # user 0 holds the only hot test item but has no list
+        lists = make_lists([[0, 2, 4], [1, 3, 5]])[1:]
+        test = sets_to_csr({0: {0}, 1: {3}}, 2, 6)
+        per_group, notices = group_metrics(lists, test, self.groups(), [3])
+        assert list(per_group) == ["tail"]
+        assert notices == ["group 'hot' has no test interactions; metrics omitted"]
+        assert per_group["tail"]["recall"][3] == 1.0
+
     def test_empty_tail_group_notice(self):
         lists = make_lists([[0, 1]])
         test = sets_to_csr({0: {0}}, 1, 6)
         per_group, notices = group_metrics(lists, test, self.groups(), [2])
         assert list(per_group) == ["hot"]
         assert len(notices) == 1
+
+
+class TestListValidation:
+    """Lists are checked once, when they are stacked, before any scoring."""
+
+    test = sets_to_csr({0: {1}, 1: {2}}, 2, 6)
+
+    def test_item_listed_twice(self):
+        with pytest.raises(DataError, match="user 1: an item is listed twice"):
+            recall_at_k(make_lists([[1, 2], [2, 2]]), self.test, 2)
+
+    def test_unequal_lengths(self):
+        train = sp.csr_matrix((2, 6))
+        groups = partition_items(InteractionMatrix(sets_to_csr({0: {0}}, 2, 6)), 0.25)
+        lists = make_lists([[1, 2, 3], [2, 0]])
+        with pytest.raises(DataError, match="user 1: list length differs"):
+            evaluate_lists(lists, self.test, train, groups, ks=[2])
+
+    def test_ids_out_of_range(self):
+        with pytest.raises(DataError, match="user 1: item id outside 0..5"):
+            ndcg_at_k(make_lists([[1, 2], [2, 6]]), self.test, 2)
+        with pytest.raises(DataError, match="user 0: item id outside"):
+            ndcg_at_k(make_lists([[-1, 2], [2, 3]]), self.test, 2)
+        with pytest.raises(DataError, match="user 2: user id outside 0..1"):
+            recall_at_k(make_lists([[1, 2], [2, 3], [4, 5]]), self.test, 2)
 
 
 class TestEvalReport:
