@@ -15,14 +15,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import pipeline
 from .config import ExperimentConfig, apply_set, load_config
 from .corpus import partition_items
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import frequency_histogram, group_metrics, keys_to_str
-from .guidance import joint_chains
+from .guidance import blend, joint_chains
 from .trainer import load_checkpoint, save_checkpoint
 
 
@@ -43,7 +42,6 @@ def cmd_prepare(cfg: ExperimentConfig, args) -> int:
     R, S = pipeline.load_dataset(cfg)
     bundle = pipeline.make_bundle(cfg, R)
     path = pipeline.write_manifest(cfg, bundle)
-    cap = pipeline.manifest_dict(cfg, bundle)["debiased_cap"]
     print(f"users\t{R.n_users}")
     print(f"items\t{R.n_items}")
     print(f"interactions\t{R.nnz}")
@@ -53,7 +51,7 @@ def cmd_prepare(cfg: ExperimentConfig, args) -> int:
     print(f"valid\t{bundle.valid.nnz}")
     print(f"test\t{bundle.test.nnz}")
     print(f"debiased_test\t{bundle.debiased_test.nnz}")
-    print(f"debiased_cap\t{cap}")
+    print(f"debiased_cap\t{pipeline.resolved_cap(bundle)}")
     print(f"manifest\t{path}")
     return 0
 
@@ -151,6 +149,12 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"--values must be comma-separated numbers: {err}") from err
     if not values:
         raise ConfigError("--values is empty")
+    # Every value's config is validated before any value is scored.
+    cfgs = []
+    for v in values:
+        raw = copy.deepcopy(cfg.raw)
+        apply_set(raw, f"{param}={json.dumps(v)}")
+        cfgs.append(ExperimentConfig(raw).validate())
     out_dir = args.out_dir or os.path.join(
         cfg.output_dir, "sweep-" + param.replace(".", "-")
     )
@@ -159,30 +163,19 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     R, S = pipeline.load_dataset(cfg)
     bundle = pipeline.ensure_bundle(cfg, R)
     ckpt_social, ckpt_item = _load_both_checkpoints(cfg, args)
-    groups = partition_items(bundle.train, cfg.hot_fraction)
 
-    cfgs = [None] * len(values)
+    def chains(cfg_v):
+        return joint_chains(*pipeline.chain_args(cfg_v, ckpt_social, ckpt_item, S, bundle))
+
+    # The chains read w_r only as w_r > 0, so one pair, run under the
+    # largest value, serves a whole w_r grid.
+    shared = None
     if param == "guidance.w_r":
-        # The two chains do not depend on w_r; compute once, remix per value.
-        g = replace(cfg.guidance(), w_r=1.0 if any(v > 0 for v in values) else 0.0)
-        seed = cfg.seed_for("inference")
-        out_a, out_b = joint_chains(ckpt_social, ckpt_item, S, bundle.train, groups, g, seed)
-    else:
-        # Every value's config is validated before any value is scored.
-        cfgs = []
-        for v in values:
-            raw = copy.deepcopy(cfg.raw)
-            apply_set(raw, f"{param}={json.dumps(v)}")
-            cfgs.append(ExperimentConfig(raw).validate())
+        shared = chains(max(cfgs, key=lambda c: c.guidance().w_r))
 
     rows = []
     for v, cfg_v in zip(values, cfgs):
-        if cfg_v is not None:
-            scores = pipeline.joint_scores(cfg_v, ckpt_social, ckpt_item, S, bundle)
-        elif v == 0 or out_b is None:
-            scores = out_a
-        else:
-            scores = (1.0 - v) * out_a + v * out_b
+        scores = blend(*(shared or chains(cfg_v)), cfg_v.guidance().w_r)
         lists = pipeline.topk_lists(scores, max(cfg.eval_ks), mask=bundle.train)
         del scores  # one score matrix at a time: gone before the next is built
         report = pipeline.eval_report(cfg, lists, bundle)

@@ -127,6 +127,18 @@ class ExperimentConfig:
 
     raw: dict
 
+    def _typed(self, cast, *keys):
+        """The value at raw[keys[0]][keys[1]]... through `cast`; a value of
+        the wrong type (TypeError or ValueError) is a ConfigError showing it."""
+        value = self.raw
+        for key in keys:
+            value = value[key]
+        try:
+            return cast(value)
+        except (TypeError, ValueError) as err:
+            path = ".".join(keys)
+            raise ConfigError(f"{path} has the wrong type: {value!r} ({err})") from err
+
     @property
     def seed(self) -> int:
         s = self.raw["seed"]
@@ -144,10 +156,10 @@ class ExperimentConfig:
 
     @property
     def ratios(self) -> tuple[float, float, float]:
-        r = self.raw["split"]["ratios"]
+        r = self._typed(lambda r: tuple(float(x) for x in r), "split", "ratios")
         if len(r) != 3:
-            raise ConfigError(f"split.ratios needs 3 entries, got {r!r}")
-        return tuple(float(x) for x in r)
+            raise ConfigError(f"split.ratios needs 3 entries, got {list(r)}")
+        return r
 
     @property
     def debiased_cap(self):
@@ -155,21 +167,21 @@ class ExperimentConfig:
 
     @property
     def csd_valid_fraction(self) -> float:
-        f = float(self.raw["csd_valid_fraction"])
+        f = self._typed(float, "csd_valid_fraction")
         if not 0.0 <= f < 1.0:
             raise ConfigError(f"csd_valid_fraction must be in [0, 1), got {f}")
         return f
 
     @property
     def eval_ks(self) -> tuple[int, ...]:
-        ks = tuple(int(k) for k in self.raw["eval"]["ks"])
+        ks = self._typed(lambda ks: tuple(int(k) for k in ks), "eval", "ks")
         if not ks or min(ks) < 1:
             raise ConfigError(f"eval.ks must be positive cutoffs, got {list(ks)}")
         return ks
 
     @property
     def hot_fraction(self) -> float:
-        f = float(self.raw["eval"]["hot_fraction"])
+        f = self._typed(float, "eval", "hot_fraction")
         if not 0.0 < f < 1.0:
             raise ConfigError(f"eval.hot_fraction must be in (0, 1), got {f}")
         return f
@@ -191,39 +203,50 @@ class ExperimentConfig:
             raise ConfigError(f"model must be 'cgd' or 'csd', got {kind!r}")
         return self.raw[kind]
 
+    def _model_value(self, kind: str, key: str, cast):
+        self.model_section(kind)
+        return self._typed(cast, kind.lower(), key)
+
     def schedule(self, kind: str) -> NoiseSchedule:
-        s = self.model_section(kind)
-        return make_schedule(int(s["T"]), float(s["beta_start"]), float(s["beta_end"]))
+        return make_schedule(
+            self._model_value(kind, "T", int),
+            self._model_value(kind, "beta_start", float),
+            self._model_value(kind, "beta_end", float),
+        )
 
     def hidden_dims(self, kind: str) -> tuple[int, ...]:
-        return tuple(int(d) for d in self.model_section(kind)["hidden_dims"])
+        return self._model_value(kind, "hidden_dims", lambda ds: tuple(int(d) for d in ds))
 
     def time_embed_dim(self, kind: str) -> int:
-        return int(self.model_section(kind)["time_embed_dim"])
+        return self._model_value(kind, "time_embed_dim", int)
 
     def train_config(self, kind: str) -> TrainConfig:
-        s = self.model_section(kind)
         return TrainConfig(
-            learning_rate=float(s["learning_rate"]),
-            epochs=int(s["epochs"]),
+            learning_rate=self._model_value(kind, "learning_rate", float),
+            epochs=self._model_value(kind, "epochs", int),
             seed=derive_seed(self.seed, f"{kind.lower()}-train"),
-            batch_size=int(s["batch_size"]),
-            patience=int(s["patience"]),
-            valid_every=int(s["valid_every"]),
+            batch_size=self._model_value(kind, "batch_size", int),
+            patience=self._model_value(kind, "patience", int),
+            valid_every=self._model_value(kind, "valid_every", int),
         )
 
     def guidance(self) -> GuidanceConfig:
-        g = self.raw["guidance"]
+        def g(key, cast=float):
+            return self._typed(cast, "guidance", key)
+
+        def optional_int(v):
+            return None if v is None else int(v)
+
         return GuidanceConfig(
-            eta=float(g["eta"]),
-            gamma=float(g["gamma"]),
-            w_s=float(g["w_s"]),
-            w_r=float(g["w_r"]),
-            delta=float(g["delta"]),
-            lam=float(g["lambda"]),
-            T_inf=None if g["T_inf"] is None else int(g["T_inf"]),
-            stochastic=bool(g["stochastic"]),
-            social_keep=None if g["social_keep"] is None else int(g["social_keep"]),
+            eta=g("eta"),
+            gamma=g("gamma"),
+            w_s=g("w_s"),
+            w_r=g("w_r"),
+            delta=g("delta"),
+            lam=g("lambda"),
+            T_inf=g("T_inf", optional_int),
+            stochastic=g("stochastic", bool),
+            social_keep=g("social_keep", optional_int),
         )
 
     def seed_for(self, name: str) -> int:
@@ -233,7 +256,8 @@ class ExperimentConfig:
         return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
 
     def validate(self) -> "ExperimentConfig":
-        """Touch every typed accessor so bad values fail at parse time."""
+        """Touch every typed accessor so bad values fail at parse time; a
+        value of the wrong type fails as a ConfigError naming its key."""
         _ = (
             self.seed,
             self.ratios,

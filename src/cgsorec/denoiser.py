@@ -68,11 +68,6 @@ class DenoiserParams:
             biases=[b.copy() for b in self.biases],
         )
 
-    def finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
-
 
 @dataclass
 class ParamGrads:

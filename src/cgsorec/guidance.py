@@ -49,10 +49,11 @@ from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluation import top_k_rows
 from .schedule import NoiseSchedule, model_mean, posterior_coeffs, q_sample
-from .trainer import Checkpoint
+from .trainer import Checkpoint, dense_rows
 
 # Independent noise streams per user; values are arbitrary but frozen,
 # since checkpoints and reports produced under them must replay exactly.
+# A phase's chain over its condition rows runs at the phase's stage + 1.
 STAGE_SOCIAL = 0
 STAGE_SOCIAL_COND = 1
 STAGE_ITEM = 2
@@ -113,12 +114,6 @@ def _user_eps(seed: int, stage: int, users: np.ndarray, width: int) -> np.ndarra
     return eps
 
 
-def _dense_rows(matrix, start: int, stop: int) -> np.ndarray:
-    if sp.issparse(matrix):
-        return np.asarray(matrix[start:stop].todense(), dtype=np.float64)
-    return np.asarray(matrix[start:stop], dtype=np.float64)
-
-
 def _chain_rows(
     params: DenoiserParams,
     sched: NoiseSchedule,
@@ -156,9 +151,10 @@ def _chain_rows(
     out = np.empty((n_rows, width), dtype=np.float64)
     for start in range(0, n_rows, CHUNK):
         stop = min(start + CHUNK, n_rows)
+        span = slice(start, stop)
         eps = _user_eps(seed, stage, np.arange(start, stop), width)
-        z = q_sample(_dense_rows(rows, start, stop), T_inf, eps, sched) @ w0x
-        zc = _dense_rows(cond, start, stop) @ w0x if guided else None
+        z = q_sample(dense_rows(rows, span), T_inf, eps, sched) @ w0x
+        zc = dense_rows(cond, span) @ w0x if guided else None
         rng = (
             np.random.default_rng([seed, stage, start, 0xD1CE])
             if cfg.stochastic
@@ -220,6 +216,32 @@ def binarize_social(
     )
 
 
+def blend(a: np.ndarray, b: np.ndarray | None, w: float) -> np.ndarray:
+    """(1 - w) * a + w * b; `a` itself when there is no b or w is 0."""
+    if b is None or w == 0.0:
+        return a
+    return (1.0 - w) * a + w * b
+
+
+def _chain_pair(
+    ckpt: Checkpoint,
+    rows,
+    cond,
+    mix: float,
+    w: float,
+    cfg: GuidanceConfig,
+    seed: int,
+    stage: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Chain A over `rows`, guided toward `cond` by `mix`, and chain B over
+    `cond` itself at stage + 1, run only when its blend weight w is > 0."""
+    out_a = _chain_rows(ckpt.params, ckpt.sched, rows, cond, mix, cfg, seed, stage)
+    out_b = None
+    if w > 0.0:
+        out_b = _chain_rows(ckpt.params, ckpt.sched, cond, None, 0.0, cfg, seed, stage + 1)
+    return out_a, out_b
+
+
 def social_phase(
     ckpt: Checkpoint,
     S: SocialMatrix,
@@ -227,18 +249,11 @@ def social_phase(
     cfg: GuidanceConfig,
     seed: int,
 ) -> np.ndarray:
-    """Denoised social score rows for all users (blended chains A/B)."""
-    out_a = _chain_rows(
-        ckpt.params, ckpt.sched, S.matrix, S_prime.matrix if cfg.eta > 0 else None,
-        cfg.eta, cfg, seed, STAGE_SOCIAL,
+    """Denoised social score rows for all users (chains A/B blended by w_s)."""
+    pair = _chain_pair(
+        ckpt, S.matrix, S_prime.matrix, cfg.eta, cfg.w_s, cfg, seed, STAGE_SOCIAL
     )
-    if cfg.w_s == 0.0:
-        return out_a
-    out_b = _chain_rows(
-        ckpt.params, ckpt.sched, S_prime.matrix, None, 0.0, cfg, seed,
-        STAGE_SOCIAL_COND,
-    )
-    return (1.0 - cfg.w_s) * out_a + cfg.w_s * out_b
+    return blend(*pair, cfg.w_s)
 
 
 def item_phase(
@@ -249,17 +264,9 @@ def item_phase(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Both item-side chains, unmixed, so callers can sweep w_r for free."""
-    out_a = _chain_rows(
-        ckpt.params, ckpt.sched, R.matrix, R_prime.matrix if cfg.gamma > 0 else None,
-        cfg.gamma, cfg, seed, STAGE_ITEM,
+    return _chain_pair(
+        ckpt, R.matrix, R_prime.matrix, cfg.gamma, cfg.w_r, cfg, seed, STAGE_ITEM
     )
-    out_b = None
-    if cfg.w_r > 0.0:
-        out_b = _chain_rows(
-            ckpt.params, ckpt.sched, R_prime.matrix, None, 0.0, cfg, seed,
-            STAGE_ITEM_COND,
-        )
-    return out_a, out_b
 
 
 def build_social_condition(
@@ -333,7 +340,4 @@ def joint_inference(
     The social side (checkpoint and graph) is only consulted when
     lam > 0; it may be None otherwise.
     """
-    out_a, out_b = joint_chains(ckpt_social, ckpt_item, S, R, groups, cfg, seed)
-    if out_b is None:
-        return out_a
-    return (1.0 - cfg.w_r) * out_a + cfg.w_r * out_b
+    return blend(*joint_chains(ckpt_social, ckpt_item, S, R, groups, cfg, seed), cfg.w_r)

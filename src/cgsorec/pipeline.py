@@ -28,7 +28,7 @@ from .corpus import (
 from .errors import DataError, IntegrityError
 from .evaluation import RankedList, evaluate_lists
 from .evaluation import topk_lists  # noqa: F401  (cli ranks through pipeline.topk_lists)
-from .guidance import joint_inference
+from .guidance import blend, joint_chains
 from .trainer import Checkpoint, train_model
 
 MANIFEST_NAME = "splits.json"
@@ -64,30 +64,32 @@ def make_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
 
 
 def _pairs(m: InteractionMatrix) -> list[list[int]]:
-    coo = m.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return [[int(coo.row[i]), int(coo.col[i])] for i in order]
+    """(user, item) pairs sorted by user, then item."""
+    coo = m.matrix.sorted_indices().tocoo()
+    return np.column_stack((coo.row, coo.col)).tolist()
 
 
 def _from_pairs(pairs, shape) -> InteractionMatrix:
-    if pairs:
-        arr = np.asarray(pairs, dtype=np.int64)
-        u, i = arr[:, 0], arr[:, 1]
-    else:
-        u = i = np.empty(0, dtype=np.int64)
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    u, i = arr[:, 0], arr[:, 1]
     m = sp.coo_matrix((np.ones(len(u)), (u, i)), shape=shape).tocsr()
     return InteractionMatrix(m)
 
 
+def resolved_cap(bundle: SplitBundle) -> int:
+    """The debiased test's largest per-item count: the cap it was built under."""
+    if not bundle.debiased_test.nnz:
+        return 0
+    return int(np.diff(bundle.debiased_test.matrix.tocsc().indptr).max())
+
+
 def manifest_dict(cfg: ExperimentConfig, bundle: SplitBundle) -> dict:
-    cap_counts = np.diff(bundle.debiased_test.matrix.tocsc().indptr)
-    resolved_cap = int(cap_counts.max()) if bundle.debiased_test.nnz else 0
     return {
         "seed": bundle.seed,
         "ratios": list(cfg.ratios),
         "n_users": bundle.train.n_users,
         "n_items": bundle.train.n_items,
-        "debiased_cap": resolved_cap,
+        "debiased_cap": resolved_cap(bundle),
         "train": _pairs(bundle.train),
         "valid": _pairs(bundle.valid),
         "test": _pairs(bundle.test),
@@ -99,8 +101,8 @@ def write_manifest(cfg: ExperimentConfig, bundle: SplitBundle) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, MANIFEST_NAME)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest_dict(cfg, bundle), fh, sort_keys=True)
-        fh.write("\n")
+        # One dumps: json.dump to a file streams through the pure-Python encoder.
+        fh.write(json.dumps(manifest_dict(cfg, bundle), sort_keys=True) + "\n")
     return path
 
 
@@ -208,15 +210,11 @@ def train_social_model(
     history=None,
     log=None,
 ) -> Checkpoint:
-    frac = cfg.csd_valid_fraction
-    if frac > 0:
-        train_rows, held, mask = social_holdout(
-            S, frac, cfg.seed_for("csd-holdout")
-        )
-        if held.nnz == 0:
-            train_rows, held, mask = S.matrix, None, None
-    else:
-        train_rows, held, mask = S.matrix, None, None
+    train_rows, held, mask = S.matrix, None, None
+    if cfg.csd_valid_fraction > 0:
+        holdout = social_holdout(S, cfg.csd_valid_fraction, cfg.seed_for("csd-holdout"))
+        if holdout[1].nnz:  # else no row could spare an edge: train on all of S
+            train_rows, held, mask = holdout
     return train_model(
         "CSD",
         train_rows,
@@ -234,6 +232,22 @@ def train_social_model(
     )
 
 
+def chain_args(
+    cfg: ExperimentConfig,
+    ckpt_social: Checkpoint | None,
+    ckpt_item: Checkpoint,
+    S: SocialMatrix | None,
+    bundle: SplitBundle,
+) -> tuple:
+    """guidance.joint_chains' arguments under `cfg`: the one place a config
+    becomes guidance knobs, an inference seed and hot/tail item groups."""
+    groups = partition_items(bundle.train, cfg.hot_fraction)
+    return (
+        ckpt_social, ckpt_item, S, bundle.train, groups,
+        cfg.guidance(), cfg.seed_for("inference"),
+    )
+
+
 def joint_scores(
     cfg: ExperimentConfig,
     ckpt_social: Checkpoint | None,
@@ -241,10 +255,8 @@ def joint_scores(
     S: SocialMatrix | None,
     bundle: SplitBundle,
 ) -> np.ndarray:
-    g = cfg.guidance()
-    seed = cfg.seed_for("inference")
-    groups = partition_items(bundle.train, cfg.hot_fraction)
-    return joint_inference(ckpt_social, ckpt_item, S, bundle.train, groups, g, seed)
+    pair = joint_chains(*chain_args(cfg, ckpt_social, ckpt_item, S, bundle))
+    return blend(*pair, cfg.guidance().w_r)
 
 
 def eval_report(cfg: ExperimentConfig, lists, bundle: SplitBundle):

@@ -98,7 +98,8 @@ class EpochStats:
     valid_metric: float | None
 
 
-def _rows_dense(data, idx) -> np.ndarray:
+def dense_rows(data, idx) -> np.ndarray:
+    """Rows `idx` (index array or slice) of a dense or sparse matrix, as float64."""
     if sp.issparse(data):
         return np.asarray(data[idx].todense(), dtype=np.float64)
     return np.asarray(data[idx], dtype=np.float64)
@@ -156,7 +157,7 @@ def train_model(
         n_batches = 0
         for start in range(0, n_rows, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            x0 = _rows_dense(rows, idx)
+            x0 = dense_rows(rows, idx)
             t = rng_noise.integers(1, sched.T + 1, size=len(idx))
             eps = rng_noise.standard_normal(x0.shape)
             try:

@@ -127,6 +127,22 @@ class TestPrepare:
         assert code == 2
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize(
+        "assignment, shown",
+        [
+            ("guidance.gamma=abc", "'abc'"),
+            ("cgd.epochs=abc", "'abc'"),
+            ("eval.ks=abc", "'abc'"),
+            ("split.ratios=5", ": 5"),
+        ],
+    )
+    def test_wrong_type_is_config_error(self, ws, capsys, assignment, shown):
+        code, _, err = run(capsys, "prepare", ws["cfg"], "--set", assignment)
+        assert code == 2
+        key = assignment.partition("=")[0]
+        assert err.startswith(f"config error: {key} has the wrong type")
+        assert shown in err
+
 
 class TestTrain:
     def test_checkpoints_written(self, ws):
@@ -478,6 +494,40 @@ class TestSweep:
             capsys, "sweep", ws["cfg"], "--param", "w_r", "--values", "0,huh",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("w_r", [0, 0.3])
+    def test_wr_value_matches_infer_then_eval(self, ws, capsys, w_r):
+        out_dir = ws["root"] / "sweep-wr-direct"
+        code, _, _ = run(
+            capsys, "sweep", ws["cfg"], "--param", "w_r",
+            "--values", "0,0.3", "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        lists = ws["root"] / f"direct-{w_r}.tsv"
+        report = ws["root"] / f"direct-{w_r}.json"
+        assert run(
+            capsys, "infer", ws["cfg"], "--set", f"guidance.w_r={w_r}",
+            "--out", str(lists),
+        )[0] == 0
+        assert run(
+            capsys, "eval", ws["cfg"], "--lists", str(lists), "--out", str(report)
+        )[0] == 0
+        swept = json.loads((out_dir / f"report_guidance-w_r={w_r}.json").read_text())
+        direct = json.loads(report.read_text())
+        for section in ("recall", "ndcg", "per_group", "freq_hist"):
+            assert swept[section] == direct[section]
+
+    @pytest.mark.parametrize("values", ["0,1.5", "0,-2", '"x"'])
+    def test_invalid_value_writes_nothing(self, ws, capsys, tmp_path, values):
+        # each value is validated like --set before any value is scored
+        out_dir = tmp_path / "sweep"
+        code, _, err = run(
+            capsys, "sweep", ws["cfg"], "--param", "w_r", "--values", values,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "config error" in err
+        assert not out_dir.exists()
 
 
 class TestBiasReport:
