@@ -18,7 +18,6 @@ import sys
 
 from . import pipeline
 from .config import ExperimentConfig, apply_set, load_config
-from .corpus import partition_items
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import frequency_histogram, group_metrics, keys_to_str
 from .guidance import blend, joint_chains
@@ -105,7 +104,7 @@ def cmd_infer(cfg: ExperimentConfig, args) -> int:
     out = args.out or os.path.join(cfg.output_dir, "lists.tsv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     pipeline.write_lists(lists, out)
-    print(f"users\t{len(lists)}")
+    print(f"users\t{len(lists.users)}")
     print(f"top_k\t{top_k}")
     print(f"lists\t{out}")
     return 0
@@ -124,7 +123,7 @@ def _write_freq_tsv(hist: dict, path) -> None:
 def cmd_eval(cfg: ExperimentConfig, args) -> int:
     R, _ = pipeline.load_dataset(cfg)
     bundle = pipeline.ensure_bundle(cfg, R)
-    lists = pipeline.read_lists(args.lists)
+    lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
     report = pipeline.eval_report(cfg, lists, bundle)
     out = args.out or os.path.join(cfg.output_dir, "report.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -176,10 +175,10 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     rows = []
     for v, cfg_v in zip(values, cfgs):
         scores = blend(*(shared or chains(cfg_v)), cfg_v.guidance().w_r)
-        lists = pipeline.topk_lists(scores, max(cfg.eval_ks), mask=bundle.train)
+        lists = pipeline.topk_lists(scores, max(cfg_v.eval_ks), mask=bundle.train)
         del scores  # one score matrix at a time: gone before the next is built
-        report = pipeline.eval_report(cfg, lists, bundle)
-        report.config_echo = dict(report.config_echo, swept={param: v})
+        report = pipeline.eval_report(cfg_v, lists, bundle)
+        report.config_echo = dict(cfg.raw, swept={param: v})
         name = f"report_{param.replace('.', '-')}={v}.json"
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -208,9 +207,8 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 def cmd_bias_report(cfg: ExperimentConfig, args) -> int:
     R, _ = pipeline.load_dataset(cfg)
     bundle = pipeline.ensure_bundle(cfg, R)
-    lists = pipeline.read_lists(args.lists)
-    groups = partition_items(bundle.train, cfg.hot_fraction)
-    target = bundle.debiased_test if cfg.eval_split == "debiased" else bundle.test
+    lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
+    target, groups = pipeline.eval_target(cfg, bundle)
     hist = frequency_histogram(lists, bundle.train, groups)
     per_group, notices = group_metrics(lists, target, groups, cfg.eval_ks)
     out = args.out or os.path.join(cfg.output_dir, "bias.json")

@@ -55,10 +55,6 @@ class DenoiserParams:
     def in_dim(self) -> int:
         return self.layer_dims[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layer_dims[-1]
-
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(
             layer_dims=self.layer_dims,

@@ -1,11 +1,11 @@
 """Ranking metrics, hot/tail breakdowns, and popularity diagnostics.
 
-Every metric comes from one hit matrix: the listed item ids stacked into
-a (lists × K) array, checked once, and looked up once against the test
-rows.  Recall@k (global hit ratio, or per-user mean) and NDCG@k (per-user
-DCG/IDCG, log-2 discounts) are column k of row-wise cumsums; a hot or
-tail group masks the hits and each user's relevant count, and users with
-none are left out.  The popularity histogram is one bincount.
+Every metric comes from one hit matrix: the lists' (lists × K) item ids
+looked up once against the test rows.  Recall@k (global hit ratio, or
+per-user mean) and NDCG@k (per-user DCG/IDCG, log-2 discounts) are
+column k of row-wise cumsums; a hot or tail group masks the hits and
+each user's relevant count, and users with none are left out.  The
+popularity histogram is one bincount.
 
 Every ranking goes through top_k_rows: the top-K lists evaluated here and
 at each validation epoch, and the re-binarized social graph
@@ -26,10 +26,15 @@ from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
-class RankedList:
-    """Top-K recommendation for one user, best first, train items absent."""
+class RankedLists:
+    """Top-K lists, best first, train items absent: row j is users[j]'s.
 
-    user: int
+    users is (L,), items an (L, K) int array and scores an (L, K) float64
+    array.  topk_lists builds valid lists; pipeline.read_lists checks the
+    ones read from a file, so nothing here checks them again.
+    """
+
+    users: np.ndarray
     items: np.ndarray
     scores: np.ndarray
 
@@ -84,38 +89,12 @@ def top_k_rows(scores: np.ndarray, k: int, mask=None) -> tuple[np.ndarray, np.nd
     return ids, top
 
 
-def topk_lists(score_matrix: np.ndarray, K: int, mask=None) -> list[RankedList]:
-    """One RankedList per row of top_k_rows(score_matrix, K, mask)."""
-    ids, top = top_k_rows(score_matrix, K, mask)
-    return [RankedList(user=u, items=ids[u], scores=top[u]) for u in range(len(ids))]
+def topk_lists(score_matrix: np.ndarray, K: int, mask=None) -> RankedLists:
+    """top_k_rows(score_matrix, K, mask) as the lists of users 0..n-1."""
+    return RankedLists(np.arange(len(score_matrix)), *top_k_rows(score_matrix, K, mask))
 
 
-def _refuse(users: np.ndarray, bad: np.ndarray, reason: str) -> None:
-    if bad.any():
-        raise DataError(f"lists: user {users[np.argmax(bad)]}: {reason}")
-
-
-def _stack(lists, n_items: int, n_users: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The users of `lists` and their item ids as one (lists × K) array.
-
-    Each list must hold K distinct ids in 0..n_items-1, and its user must
-    be in 0..n_users-1 when n_users is given; a DataError names the first
-    user whose list breaks a rule.
-    """
-    users = np.array([rl.user for rl in lists], dtype=np.int64)
-    sizes = np.array([len(rl.items) for rl in lists], dtype=np.int64)
-    K = int(sizes[0]) if len(sizes) else 0
-    _refuse(users, sizes != K, f"list length differs from the first list's {K}")
-    if n_users is not None:
-        _refuse(users, (users < 0) | (users >= n_users), f"user id outside 0..{n_users - 1}")
-    ids = np.array([rl.items for rl in lists], dtype=np.int64).reshape(len(users), K)
-    _refuse(users, ((ids < 0) | (ids >= n_items)).any(axis=1), f"item id outside 0..{n_items - 1}")
-    ranked = np.sort(ids, axis=1)
-    _refuse(users, (ranked[:, 1:] == ranked[:, :-1]).any(axis=1), "an item is listed twice")
-    return users, ids
-
-
-def _ranking_metrics(lists, test, ks, in_groups=(None,), per_user=False) -> list:
+def _ranking_metrics(lists: RankedLists, test, ks, in_groups=(None,), per_user=False) -> list:
     """(recall, ndcg) at every k in `ks`, for each item mask in `in_groups`.
 
     Only the masked test items count (None: all items), and lists whose
@@ -125,7 +104,7 @@ def _ranking_metrics(lists, test, ks, in_groups=(None,), per_user=False) -> list
     """
     test = _as_csr(test)
     (n_rows, n), ptr = test.shape, test.indptr
-    users, ids = _stack(lists, n, n_rows)
+    users, ids = lists.users, lists.items
     rows = np.repeat(np.arange(n_rows), np.diff(ptr))
     hit = np.isin(users[:, None] * n + ids, rows * n + test.indices)
     K = ids.shape[1]
@@ -156,7 +135,7 @@ def _ranking_metrics(lists, test, ks, in_groups=(None,), per_user=False) -> list
     return out
 
 
-def recall_at_k(lists, test, k: int | None = None, per_user: bool = False) -> float:
+def recall_at_k(lists: RankedLists, test, k: int | None = None, per_user: bool = False) -> float:
     """Hit ratio over the test set.
 
     Default is the global ratio sum(hits) / sum(|T(u)|); per_user=True
@@ -166,13 +145,13 @@ def recall_at_k(lists, test, k: int | None = None, per_user: bool = False) -> fl
     return _ranking_metrics(lists, test, [k], per_user=per_user)[0][0][k]
 
 
-def ndcg_at_k(lists, test, k: int | None = None) -> float:
+def ndcg_at_k(lists: RankedLists, test, k: int | None = None) -> float:
     """Mean over users of DCG/IDCG with 1/log2(rank+1) gains."""
     return _ranking_metrics(lists, test, [k])[0][1][k]
 
 
 def group_metrics(
-    lists, test, groups: ItemGroups, ks
+    lists: RankedLists, test, groups: ItemGroups, ks
 ) -> tuple[dict[str, dict[str, dict[int, float]]], list[str]]:
     """Recall/NDCG per item group, test rows restricted to the group.
 
@@ -188,7 +167,7 @@ def group_metrics(
     return out, notices
 
 
-def frequency_histogram(lists, train, groups: ItemGroups, n_buckets: int = 10) -> dict:
+def frequency_histogram(lists: RankedLists, train, groups: ItemGroups, n_buckets: int = 10) -> dict:
     """How often each popularity bucket gets recommended.
 
     Items are bucketed by train interaction count (bucket 1 = least
@@ -196,12 +175,11 @@ def frequency_histogram(lists, train, groups: ItemGroups, n_buckets: int = 10) -
     top-K appearance count per bucket plus hot/tail means and the total
     (which always equals K * number of lists).
     """
-    if not lists:
+    if not len(lists.users):
         raise DataError("no ranked lists to histogram")
     train = _as_csr(train)
     n_items = train.shape[1]
-    _, ids = _stack(lists, n_items)
-    counts = np.bincount(ids.ravel(), minlength=n_items)
+    counts = np.bincount(lists.items.ravel(), minlength=n_items)
     popularity = np.asarray(train.sum(axis=0)).ravel()
     order = np.lexsort((np.arange(n_items), popularity))
     buckets = np.array_split(order, n_buckets)
@@ -249,13 +227,13 @@ class EvalReport:
 
 
 def evaluate_lists(
-    lists, test, train, groups: ItemGroups, ks,
+    lists: RankedLists, test, train, groups: ItemGroups, ks,
     config_echo: dict | None = None, per_user_recall: bool = False,
 ) -> EvalReport:
     """Full evaluation of already-ranked lists against a test split."""
-    ks = sorted(int(k) for k in ks)
-    if lists and len(lists[0].items) < max(ks):
-        raise ConfigError(f"lists hold {len(lists[0].items)} items, fewer than K={max(ks)}")
+    ks, K = sorted(int(k) for k in ks), lists.items.shape[1]
+    if len(lists.users) and K < max(ks):
+        raise ConfigError(f"lists hold {K} items, fewer than K={max(ks)}")
     [(recall, ndcg)] = _ranking_metrics(lists, test, ks, per_user=per_user_recall)
     per_group, notices = group_metrics(lists, test, groups, ks)
     hist = frequency_histogram(lists, train, groups)

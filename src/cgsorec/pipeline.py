@@ -3,7 +3,8 @@
 Holds the glue with no math of its own: loading data per config,
 materializing/reloading the split manifest, the social-edge holdout used
 to early-stop the social model, the two training entry points, joint
-scoring, and the list-file format.
+scoring, and the list-file format, whose reader is the one place lists
+from outside the program are checked.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 from .config import ExperimentConfig
 from .corpus import (
     InteractionMatrix,
+    ItemGroups,
     SocialMatrix,
     SplitBundle,
     build_debiased_test,
@@ -26,7 +28,7 @@ from .corpus import (
     split,
 )
 from .errors import DataError, IntegrityError
-from .evaluation import RankedList, evaluate_lists
+from .evaluation import RankedLists, evaluate_lists
 from .evaluation import topk_lists  # noqa: F401  (cli ranks through pipeline.topk_lists)
 from .guidance import blend, joint_chains
 from .trainer import Checkpoint, train_model
@@ -142,37 +144,34 @@ def social_holdout(
 ) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
     """Hold out a per-user fraction of neighbor entries for validation.
 
-    Returns (train_rows, held_rows, rank_mask); the mask is the train
-    rows plus the diagonal, since a user must never rank itself.
+    A user with degree d >= 2 holds out max(1, floor(d * fraction)) of its
+    neighbors, drawn from its own stream; S's rows are canonical (sorted,
+    no duplicates).  Returns (train_rows, held_rows, rank_mask); the mask
+    is the train rows plus the diagonal, since a user must never rank
+    itself.
     """
-    m = S.matrix
-    keep_rows = []
-    held_rows = []
-    for u in range(S.n_users):
-        neigh = m.indices[m.indptr[u] : m.indptr[u + 1]]
-        if fraction <= 0.0 or len(neigh) < 2:
-            keep_rows.append(neigh)
-            held_rows.append(np.empty(0, dtype=neigh.dtype))
-            continue
-        n_held = max(1, int(np.floor(len(neigh) * fraction)))
-        rng = np.random.default_rng([seed, u])
-        held = rng.choice(neigh, size=n_held, replace=False)
-        keep_rows.append(np.setdiff1d(neigh, held))
-        held_rows.append(np.sort(held))
+    m, n = S.matrix, S.n_users
+    deg = np.diff(m.indptr)
+    n_held = np.zeros_like(deg)
+    if fraction > 0.0:
+        n_held[deg >= 2] = np.maximum(1, np.floor(deg[deg >= 2] * fraction))
+    held = [
+        np.sort(np.random.default_rng([seed, u]).choice(
+            m.indices[m.indptr[u] : m.indptr[u + 1]], size=n_held[u], replace=False
+        ))
+        for u in np.flatnonzero(n_held).tolist()
+    ]
+    held = np.concatenate(held) if held else np.empty(0, dtype=m.indices.dtype)
+    keys = np.repeat(np.arange(n), deg) * n + m.indices
+    kept = m.indices[~np.isin(keys, np.repeat(np.arange(n), n_held) * n + held)]
 
-    def rows_to_csr(rows):
-        indptr = np.zeros(S.n_users + 1, dtype=np.int64)
-        for u, r in enumerate(rows):
-            indptr[u + 1] = indptr[u] + len(r)
-        idx = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        return sp.csr_matrix(
-            (np.ones(len(idx)), idx, indptr), shape=(S.n_users, S.n_users)
-        )
+    def rows_to_csr(idx, sizes):
+        indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        return sp.csr_matrix((np.ones(len(idx)), idx, indptr), shape=(n, n))
 
-    train = rows_to_csr(keep_rows)
-    held = rows_to_csr(held_rows)
-    mask = (train + sp.identity(S.n_users, format="csr")).tocsr()
-    return train, held, mask
+    train = rows_to_csr(kept, deg - n_held)
+    mask = (train + sp.identity(n, format="csr")).tocsr()
+    return train, rows_to_csr(held, n_held), mask
 
 
 def train_item_model(
@@ -181,7 +180,6 @@ def train_item_model(
     init=None,
     start_epoch: int = 1,
     best_metric_init: float = -np.inf,
-    history=None,
     log=None,
 ) -> Checkpoint:
     return train_model(
@@ -196,7 +194,6 @@ def train_item_model(
         init=init,
         start_epoch=start_epoch,
         best_metric_init=best_metric_init,
-        history=history,
         log=log,
     )
 
@@ -207,7 +204,6 @@ def train_social_model(
     init=None,
     start_epoch: int = 1,
     best_metric_init: float = -np.inf,
-    history=None,
     log=None,
 ) -> Checkpoint:
     train_rows, held, mask = S.matrix, None, None
@@ -227,7 +223,6 @@ def train_social_model(
         init=init,
         start_epoch=start_epoch,
         best_metric_init=best_metric_init,
-        history=history,
         log=log,
     )
 
@@ -259,9 +254,14 @@ def joint_scores(
     return blend(*pair, cfg.guidance().w_r)
 
 
-def eval_report(cfg: ExperimentConfig, lists, bundle: SplitBundle):
+def eval_target(cfg: ExperimentConfig, bundle: SplitBundle) -> tuple[InteractionMatrix, ItemGroups]:
+    """The test split and the hot/tail item groups `cfg` evaluates against."""
     target = bundle.debiased_test if cfg.eval_split == "debiased" else bundle.test
-    groups = partition_items(bundle.train, cfg.hot_fraction)
+    return target, partition_items(bundle.train, cfg.hot_fraction)
+
+
+def eval_report(cfg: ExperimentConfig, lists: RankedLists, bundle: SplitBundle):
+    target, groups = eval_target(cfg, bundle)
     return evaluate_lists(
         lists,
         target,
@@ -273,16 +273,28 @@ def eval_report(cfg: ExperimentConfig, lists, bundle: SplitBundle):
     )
 
 
-def write_lists(lists, path) -> None:
+def write_lists(lists: RankedLists, path) -> None:
     """`user<TAB>item<TAB>score` lines, each user's block in rank order."""
+    users = np.repeat(lists.users, lists.items.shape[1])
+    columns = (users.tolist(), lists.items.ravel().tolist(), lists.scores.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for rl in lists:
-            for item, score in zip(rl.items, rl.scores):
-                fh.write(f"{int(rl.user)}\t{int(item)}\t{float(score)!r}\n")
+        fh.write("".join(map("{}\t{}\t{!r}\n".format, *columns)))
 
 
-def read_lists(path) -> list[RankedList]:
-    by_user: dict[int, tuple[list[int], list[float]]] = {}
+def _refuse(users: np.ndarray, bad: np.ndarray, reason: str) -> None:
+    if bad.any():
+        raise DataError(f"lists: user {users[np.argmax(bad)]}: {reason}")
+
+
+def read_lists(path, n_users: int, n_items: int) -> RankedLists:
+    """The lists in a write_lists file, checked: the only way lists enter.
+
+    Lines are grouped by user (ascending), keeping each user's line order.
+    Every list must be as long as the lowest user's, its user must be in
+    0..n_users-1, and it must hold distinct ids in 0..n_items-1; a
+    DataError names the first user whose list breaks a rule.
+    """
+    users, items, scores = [], [], []
     try:
         fh = open(path, encoding="utf-8")
     except OSError as err:
@@ -299,10 +311,20 @@ def read_lists(path) -> list[RankedList]:
                 u, item, score = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as err:
                 raise DataError(f"{path}:{lineno}: {err}") from err
-            by_user.setdefault(u, ([], []))
-            by_user[u][0].append(item)
-            by_user[u][1].append(score)
-    return [
-        RankedList(user=u, items=np.asarray(items), scores=np.asarray(scores))
-        for u, (items, scores) in sorted(by_user.items())
-    ]
+            users.append(u)
+            items.append(item)
+            scores.append(score)
+    try:
+        users, items = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    except OverflowError as err:
+        raise DataError(f"{path}: an id does not fit in 64 bits") from err
+    order = np.argsort(users, kind="stable")
+    owners, sizes = np.unique(users[order], return_counts=True)
+    K = int(sizes[0]) if len(sizes) else 0
+    _refuse(owners, sizes != K, f"list length differs from the first list's {K}")
+    _refuse(owners, (owners < 0) | (owners >= n_users), f"user id outside 0..{n_users - 1}")
+    ids = items[order].reshape(len(owners), K)
+    _refuse(owners, ((ids < 0) | (ids >= n_items)).any(axis=1), f"item id outside 0..{n_items - 1}")
+    ranked = np.sort(ids, axis=1)
+    _refuse(owners, (ranked[:, 1:] == ranked[:, :-1]).any(axis=1), "an item is listed twice")
+    return RankedLists(owners, ids, np.array(scores, dtype=np.float64)[order].reshape(ids.shape))

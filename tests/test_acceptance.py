@@ -395,9 +395,8 @@ def test_criterion_3_metric_oracles():
         for K in (1, 3, 5):
             lists = topk_lists(scores, K, mask=mask)
             tops = [_brute_topk(scores[u], mask_sets[u], K) for u in range(10)]
-            same_lists = all(
-                np.array_equal(rl.items, np.asarray(top, dtype=rl.items.dtype))
-                for rl, top in zip(lists, tops)
+            same_lists = np.array_equal(
+                lists.items, np.asarray(tops, dtype=lists.items.dtype)
             )
             same_recall = recall_at_k(lists, test) == _brute_recall(tops, test_sets)
             same_ndcg = ndcg_at_k(lists, test) == _brute_ndcg(tops, test_sets)

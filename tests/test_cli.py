@@ -448,6 +448,31 @@ class TestListsChecks:
         assert "user 0: item id outside" in err
 
 
+class TestListsFileErrors:
+    """A lists file is checked when it is read, whatever eval.ks is."""
+
+    def run_on(self, capsys, planted_ws, command, text):
+        root, cfg = planted_ws
+        path = root / f"{command}-file.tsv"
+        path.write_text(text)
+        return run(capsys, command, cfg, "--lists", str(path), "--out", str(root / "out.json"))
+
+    @pytest.mark.parametrize("command", ["eval", "bias-report"])
+    def test_ragged_file_is_data_error(self, planted_ws, capsys, command):
+        # the first list is shorter than max(eval.ks) = 10
+        rows = [(0, range(2)), (1, range(10))]
+        text = "".join(f"{u}\t{i}\t0.0\n" for u, items in rows for i in items)
+        code, _, err = self.run_on(capsys, planted_ws, command, text)
+        assert code == 3
+        assert "user 1: list length differs from the first list's 2" in err
+
+    @pytest.mark.parametrize("command", ["eval", "bias-report"])
+    def test_empty_file_is_data_error(self, planted_ws, capsys, command):
+        code, _, err = self.run_on(capsys, planted_ws, command, "")
+        assert code == 3
+        assert "data error" in err
+
+
 class TestSweep:
     def test_wr_sweep_files(self, ws, capsys):
         out_dir = ws["root"] / "sweep-wr"
@@ -516,6 +541,27 @@ class TestSweep:
         direct = json.loads(report.read_text())
         for section in ("recall", "ndcg", "per_group", "freq_hist"):
             assert swept[section] == direct[section]
+
+    def test_eval_value_matches_infer_then_eval(self, ws, capsys):
+        # each value is scored and evaluated under its own eval section
+        out_dir = ws["root"] / "sweep-hot"
+        code, _, _ = run(
+            capsys, "sweep", ws["cfg"], "--param", "eval.hot_fraction",
+            "--values", "0.05,0.3", "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        lists = ws["root"] / "direct-hot.tsv"
+        report = ws["root"] / "direct-hot.json"
+        hot = "--set=eval.hot_fraction=0.3"
+        assert run(capsys, "infer", ws["cfg"], hot, "--out", str(lists))[0] == 0
+        assert run(
+            capsys, "eval", ws["cfg"], hot, "--lists", str(lists), "--out", str(report)
+        )[0] == 0
+        swept = json.loads((out_dir / "report_eval-hot_fraction=0.3.json").read_text())
+        direct = json.loads(report.read_text())
+        for section in ("recall", "ndcg", "per_group", "freq_hist"):
+            assert swept[section] == direct[section]
+        assert swept["config"]["swept"] == {"eval.hot_fraction": 0.3}
 
     @pytest.mark.parametrize("values", ["0,1.5", "0,-2", '"x"'])
     def test_invalid_value_writes_nothing(self, ws, capsys, tmp_path, values):

@@ -11,7 +11,7 @@ from cgsorec.errors import ConfigError, DataError
 from cgsorec.evaluation import (
     ROW_BLOCK,
     EvalReport,
-    RankedList,
+    RankedLists,
     evaluate_lists,
     frequency_histogram,
     group_metrics,
@@ -20,6 +20,7 @@ from cgsorec.evaluation import (
     top_k_rows,
     topk_lists,
 )
+from cgsorec.pipeline import read_lists, write_lists
 
 from conftest import rand_binary_csr
 
@@ -39,11 +40,11 @@ def brute_topk(scores, masked, k):
 
 def brute_recall(lists, test_sets, k, per_user=False):
     hits, relevant, ratios = 0, 0, []
-    for rl in lists:
-        t = test_sets.get(rl.user, set())
+    for user, items in zip(lists.users.tolist(), lists.items):
+        t = test_sets.get(user, set())
         if not t:
             continue
-        found = sum(1 for item in list(rl.items[:k]) if item in t)
+        found = sum(1 for item in list(items[:k]) if item in t)
         hits += found
         relevant += len(t)
         ratios.append(found / len(t))
@@ -52,11 +53,11 @@ def brute_recall(lists, test_sets, k, per_user=False):
 
 def brute_ndcg(lists, test_sets, k):
     values = []
-    for rl in lists:
-        t = test_sets.get(rl.user, set())
+    for user, items in zip(lists.users.tolist(), lists.items):
+        t = test_sets.get(user, set())
         if not t:
             continue
-        rec = list(rl.items[:k])
+        rec = list(items[:k])
         hit_ranks = [pos + 1 for pos, item in enumerate(rec) if item in t]
         dcg = float(np.sum(1.0 / np.log2(np.array(hit_ranks) + 1))) if hit_ranks else 0.0
         ideal = min(len(t), len(rec))
@@ -73,20 +74,21 @@ def sets_to_csr(test_sets, m, n):
     return mat.tocsr()
 
 
-def make_lists(rows):
-    return [
-        RankedList(user=u, items=np.asarray(items), scores=np.zeros(len(items)))
-        for u, items in enumerate(rows)
-    ]
+def make_lists(rows, users=None):
+    """Lists scored 0 from a (lists × K) array of item ids; users 0..L-1 by default."""
+    items = np.asarray(rows, dtype=np.int64)
+    users = np.arange(len(items)) if users is None else np.asarray(users)
+    return RankedLists(users, items, np.zeros(items.shape))
 
 
 def one_row(scores, masked, K):
-    """topk_lists on a single score row, `masked` item ids excluded."""
+    """(items, scores) of topk_lists on one score row, `masked` ids excluded."""
     masked = [] if masked is None else list(masked)
     mask = sp.csr_matrix(
         (np.ones(len(masked)), masked, [0, len(masked)]), shape=(1, len(scores))
     )
-    return topk_lists(np.asarray(scores, dtype=np.float64)[None], K, mask=mask)[0]
+    lists = topk_lists(np.asarray(scores, dtype=np.float64)[None], K, mask=mask)
+    return lists.items[0], lists.scores[0]
 
 
 def loop_topk(scores, mask, K):
@@ -105,25 +107,24 @@ def loop_topk(scores, mask, K):
 def assert_same_as_loop(scores, mask, K):
     lists = topk_lists(scores, K, mask=mask)
     items, tops = loop_topk(scores, mask, K)
-    assert [rl.user for rl in lists] == list(range(scores.shape[0]))
-    for rl, want_items, want_scores in zip(lists, items, tops):
-        assert rl.items.dtype == want_items.dtype
-        assert np.array_equal(rl.items, want_items)
-        # bytes, so 0.0 vs -0.0 and the NaN/-inf positions count too
-        assert rl.scores.tobytes() == want_scores.tobytes()
+    assert np.array_equal(lists.users, np.arange(scores.shape[0]))
+    assert lists.items.dtype == items[0].dtype
+    assert np.array_equal(lists.items, np.array(items))
+    # bytes, so 0.0 vs -0.0 and the NaN/-inf positions count too
+    assert lists.scores.tobytes() == np.array(tops).tobytes()
 
 
 class TestRankItems:
     """Single-row rankings through topk_lists."""
 
     def test_masked_argmax(self):
-        rl = one_row([0.1, 0.9, 0.5], [1], 1)
-        assert np.array_equal(rl.items, [2])
-        assert rl.scores[0] == 0.5
+        items, top = one_row([0.1, 0.9, 0.5], [1], 1)
+        assert np.array_equal(items, [2])
+        assert top[0] == 0.5
 
     def test_tie_break_by_id(self):
-        rl = one_row(np.ones(4), None, 2)
-        assert np.array_equal(rl.items, [0, 1])
+        items, _ = one_row(np.ones(4), None, 2)
+        assert np.array_equal(items, [0, 1])
 
     def test_k_too_large(self):
         with pytest.raises(ConfigError):
@@ -132,20 +133,20 @@ class TestRankItems:
     def test_masked_never_present(self, rng):
         scores = rng.standard_normal(15)
         scores[[2, 7]] = 100.0  # masked items score highest
-        rl = one_row(scores, [2, 7], 10)
-        assert not set(rl.items) & {2, 7}
+        items, _ = one_row(scores, [2, 7], 10)
+        assert not set(items) & {2, 7}
 
     def test_matches_full_sort(self, rng):
         for _ in range(20):
             scores = rng.standard_normal(30)
             masked = rng.choice(30, size=4, replace=False)
-            rl = one_row(scores, masked, 5)
-            assert list(rl.items) == brute_topk(scores, masked, 5)
+            items, _ = one_row(scores, masked, 5)
+            assert list(items) == brute_topk(scores, masked, 5)
 
     def test_scores_parallel(self, rng):
         scores = rng.standard_normal(10)
-        rl = one_row(scores, None, 4)
-        np.testing.assert_array_equal(rl.scores, scores[rl.items])
+        items, top = one_row(scores, None, 4)
+        np.testing.assert_array_equal(top, scores[items])
 
 
 class TestTopKAgainstLoop:
@@ -160,9 +161,9 @@ class TestTopKAgainstLoop:
     def test_signed_zeros_tie(self, rng):
         scores = rng.choice([0.0, -0.0, 1.0, -1.0], size=(20, 16))
         assert_same_as_loop(scores, None, 8)
-        rl = one_row([-0.0, 0.0, -0.0, 0.0], None, 4)
-        assert np.array_equal(rl.items, [0, 1, 2, 3])
-        assert rl.scores.tobytes() == np.array([-0.0, 0.0, -0.0, 0.0]).tobytes()
+        items, top = one_row([-0.0, 0.0, -0.0, 0.0], None, 4)
+        assert np.array_equal(items, [0, 1, 2, 3])
+        assert top.tobytes() == np.array([-0.0, 0.0, -0.0, 0.0]).tobytes()
 
     def test_duplicate_mask_entries(self, rng):
         scores = rng.integers(0, 3, size=(6, 10)).astype(np.float64)
@@ -178,7 +179,7 @@ class TestTopKAgainstLoop:
         mask = sp.csr_matrix(np.tile(np.arange(12) % 3 == 0, (5, 1)))
         assert_same_as_loop(scores, mask, 8)
         lists = topk_lists(scores, 8, mask=mask)
-        assert all(not np.isin(rl.items, [0, 3, 6, 9]).any() for rl in lists)
+        assert not np.isin(lists.items, [0, 3, 6, 9]).any()
 
     def test_more_rows_than_one_block(self, rng):
         n_rows = 2 * ROW_BLOCK + 37
@@ -304,7 +305,7 @@ class TestBruteForceAgreement:
             test = sets_to_csr(test_sets, 10, 20)
             lists = topk_lists(scores, 5, mask=train)
             for u in range(10):
-                assert list(lists[u].items) == brute_topk(
+                assert list(lists.items[u]) == brute_topk(
                     scores[u], train_sets[u], 5
                 )
             for k in (1, 3, 5):
@@ -339,7 +340,7 @@ class TestBruteForceAgreement:
     def test_per_user_recall(self, rng):
         for _ in range(30):
             lists, test_sets, test = self.random_case(rng, 10, 20, 5, (0, 4))
-            test_sets[0] = test_sets[0] or {int(lists[0].items[0])}
+            test_sets[0] = test_sets[0] or {int(lists.items[0, 0])}
             test = sets_to_csr(test_sets, 10, 20)
             for k in (1, 3, 5, None):
                 got = recall_at_k(lists, test, k, per_user=True)
@@ -348,7 +349,9 @@ class TestBruteForceAgreement:
     def test_test_users_missing_from_lists(self, rng):
         for _ in range(30):
             lists, test_sets, test = self.random_case(rng, 15, 20, 5, (1, 5))
-            kept = [rl for rl in lists if rng.random() < 0.5] or lists[:1]
+            rows = np.flatnonzero(rng.random(len(lists.users)) < 0.5)
+            rows = rows if len(rows) else [0]
+            kept = RankedLists(lists.users[rows], lists.items[rows], lists.scores[rows])
             for k in (1, 3, 5):
                 assert recall_at_k(kept, test, k) == brute_recall(kept, test_sets, k)
                 assert ndcg_at_k(kept, test, k) == brute_ndcg(kept, test_sets, k)
@@ -361,7 +364,8 @@ class TestBruteForceAgreement:
         # other case in this class has fewer than 8 hits and is held exact.
         for _ in range(30):
             lists, test_sets, test = self.random_case(rng, 20, 30, 20, (8, 20))
-            assert max(len(set(rl.items.tolist()) & test_sets[rl.user]) for rl in lists) >= 8
+            found = [set(items) & test_sets[u] for u, items in enumerate(lists.items.tolist())]
+            assert max(map(len, found)) >= 8
             for k in (5, 10, 20):
                 assert recall_at_k(lists, test, k) == brute_recall(lists, test_sets, k)
                 np.testing.assert_allclose(
@@ -414,7 +418,7 @@ class TestFrequencyHistogram:
         train = rand_binary_csr(rng, 3, 4, 0.5)
         groups = partition_items(InteractionMatrix(train), 0.25)
         with pytest.raises(DataError):
-            frequency_histogram([], train, groups)
+            frequency_histogram(make_lists(np.empty((0, 0))), train, groups)
 
 
 class TestGroupMetrics:
@@ -450,7 +454,7 @@ class TestGroupMetrics:
 
     def test_listed_users_outside_group_omit_it(self):
         # user 0 holds the only hot test item but has no list
-        lists = make_lists([[0, 2, 4], [1, 3, 5]])[1:]
+        lists = make_lists([[1, 3, 5]], users=[1])
         test = sets_to_csr({0: {0}, 1: {3}}, 2, 6)
         per_group, notices = group_metrics(lists, test, self.groups(), [3])
         assert list(per_group) == ["tail"]
@@ -465,29 +469,67 @@ class TestGroupMetrics:
         assert len(notices) == 1
 
 
+def lists_file(path, rows):
+    """A lists file holding `rows` of (user, item ids), each item scored 0."""
+    path.write_text("".join(f"{u}\t{i}\t0.0\n" for u, items in rows for i in items))
+    return path
+
+
+class TestListsFile:
+    """read_lists(write_lists(lists)) gives the lists back bit for bit."""
+
+    def test_round_trip_is_bitwise(self, tmp_path, rng):
+        scores = rng.standard_normal((7, 9))
+        scores[0, :4] = [-0.0, np.inf, -np.inf, 5e-324]
+        scores[1, :3] = [0.0, -5e-324, np.finfo(np.float64).tiny / 3]
+        lists = topk_lists(scores, 9)  # every score is listed
+        write_lists(lists, tmp_path / "l.tsv")
+        back = read_lists(tmp_path / "l.tsv", 7, 9)
+        for name in ("users", "items", "scores"):
+            got, want = getattr(back, name), getattr(lists, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert -np.inf in back.scores and 5e-324 in back.scores
+
+    def test_groups_by_user_in_line_order(self, tmp_path):
+        path = lists_file(tmp_path / "l.tsv", [(2, [4, 1]), (0, [3, 5])])
+        lists = read_lists(path, 3, 6)
+        assert lists.users.tolist() == [0, 2]
+        assert lists.items.tolist() == [[3, 5], [4, 1]]
+
+    def test_id_beyond_64_bits(self, tmp_path):
+        rows = [(0, [1, 2 ** 64])]
+        with pytest.raises(DataError, match="an id does not fit in 64 bits"):
+            read_lists(lists_file(tmp_path / "l.tsv", rows), 2, 6)
+
+    def test_empty_file(self, tmp_path):
+        lists = read_lists(lists_file(tmp_path / "l.tsv", []), 3, 6)
+        assert lists.users.shape == (0,) and lists.items.shape == lists.scores.shape == (0, 0)
+
+
 class TestListValidation:
-    """Lists are checked once, when they are stacked, before any scoring."""
+    """Lists are checked once, when a lists file is read, before any scoring."""
 
-    test = sets_to_csr({0: {1}, 1: {2}}, 2, 6)
+    def read(self, tmp_path, rows):
+        return read_lists(lists_file(tmp_path / "l.tsv", rows), 2, 6)
 
-    def test_item_listed_twice(self):
+    def test_item_listed_twice(self, tmp_path):
         with pytest.raises(DataError, match="user 1: an item is listed twice"):
-            recall_at_k(make_lists([[1, 2], [2, 2]]), self.test, 2)
+            self.read(tmp_path, [(0, [1, 2]), (1, [2, 2])])
 
-    def test_unequal_lengths(self):
-        train = sp.csr_matrix((2, 6))
-        groups = partition_items(InteractionMatrix(sets_to_csr({0: {0}}, 2, 6)), 0.25)
-        lists = make_lists([[1, 2, 3], [2, 0]])
+    def test_unequal_lengths(self, tmp_path):
         with pytest.raises(DataError, match="user 1: list length differs"):
-            evaluate_lists(lists, self.test, train, groups, ks=[2])
+            self.read(tmp_path, [(0, [1, 2, 3]), (1, [2, 0])])
+        with pytest.raises(DataError, match="user 1: list length differs from the first list's 2"):
+            self.read(tmp_path, [(1, [2, 0, 3]), (0, [1, 2])])
 
-    def test_ids_out_of_range(self):
+    def test_ids_out_of_range(self, tmp_path):
         with pytest.raises(DataError, match="user 1: item id outside 0..5"):
-            ndcg_at_k(make_lists([[1, 2], [2, 6]]), self.test, 2)
+            self.read(tmp_path, [(0, [1, 2]), (1, [2, 6])])
         with pytest.raises(DataError, match="user 0: item id outside"):
-            ndcg_at_k(make_lists([[-1, 2], [2, 3]]), self.test, 2)
+            self.read(tmp_path, [(0, [-1, 2]), (1, [2, 3])])
         with pytest.raises(DataError, match="user 2: user id outside 0..1"):
-            recall_at_k(make_lists([[1, 2], [2, 3], [4, 5]]), self.test, 2)
+            self.read(tmp_path, [(0, [1, 2]), (1, [2, 3]), (2, [4, 5])])
 
 
 class TestEvalReport:
@@ -533,6 +575,6 @@ class TestEvalReport:
         scores = rng.standard_normal((5, 10))
         train = rand_binary_csr(rng, 5, 10, 0.3)
         lists = topk_lists(scores, 4, mask=train)
-        for u, rl in enumerate(lists):
+        for u, items in enumerate(lists.items.tolist()):
             seen = set(train.indices[train.indptr[u]:train.indptr[u + 1]].tolist())
-            assert not set(rl.items.tolist()) & seen
+            assert not set(items) & seen
