@@ -167,14 +167,22 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         return joint_chains(*pipeline.chain_args(cfg_v, ckpt_social, ckpt_item, S, bundle))
 
     # The chains read w_r only as w_r > 0, so one pair, run under the
-    # largest value, serves a whole w_r grid.
+    # largest value, serves a whole w_r grid.  Any other value reuses the
+    # previous pair while the chains' inputs (guidance knobs, hot/tail
+    # groups, inference seed) stay the same, as for eval.split.
     shared = None
     if param == "guidance.w_r":
         shared = chains(max(cfgs, key=lambda c: c.guidance().w_r))
+    pair, pair_key = None, None
 
     rows = []
     for v, cfg_v in zip(values, cfgs):
-        scores = blend(*(shared or chains(cfg_v)), cfg_v.guidance().w_r)
+        if shared is None:
+            key = (cfg_v.guidance(), cfg_v.hot_fraction, cfg_v.seed_for("inference"))
+            if key != pair_key:
+                pair = None  # the old pair is gone before the new one is built
+                pair, pair_key = chains(cfg_v), key
+        scores = blend(*(shared or pair), cfg_v.guidance().w_r)
         lists = pipeline.topk_lists(scores, max(cfg_v.eval_ks), mask=bundle.train)
         del scores  # one score matrix at a time: gone before the next is built
         report = pipeline.eval_report(cfg_v, lists, bundle)

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import ConfigError, NumericError, ShapeError
-from .schedule import NoiseSchedule, loss_weights, q_sample
+from .errors import ConfigError, NumericError, ShapeError, StepError
+from .schedule import NoiseSchedule, loss_weights
+from .schedule import q_sample  # noqa: F401  (bench/spans.py wraps it here)
 
 
 def timestep_embedding(t, dim: int, max_period: float = 10000.0) -> np.ndarray:
@@ -151,9 +153,24 @@ def last_hidden(params: DenoiserParams, z: np.ndarray, t: int) -> np.ndarray:
     return h
 
 
+def _csr_rows(x0) -> sp.csr_matrix:
+    """x0 as a float64 CSR matrix in canonical form (sorted indices, no
+    duplicates), copying only what is not already so."""
+    if not sp.issparse(x0):
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.ndim != 2:
+            raise ShapeError(f"training batch must be 2-D, got shape {x0.shape}")
+        return sp.csr_matrix(x0)
+    x0 = sp.csr_matrix(x0, dtype=np.float64)
+    if not x0.has_canonical_format:
+        x0 = x0.copy()
+        x0.sum_duplicates()
+    return x0
+
+
 def loss_and_grad(
     params: DenoiserParams,
-    x0: np.ndarray,
+    x0,
     t: np.ndarray,
     eps: np.ndarray,
     sched: NoiseSchedule,
@@ -163,27 +180,63 @@ def loss_and_grad(
     Each sample contributes w_t * ||pred - x0||^2 where w_t comes from the
     schedule (1 at t = 1, the SNR-drop weight after); the batch loss is
     the mean, so the learning rate is batch-size invariant.
+
+    x0 (B x n) may be sparse or dense; it is read as canonical CSR and
+    never densified.  sqrt(1 - ab) * eps is written straight into the
+    embedded input and sqrt(ab) * x0 added at x0's stored entries; the
+    residual is the prediction minus x0 at those entries.  Every product
+    and sum is the IEEE operation of the dense formulas (q_sample, then
+    pred - x0), since an entry where x0 = 0 contributes +0, so the loss
+    and gradients equal theirs bitwise.  No argument is written to.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _csr_rows(x0)
     t = np.asarray(t)
     eps = np.asarray(eps, dtype=np.float64)
-    B = x0.shape[0]
-    x_t = q_sample(x0, t, eps, sched)
-    pred, acts = _forward(params, x_t, t)
+    B, n = x0.shape
+    if eps.shape != x0.shape:
+        raise ConfigError(f"eps shape {eps.shape} does not match x0 shape {x0.shape}")
+    if n != params.in_dim:
+        raise ShapeError(f"input width {n} != model width {params.in_dim}")
+    if np.any(t < 1) or np.any(t > sched.T):
+        raise StepError(f"timestep array outside [1, {sched.T}]")
+    ab = sched.alpha_bar[t - 1][:, None]
+    row_of = np.repeat(np.arange(B), np.diff(x0.indptr))
+
+    # Embedded input h = [x_t, emb(t)], built in place.
+    width = n + params.time_embed_dim
+    h = np.empty((B, width))
+    np.multiply(np.sqrt(1.0 - ab), eps, out=h[:, :n])
+    h.reshape(-1)[row_of * width + x0.indices] += np.sqrt(ab)[row_of, 0] * x0.data
+    h[:, n:] = timestep_embedding(t, params.time_embed_dim)
+
+    acts = [h]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = acts[-1] @ w
+        z += b
+        np.tanh(z, out=z)
+        acts.append(z)
+    diff = acts[-1] @ params.weights[-1]
+    diff += params.biases[-1]
+    diff.reshape(-1)[row_of * n + x0.indices] -= x0.data
 
     w = loss_weights(sched)[t - 1]
-    diff = pred - x0
     loss = float(np.mean(w * np.sum(diff * diff, axis=1)))
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss")
 
-    # Backprop: linear head, tanh hidden layers.
-    g = (2.0 / B) * w[:, None] * diff
+    # Backprop: linear head, tanh hidden layers; the residual becomes the
+    # output gradient and each activation its tanh derivative, in place.
+    g = diff
+    g *= ((2.0 / B) * w)[:, None]
     grads_w = [np.empty(0)] * len(params.weights)
     grads_b = [np.empty(0)] * len(params.biases)
     for l in range(len(params.weights) - 1, -1, -1):
         grads_w[l] = acts[l].T @ g
         grads_b[l] = g.sum(axis=0)
         if l > 0:
-            g = (g @ params.weights[l].T) * (1.0 - acts[l] * acts[l])
+            g = g @ params.weights[l].T
+            a = acts[l]
+            a *= a
+            np.subtract(1.0, a, out=a)
+            g *= a
     return loss, ParamGrads(weights=grads_w, biases=grads_b)

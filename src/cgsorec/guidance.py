@@ -49,7 +49,7 @@ from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluation import top_k_rows
 from .schedule import NoiseSchedule, model_mean, posterior_coeffs, q_sample
-from .trainer import Checkpoint, dense_rows
+from .trainer import Checkpoint
 
 # Independent noise streams per user; values are arbitrary but frozen,
 # since checkpoints and reports produced under them must replay exactly.
@@ -106,6 +106,13 @@ def resolve_T_inf(cfg: GuidanceConfig, sched: NoiseSchedule) -> int:
     return cfg.T_inf
 
 
+def _dense_rows(data, idx) -> np.ndarray:
+    """Rows `idx` (index array or slice) of a dense or sparse matrix, as float64."""
+    if sp.issparse(data):
+        return np.asarray(data[idx].todense(), dtype=np.float64)
+    return np.asarray(data[idx], dtype=np.float64)
+
+
 def _user_eps(seed: int, stage: int, users: np.ndarray, width: int) -> np.ndarray:
     """Corruption noise for a block of users, one stream per (user, stage)."""
     eps = np.empty((len(users), width), dtype=np.float64)
@@ -153,8 +160,8 @@ def _chain_rows(
         stop = min(start + CHUNK, n_rows)
         span = slice(start, stop)
         eps = _user_eps(seed, stage, np.arange(start, stop), width)
-        z = q_sample(dense_rows(rows, span), T_inf, eps, sched) @ w0x
-        zc = dense_rows(cond, span) @ w0x if guided else None
+        z = q_sample(_dense_rows(rows, span), T_inf, eps, sched) @ w0x
+        zc = _dense_rows(cond, span) @ w0x if guided else None
         rng = (
             np.random.default_rng([seed, stage, start, 0xD1CE])
             if cfg.stochastic

@@ -72,22 +72,53 @@ class Checkpoint:
     valid_metric: float
 
 
+# Entries per block of an in-place Adam update: a block of theta, g, m, v
+# and the scratch stays in cache through all of its operations.
+ADAM_BLOCK = 16384
+
+
+def _blocks(a: np.ndarray, rows: int):
+    """Views of `a` along its first axis, `rows` slices at a time."""
+    return (a[i : i + rows] for i in range(0, len(a), rows))
+
+
 def optimizer_step(
     params: DenoiserParams, grads: ParamGrads, state: AdamState, cfg: TrainConfig
 ) -> tuple[DenoiserParams, AdamState]:
-    """One Adam update with bias correction; mutates params/state in place."""
+    """One Adam update with bias correction; mutates params/state in place.
+
+    Each tensor is updated in blocks of about ADAM_BLOCK entries through
+    one scratch buffer, with the operations of the textbook update in
+    the same order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    theta -= lr*(m/corr1) / (sqrt(v/corr2) + eps_hat).  The result is
+    bitwise that of the whole-tensor expressions.
+    """
     state.step += 1
     b1, b2 = cfg.beta1, cfg.beta2
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
     tensors = list(params.weights) + list(params.biases)
     gradients = list(grads.weights) + list(grads.biases)
-    for theta, g, m, v in zip(tensors, gradients, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        theta -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.epsilon_hat)
+    # Slices along the first axis per block, and the largest block.
+    rows = [max(1, ADAM_BLOCK // max(a[:1].size, 1)) for a in tensors]
+    scratch = np.empty((2, max(r * a[:1].size for r, a in zip(rows, tensors))))
+    for theta, g, m, v, r in zip(tensors, gradients, state.m, state.v, rows):
+        for th, gb, mb, vb in zip(*(_blocks(a, r) for a in (theta, g, m, v))):
+            s1, s2 = (s[: gb.size].reshape(gb.shape) for s in scratch)
+            np.multiply(1.0 - b1, gb, out=s1)
+            mb *= b1
+            mb += s1
+            np.multiply(1.0 - b2, gb, out=s1)
+            s1 *= gb
+            vb *= b2
+            vb += s1
+            np.divide(mb, corr1, out=s1)
+            s1 *= cfg.learning_rate
+            np.divide(vb, corr2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += cfg.epsilon_hat
+            s1 /= s2
+            th -= s1
     return params, state
 
 
@@ -98,11 +129,37 @@ class EpochStats:
     valid_metric: float | None
 
 
-def dense_rows(data, idx) -> np.ndarray:
-    """Rows `idx` (index array or slice) of a dense or sparse matrix, as float64."""
-    if sp.issparse(data):
-        return np.asarray(data[idx].todense(), dtype=np.float64)
-    return np.asarray(data[idx], dtype=np.float64)
+def _train_epoch(
+    kind: str,
+    epoch: int,
+    params: DenoiserParams,
+    state: AdamState,
+    rows: sp.csr_matrix,
+    cfg: TrainConfig,
+    sched: NoiseSchedule,
+) -> float:
+    """One pass over `rows` in the epoch's seeded batches; returns the mean
+    batch loss.  Each batch goes to the step as sparse rows, and every
+    batch array is freed on return, before the epoch's validation."""
+    n_rows, width = rows.shape
+    perm = np.random.default_rng([cfg.seed, 1, epoch]).permutation(n_rows)
+    rng_noise = np.random.default_rng([cfg.seed, 2, epoch])
+    total = 0.0
+    n_batches = 0
+    for start in range(0, n_rows, cfg.batch_size):
+        idx = perm[start : start + cfg.batch_size]
+        t = rng_noise.integers(1, sched.T + 1, size=len(idx))
+        eps = rng_noise.standard_normal((len(idx), width))
+        try:
+            loss, grads = loss_and_grad(params, rows[idx], t, eps, sched)
+        except NumericError as err:
+            raise NumericError(
+                f"{kind} epoch {epoch} batch {n_batches + 1}: {err}"
+            ) from err
+        optimizer_step(params, grads, state, cfg)
+        total += loss
+        n_batches += 1
+    return total / max(n_batches, 1)
 
 
 def train_model(
@@ -135,8 +192,9 @@ def train_model(
     checkpoint) replays the exact batches an unbroken run would have
     seen.  Optimizer moments restart at zero on resume.
     """
-    rows = data if sp.issparse(data) else np.asarray(data, dtype=np.float64)
-    n_rows, width = rows.shape
+    rows = sp.csr_matrix(data, dtype=np.float64, copy=True)
+    rows.sum_duplicates()
+    width = rows.shape[1]
     if init is not None:
         params = init.copy()
     else:
@@ -151,25 +209,7 @@ def train_model(
     stale = 0
 
     for epoch in range(start_epoch, cfg.epochs + 1):
-        perm = np.random.default_rng([cfg.seed, 1, epoch]).permutation(n_rows)
-        rng_noise = np.random.default_rng([cfg.seed, 2, epoch])
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n_rows, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            x0 = dense_rows(rows, idx)
-            t = rng_noise.integers(1, sched.T + 1, size=len(idx))
-            eps = rng_noise.standard_normal(x0.shape)
-            try:
-                loss, grads = loss_and_grad(params, x0, t, eps, sched)
-            except NumericError as err:
-                raise NumericError(
-                    f"{kind} epoch {epoch} batch {n_batches + 1}: {err}"
-                ) from err
-            optimizer_step(params, grads, state, cfg)
-            epoch_loss += loss
-            n_batches += 1
-        epoch_loss /= max(n_batches, 1)
+        epoch_loss = _train_epoch(kind, epoch, params, state, rows, cfg, sched)
 
         metric = None
         if valid_target is not None and epoch % cfg.valid_every == 0:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from cgsorec import pipeline
+from cgsorec import cli, pipeline
 from cgsorec.cli import main
 from cgsorec.config import load_config
 from cgsorec.corpus import partition_items
@@ -54,6 +54,33 @@ def nan_planted_checkpoint(tmp_path):
     params[0] = np.nan
     params.tofile(blob)
     return cfg_path
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_divergent_training_exits_4_without_checkpoint(tmp_path, capsys):
+    # the step checks the loss before Adam touches the weights, so the
+    # second batch of an exploding run stops the command, and no
+    # checkpoint is written
+    write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = {
+        "seed": 1,
+        "output_dir": str(tmp_path / "run"),
+        "dataset": {"interactions": str(tmp_path / "r.tsv")},
+        "cgd": {
+            "T": 3, "hidden_dims": [16], "time_embed_dim": 8,
+            "learning_rate": 1e-3, "epochs": 1, "batch_size": 64,
+        },
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["prepare", str(cfg_path)]) == 0
+    code, _, err = run(
+        capsys, "train", str(cfg_path), "--model", "cgd",
+        "--set", "cgd.learning_rate=1e200",
+    )
+    assert code == 4
+    assert "CGD epoch 1 batch 2: non-finite training loss" in err
+    assert not (tmp_path / "run" / "ckpt-cgd").exists()
 
 
 @pytest.fixture(scope="module")
@@ -574,6 +601,65 @@ class TestSweep:
         assert code == 2
         assert "config error" in err
         assert not out_dir.exists()
+
+
+class TestSweepReusesChains:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sweepreuse")
+        write_dataset(planted(seed=0), root / "r.tsv", root / "s.tsv")
+        model = {
+            "T": 3, "hidden_dims": [16], "time_embed_dim": 8,
+            "learning_rate": 1e-3, "epochs": 1, "batch_size": 64,
+        }
+        cfg = {
+            "seed": 2,
+            "output_dir": str(root / "run"),
+            "dataset": {"interactions": str(root / "r.tsv"), "social": str(root / "s.tsv")},
+            "cgd": model,
+            "csd": model,
+            "guidance": {"delta": 1.0, "eta": 0.2, "w_s": 0.5, "lambda": 2.0,
+                         "gamma": 0.5, "w_r": 0.2},
+        }
+        cfg_path = root / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for argv in (["prepare"], ["train", "--model", "cgd"], ["train", "--model", "csd"]):
+            assert main([argv[0], str(cfg_path), *argv[1:]]) == 0
+        return root, str(cfg_path)
+
+    def test_eval_split_sweep_runs_the_chains_once(self, trained, capsys, monkeypatch):
+        # eval.split never reaches the chains, so both values share one pair
+        root, cfg = trained
+        calls = []
+        original = cli.joint_chains
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "joint_chains", counted)
+        out_dir = root / "sweep-split"
+        code, _, err = run(
+            capsys, "sweep", cfg, "--param", "eval.split",
+            "--values", '"test","debiased"', "--out-dir", str(out_dir),
+        )
+        assert code == 0, err
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for split_name in ("test", "debiased"):
+            setting = f"--set=eval.split={json.dumps(split_name)}"
+            lists = root / f"{split_name}.tsv"
+            report = root / f"{split_name}.json"
+            assert run(capsys, "infer", cfg, setting, "--out", str(lists))[0] == 0
+            assert run(
+                capsys, "eval", cfg, setting, "--lists", str(lists), "--out", str(report)
+            )[0] == 0
+            swept = json.loads(
+                (out_dir / f"report_eval-split={split_name}.json").read_text()
+            )
+            direct = json.loads(report.read_text())
+            for section in ("recall", "ndcg", "per_group", "freq_hist"):
+                assert swept[section] == direct[section]
 
 
 class TestBiasReport:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cgsorec.denoiser import (
     DenoiserParams,
@@ -14,6 +15,33 @@ from cgsorec.denoiser import (
 )
 from cgsorec.errors import ConfigError, NumericError, ShapeError
 from cgsorec.schedule import loss_weights, make_schedule, q_sample
+
+
+def dense_loss_and_grad(params, x0, t, eps, sched):
+    """The dense formulas the training step is held to bitwise: q_sample on
+    the densified batch, the concatenated input, a forward pass, and
+    backpropagation, each as one whole-array expression.  Returns
+    (loss, weight gradients, bias gradients)."""
+    x0 = np.asarray(x0.todense() if sp.issparse(x0) else x0, dtype=np.float64)
+    x_t = q_sample(x0, t, eps, sched)
+    h = np.concatenate([x_t, timestep_embedding(t, params.time_embed_dim)], axis=1)
+    acts = [h]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.tanh(h @ w + b)
+        acts.append(h)
+    pred = h @ params.weights[-1] + params.biases[-1]
+    w = loss_weights(sched)[t - 1]
+    diff = pred - x0
+    loss = float(np.mean(w * np.sum(diff * diff, axis=1)))
+    g = (2.0 / x0.shape[0]) * w[:, None] * diff
+    n_layers = len(params.weights)
+    grads_w, grads_b = [None] * n_layers, [None] * n_layers
+    for l in range(n_layers - 1, -1, -1):
+        grads_w[l] = acts[l].T @ g
+        grads_b[l] = g.sum(axis=0)
+        if l > 0:
+            g = (g @ params.weights[l].T) * (1.0 - acts[l] * acts[l])
+    return loss, grads_w, grads_b
 
 
 def hand_network() -> DenoiserParams:
@@ -213,3 +241,74 @@ class TestLossAndGrad:
         p = init_params((3, 2, 3), 2, seed=1)
         with pytest.raises(Exception):
             loss_and_grad(p, np.ones((1, 3)), np.array([4]), np.zeros((1, 3)), sched)
+
+
+def _batch(kind: str, rng, n: int):
+    """A 7-row training batch of the given kind (see TestStepBitwise)."""
+    if kind in ("binary_csr", "binary_dense"):
+        x0 = (rng.random((7, n)) < 0.3).astype(np.float64)
+        return sp.csr_matrix(x0) if kind == "binary_csr" else x0
+    if kind == "real_dense":
+        # negative values, and -0.0 wherever a negative draw is masked out
+        x0 = rng.standard_normal((7, n)) * (rng.random((7, n)) < 0.5)
+        assert np.signbit(x0[x0 == 0.0]).any()
+        return x0
+    rows = np.repeat(np.arange(7), 2)
+    cols = np.tile([1, 4], 7)
+    if kind == "explicit_zero":
+        data = np.where(np.arange(14) % 3 == 0, 0.0, 1.0)
+        x0 = sp.csr_matrix((data, (rows, cols)), shape=(7, n))
+        assert (x0.data == 0.0).any()
+        return x0
+    assert kind == "duplicates"
+    # every stored entry twice: CSR built straight from unsummed arrays
+    indices = np.repeat(cols, 2)
+    data = rng.standard_normal(28)
+    x0 = sp.csr_matrix((data, indices, np.arange(0, 29, 4)), shape=(7, n))
+    assert not x0.has_canonical_format
+    return x0
+
+
+def _snapshot(x):
+    if sp.issparse(x):
+        return [x.data.tobytes(), x.indices.tobytes(), x.indptr.tobytes()]
+    return [np.asarray(x).tobytes()]
+
+
+class TestStepBitwise:
+    """loss_and_grad builds x_t and the residual from the sparse batch in
+    place; it must equal the dense formulas to the last bit."""
+
+    SCHED = make_schedule(5, 0.05, 0.3)
+
+    def check(self, params, x0, t, eps):
+        before = _snapshot(x0) + _snapshot(eps)
+        loss, grads = loss_and_grad(params, x0, t, eps, self.SCHED)
+        ref_loss, ref_w, ref_b = dense_loss_and_grad(params, x0, t, eps, self.SCHED)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        for got, ref in zip(grads.weights + grads.biases, ref_w + ref_b):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        assert _snapshot(x0) + _snapshot(eps) == before
+
+    @pytest.mark.parametrize("hidden", [(6,), (5, 4)])
+    @pytest.mark.parametrize(
+        "kind",
+        ["binary_csr", "binary_dense", "real_dense", "explicit_zero", "duplicates"],
+    )
+    def test_batch_kinds(self, hidden, kind):
+        rng = np.random.default_rng(17)
+        n = 9
+        params = init_params((n, *hidden, n), 3, seed=4)
+        x0 = _batch(kind, rng, n)
+        t = np.array([1, 2, 3, 4, 5, 5, 1])  # covers 1..T
+        eps = rng.standard_normal((7, n))
+        self.check(params, x0, t, eps)
+
+    @pytest.mark.parametrize("hidden", [(6,), (5, 4)])
+    def test_one_row_every_step(self, hidden):
+        rng = np.random.default_rng(3)
+        params = init_params((9, *hidden, 9), 4, seed=2)
+        x0 = sp.csr_matrix((rng.random((1, 9)) < 0.4).astype(np.float64))
+        for t in range(1, self.SCHED.T + 1):
+            self.check(params, x0, np.array([t]), rng.standard_normal((1, 9)))

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cgsorec.corpus import split
 from cgsorec.denoiser import ParamGrads, init_params, predict_x0
 from cgsorec.errors import ConfigError, IntegrityError, NumericError
+from cgsorec.evaluation import recall_at_k, topk_lists
+from cgsorec.guidance import STAGE_VALID, unconditional_scores
 from cgsorec.schedule import make_schedule
+from cgsorec.synth import planted
 from cgsorec.trainer import (
+    ADAM_BLOCK,
     AdamState,
     EpochStats,
     TrainConfig,
@@ -19,6 +24,8 @@ from cgsorec.trainer import (
     save_checkpoint,
     train_model,
 )
+
+from test_denoiser import dense_loss_and_grad
 
 
 def zero_grads(params) -> ParamGrads:
@@ -33,6 +40,56 @@ def lowrank_rows(rng, n_users=20, n_items=30, rank=2) -> np.ndarray:
     u = rng.random((n_users, rank))
     v = rng.random((rank, n_items))
     return (u @ v > np.quantile(u @ v, 0.7)).astype(np.float64)
+
+
+def textbook_adam(params, grads, m, v, step, cfg) -> None:
+    """Adam with bias correction, one whole-tensor expression per line."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    corr1 = 1.0 - b1**step
+    corr2 = 1.0 - b2**step
+    tensors = list(params.weights) + list(params.biases)
+    gradients = list(grads.weights) + list(grads.biases)
+    for theta, g, m_i, v_i in zip(tensors, gradients, m, v):
+        m_i[...] = b1 * m_i + (1.0 - b1) * g
+        v_i[...] = b2 * v_i + (1.0 - b2) * g * g
+        theta[...] = theta - cfg.learning_rate * (m_i / corr1) / (
+            np.sqrt(v_i / corr2) + cfg.epsilon_hat
+        )
+
+
+def reference_train(data, cfg, sched, hidden, time_embed_dim, valid_target, valid_mask):
+    """train_model restated on dense batches, with the dense step and
+    textbook Adam; returns (best params, per-epoch losses)."""
+    dense = data.toarray()
+    n_rows, width = dense.shape
+    params = init_params(
+        (width, *hidden, width), time_embed_dim, seed=cfg.seed, model_tag="CGD"
+    )
+    tensors = list(params.weights) + list(params.biases)
+    m = [np.zeros_like(a) for a in tensors]
+    v = [np.zeros_like(a) for a in tensors]
+    step, losses, best, best_metric = 0, [], None, -np.inf
+    for epoch in range(1, cfg.epochs + 1):
+        perm = np.random.default_rng([cfg.seed, 1, epoch]).permutation(n_rows)
+        rng_noise = np.random.default_rng([cfg.seed, 2, epoch])
+        total, n_batches = 0.0, 0
+        for start in range(0, n_rows, cfg.batch_size):
+            x0 = dense[perm[start : start + cfg.batch_size]]
+            t = rng_noise.integers(1, sched.T + 1, size=len(x0))
+            eps = rng_noise.standard_normal(x0.shape)
+            loss, gw, gb = dense_loss_and_grad(params, x0, t, eps, sched)
+            step += 1
+            textbook_adam(params, ParamGrads(gw, gb), m, v, step, cfg)
+            total += loss
+            n_batches += 1
+        losses.append(total / n_batches)
+        scores = unconditional_scores(
+            params, sched, data, T_inf=sched.T, seed=cfg.seed, stage=STAGE_VALID
+        )
+        metric = recall_at_k(topk_lists(scores, 10, mask=valid_mask), valid_target)
+        if metric > best_metric:
+            best, best_metric = params.copy(), metric
+    return best, losses
 
 
 class TestTrainConfig:
@@ -99,6 +156,36 @@ class TestOptimizerStep:
         np.testing.assert_allclose(last_step, cfg.learning_rate, rtol=0.01)
 
 
+class TestAdamBitwise:
+    def test_equals_textbook_adam_over_five_steps(self):
+        # widths chosen so no tensor is a whole number of blocks, one
+        # spans many blocks, and one row of the output layer exceeds a block
+        width = ADAM_BLOCK + 5
+        params = init_params((width, 3, width), 4, seed=3)
+        tensors = list(params.weights) + list(params.biases)
+        assert all(a.size % ADAM_BLOCK for a in tensors)
+        assert max(a.size for a in tensors) > 2 * ADAM_BLOCK
+        ref = params.copy()
+        ref_tensors = list(ref.weights) + list(ref.biases)
+        m = [np.zeros_like(a) for a in tensors]
+        v = [np.zeros_like(a) for a in tensors]
+        state = AdamState.zeros_like(params)
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, seed=0)
+        rng = np.random.default_rng(8)
+        for step in range(1, 6):
+            grads = zero_grads(params)
+            for g in list(grads.weights) + list(grads.biases):
+                g[...] = rng.standard_normal(g.shape)
+            gcopy = [g.copy() for g in list(grads.weights) + list(grads.biases)]
+            optimizer_step(params, grads, state, cfg)
+            textbook_adam(ref, grads, m, v, step, cfg)
+            assert state.step == step
+            for got, want in zip(tensors + state.m + state.v, ref_tensors + m + v):
+                assert got.tobytes() == want.tobytes()
+            for g, c in zip(list(grads.weights) + list(grads.biases), gcopy):
+                assert g.tobytes() == c.tobytes()
+
+
 class TestTrainModel:
     def make_cfg(self, **kw):
         base = dict(
@@ -141,6 +228,30 @@ class TestTrainModel:
         )
         for wa, wb in zip(a.params.weights, b.params.weights):
             assert wa.tobytes() == wb.tobytes()
+
+    def test_equals_dense_reference_loop(self):
+        # 200 rows in batches of 64: the last batch is partial
+        R, _ = planted(seed=0).to_matrices()
+        bundle = split(R, (0.8, 0.1, 0.1), seed=0)
+        cfg = self.make_cfg(epochs=2, batch_size=64, patience=5)
+        sched = make_schedule(5, 1e-4, 0.02)
+        history: list[EpochStats] = []
+        ckpt = train_model(
+            "CGD", bundle.train.matrix, cfg, sched, hidden_dims=(16,),
+            time_embed_dim=8, valid_target=bundle.valid.matrix,
+            valid_mask=bundle.train.matrix, history=history,
+        )
+        best, losses = reference_train(
+            bundle.train.matrix, cfg, sched, (16,), 8,
+            bundle.valid.matrix, bundle.train.matrix,
+        )
+        assert bundle.train.n_users % cfg.batch_size
+        assert [h.valid_metric for h in history][ckpt.epoch - 1] == ckpt.valid_metric
+        assert np.array(losses).tobytes() == np.array([h.loss for h in history]).tobytes()
+        for got, want in zip(
+            ckpt.params.weights + ckpt.params.biases, best.weights + best.biases
+        ):
+            assert got.tobytes() == want.tobytes()
 
     def test_validation_tracks_best_and_stops(self, rng):
         data = lowrank_rows(rng, n_users=15, n_items=60)
