@@ -20,7 +20,7 @@ from . import pipeline
 from .config import ExperimentConfig, apply_set, load_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import frequency_histogram, group_metrics, keys_to_str
-from .guidance import blend, joint_chains
+from .guidance import joint_chains
 from .trainer import load_checkpoint, save_checkpoint
 
 
@@ -95,12 +95,13 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_infer(cfg: ExperimentConfig, args) -> int:
+    if args.top is not None and args.top < 1:
+        raise ConfigError(f"--top must be at least 1, got {args.top}")
+    top_k = args.top or max(cfg.eval_ks)
     R, S = pipeline.load_dataset(cfg)
     bundle = pipeline.ensure_bundle(cfg, R)
     ckpt_social, ckpt_item = _load_both_checkpoints(cfg, args)
-    scores = pipeline.joint_scores(cfg, ckpt_social, ckpt_item, S, bundle)
-    top_k = args.top or max(cfg.eval_ks)
-    lists = pipeline.topk_lists(scores, top_k, mask=bundle.train)
+    lists = pipeline.joint_lists(cfg, ckpt_social, ckpt_item, S, bundle, top_k)
     out = args.out or os.path.join(cfg.output_dir, "lists.tsv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     pipeline.write_lists(lists, out)
@@ -182,9 +183,11 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
             if key != pair_key:
                 pair = None  # the old pair is gone before the new one is built
                 pair, pair_key = chains(cfg_v), key
-        scores = blend(*(shared or pair), cfg_v.guidance().w_r)
-        lists = pipeline.topk_lists(scores, max(cfg_v.eval_ks), mask=bundle.train)
-        del scores  # one score matrix at a time: gone before the next is built
+        a, b = shared or pair
+        lists = pipeline.topk_lists(
+            a, max(cfg_v.eval_ks), mask=bundle.train, other=b, w=cfg_v.guidance().w_r
+        )
+        del a, b  # so dropping `pair` frees it before the next pair is built
         report = pipeline.eval_report(cfg_v, lists, bundle)
         report.config_echo = dict(cfg.raw, swept={param: v})
         name = f"report_{param.replace('.', '-')}={v}.json"

@@ -8,9 +8,14 @@ each user's relevant count, and users with none are left out.  The
 popularity histogram is one bincount.
 
 Every ranking goes through top_k_rows: the top-K lists evaluated here and
-at each validation epoch, and the re-binarized social graph
-(guidance.binarize_social).  Ties break toward the lower id, so every
-ranking is reproducible bit for bit.
+at each validation epoch, the re-binarized social graph
+(guidance.binarize_social), and infer's and sweep's lists, which it
+ranks straight from the two item chains, blending each block of rows
+as it ranks it.  A block costs about one pass over its scores: an
+argpartition picks each row's k best, and only rows whose ties straddle
+the k-th value (or whose k-th score is NaN, -inf or masked) are lexsorted
+whole.  Ties break toward the lower id and masked ids rank last, so
+every ranking is reproducible bit for bit and lists no masked id.
 """
 
 from __future__ import annotations
@@ -48,40 +53,72 @@ def _as_csr(matrix) -> sp.csr_matrix:
 ROW_BLOCK = 256
 
 
-def top_k_rows(scores: np.ndarray, k: int, mask=None) -> tuple[np.ndarray, np.ndarray]:
+def blend(a: np.ndarray, b: np.ndarray | None, w: float) -> np.ndarray:
+    """(1 - w) * a + w * b; `a` itself when there is no b or w is 0."""
+    if b is None or w == 0.0:
+        return a
+    return (1.0 - w) * a + w * b
+
+
+def top_k_rows(
+    scores: np.ndarray, k: int, mask=None, other=None, w: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k best column ids and their scores, best first.
 
-    Ties break toward the lower column id and NaN ranks last.  Masked
+    The rows ranked are those of blend(scores, other, w).  Ties break
+    toward the lower column id and NaN ranks after every number.  Masked
     entries (a sparse matrix of already-seen (row, column) positions,
-    duplicates allowed) score -inf; k larger than a row's unmasked count
-    is a config error.  Rows are ranked ROW_BLOCK at a time: a partition
-    finds each row's k-th best value, a running count keeps the lowest-id
-    ties at that value, and a stable sort orders the k survivors.
+    duplicates allowed) rank after everything, so no masked id is listed;
+    k larger than a row's unmasked count is a config error.
+
+    Rows are ranked ROW_BLOCK at a time in one buffer holding the block's
+    blend (the same operations as blend), negated, with +inf at the
+    masked positions.  An argpartition picks each row's k smallest.  When
+    the k-th is below +inf and every entry equal to it was picked, the
+    picks sorted by id and then stably by value are the row's list.  Any
+    other row (ties straddling the cut, a k-th value of NaN or +inf) is
+    lexsorted whole by (masked, value); lexsort is stable, so ties keep
+    id order.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n_rows, n = scores.shape
+    other = None if other is None or w == 0.0 else np.asarray(other, dtype=np.float64)
     mask = _as_csr(mask) if mask is not None else sp.csr_matrix(scores.shape)
+    if not mask.has_canonical_format:
+        mask = mask.copy()
+        mask.sum_duplicates()
+    free = n - np.diff(mask.indptr)
+    if (free < k).any():
+        raise ConfigError(f"K={k} exceeds {free[free < k][0]} unmasked items")
     ids = np.empty((n_rows, k), dtype=np.intp)
     top = np.empty((n_rows, k))
+    if k == 0:
+        return ids, top
+    buf = np.empty((min(ROW_BLOCK, n_rows), n))
+    term = None if other is None else np.empty_like(buf)
     for start in range(0, n_rows, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n_rows)
+        neg = buf[: stop - start]
+        if other is None:
+            np.negative(scores[start:stop], out=neg)
+        else:
+            np.multiply(1.0 - w, scores[start:stop], out=neg)
+            neg += np.multiply(w, other[start:stop], out=term[: stop - start])
+            np.negative(neg, out=neg)
         ptr = mask.indptr[start : stop + 1]
-        masked = np.zeros((stop - start, n), dtype=bool)
         rows = np.repeat(np.arange(stop - start), np.diff(ptr))
-        masked[rows, mask.indices[ptr[0] : ptr[-1]]] = True
-        free = n - masked.sum(axis=1)
-        if (free < k).any():
-            raise ConfigError(f"K={k} exceeds {free[free < k][0]} unmasked items")
-        if k == 0:
-            continue
-        neg = np.where(masked, np.inf, -scores[start:stop])
-        kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
-        nan_kth, nan = np.isnan(kth), np.isnan(neg)
-        below = (neg < kth) | (nan_kth & ~nan)
-        at = (neg == kth) | (nan_kth & nan)
-        need = k - below.sum(axis=1, keepdims=True)
-        keep = below | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= need))
-        cols = np.nonzero(keep)[1].reshape(stop - start, k)
+        neg.reshape(-1)[rows * n + mask.indices[ptr[0] : ptr[-1]]] = np.inf
+        cols = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(neg, cols[:, k - 1 :], axis=1)
+        cols.sort(axis=1)
+        picked = np.count_nonzero(np.take_along_axis(neg, cols, axis=1) == kth, axis=1)
+        fast = (kth[:, 0] < np.inf) & (np.count_nonzero(neg == kth, axis=1) == picked)
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            sub = mask[start + slow]
+            masked = np.zeros((len(slow), n), dtype=bool)
+            masked[np.repeat(np.arange(len(slow)), np.diff(sub.indptr)), sub.indices] = True
+            cols[slow] = np.lexsort((neg[slow], masked))[:, :k]
         vals = np.take_along_axis(neg, cols, axis=1)
         order = np.argsort(vals, axis=1, kind="stable")
         ids[start:stop] = np.take_along_axis(cols, order, axis=1)
@@ -89,9 +126,11 @@ def top_k_rows(scores: np.ndarray, k: int, mask=None) -> tuple[np.ndarray, np.nd
     return ids, top
 
 
-def topk_lists(score_matrix: np.ndarray, K: int, mask=None) -> RankedLists:
-    """top_k_rows(score_matrix, K, mask) as the lists of users 0..n-1."""
-    return RankedLists(np.arange(len(score_matrix)), *top_k_rows(score_matrix, K, mask))
+def topk_lists(
+    score_matrix: np.ndarray, K: int, mask=None, other=None, w: float = 0.0
+) -> RankedLists:
+    """top_k_rows(score_matrix, K, mask, other, w) as the lists of users 0..n-1."""
+    return RankedLists(np.arange(len(score_matrix)), *top_k_rows(score_matrix, K, mask, other, w))
 
 
 def _ranking_metrics(lists: RankedLists, test, ks, in_groups=(None,), per_user=False) -> list:

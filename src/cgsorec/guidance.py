@@ -47,7 +47,7 @@ from .corpus import (
 from .denoiser import DenoiserParams, last_hidden
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError, ShapeError
-from .evaluation import top_k_rows
+from .evaluation import blend, top_k_rows
 from .schedule import NoiseSchedule, model_mean, posterior_coeffs, q_sample
 from .trainer import Checkpoint
 
@@ -221,13 +221,6 @@ def binarize_social(
     return SocialMatrix(
         sp.csr_matrix((np.ones(len(neigh)), neigh, indptr), shape=(n, n))
     )
-
-
-def blend(a: np.ndarray, b: np.ndarray | None, w: float) -> np.ndarray:
-    """(1 - w) * a + w * b; `a` itself when there is no b or w is 0."""
-    if b is None or w == 0.0:
-        return a
-    return (1.0 - w) * a + w * b
 
 
 def _chain_pair(

@@ -3,7 +3,7 @@
 Holds the glue with no math of its own: loading data per config,
 materializing/reloading the split manifest, the social-edge holdout used
 to early-stop the social model, the two training entry points, joint
-scoring, and the list-file format, whose reader is the one place lists
+ranking, and the list-file format, whose reader is the one place lists
 from outside the program are checked.
 """
 
@@ -28,9 +28,8 @@ from .corpus import (
     split,
 )
 from .errors import DataError, IntegrityError
-from .evaluation import RankedLists, evaluate_lists
-from .evaluation import topk_lists  # noqa: F401  (cli ranks through pipeline.topk_lists)
-from .guidance import blend, joint_chains
+from .evaluation import RankedLists, evaluate_lists, topk_lists
+from .guidance import joint_chains
 from .trainer import Checkpoint, train_model
 
 MANIFEST_NAME = "splits.json"
@@ -243,15 +242,18 @@ def chain_args(
     )
 
 
-def joint_scores(
+def joint_lists(
     cfg: ExperimentConfig,
     ckpt_social: Checkpoint | None,
     ckpt_item: Checkpoint,
     S: SocialMatrix | None,
     bundle: SplitBundle,
-) -> np.ndarray:
-    pair = joint_chains(*chain_args(cfg, ckpt_social, ckpt_item, S, bundle))
-    return blend(*pair, cfg.guidance().w_r)
+    K: int,
+) -> RankedLists:
+    """Every user's top-K list of the two item chains blended by w_r,
+    train items masked; the blend is done block by block as it is ranked."""
+    a, b = joint_chains(*chain_args(cfg, ckpt_social, ckpt_item, S, bundle))
+    return topk_lists(a, K, mask=bundle.train, other=b, w=cfg.guidance().w_r)
 
 
 def eval_target(cfg: ExperimentConfig, bundle: SplitBundle) -> tuple[InteractionMatrix, ItemGroups]:

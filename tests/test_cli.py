@@ -270,6 +270,18 @@ class TestInfer:
         assert code == 0
         assert with_social.read_bytes() == without.read_bytes()
 
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_top_below_one_exits_2_before_loading(self, ws, capsys, monkeypatch, top):
+        def refuse(cfg):
+            raise AssertionError("infer loaded data before checking --top")
+
+        monkeypatch.setattr(pipeline, "load_dataset", refuse)
+        out_path = ws["root"] / f"lists_top{top}.tsv"
+        code, _, err = run(capsys, "infer", ws["cfg"], "--top", top, "--out", str(out_path))
+        assert code == 2
+        assert f"--top must be at least 1, got {top}" in err
+        assert not out_path.exists()
+
     def test_nan_checkpoint_exits_4(self, tmp_path, capsys):
         # one NaN weight makes every score NaN; infer must stop, not rank
         # the masked train items first at -inf
@@ -351,8 +363,7 @@ class TestGoldenFixtureThroughCli:
         bundle = pipeline.ensure_bundle(cfg_obj, R)
         ckpt_social = untrained_checkpoint(5, T=3, seed=22, tag="CSD")
         ckpt_item = untrained_checkpoint(8, T=3, seed=21)
-        scores = pipeline.joint_scores(cfg_obj, ckpt_social, ckpt_item, S, bundle)
-        lists = pipeline.topk_lists(scores, 3, mask=bundle.train)
+        lists = pipeline.joint_lists(cfg_obj, ckpt_social, ckpt_item, S, bundle, 3)
         expected = tmp_path / "expected.tsv"
         pipeline.write_lists(lists, expected)
         assert out.read_bytes() == expected.read_bytes()

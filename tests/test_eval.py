@@ -12,6 +12,7 @@ from cgsorec.evaluation import (
     ROW_BLOCK,
     EvalReport,
     RankedLists,
+    blend,
     evaluate_lists,
     frequency_histogram,
     group_metrics,
@@ -92,26 +93,32 @@ def one_row(scores, masked, K):
 
 
 def loop_topk(scores, mask, K):
-    """Reference ranking: one lexsort per row, masked entries at -inf."""
+    """Reference ranking: one lexsort per row by (masked, -score, id)."""
     mask = sp.csr_matrix(scores.shape) if mask is None else sp.csr_matrix(mask)
     items, tops = [], []
     for u in range(scores.shape[0]):
-        row = np.asarray(scores[u], dtype=np.float64).copy()
-        row[mask.indices[mask.indptr[u] : mask.indptr[u + 1]]] = -np.inf
-        order = np.lexsort((np.arange(len(row)), -row))[:K]
+        row = np.asarray(scores[u], dtype=np.float64)
+        masked = np.zeros(len(row), dtype=bool)
+        masked[mask.indices[mask.indptr[u] : mask.indptr[u + 1]]] = True
+        order = np.lexsort((np.arange(len(row)), -row, masked))[:K]
         items.append(order)
         tops.append(row[order])
     return items, tops
 
 
-def assert_same_as_loop(scores, mask, K):
-    lists = topk_lists(scores, K, mask=mask)
-    items, tops = loop_topk(scores, mask, K)
+def assert_same_as_loop(scores, mask, K, other=None, w=0.0):
+    lists = topk_lists(scores, K, mask=mask, other=other, w=w)
+    items, tops = loop_topk(blend(scores, other, w), mask, K)
     assert np.array_equal(lists.users, np.arange(scores.shape[0]))
     assert lists.items.dtype == items[0].dtype
     assert np.array_equal(lists.items, np.array(items))
     # bytes, so 0.0 vs -0.0 and the NaN/-inf positions count too
     assert lists.scores.tobytes() == np.array(tops).tobytes()
+    if mask is not None:
+        m = sp.coo_matrix(mask)
+        n = scores.shape[1]
+        listed = lists.users[:, None] * n + lists.items
+        assert not np.isin(listed, m.row * n + m.col).any(), "a masked id is listed"
 
 
 class TestRankItems:
@@ -194,6 +201,68 @@ class TestTopKAgainstLoop:
         )
         assert_same_as_loop(scores, sp.csr_matrix(([1.0], [4], [0, 1, 1]), shape=(2, 6)), 5)
         assert_same_as_loop(scores, None, 6)
+
+    def test_masked_id_never_listed_at_minus_inf(self):
+        # item 1 is masked; the unmasked -inf at item 2 ranks before it
+        mask = sp.csr_matrix(([1.0], [1], [0, 1]), shape=(1, 3))
+        ids, top = top_k_rows(np.array([[5.0, -np.inf, -np.inf]]), 2, mask)
+        assert np.array_equal(ids, [[0, 2]])
+        assert np.array_equal(top, [[5.0, -np.inf]])
+        # masked entries also rank after NaN
+        ids, _ = top_k_rows(np.array([[np.nan, 9.0, 1.0]]), 2, mask)
+        assert np.array_equal(ids, [[2, 0]])
+
+    def fast_and_fallback_rows(self, n_rows):
+        """Rows cycling through: distinct values (the argpartition path),
+        ties straddling the k-th value, a NaN k-th value and a k-th value
+        of +inf from masking (the lexsort path); k = 3."""
+        patterns = np.array([
+            [0.3, 0.9, 0.1, 0.7, 0.5, 0.2],
+            [1.0, 0.5, 0.5, 0.5, 0.5, 0.0],
+            [0.4, np.nan, 0.8, np.nan, np.nan, np.nan],
+            [-np.inf, 0.6, 0.9, -np.inf, 0.7, 0.8],
+        ])
+        masked_cols = [[], [5], [0], [2, 4, 5]]
+        scores = patterns[np.arange(n_rows) % 4]
+        cols = [masked_cols[u % 4] for u in range(n_rows)]
+        indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
+        mask = sp.csr_matrix(
+            (np.ones(indptr[-1]), np.concatenate(cols), indptr), shape=scores.shape
+        )
+        return scores, mask
+
+    def test_fast_and_fallback_rows_in_one_block(self):
+        scores, mask = self.fast_and_fallback_rows(8)
+        assert_same_as_loop(scores, mask, 3)
+        ids, _ = top_k_rows(scores, 3, mask)
+        assert np.array_equal(ids[:4], [[1, 3, 4], [0, 1, 2], [2, 1, 3], [1, 0, 3]])
+
+    def test_partial_last_block(self):
+        scores, mask = self.fast_and_fallback_rows(ROW_BLOCK + 7)
+        assert_same_as_loop(scores, mask, 3)
+
+    def test_k_equals_each_rows_free_count(self, rng):
+        # rows with 3, 6 and 9 masked ids, ranked at their own free count;
+        # row 1's unmasked NaN is its k-th value
+        scores = np.round(rng.standard_normal((3, 12)), 1)
+        scores[1, 4] = np.nan
+        for u, n_masked in enumerate((3, 6, 9)):
+            cols = rng.choice(np.delete(np.arange(12), 4), n_masked, replace=False)
+            mask = sp.csr_matrix((np.ones(n_masked), cols, [0, n_masked]), shape=(1, 12))
+            assert_same_as_loop(scores[u : u + 1], mask, 12 - n_masked)
+
+    @pytest.mark.parametrize("w", [0.0, 0.05, 0.35, 1.0])
+    def test_blend_inside_the_block(self, rng, w):
+        n_rows = ROW_BLOCK + 19
+        a = rng.choice([0.0, -0.0, 0.25, 0.5, np.inf, -np.inf], size=(n_rows, 30))
+        b = np.full((n_rows, 30), np.nan) if w == 0.0 else np.round(rng.random((n_rows, 30)), 1)
+        mask = rand_binary_csr(rng, n_rows, 30, 0.2)
+        with np.errstate(invalid="ignore"):  # 0 * inf in the blend
+            fused = topk_lists(a, 10, mask=mask, other=b, w=w)
+            plain = topk_lists(blend(a, b, w), 10, mask=mask)
+            assert_same_as_loop(a, mask, 10, other=b, w=w)
+        assert np.array_equal(fused.items, plain.items)
+        assert fused.scores.tobytes() == plain.scores.tobytes()
 
     def test_k_zero_and_empty_rows(self, rng):
         ids, top = top_k_rows(rng.standard_normal((3, 5)), 0)

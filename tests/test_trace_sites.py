@@ -6,6 +6,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import scipy.sparse as sp
+
+from cgsorec import pipeline
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -25,3 +30,15 @@ def test_every_traced_site_resolves():
         if not callable(getattr(importlib.import_module(f"cgsorec.{mod}"), attr, None))
     ]
     assert not missing, f"traced functions not found: {missing}"
+
+
+def test_fused_topk_lists_counts_the_score_rows():
+    # sweep and infer rank the chain pair as topk_lists(a, K, mask, other=b,
+    # w=w_r); the tracer must still count len(a) users per ranking
+    spans = load_spans()
+    rng = np.random.default_rng(0)
+    a, b = rng.random((7, 12)), rng.random((7, 12))
+    mask = sp.identity(12, format="csr")[:7]
+    args, kwargs = (a, 3), {"mask": mask, "other": b, "w": 0.35}
+    result = pipeline.topk_lists(*args, **kwargs)
+    assert spans.COUNTS["evaluation.topk_lists"](args, kwargs, result) == {"users": len(a)}
