@@ -57,7 +57,10 @@ def cmd_prepare(cfg: ExperimentConfig, args) -> int:
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     kind = args.model
-    R, S = pipeline.load_dataset(cfg)
+    if kind == "cgd":
+        R, S = pipeline.load_interaction_data(cfg), None
+    else:
+        R, S = pipeline.load_dataset(cfg)
     out_dir = _ckpt_dir(cfg, kind, args.ckpt_dir)
     log = print if args.verbose else None
 
@@ -122,7 +125,7 @@ def _write_freq_tsv(hist: dict, path) -> None:
 
 
 def cmd_eval(cfg: ExperimentConfig, args) -> int:
-    R, _ = pipeline.load_dataset(cfg)
+    R = pipeline.load_interaction_data(cfg)
     bundle = pipeline.ensure_bundle(cfg, R)
     lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
     report = pipeline.eval_report(cfg, lists, bundle)
@@ -216,7 +219,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_bias_report(cfg: ExperimentConfig, args) -> int:
-    R, _ = pipeline.load_dataset(cfg)
+    R = pipeline.load_interaction_data(cfg)
     bundle = pipeline.ensure_bundle(cfg, R)
     lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
     target, groups = pipeline.eval_target(cfg, bundle)

@@ -9,6 +9,7 @@ function mutates its inputs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,39 @@ def _binary_csr(users, items, shape) -> sp.csr_matrix:
     return m
 
 
+# The strict grammar of the one-pass readers: one record a line, fields
+# split by single tabs, a newline after every line but perhaps the last,
+# no blank lines, spaces or CRs, and no sign on an id.  A file inside it
+# parses the same through np.fromstring as through int() and float() line
+# by line; a file outside it goes to the line loop, which accepts what it
+# always did and names the first bad line.
+_ID = rb"[0-9]{1,18}+"  # below 2**63: exact in int64
+REAL_ID = rb"[0-9]{1,15}+"  # below 2**53: exact in float64, for tables holding reals
+_RATING = rb"[0-9]{1,15}+(?:\.[0-9]{1,15}+)?+"  # positive exactly when a digit is nonzero
+
+
+def tsv_grammar(*fields: bytes) -> re.Pattern:
+    """The pattern a whole file of `fields`-shaped lines fullmatches."""
+    line = b"\t".join(fields)
+    return re.compile(b"(?:%b\n)*+(?:%b)?+" % (line, line))
+
+
+_PAIRS = tsv_grammar(_ID, _ID)
+_RATED = tsv_grammar(REAL_ID, REAL_ID, _RATING)
+
+
+def read_columns(path, *layouts) -> np.ndarray | None:
+    """The file's fields as one row per column, parsed in one array pass
+    under the first (grammar, fields, dtype) layout the whole file
+    matches; None when it matches none."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for grammar, fields, dtype in layouts:
+        if grammar.fullmatch(data):
+            return np.fromstring(data, dtype=dtype, sep=" ").reshape(-1, fields).T
+    return None
+
+
 def _parse_id(token: str, lineno: int, what: str) -> int:
     try:
         value = int(token)
@@ -107,15 +141,17 @@ def _parse_id(token: str, lineno: int, what: str) -> int:
     return value
 
 
-def load_interactions(
-    path, n_users: int | None = None, n_items: int | None = None
-) -> InteractionMatrix:
-    """Read `user<TAB>item[<TAB>rating]` lines into a binary matrix.
+def _dimension(declared: int | None, max_id: int, what: str) -> int:
+    """`declared`, or max_id + 1 when it is None; an id beyond it is refused."""
+    if declared is None:
+        return max_id + 1
+    if max_id >= declared:
+        raise DimensionError(f"{what} id {max_id} exceeds declared n_{what}s={declared}")
+    return declared
 
-    Positive ratings (or absent ones) count as an interaction; zero or
-    negative ratings are dropped.  Dimensions default to max id + 1 and
-    may be overridden; ids beyond declared dims raise DimensionError.
-    """
+
+def _interaction_lines(path) -> tuple[list[int], list[int]]:
+    """Users and items of the kept lines, read line by line."""
     users: list[int] = []
     items: list[int] = []
     with open(path, encoding="utf-8") as fh:
@@ -141,25 +177,36 @@ def load_interactions(
                     continue
             users.append(u)
             items.append(i)
-    if not users and (n_users is None or n_items is None):
+    return users, items
+
+
+def load_interactions(
+    path, n_users: int | None = None, n_items: int | None = None
+) -> InteractionMatrix:
+    """Read `user<TAB>item[<TAB>rating]` lines into a binary matrix.
+
+    Positive ratings (or absent ones) count as an interaction; zero or
+    negative ratings are dropped.  Dimensions default to max id + 1 and
+    may be overridden; ids beyond declared dims raise DimensionError.
+    """
+    columns = read_columns(path, (_PAIRS, 2, np.int64), (_RATED, 3, np.float64))
+    if columns is None:
+        # Python ints: an id past int64 still reaches the dimension check
+        users, items = _interaction_lines(path)
+        max_u, max_i = max(users, default=-1), max(items, default=-1)
+    else:
+        if len(columns) == 3:
+            columns = columns[:2, columns[2] > 0].astype(np.int64)
+        users, items = columns
+        max_u, max_i = int(np.max(users, initial=-1)), int(np.max(items, initial=-1))
+    if not len(users) and (n_users is None or n_items is None):
         raise DataError(f"{path}: no interactions and no declared dimensions")
-    max_u = max(users, default=-1)
-    max_i = max(items, default=-1)
-    if n_users is None:
-        n_users = max_u + 1
-    elif max_u >= n_users:
-        raise DimensionError(f"user id {max_u} exceeds declared n_users={n_users}")
-    if n_items is None:
-        n_items = max_i + 1
-    elif max_i >= n_items:
-        raise DimensionError(f"item id {max_i} exceeds declared n_items={n_items}")
-    return InteractionMatrix(_binary_csr(users, items, (n_users, n_items)))
+    shape = (_dimension(n_users, max_u, "user"), _dimension(n_items, max_i, "item"))
+    return InteractionMatrix(_binary_csr(users, items, shape))
 
 
-def load_social(
-    path, n_users: int | None = None, symmetrize: bool = True
-) -> SocialMatrix:
-    """Read `user<TAB>user` lines; drop self-loops; symmetrize by default."""
+def _social_lines(path) -> tuple[list[int], list[int]]:
+    """Both ends of every edge but self-loops, read line by line."""
     src: list[int] = []
     dst: list[int] = []
     with open(path, encoding="utf-8") as fh:
@@ -178,13 +225,24 @@ def load_social(
                 continue
             src.append(a)
             dst.append(b)
-    if not src and n_users is None:
+    return src, dst
+
+
+def load_social(
+    path, n_users: int | None = None, symmetrize: bool = True
+) -> SocialMatrix:
+    """Read `user<TAB>user` lines; drop self-loops; symmetrize by default."""
+    columns = read_columns(path, (_PAIRS, 2, np.int64))
+    if columns is None:
+        src, dst = _social_lines(path)
+        max_u = max(max(src, default=-1), max(dst, default=-1))
+    else:
+        edges = columns[:, columns[0] != columns[1]]
+        src, dst = edges
+        max_u = int(np.max(edges, initial=-1))
+    if not len(src) and n_users is None:
         raise DataError(f"{path}: no edges and no declared dimension")
-    max_u = max(max(src, default=-1), max(dst, default=-1))
-    if n_users is None:
-        n_users = max_u + 1
-    elif max_u >= n_users:
-        raise DimensionError(f"user id {max_u} exceeds declared n_users={n_users}")
+    n_users = _dimension(n_users, max_u, "user")
     raw = _binary_csr(src, dst, (n_users, n_users))
     raw_edges = raw.nnz
     if symmetrize:
@@ -207,39 +265,30 @@ def split(R: InteractionMatrix, ratios, seed: int) -> SplitBundle:
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must be 3 non-negatives summing to 1, got {ratios}")
     _, r_valid, r_test = ratios
-    tr_u: list[int] = []
-    tr_i: list[int] = []
-    va_u: list[int] = []
-    va_i: list[int] = []
-    te_u: list[int] = []
-    te_i: list[int] = []
-    for u in range(R.n_users):
-        items = R.user_items(u)
-        k = len(items)
-        if k == 0:
-            continue
-        if k < 3 or (r_valid == 0 and r_test == 0):
-            tr_u.extend([u] * k)
-            tr_i.extend(items)
-            continue
-        n_test = max(1, math.floor(k * r_test)) if r_test > 0 else 0
-        n_valid = max(1, math.floor(k * r_valid)) if r_valid > 0 else 0
-        perm = np.random.default_rng([seed, u]).permutation(items)
-        te_part = perm[:n_test]
-        va_part = perm[n_test : n_test + n_valid]
-        tr_part = perm[n_test + n_valid :]
-        te_u.extend([u] * len(te_part))
-        te_i.extend(te_part)
-        va_u.extend([u] * len(va_part))
-        va_i.extend(va_part)
-        tr_u.extend([u] * len(tr_part))
-        tr_i.extend(tr_part)
-    shape = (R.n_users, R.n_items)
+    m = R.matrix.sorted_indices()
+    k = np.diff(m.indptr)
+    held = k >= 3
+    n_test, n_valid = np.zeros_like(k), np.zeros_like(k)
+    if r_test > 0:
+        n_test[held] = np.maximum(1, np.floor(k[held] * r_test))
+    if r_valid > 0:
+        n_valid[held] = np.maximum(1, np.floor(k[held] * r_valid))
+    # Each permuted user's items, in its permutation's order, at its CSR
+    # offsets; a row's leading n_test items are test, the next n_valid valid.
+    items = m.indices.copy()
+    bounds = m.indptr.tolist()
+    for u in np.flatnonzero(n_test + n_valid).tolist():
+        np.random.default_rng([seed, u]).shuffle(items[bounds[u] : bounds[u + 1]])
+    users = np.repeat(np.arange(R.n_users), k)
+    pos = np.arange(len(items)) - m.indptr[users]
+    is_test = pos < n_test[users]
+    is_valid = ~is_test & (pos < (n_test + n_valid)[users])
+
+    def part(mask) -> InteractionMatrix:
+        return InteractionMatrix(_binary_csr(users[mask], items[mask], (R.n_users, R.n_items)))
+
     return SplitBundle(
-        train=InteractionMatrix(_binary_csr(tr_u, tr_i, shape)),
-        valid=InteractionMatrix(_binary_csr(va_u, va_i, shape)),
-        test=InteractionMatrix(_binary_csr(te_u, te_i, shape)),
-        seed=seed,
+        train=part(~(is_test | is_valid)), valid=part(is_valid), test=part(is_test), seed=seed
     )
 
 

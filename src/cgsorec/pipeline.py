@@ -9,14 +9,17 @@ from outside the program are checked.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 
 import numpy as np
 import scipy.sparse as sp
 
 from .config import ExperimentConfig
 from .corpus import (
+    REAL_ID,
     InteractionMatrix,
     ItemGroups,
     SocialMatrix,
@@ -25,7 +28,9 @@ from .corpus import (
     load_interactions,
     load_social,
     partition_items,
+    read_columns,
     split,
+    tsv_grammar,
 )
 from .errors import DataError, IntegrityError
 from .evaluation import RankedLists, evaluate_lists, topk_lists
@@ -35,12 +40,17 @@ from .trainer import Checkpoint, train_model
 MANIFEST_NAME = "splits.json"
 
 
-def load_dataset(cfg: ExperimentConfig) -> tuple[InteractionMatrix, SocialMatrix | None]:
+def load_interaction_data(cfg: ExperimentConfig) -> InteractionMatrix:
+    """The interactions file alone, for the commands that never read the
+    social graph; both input files must still exist."""
     cfg.require_files()
     ds = cfg.dataset
-    R = load_interactions(
-        ds["interactions"], n_users=ds["n_users"], n_items=ds["n_items"]
-    )
+    return load_interactions(ds["interactions"], n_users=ds["n_users"], n_items=ds["n_items"])
+
+
+def load_dataset(cfg: ExperimentConfig) -> tuple[InteractionMatrix, SocialMatrix | None]:
+    R = load_interaction_data(cfg)
+    ds = cfg.dataset
     S = None
     if ds["social"] is not None:
         S = load_social(
@@ -70,11 +80,21 @@ def _pairs(m: InteractionMatrix) -> list[list[int]]:
     return np.column_stack((coo.row, coo.col)).tolist()
 
 
-def _from_pairs(pairs, shape) -> InteractionMatrix:
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    u, i = arr[:, 0], arr[:, 1]
-    m = sp.coo_matrix((np.ones(len(u)), (u, i)), shape=shape).tocsr()
-    return InteractionMatrix(m)
+def _from_pairs(name: str, flat: np.ndarray, shape) -> tuple[InteractionMatrix, np.ndarray]:
+    """One split's matrix, from its pairs flattened to user, item, user, ...,
+    and its keys user * n_items + item; a ValueError unless every pair is
+    in range and the keys strictly increase, as write_manifest lists them
+    (so no pair is listed twice)."""
+    users, items = flat[0::2], flat[1::2]
+    n_users, n_items = shape
+    if np.any((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items)):
+        raise ValueError(f"{name}: a pair lies outside the {n_users}x{n_items} matrix")
+    keys = users * n_items + items
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError(f"{name}: pairs are repeated or out of (user, item) order")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=n_users))))
+    m = sp.csr_matrix((np.ones(len(items)), items, indptr), shape=shape)
+    return InteractionMatrix(m), keys
 
 
 def resolved_cap(bundle: SplitBundle) -> int:
@@ -107,19 +127,61 @@ def write_manifest(cfg: ExperimentConfig, bundle: SplitBundle) -> str:
     return path
 
 
+# write_manifest's layout.  A manifest in it has each pair list parsed by
+# one array pass and the rest by json; any other manifest is read by json
+# alone.
+_SPLITS = ("debiased_test", "test", "train", "valid")  # in the file's key order
+_ID = rb"(?:0|[1-9][0-9]{0,17}+)"  # a JSON integer below 2**63
+_PAIR = rb"\[%b, %b\]" % (_ID, _ID)
+_PAIR_LIST = rb"(\[(?:%b(?:, %b)*+)?+\])" % (_PAIR, _PAIR)
+_MANIFEST = re.compile(
+    rb'\{"debiased_cap": [0-9]++, "debiased_test": %b, "n_items": [0-9]++, '
+    rb'"n_users": [0-9]++, "ratios": \[[^\]]*+\], "seed": [0-9]++, '
+    rb'"test": %b, "train": %b, "valid": %b\}\n' % ((_PAIR_LIST,) * 4)
+)
+
+
+def _read_manifest(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The manifest's fields, and each split's pairs flattened to one int64
+    array user, item, user, item, ..."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    layout = _MANIFEST.fullmatch(data)
+    if layout is None:
+        d = json.loads(data)
+        flat = {}
+        for name in _SPLITS:
+            if set(map(len, d[name])) - {2}:
+                raise ValueError(f"{name}: every pair must be [user, item]")
+            flat[name] = np.fromiter(itertools.chain.from_iterable(d[name]), dtype=np.int64)
+        return d, flat
+    flat, rest, end = {}, [], 0
+    for group, name in enumerate(_SPLITS, start=1):
+        pairs = data[layout.start(group) : layout.end(group)]
+        flat[name] = np.fromstring(pairs.translate(None, b"[]"), dtype=np.int64, sep=", ")
+        rest += [data[end : layout.start(group)], b"[]"]
+        end = layout.end(group)
+    return json.loads(b"".join(rest) + data[end:]), flat
+
+
 def load_manifest(path) -> SplitBundle:
     try:
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+        d, flat = _read_manifest(path)
         shape = (int(d["n_users"]), int(d["n_items"]))
+        parts = {name: _from_pairs(name, flat[name], shape) for name in _SPLITS}
+        keys = np.sort(np.concatenate([parts[name][1] for name in ("train", "valid", "test")]))
+        shared = keys[1:][keys[1:] == keys[:-1]]
+        if len(shared):
+            user, item = divmod(int(shared[0]), shape[1])
+            raise ValueError(f"pair [{user}, {item}] is in more than one of train, valid and test")
         return SplitBundle(
-            train=_from_pairs(d["train"], shape),
-            valid=_from_pairs(d["valid"], shape),
-            test=_from_pairs(d["test"], shape),
+            train=parts["train"][0],
+            valid=parts["valid"][0],
+            test=parts["test"][0],
             seed=int(d["seed"]),
-            debiased_test=_from_pairs(d["debiased_test"], shape),
+            debiased_test=parts["debiased_test"][0],
         )
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise IntegrityError(f"bad split manifest {path!r}: {err}") from err
 
 
@@ -288,20 +350,16 @@ def _refuse(users: np.ndarray, bad: np.ndarray, reason: str) -> None:
         raise DataError(f"lists: user {users[np.argmax(bad)]}: {reason}")
 
 
-def read_lists(path, n_users: int, n_items: int) -> RankedLists:
-    """The lists in a write_lists file, checked: the only way lists enter.
+# write_lists' lines: the score is a float repr.
+_LISTS = tsv_grammar(
+    REAL_ID, REAL_ID, rb"(?:-?(?:[0-9]++(?:\.[0-9]++)?+(?:e[+-][0-9]++)?+|inf)|nan)"
+)
 
-    Lines are grouped by user (ascending), keeping each user's line order.
-    Every list must be as long as the lowest user's, its user must be in
-    0..n_users-1, and it must hold distinct ids in 0..n_items-1; a
-    DataError names the first user whose list breaks a rule.
-    """
+
+def _list_lines(path) -> tuple[list[int], list[int], list[float]]:
+    """Users, items and scores of a lists file, read line by line."""
     users, items, scores = [], [], []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as err:
-        raise DataError(f"cannot read lists file {path!r}: {err}") from err
-    with fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -316,6 +374,25 @@ def read_lists(path, n_users: int, n_items: int) -> RankedLists:
             users.append(u)
             items.append(item)
             scores.append(score)
+    return users, items, scores
+
+
+def read_lists(path, n_users: int, n_items: int) -> RankedLists:
+    """The lists in a write_lists file, checked: the only way lists enter.
+
+    Lines are grouped by user (ascending), keeping each user's line order.
+    Every list must be as long as the lowest user's, its user must be in
+    0..n_users-1, and it must hold distinct ids in 0..n_items-1; a
+    DataError names the first user whose list breaks a rule.
+    """
+    try:
+        columns = read_columns(path, (_LISTS, 3, np.float64))
+        if columns is None:
+            # the line loop parses what the array pass refused, or names its bad line
+            columns = _list_lines(path)
+    except OSError as err:
+        raise DataError(f"cannot read lists file {path!r}: {err}") from err
+    users, items, scores = columns
     try:
         users, items = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
     except OverflowError as err:

@@ -511,6 +511,61 @@ class TestListsFileErrors:
         assert "data error" in err
 
 
+@pytest.mark.parametrize("indent", [None, 1])  # write_manifest's layout, and any other
+class TestManifestChecks:
+    """A split manifest whose splits contradict each other is refused with
+    exit 3 by every command that reads it."""
+
+    @pytest.fixture
+    def prepared(self, tmp_path):
+        write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+        cfg = tmp_path / "cfg.json"
+        dataset = {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")}
+        cfg.write_text(json.dumps({"output_dir": str(tmp_path / "run"), "dataset": dataset}))
+        assert main(["prepare", str(cfg)]) == 0
+        lists = tmp_path / "lists.tsv"
+        lists.write_text("".join(f"0\t{i}\t0.0\n" for i in range(10)))
+        return str(cfg), tmp_path / "run" / "splits.json", str(lists)
+
+    def eval_with(self, capsys, prepared, indent, edit):
+        cfg, manifest, lists = prepared
+        assert run(capsys, "eval", cfg, "--lists", lists)[0] == 0
+        d = json.loads(manifest.read_text())
+        edit(d)
+        manifest.write_text(json.dumps(d, sort_keys=True, indent=indent) + "\n")
+        return run(capsys, "eval", cfg, "--lists", lists)
+
+    def test_repeated_train_pair_exits_3(self, prepared, capsys, indent):
+        def repeat(d):  # a repeated pair would load as a train entry of 2.0
+            d["train"].insert(1, d["train"][0])
+        code, _, err = self.eval_with(capsys, prepared, indent, repeat)
+        assert code == 3
+        assert "train: pairs are repeated or out of (user, item) order" in err
+
+    def test_pair_in_two_splits_exits_3(self, prepared, capsys, indent):
+        def leak(d):
+            d["train"] = sorted(d["train"] + [d["test"][0]])
+        code, _, err = self.eval_with(capsys, prepared, indent, leak)
+        assert code == 3
+        assert "is in more than one of train, valid and test" in err
+
+
+def test_commands_that_never_read_the_social_file_skip_it(ws, capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the social file was loaded")
+
+    monkeypatch.setattr(pipeline, "load_social", refuse)
+    lists = tmp_path / "lists.tsv"
+    lists.write_text("".join(f"{u}\t{i}\t0.0\n" for u in range(2) for i in range(10)))
+    for argv in (
+        ("eval", ws["cfg"], "--lists", str(lists), "--out", str(tmp_path / "report.json")),
+        ("bias-report", ws["cfg"], "--lists", str(lists), "--out", str(tmp_path / "bias.json")),
+        ("train", ws["cfg"], "--model", "cgd", "--ckpt-dir", str(tmp_path / "ckpt")),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+
+
 class TestSweep:
     def test_wr_sweep_files(self, ws, capsys):
         out_dir = ws["root"] / "sweep-wr"

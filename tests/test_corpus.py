@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cgsorec import corpus
 from cgsorec.corpus import (
     InteractionMatrix,
     SocialMatrix,
@@ -128,6 +129,170 @@ class TestLoadSocial:
         assert S.n_users == 6
 
 
+# The line loops, kept from before the array pass; the references below add
+# the dimension rules on Python ints, as the loaders applied them.
+INTERACTION_LINES, SOCIAL_LINES = corpus._interaction_lines, corpus._social_lines
+
+
+def reference_interactions(path, n_users=None, n_items=None):
+    users, items = INTERACTION_LINES(path)
+    if not users and (n_users is None or n_items is None):
+        raise DataError(f"{path}: no interactions and no declared dimensions")
+    max_u = max(users, default=-1)
+    max_i = max(items, default=-1)
+    if n_users is None:
+        n_users = max_u + 1
+    elif max_u >= n_users:
+        raise DimensionError(f"user id {max_u} exceeds declared n_users={n_users}")
+    if n_items is None:
+        n_items = max_i + 1
+    elif max_i >= n_items:
+        raise DimensionError(f"item id {max_i} exceeds declared n_items={n_items}")
+    return InteractionMatrix(corpus._binary_csr(users, items, (n_users, n_items)))
+
+
+def reference_social(path, n_users=None, symmetrize=True):
+    src, dst = SOCIAL_LINES(path)
+    if not src and n_users is None:
+        raise DataError(f"{path}: no edges and no declared dimension")
+    max_u = max(max(src, default=-1), max(dst, default=-1))
+    if n_users is None:
+        n_users = max_u + 1
+    elif max_u >= n_users:
+        raise DimensionError(f"user id {max_u} exceeds declared n_users={n_users}")
+    raw = corpus._binary_csr(src, dst, (n_users, n_users))
+    sym = raw.maximum(raw.T).tocsr() if symmetrize else raw
+    return SocialMatrix(sym, raw_edges=raw.nnz)
+
+
+def outcome(load, *args, **kwargs):
+    """Everything a loader call gives back: the matrix arrays bit for bit,
+    or the exception's class and message."""
+    try:
+        got = load(*args, **kwargs)
+    except Exception as err:  # any class: the class itself is compared
+        return type(err), str(err)
+    m = got.matrix
+    arrays = tuple((a.dtype.str, a.tobytes()) for a in (m.indptr, m.indices, m.data))
+    return m.shape, arrays, getattr(got, "raw_edges", None)
+
+
+CLEAN_IDS = ["0", "1", "2", "3", "5", "8", "11", "007", "000000000000000000"]
+DIRTY_IDS = [
+    "+7", " 7", "7 ", "7_0", "-3", "", "x", "\u0663", "1.0",
+    "12345678901234567890", "9223372036854775808", "999999999999999999",
+]
+CLEAN_RATINGS = ["1", "0", "2.5", "0.0", "10", "00.5", "0.000000000000001"]
+DIRTY_RATINGS = ["-1", "1e3", "nan", "inf", "-inf", "abc", " 3", "1_0", "-0.0", ".5", "5.", ""]
+
+
+def random_file(rng, n_fields: int) -> bytes:
+    """A few lines of `n_fields` clean fields, then, for half the files,
+    one to three kinds of damage the array pass must leave to the loop."""
+    def pick(pool):
+        return pool[rng.integers(len(pool))]
+
+    lines = [
+        [pick(CLEAN_IDS), pick(CLEAN_IDS)] + ([pick(CLEAN_RATINGS)] if n_fields == 3 else [])
+        for _ in range(rng.integers(0, 8))
+    ]
+    ending = "\n"
+    for _ in range(rng.integers(1, 4) if rng.random() < 0.5 else 0):
+        kind = rng.integers(6)
+        at = rng.integers(len(lines) + 1)
+        if kind == 0 and lines:
+            line = lines[min(at, len(lines) - 1)]
+            col = rng.integers(len(line))
+            line[col] = pick(DIRTY_RATINGS if col == 2 else DIRTY_IDS)
+        elif kind == 1:
+            lines.insert(at, [pick(["", " ", "\t", "  \t "])])
+        elif kind == 2 and lines:
+            line = lines[min(at, len(lines) - 1)]
+            if len(line) > 1 and rng.random() < 0.5:
+                line.pop()
+            else:
+                line.append(pick(CLEAN_IDS + CLEAN_RATINGS))
+        elif kind == 3:
+            ending = "\r\n"
+        elif kind == 4:
+            lines.insert(at, [pick(CLEAN_IDS), pick(CLEAN_IDS), "1", "2"])
+        else:
+            lines.insert(at, [pick(CLEAN_IDS)] * 2)  # a self-loop or repeat
+    text = ending.join("\t".join(line) for line in lines)
+    if lines and rng.random() < 0.8:
+        text += ending
+    return text.encode("utf-8")
+
+
+class TestArrayPassMatchesLineLoop:
+    """On files of every shape the loaders give the line loop's matrix, or
+    its exception with the same message; clean files skip the loop."""
+
+    def run_files(self, tmp_path, monkeypatch, seed, loop_name, n_fields_of, compare):
+        rng = np.random.default_rng(seed)
+        loop = getattr(corpus, loop_name)
+        used = []
+        monkeypatch.setattr(corpus, loop_name, lambda path: used.append(path) or loop(path))
+        for k in range(300):
+            path = tmp_path / f"f{k}.tsv"
+            path.write_bytes(random_file(rng, n_fields_of(k)))
+            compare(path, k)
+        # the array pass and the loop each decided a fair share of the files
+        assert 60 < len(used) < 240
+
+    def test_interactions(self, tmp_path, monkeypatch):
+        def compare(path, k):
+            dims = [{}, {"n_users": 6, "n_items": 12}, {"n_users": 12, "n_items": 6}][k % 3]
+            got = outcome(load_interactions, path, **dims)
+            assert got == outcome(reference_interactions, path, **dims), path.read_bytes()
+
+        self.run_files(tmp_path, monkeypatch, 17, "_interaction_lines", lambda k: 2 + k % 2, compare)
+
+    def test_social(self, tmp_path, monkeypatch):
+        def compare(path, k):
+            kwargs = {"n_users": [None, 6, 12][k % 3], "symmetrize": k % 2 == 0}
+            got = outcome(load_social, path, **kwargs)
+            assert got == outcome(reference_social, path, **kwargs), path.read_bytes()
+
+        self.run_files(tmp_path, monkeypatch, 18, "_social_lines", lambda k: 2, compare)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "0\t1", "0\t1\n", "0\t1\t1\n2\t3\t0.0", "\n", "0\t1\r\n", "0\t1\n\n",
+         "0\t1\n1\t2\t1\n", "12345678901234567890\t1\n", "3\t3\n0\t1\n",
+         "9007199254740993\t1\t1\n"],  # 2**53 + 1: no float64 holds it
+    )
+    def test_edge_files(self, tmp_path, text):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(text.encode())
+        for dims in ({}, {"n_users": 4, "n_items": 4}):
+            assert outcome(load_interactions, path, **dims) == outcome(reference_interactions, path, **dims)
+        for n_users in (None, 4):
+            assert outcome(load_social, path, n_users) == outcome(reference_social, path, n_users)
+
+
+def reference_split(R, ratios, seed):
+    """The per-user split loop: one permutation per user, sliced."""
+    _, r_valid, r_test = ratios
+    parts = {"train": ([], []), "valid": ([], []), "test": ([], [])}
+    for u in range(R.n_users):
+        items = R.user_items(u)
+        k = len(items)
+        if k < 3 or (r_valid == 0 and r_test == 0):
+            parts["train"][0].extend([u] * k)
+            parts["train"][1].extend(items)
+            continue
+        n_test = max(1, math.floor(k * r_test)) if r_test > 0 else 0
+        n_valid = max(1, math.floor(k * r_valid)) if r_valid > 0 else 0
+        perm = np.random.default_rng([seed, u]).permutation(items)
+        for name, piece in (("test", perm[:n_test]), ("valid", perm[n_test : n_test + n_valid]),
+                            ("train", perm[n_test + n_valid :])):
+            parts[name][0].extend([u] * len(piece))
+            parts[name][1].extend(piece)
+    shape = (R.n_users, R.n_items)
+    return {name: corpus._binary_csr(u, i, shape) for name, (u, i) in parts.items()}
+
+
 class TestSplit:
     def test_ratios_must_sum_to_one(self):
         R = im(np.ones((2, 5)))
@@ -165,6 +330,21 @@ class TestSplit:
             a.test.matrix.indices.tobytes() != c.test.matrix.indices.tobytes()
             or a.valid.matrix.indices.tobytes() != c.valid.matrix.indices.tobytes()
         )
+
+    @pytest.mark.parametrize(
+        "ratios", [(0.8, 0.1, 0.1), (0.6, 0.0, 0.4), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0), (0.2, 0.4, 0.4)]
+    )
+    def test_matches_per_user_permutation_loop(self, rng, ratios):
+        dense = (rng.random((60, 25)) < rng.random((60, 1))).astype(np.float64)
+        dense[:6] = 0.0  # users with no items, then ones with 1 and 2
+        dense[6, 3] = dense[7, [1, 9]] = 1.0
+        R = im(dense)
+        for seed in (0, 11):
+            got, want = split(R, ratios, seed), reference_split(R, ratios, seed)
+            for name, m in want.items():
+                g = getattr(got, name).matrix
+                for a, b in ((g.indptr, m.indptr), (g.indices, m.indices), (g.data, m.data)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_disjoint_union_property(self, rng):
         R = InteractionMatrix(rand_binary_csr(rng, 25, 30, 0.25))

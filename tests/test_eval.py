@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cgsorec import pipeline
 from cgsorec.corpus import InteractionMatrix, ItemGroups, partition_items
 from cgsorec.errors import ConfigError, DataError
 from cgsorec.evaluation import (
@@ -559,6 +560,63 @@ class TestListsFile:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert -np.inf in back.scores and 5e-324 in back.scores
+
+    def test_extreme_scores_round_trip_through_the_array_pass(self, tmp_path, monkeypatch):
+        def no_loop(path):
+            raise AssertionError("a write_lists file went to the line loop")
+
+        monkeypatch.setattr(pipeline, "_list_lines", no_loop)
+        extremes = [5e-324, -0.0, 1 / 3, 1.7976931348623157e308, -5e-324, 0.1, 1e-5, 1e16]
+        lists = RankedLists(
+            np.array([0, 3]), np.array([[4, 1, 0, 2], [2, 3, 1, 0]]),
+            np.array(extremes, dtype=np.float64).reshape(2, 4),
+        )
+        write_lists(lists, tmp_path / "l.tsv")
+        back = read_lists(tmp_path / "l.tsv", 4, 5)
+        for name in ("users", "items", "scores"):
+            got, want = getattr(back, name), getattr(lists, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_array_pass_matches_line_loop(self, tmp_path, monkeypatch):
+        """Random lists files, clean or with one bad token or line: the same
+        lists, or the same DataError, whether or not the array pass takes
+        the file."""
+        rng = np.random.default_rng(5)
+        ids = ["0", "1", "2", "3", "4", "007"]
+        clean = [ids, ids, ["0.0", "-0.0", "0.5", "1e-05", "-2.5e+16", "5e-324", "inf", "-inf",
+                            "nan", "1.7976931348623157e+308", "1e+400", "1", "-7"]]
+        bad_ids = ["-1", "+2", " 3", "1_0", "x", "", "18446744073709551616"]
+        dirty = [bad_ids, bad_ids, [" 1.5", "1_0.5", "Infinity", "abc", "1.", ".5", "1E5", ""]]
+        loop, used = pipeline._list_lines, []
+        monkeypatch.setattr(pipeline, "_list_lines", lambda path: used.append(path) or loop(path))
+
+        def outcome(path):
+            try:
+                got = read_lists(path, 4, 5)
+            except DataError as err:
+                return str(err)
+            return tuple(a.dtype.str + a.tobytes().hex() for a in (got.users, got.items, got.scores))
+
+        for k in range(300):
+            rows = [[pool[rng.integers(len(pool))] for pool in clean] for _ in range(rng.integers(1, 7))]
+            row, damage = rng.integers(len(rows)), rng.integers(10)
+            if damage < 3:
+                rows[row][damage] = dirty[damage][rng.integers(len(dirty[damage]))]
+            elif damage == 3:
+                rows[row].append("9")
+            elif damage == 4:
+                rows.insert(row, [])
+            ending = "\r\n" if rng.random() < 0.1 else "\n"
+            path = tmp_path / f"l{k}.tsv"
+            path.write_text(ending.join("\t".join(r) for r in rows) + ending * (rng.random() < 0.8))
+            fast, looped = outcome(path), len(used)
+            with monkeypatch.context() as m:
+                m.setattr(pipeline, "read_columns", lambda *args: None)
+                assert outcome(path) == fast, path.read_bytes()
+            del used[looped:]
+        # the array pass and the loop each decided a fair share of the files
+        assert 60 < len(used) < 240
 
     def test_groups_by_user_in_line_order(self, tmp_path):
         path = lists_file(tmp_path / "l.tsv", [(2, [4, 1]), (0, [3, 5])])

@@ -1,11 +1,23 @@
-"""The social-edge holdout that early-stops the social model."""
+"""The social-edge holdout that early-stops the social model, and the split
+manifest's two read paths."""
+
+import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cgsorec.corpus import SocialMatrix
-from cgsorec.pipeline import social_holdout
+from cgsorec import pipeline
+from cgsorec.config import config_from_dict
+from cgsorec.corpus import (
+    InteractionMatrix,
+    SocialMatrix,
+    SplitBundle,
+    build_debiased_test,
+    split,
+)
+from cgsorec.errors import IntegrityError
+from cgsorec.pipeline import load_manifest, social_holdout, write_manifest
 
 from conftest import rand_binary_csr
 
@@ -58,3 +70,43 @@ class TestSocialHoldout:
         train, held, _ = social_holdout(S, 0.9, seed=0)
         assert held.toarray().sum(axis=1).tolist() == [0, 1, 0]
         assert train.toarray()[[0, 2]].sum() == 2
+
+
+class TestManifestLayouts:
+    """write_manifest's layout is read by one array pass per pair list; any
+    other layout of the same JSON by json; both give the same bundle."""
+
+    def write(self, tmp_path, rng, ratios):
+        R = InteractionMatrix(rand_binary_csr(rng, 30, 40, 0.2))
+        b = split(R, ratios, seed=3)
+        bundle = SplitBundle(
+            train=b.train, valid=b.valid, test=b.test, seed=b.seed,
+            debiased_test=build_debiased_test(b.test, cap=1, seed=0),
+        )
+        cfg = config_from_dict({"output_dir": str(tmp_path), "split": {"ratios": list(ratios)}})
+        return bundle, write_manifest(cfg, bundle)
+
+    @pytest.mark.parametrize("ratios", [(0.7, 0.15, 0.15), (0.8, 0.0, 0.2)])
+    def test_both_layouts_give_the_written_bundle(self, tmp_path, rng, ratios):
+        bundle, path = self.write(tmp_path, rng, ratios)
+        text = open(path, "rb").read()
+        assert pipeline._MANIFEST.fullmatch(text)
+        other = tmp_path / "indented.json"
+        other.write_text(json.dumps(json.loads(text), indent=1))
+        assert pipeline._MANIFEST.fullmatch(other.read_bytes()) is None
+        for loaded in (load_manifest(path), load_manifest(other)):
+            assert loaded.seed == bundle.seed
+            for name in ("train", "valid", "test", "debiased_test"):
+                got, want = getattr(loaded, name).matrix, getattr(bundle, name).matrix
+                assert got.shape == want.shape
+                for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                             (got.data, want.data)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_leading_zero_is_not_json(self, tmp_path, rng):
+        _, path = self.write(tmp_path, rng, (0.7, 0.15, 0.15))
+        text = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(text.replace(b'"train": [[', b'"train": [[0', 1))
+        with pytest.raises(IntegrityError, match="bad split manifest"):
+            load_manifest(path)

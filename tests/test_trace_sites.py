@@ -4,12 +4,15 @@ traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from cgsorec import pipeline
+from cgsorec.cli import main
+from cgsorec.synth import planted, write_dataset
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -42,3 +45,26 @@ def test_fused_topk_lists_counts_the_score_rows():
     args, kwargs = (a, 3), {"mask": mask, "other": b, "w": 0.35}
     result = pipeline.topk_lists(*args, **kwargs)
     assert spans.COUNTS["evaluation.topk_lists"](args, kwargs, result) == {"users": len(a)}
+
+
+def test_load_path_sites_record_calls(tmp_path):
+    # prepare and eval must reach the loaders through the bindings the
+    # tracer wraps, or their per-layer figures read zero
+    write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "output_dir": str(tmp_path / "run"),
+        "dataset": {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")},
+    }))
+    lists = tmp_path / "lists.tsv"
+    lists.write_text("".join(f"{u}\t{i}\t0.5\n" for u in range(2) for i in range(10)))
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert main(["prepare", str(cfg)]) == 0
+        assert main(["eval", str(cfg), "--lists", str(lists)]) == 0
+    finally:
+        tracer.restore()
+    for label in ("corpus.load_interactions", "corpus.split", "pipeline.load_manifest",
+                  "pipeline.read_lists"):
+        assert tracer.stats[label]["calls"] >= 1, label
