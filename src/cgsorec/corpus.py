@@ -104,31 +104,31 @@ def _binary_csr(users, items, shape) -> sp.csr_matrix:
 # parses the same through np.fromstring as through int() and float() line
 # by line; a file outside it goes to the line loop, which accepts what it
 # always did and names the first bad line.
-_ID = rb"[0-9]{1,18}+"  # below 2**63: exact in int64
-REAL_ID = rb"[0-9]{1,15}+"  # below 2**53: exact in float64, for tables holding reals
-_RATING = rb"[0-9]{1,15}+(?:\.[0-9]{1,15}+)?+"  # positive exactly when a digit is nonzero
+_ID = rb"[0-9]{1,18}"  # below 2**63: exact in int64
+REAL_ID = rb"[0-9]{1,15}"  # below 2**53: exact in float64, for tables holding reals
 
 
 def tsv_grammar(*fields: bytes) -> re.Pattern:
-    """The pattern a whole file of `fields`-shaped lines fullmatches."""
+    """The pattern a whole file of `fields`-shaped lines fullmatches.
+
+    Every field ends at a forced tab or newline, so the match is
+    unambiguous and a failing file backtracks in linear time.
+    """
     line = b"\t".join(fields)
-    return re.compile(b"(?:%b\n)*+(?:%b)?+" % (line, line))
+    return re.compile(b"(?:%b\n)*(?:%b)?" % (line, line))
 
 
 _PAIRS = tsv_grammar(_ID, _ID)
-_RATED = tsv_grammar(REAL_ID, REAL_ID, _RATING)
 
 
-def read_columns(path, *layouts) -> np.ndarray | None:
-    """The file's fields as one row per column, parsed in one array pass
-    under the first (grammar, fields, dtype) layout the whole file
-    matches; None when it matches none."""
+def read_columns(path, grammar: re.Pattern, fields: int, dtype) -> np.ndarray | None:
+    """The file's `fields` columns as rows of `dtype`, parsed in one array
+    pass; None when the whole file does not match `grammar`."""
     with open(path, "rb") as fh:
         data = fh.read()
-    for grammar, fields, dtype in layouts:
-        if grammar.fullmatch(data):
-            return np.fromstring(data, dtype=dtype, sep=" ").reshape(-1, fields).T
-    return None
+    if grammar.fullmatch(data) is None:
+        return None
+    return np.fromstring(data, dtype=dtype, sep=" ").reshape(-1, fields).T
 
 
 def _parse_id(token: str, lineno: int, what: str) -> int:
@@ -189,14 +189,12 @@ def load_interactions(
     negative ratings are dropped.  Dimensions default to max id + 1 and
     may be overridden; ids beyond declared dims raise DimensionError.
     """
-    columns = read_columns(path, (_PAIRS, 2, np.int64), (_RATED, 3, np.float64))
+    columns = read_columns(path, _PAIRS, 2, np.int64)
     if columns is None:
-        # Python ints: an id past int64 still reaches the dimension check
+        # rated files, and Python ints: an id past int64 still reaches the dimension check
         users, items = _interaction_lines(path)
         max_u, max_i = max(users, default=-1), max(items, default=-1)
     else:
-        if len(columns) == 3:
-            columns = columns[:2, columns[2] > 0].astype(np.int64)
         users, items = columns
         max_u, max_i = int(np.max(users, initial=-1)), int(np.max(items, initial=-1))
     if not len(users) and (n_users is None or n_items is None):
@@ -232,7 +230,7 @@ def load_social(
     path, n_users: int | None = None, symmetrize: bool = True
 ) -> SocialMatrix:
     """Read `user<TAB>user` lines; drop self-loops; symmetrize by default."""
-    columns = read_columns(path, (_PAIRS, 2, np.int64))
+    columns = read_columns(path, _PAIRS, 2, np.int64)
     if columns is None:
         src, dst = _social_lines(path)
         max_u = max(max(src, default=-1), max(dst, default=-1))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,11 +79,17 @@ def _pairs(m: InteractionMatrix) -> list[list[int]]:
     return np.column_stack((coo.row, coo.col)).tolist()
 
 
-def _from_pairs(name: str, flat: np.ndarray, shape) -> tuple[InteractionMatrix, np.ndarray]:
-    """One split's matrix, from its pairs flattened to user, item, user, ...,
-    and its keys user * n_items + item; a ValueError unless every pair is
-    in range and the keys strictly increase, as write_manifest lists them
-    (so no pair is listed twice)."""
+def _from_pairs(name: str, pairs, shape) -> tuple[InteractionMatrix, np.ndarray]:
+    """One split's matrix, from its [user, item] pairs, and its keys
+    user * n_items + item; a ValueError unless every pair is two JSON
+    integers in range and the keys strictly increase, as write_manifest
+    lists them (so no pair is listed twice)."""
+    if set(map(len, pairs)) - {2}:
+        raise ValueError(f"{name}: every pair must be [user, item]")
+    flat = list(itertools.chain.from_iterable(pairs))
+    if set(map(type, flat)) - {int}:
+        raise ValueError(f"{name}: every id must be an integer")
+    flat = np.array(flat, dtype=np.int64)
     users, items = flat[0::2], flat[1::2]
     n_users, n_items = shape
     if np.any((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items)):
@@ -127,49 +132,14 @@ def write_manifest(cfg: ExperimentConfig, bundle: SplitBundle) -> str:
     return path
 
 
-# write_manifest's layout.  A manifest in it has each pair list parsed by
-# one array pass and the rest by json; any other manifest is read by json
-# alone.
-_SPLITS = ("debiased_test", "test", "train", "valid")  # in the file's key order
-_ID = rb"(?:0|[1-9][0-9]{0,17}+)"  # a JSON integer below 2**63
-_PAIR = rb"\[%b, %b\]" % (_ID, _ID)
-_PAIR_LIST = rb"(\[(?:%b(?:, %b)*+)?+\])" % (_PAIR, _PAIR)
-_MANIFEST = re.compile(
-    rb'\{"debiased_cap": [0-9]++, "debiased_test": %b, "n_items": [0-9]++, '
-    rb'"n_users": [0-9]++, "ratios": \[[^\]]*+\], "seed": [0-9]++, '
-    rb'"test": %b, "train": %b, "valid": %b\}\n' % ((_PAIR_LIST,) * 4)
-)
-
-
-def _read_manifest(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The manifest's fields, and each split's pairs flattened to one int64
-    array user, item, user, item, ..."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    layout = _MANIFEST.fullmatch(data)
-    if layout is None:
-        d = json.loads(data)
-        flat = {}
-        for name in _SPLITS:
-            if set(map(len, d[name])) - {2}:
-                raise ValueError(f"{name}: every pair must be [user, item]")
-            flat[name] = np.fromiter(itertools.chain.from_iterable(d[name]), dtype=np.int64)
-        return d, flat
-    flat, rest, end = {}, [], 0
-    for group, name in enumerate(_SPLITS, start=1):
-        pairs = data[layout.start(group) : layout.end(group)]
-        flat[name] = np.fromstring(pairs.translate(None, b"[]"), dtype=np.int64, sep=", ")
-        rest += [data[end : layout.start(group)], b"[]"]
-        end = layout.end(group)
-    return json.loads(b"".join(rest) + data[end:]), flat
-
-
 def load_manifest(path) -> SplitBundle:
     try:
-        d, flat = _read_manifest(path)
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
         shape = (int(d["n_users"]), int(d["n_items"]))
-        parts = {name: _from_pairs(name, flat[name], shape) for name in _SPLITS}
-        keys = np.sort(np.concatenate([parts[name][1] for name in ("train", "valid", "test")]))
+        names = ("train", "valid", "test", "debiased_test")
+        parts = {name: _from_pairs(name, d[name], shape) for name in names}
+        keys = np.sort(np.concatenate([parts[name][1] for name in names[:3]]))
         shared = keys[1:][keys[1:] == keys[:-1]]
         if len(shared):
             user, item = divmod(int(shared[0]), shape[1])
@@ -351,9 +321,7 @@ def _refuse(users: np.ndarray, bad: np.ndarray, reason: str) -> None:
 
 
 # write_lists' lines: the score is a float repr.
-_LISTS = tsv_grammar(
-    REAL_ID, REAL_ID, rb"(?:-?(?:[0-9]++(?:\.[0-9]++)?+(?:e[+-][0-9]++)?+|inf)|nan)"
-)
+_LISTS = tsv_grammar(REAL_ID, REAL_ID, rb"(?:-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan)")
 
 
 def _list_lines(path) -> tuple[list[int], list[int], list[float]]:
@@ -386,7 +354,7 @@ def read_lists(path, n_users: int, n_items: int) -> RankedLists:
     DataError names the first user whose list breaks a rule.
     """
     try:
-        columns = read_columns(path, (_LISTS, 3, np.float64))
+        columns = read_columns(path, _LISTS, 3, np.float64)
         if columns is None:
             # the line loop parses what the array pass refused, or names its bad line
             columns = _list_lines(path)

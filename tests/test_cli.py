@@ -549,6 +549,14 @@ class TestManifestChecks:
         assert code == 3
         assert "is in more than one of train, valid and test" in err
 
+    @pytest.mark.parametrize("cast", [lambda i: i + 0.5, str, bool], ids=["float", "str", "bool"])
+    def test_non_integer_id_exits_3(self, prepared, capsys, indent, cast):
+        def edit(d):  # an int64 cast would read [u, i + 0.5] as (u, i)
+            d["train"][0][1] = cast(d["train"][0][1])
+        code, _, err = self.eval_with(capsys, prepared, indent, edit)
+        assert code == 3
+        assert "train: every id must be an integer" in err
+
 
 def test_commands_that_never_read_the_social_file_skip_it(ws, capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):

@@ -226,7 +226,8 @@ def random_file(rng, n_fields: int) -> bytes:
 
 class TestArrayPassMatchesLineLoop:
     """On files of every shape the loaders give the line loop's matrix, or
-    its exception with the same message; clean files skip the loop."""
+    its exception with the same message; clean two-column files skip the
+    loop, and rated files always take it."""
 
     def run_files(self, tmp_path, monkeypatch, seed, loop_name, n_fields_of, compare):
         rng = np.random.default_rng(seed)

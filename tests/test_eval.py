@@ -586,7 +586,8 @@ class TestListsFile:
         ids = ["0", "1", "2", "3", "4", "007"]
         clean = [ids, ids, ["0.0", "-0.0", "0.5", "1e-05", "-2.5e+16", "5e-324", "inf", "-inf",
                             "nan", "1.7976931348623157e+308", "1e+400", "1", "-7"]]
-        bad_ids = ["-1", "+2", " 3", "1_0", "x", "", "18446744073709551616"]
+        # 2**53 + 1 is in range of no list but held by no float64 either
+        bad_ids = ["-1", "+2", " 3", "1_0", "x", "", "18446744073709551616", "9007199254740993"]
         dirty = [bad_ids, bad_ids, [" 1.5", "1_0.5", "Infinity", "abc", "1.", ".5", "1E5", ""]]
         loop, used = pipeline._list_lines, []
         monkeypatch.setattr(pipeline, "_list_lines", lambda path: used.append(path) or loop(path))

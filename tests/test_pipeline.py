@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cgsorec import pipeline
 from cgsorec.config import config_from_dict
 from cgsorec.corpus import (
     InteractionMatrix,
@@ -73,8 +72,8 @@ class TestSocialHoldout:
 
 
 class TestManifestLayouts:
-    """write_manifest's layout is read by one array pass per pair list; any
-    other layout of the same JSON by json; both give the same bundle."""
+    """write_manifest's layout and any other layout of the same JSON load
+    as the written bundle, bit for bit."""
 
     def write(self, tmp_path, rng, ratios):
         R = InteractionMatrix(rand_binary_csr(rng, 30, 40, 0.2))
@@ -89,11 +88,8 @@ class TestManifestLayouts:
     @pytest.mark.parametrize("ratios", [(0.7, 0.15, 0.15), (0.8, 0.0, 0.2)])
     def test_both_layouts_give_the_written_bundle(self, tmp_path, rng, ratios):
         bundle, path = self.write(tmp_path, rng, ratios)
-        text = open(path, "rb").read()
-        assert pipeline._MANIFEST.fullmatch(text)
         other = tmp_path / "indented.json"
-        other.write_text(json.dumps(json.loads(text), indent=1))
-        assert pipeline._MANIFEST.fullmatch(other.read_bytes()) is None
+        other.write_text(json.dumps(json.loads(open(path, "rb").read()), indent=1))
         for loaded in (load_manifest(path), load_manifest(other)):
             assert loaded.seed == bundle.seed
             for name in ("train", "valid", "test", "debiased_test"):
