@@ -170,27 +170,33 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     def chains(cfg_v):
         return joint_chains(*pipeline.chain_args(cfg_v, ckpt_social, ckpt_item, S, bundle))
 
-    # The chains read w_r only as w_r > 0, so one pair, run under the
-    # largest value, serves a whole w_r grid.  Any other value reuses the
-    # previous pair while the chains' inputs (guidance knobs, hot/tail
-    # groups, inference seed) stay the same, as for eval.split.
-    shared = None
-    if param == "guidance.w_r":
-        shared = chains(max(cfgs, key=lambda c: c.guidance().w_r))
-    pair, pair_key = None, None
-
-    rows = []
-    for v, cfg_v in zip(values, cfgs):
-        if shared is None:
+    def ranked():
+        """Each value's lists, in order."""
+        if param == "guidance.w_r":
+            # The chains read w_r only as w_r > 0, so one pair, run under
+            # the largest value, serves the whole grid, ranked in one pass.
+            a, b = chains(max(cfgs, key=lambda c: c.guidance().w_r))
+            grid = [c.guidance().w_r for c in cfgs]
+            lists = pipeline.topk_lists(a, max(cfg.eval_ks), mask=bundle.train, other=b, w=grid)
+            del a, b  # the pair is gone before the values are evaluated
+            yield from lists
+            return
+        # Any other value reuses the previous pair while the chains' inputs
+        # (guidance knobs, hot/tail groups, inference seed) stay the same,
+        # as for eval.split.
+        pair, pair_key = None, None
+        for cfg_v in cfgs:
             key = (cfg_v.guidance(), cfg_v.hot_fraction, cfg_v.seed_for("inference"))
             if key != pair_key:
                 pair = None  # the old pair is gone before the new one is built
                 pair, pair_key = chains(cfg_v), key
-        a, b = shared or pair
-        lists = pipeline.topk_lists(
-            a, max(cfg_v.eval_ks), mask=bundle.train, other=b, w=cfg_v.guidance().w_r
-        )
-        del a, b  # so dropping `pair` frees it before the next pair is built
+            yield pipeline.topk_lists(
+                pair[0], max(cfg_v.eval_ks), mask=bundle.train, other=pair[1],
+                w=cfg_v.guidance().w_r,
+            )
+
+    rows = []
+    for v, cfg_v, lists in zip(values, cfgs, ranked()):
         report = pipeline.eval_report(cfg_v, lists, bundle)
         report.config_echo = dict(cfg.raw, swept={param: v})
         name = f"report_{param.replace('.', '-')}={v}.json"

@@ -66,7 +66,6 @@ def default_config() -> dict:
             "delta": 0.0,
             "lambda": 0.0,
             "T_inf": None,
-            "stochastic": False,
             "social_keep": None,
         },
         "eval": {
@@ -245,7 +244,6 @@ class ExperimentConfig:
             delta=g("delta"),
             lam=g("lambda"),
             T_inf=g("T_inf", optional_int),
-            stochastic=g("stochastic", bool),
             social_keep=g("social_keep", optional_int),
         )
 

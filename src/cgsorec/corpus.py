@@ -150,33 +150,43 @@ def _dimension(declared: int | None, max_id: int, what: str) -> int:
     return declared
 
 
+def text_lines(path, error: type[DataError]):
+    """(line number, line without its newline) for each non-blank line of
+    a UTF-8 text file; a line that is not UTF-8 is an `error` naming it."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{path}: line {lineno} is not UTF-8 text") from None
+            line = line.rstrip("\n")
+            if line.strip():
+                yield lineno, line
+
+
 def _interaction_lines(path) -> tuple[list[int], list[int]]:
     """Users and items of the kept lines, read line by line."""
     users: list[int] = []
     items: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
+    for lineno, line in text_lines(path, ParseError):
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise ParseError(
+                f"line {lineno}: expected 2 or 3 tab-separated fields, got {len(parts)}"
+            )
+        u = _parse_id(parts[0], lineno, "user id")
+        i = _parse_id(parts[1], lineno, "item id")
+        if len(parts) == 3:
+            try:
+                rating = float(parts[2])
+            except ValueError:
                 raise ParseError(
-                    f"line {lineno}: expected 2 or 3 tab-separated fields, got {len(parts)}"
-                )
-            u = _parse_id(parts[0], lineno, "user id")
-            i = _parse_id(parts[1], lineno, "item id")
-            if len(parts) == 3:
-                try:
-                    rating = float(parts[2])
-                except ValueError:
-                    raise ParseError(
-                        f"line {lineno}: rating {parts[2]!r} is not a number"
-                    ) from None
-                if rating <= 0:
-                    continue
-            users.append(u)
-            items.append(i)
+                    f"line {lineno}: rating {parts[2]!r} is not a number"
+                ) from None
+            if rating <= 0:
+                continue
+        users.append(u)
+        items.append(i)
     return users, items
 
 
@@ -207,22 +217,18 @@ def _social_lines(path) -> tuple[list[int], list[int]]:
     """Both ends of every edge but self-loops, read line by line."""
     src: list[int] = []
     dst: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(
-                    f"line {lineno}: expected 2 tab-separated fields, got {len(parts)}"
-                )
-            a = _parse_id(parts[0], lineno, "user id")
-            b = _parse_id(parts[1], lineno, "user id")
-            if a == b:
-                continue
-            src.append(a)
-            dst.append(b)
+    for lineno, line in text_lines(path, ParseError):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(
+                f"line {lineno}: expected 2 tab-separated fields, got {len(parts)}"
+            )
+        a = _parse_id(parts[0], lineno, "user id")
+        b = _parse_id(parts[1], lineno, "user id")
+        if a == b:
+            continue
+        src.append(a)
+        dst.append(b)
     return src, dst
 
 

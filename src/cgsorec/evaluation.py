@@ -9,13 +9,18 @@ popularity histogram is one bincount.
 
 Every ranking goes through top_k_rows: the top-K lists evaluated here and
 at each validation epoch, the re-binarized social graph
-(guidance.binarize_social), and infer's and sweep's lists, which it
-ranks straight from the two item chains, blending each block of rows
-as it ranks it.  A block costs about one pass over its scores: an
-argpartition picks each row's k best, and only rows whose ties straddle
-the k-th value (or whose k-th score is NaN, -inf or masked) are lexsorted
-whole.  Ties break toward the lower id and masked ids rank last, so
-every ranking is reproducible bit for bit and lists no masked id.
+(guidance.binarize_social), and infer's lists, which it ranks straight
+from the two item chains, blending each block of rows as it ranks it.
+A block costs about one pass over its scores: an argpartition picks
+each row's k best, and only rows whose ties straddle the k-th value (or
+whose k-th score is NaN, -inf or masked) are lexsorted whole.  Ties
+break toward the lower id and masked ids rank last, so every ranking is
+reproducible bit for bit and lists no masked id.
+
+A sweep's whole w_r grid is ranked in one pass by top_k_grid: it bounds
+each item's blend over the grid, drops the items that cannot reach a
+row's top k at any value, and has top_k_rows rank the few survivors
+once per value, so every list is the one top_k_rows gives on its own.
 """
 
 from __future__ import annotations
@@ -53,6 +58,19 @@ def _as_csr(matrix) -> sp.csr_matrix:
 ROW_BLOCK = 256
 
 
+def _checked_mask(mask, shape, k: int) -> sp.csr_matrix:
+    """`mask` as canonical CSR (duplicates summed); a ConfigError when k
+    exceeds a row's unmasked count."""
+    mask = _as_csr(mask) if mask is not None else sp.csr_matrix(shape)
+    if not mask.has_canonical_format:
+        mask = mask.copy()
+        mask.sum_duplicates()
+    free = shape[1] - np.diff(mask.indptr)
+    if (free < k).any():
+        raise ConfigError(f"K={k} exceeds {free[free < k][0]} unmasked items")
+    return mask
+
+
 def blend(a: np.ndarray, b: np.ndarray | None, w: float) -> np.ndarray:
     """(1 - w) * a + w * b; `a` itself when there is no b or w is 0."""
     if b is None or w == 0.0:
@@ -83,13 +101,7 @@ def top_k_rows(
     scores = np.asarray(scores, dtype=np.float64)
     n_rows, n = scores.shape
     other = None if other is None or w == 0.0 else np.asarray(other, dtype=np.float64)
-    mask = _as_csr(mask) if mask is not None else sp.csr_matrix(scores.shape)
-    if not mask.has_canonical_format:
-        mask = mask.copy()
-        mask.sum_duplicates()
-    free = n - np.diff(mask.indptr)
-    if (free < k).any():
-        raise ConfigError(f"K={k} exceeds {free[free < k][0]} unmasked items")
+    mask = _checked_mask(mask, scores.shape, k)
     ids = np.empty((n_rows, k), dtype=np.intp)
     top = np.empty((n_rows, k))
     if k == 0:
@@ -126,11 +138,100 @@ def top_k_rows(
     return ids, top
 
 
+# top_k_grid's margin, in units of a row's size: 2**13 times the dozen
+# or so roundings that can separate a bound from a ranked blend.
+_SLACK = 2.0**-40
+_TINY = 2.0**-1022
+
+
+def top_k_grid(
+    a: np.ndarray, b: np.ndarray | None, ws, k: int, mask=None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """[top_k_rows(a, k, mask, b, w) for w in ws], bit for bit, from one
+    ROW_BLOCK pass over the rows.
+
+    For 0 <= w < 1 the blend is (1 - w) * (a + lam * b), lam = w / (1 - w),
+    so a row ranks at every such w of the grid as a + lam * b does, and
+    that lies between its values at the grid's smallest and largest lam.
+    An unmasked item whose upper bound is below its row's k-th largest
+    lower bound by more than rounding can bridge is beaten by k items at
+    every w, ties included, so it is dropped.  The survivors, gathered in
+    ascending id order (padding masked), are ranked per w by top_k_rows,
+    which keeps the blend and the tie rules in one place.  Every w goes to
+    top_k_rows on all the rows when there is no b or the grid holds fewer
+    than two w in [0, 1), a w outside [0, 1) always does, and a block
+    holding a non-finite score is ranked per w on the whole block.
+    """
+    ws = [float(w) for w in ws]
+    bounded = [j for j, w in enumerate(ws) if 0.0 <= w < 1.0]
+    if b is None or len(bounded) < 2 or k == 0:
+        return [top_k_rows(a, k, mask, b, w) for w in ws]
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n_rows, n = a.shape
+    mask = _checked_mask(mask, a.shape, k)
+    out = [
+        (np.empty((n_rows, k), dtype=np.intp), np.empty((n_rows, k))) if j in bounded
+        else top_k_rows(a, k, mask, b, w)
+        for j, w in enumerate(ws)
+    ]
+    lams = [ws[j] / (1.0 - ws[j]) for j in bounded]
+    lam_lo, lam_hi = min(lams), max(lams)
+    keep = np.zeros((n_rows, n), dtype=bool)
+    bound = np.zeros(n_rows, dtype=bool)
+    buf = np.empty((3, min(ROW_BLOCK, n_rows), n))
+    for start in range(0, n_rows, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n_rows))
+        a_blk, b_blk = a[rows], b[rows]
+        lo, hi, f = buf[:, : len(a_blk)]
+        # the row's largest |a| + lam * |b| over the grid: each rounding
+        # of a bound, a blend or a lam moves a + lam * b by at most 2**-53
+        # of it (or by 2**-1075 times 1 + lam below the normal range)
+        size = np.abs(a_blk, out=lo).max(axis=1) + lam_hi * np.abs(b_blk, out=hi).max(axis=1)
+        if not np.isfinite(size).all():
+            for j in bounded:
+                out[j][0][rows], out[j][1][rows] = top_k_rows(a_blk, k, mask[rows], b_blk, ws[j])
+            continue
+        np.multiply(b_blk, lam_lo, out=f)
+        f += a_blk
+        np.multiply(b_blk, lam_hi, out=hi)
+        hi += a_blk
+        np.minimum(f, hi, out=lo)
+        np.maximum(f, hi, out=hi)
+        ptr = mask.indptr[rows.start : rows.stop + 1]
+        masked = np.repeat(np.arange(len(a_blk)) * n, np.diff(ptr))
+        masked += mask.indices[ptr[0] : ptr[-1]]
+        lo.reshape(-1)[masked] = -np.inf
+        lo.partition(n - k, axis=1)
+        floor = lo[:, n - k] - _SLACK * (size + (1.0 + lam_hi) * _TINY)
+        np.greater_equal(hi, floor[:, None], out=keep[rows])
+        keep[rows].reshape(-1)[masked] = False
+        bound[rows] = True
+    users = np.flatnonzero(bound)
+    keep = keep[users]
+    count = np.count_nonzero(keep, axis=1)
+    at, cols = np.nonzero(keep)
+    sub = np.zeros((len(users), count.max(initial=0)), dtype=np.intp)
+    sub[at, np.arange(len(cols)) - np.repeat(np.cumsum(count) - count, count)] = cols
+    pad = sp.csr_matrix(np.arange(sub.shape[1]) >= count[:, None])
+    a_sub, b_sub = a[users[:, None], sub], b[users[:, None], sub]
+    for j in bounded:
+        ids, out[j][1][users] = top_k_rows(a_sub, k, pad, b_sub, ws[j])
+        out[j][0][users] = np.take_along_axis(sub, ids, axis=1)
+    return out
+
+
 def topk_lists(
-    score_matrix: np.ndarray, K: int, mask=None, other=None, w: float = 0.0
-) -> RankedLists:
-    """top_k_rows(score_matrix, K, mask, other, w) as the lists of users 0..n-1."""
-    return RankedLists(np.arange(len(score_matrix)), *top_k_rows(score_matrix, K, mask, other, w))
+    score_matrix: np.ndarray, K: int, mask=None, other=None, w=0.0
+) -> RankedLists | list[RankedLists]:
+    """top_k_rows(score_matrix, K, mask, other, w) as the lists of users
+    0..n-1; for a sequence w, one RankedLists per value, ranked in one
+    pass by top_k_grid."""
+    users = np.arange(len(score_matrix))
+    if np.ndim(w):
+        grid = top_k_grid(score_matrix, other, w, K, mask)
+        return [RankedLists(users, *ranked) for ranked in grid]
+    return RankedLists(users, *top_k_rows(score_matrix, K, mask, other, w))
 
 
 def _ranking_metrics(lists: RankedLists, test, ks, in_groups=(None,), per_user=False) -> list:

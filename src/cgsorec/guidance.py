@@ -21,10 +21,9 @@ order of sums; the tests hold it to that item-space stepper at
 rtol 1e-10.
 
 Determinism: corruption noise comes from a stream keyed by
-(seed XOR user_id, stage), stochastic-step noise from one keyed by
-(seed, stage, chunk start), so results do not depend on which chains
-are skipped; rows are processed in fixed 512-row chunks so BLAS sees
-the same shapes on every run.
+(seed XOR user_id, stage), so results do not depend on which chains
+are skipped; every reverse step takes its mean; rows are processed in
+fixed 512-row chunks so BLAS sees the same shapes on every run.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .denoiser import DenoiserParams, last_hidden
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluation import blend, top_k_rows
-from .schedule import NoiseSchedule, model_mean, posterior_coeffs, q_sample
+from .schedule import NoiseSchedule, model_mean, q_sample
 from .trainer import Checkpoint
 
 # Independent noise streams per user; values are arbitrary but frozen,
@@ -82,7 +81,6 @@ class GuidanceConfig:
     delta: float = 0.0
     lam: float = 0.0
     T_inf: int | None = None
-    stochastic: bool = False
     social_keep: int | None = None
 
     def __post_init__(self):
@@ -162,17 +160,9 @@ def _chain_rows(
         eps = _user_eps(seed, stage, np.arange(start, stop), width)
         z = q_sample(_dense_rows(rows, span), T_inf, eps, sched) @ w0x
         zc = _dense_rows(cond, span) @ w0x if guided else None
-        rng = (
-            np.random.default_rng([seed, stage, start, 0xD1CE])
-            if cfg.stochastic
-            else None
-        )
         for t in range(T_inf, 1, -1):
             z_mix = z if zc is None else (1.0 - mix) * z + mix * zc
             z = model_mean(z_mix, hidden(z, zc, t) @ head_z + bias_z, t, sched)
-            if rng is not None:
-                _, _, sigma2 = posterior_coeffs(sched, t)
-                z += np.sqrt(sigma2) * (rng.standard_normal((stop - start, width)) @ w0x)
         # c_xt(1) = 0 and c_x0(1) = 1: the last mean is the mixed prediction.
         block = out[start:stop]
         np.matmul(hidden(z, zc, 1), w_out, out=block)
@@ -313,8 +303,10 @@ def joint_chains(
                 "graph; a social model checkpoint and a social matrix are required"
             )
         s_prime = build_social_condition(S, R, groups, cfg.delta)
+        # the dense social scores die once re-binarized, before the item chains run
         s_bar = social_phase(ckpt_social, S, s_prime, cfg, seed)
         S_bar = binarize_social(S, s_bar, cfg.social_keep)
+        del s_bar
         r_prime = build_item_condition(S_bar, R, cfg.lam)
     else:
         # lam = 0 zeroes the social term of the item condition, so the

@@ -29,6 +29,7 @@ from .corpus import (
     partition_items,
     read_columns,
     split,
+    text_lines,
     tsv_grammar,
 )
 from .errors import DataError, IntegrityError
@@ -327,21 +328,17 @@ _LISTS = tsv_grammar(REAL_ID, REAL_ID, rb"(?:-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-
 def _list_lines(path) -> tuple[list[int], list[int], list[float]]:
     """Users, items and scores of a lists file, read line by line."""
     users, items, scores = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                u, item, score = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as err:
-                raise DataError(f"{path}:{lineno}: {err}") from err
-            users.append(u)
-            items.append(item)
-            scores.append(score)
+    for lineno, line in text_lines(path, DataError):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            u, item, score = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as err:
+            raise DataError(f"{path}:{lineno}: {err}") from err
+        users.append(u)
+        items.append(item)
+        scores.append(score)
     return users, items, scores
 
 

@@ -142,6 +142,31 @@ class TestPrepare:
         assert code == 2
         assert "dataset.social" in err
 
+    def test_removed_stochastic_key_exits_2(self, ws, tmp_path, capsys):
+        cfg = json.loads((ws["root"] / "config.json").read_text())
+        cfg["guidance"] = {"stochastic": False}
+        old = tmp_path / "cfg.json"
+        old.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "prepare", str(old))
+        assert code == 2
+        assert "unknown config key 'guidance.stochastic'" in err
+
+    @pytest.mark.parametrize("which", ["interactions", "social"])
+    def test_line_that_is_not_utf8_exits_3(self, tmp_path, capsys, which):
+        files = {name: tmp_path / f"{name}.tsv" for name in ("interactions", "social")}
+        write_dataset(planted(seed=0), files["interactions"], files["social"])
+        lines = files[which].read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        files[which].write_bytes(b"\n".join(lines))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "output_dir": str(tmp_path / "run"),
+            "dataset": {name: str(path) for name, path in files.items()},
+        }))
+        code, _, err = run(capsys, "prepare", str(cfg))
+        assert code == 3
+        assert "line 2 is not UTF-8" in err
+
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{oops")
@@ -509,6 +534,14 @@ class TestListsFileErrors:
         code, _, err = self.run_on(capsys, planted_ws, command, "")
         assert code == 3
         assert "data error" in err
+
+    def test_line_that_is_not_utf8_is_data_error(self, planted_ws, capsys):
+        root, cfg = planted_ws
+        path = root / "not-utf8.tsv"
+        path.write_bytes(b"0\t1\t0.5\n\xff0\t2\t0.5\n")
+        code, _, err = run(capsys, "eval", cfg, "--lists", str(path), "--out", str(root / "o.json"))
+        assert code == 3
+        assert "line 2 is not UTF-8" in err
 
 
 @pytest.mark.parametrize("indent", [None, 1])  # write_manifest's layout, and any other

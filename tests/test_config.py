@@ -52,10 +52,10 @@ class TestApplySet:
     def test_float_and_bool_and_list(self):
         raw = default_config()
         apply_set(raw, "guidance.w_r=0.4")
-        apply_set(raw, "guidance.stochastic=true")
+        apply_set(raw, "eval.recall_per_user=true")
         apply_set(raw, "eval.ks=[1, 20]")
         assert raw["guidance"]["w_r"] == 0.4
-        assert raw["guidance"]["stochastic"] is True
+        assert raw["eval"]["recall_per_user"] is True
         assert raw["eval"]["ks"] == [1, 20]
 
     def test_string_passthrough(self):

@@ -19,6 +19,7 @@ from cgsorec.evaluation import (
     group_metrics,
     ndcg_at_k,
     recall_at_k,
+    top_k_grid,
     top_k_rows,
     topk_lists,
 )
@@ -270,6 +271,102 @@ class TestTopKAgainstLoop:
         assert ids.shape == top.shape == (3, 0)
         ids, top = top_k_rows(np.empty((0, 5)), 2)
         assert ids.shape == (0, 2)
+
+
+GRIDS = [[0.0, 1 / 3, 0.99, 1.0], [0.99, 0.0, 1 / 3, 1 / 3], [0.0, 1.0], [1 / 3], [0.0], [1.0]]
+
+
+def assert_grid_is_rows(a, b, ws, k, mask):
+    """top_k_grid's entry j is top_k_rows(a, k, mask, b, ws[j]), bit for bit."""
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf at w = 1; huge scores
+        grid = top_k_grid(a, b, ws, k, mask)
+        assert len(grid) == len(ws)
+        for w, (ids, top) in zip(ws, grid):
+            want_ids, want_top = top_k_rows(a, k, mask, b, w)
+            assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids), w
+            assert np.array_equal(top.view(np.int64), want_top.view(np.int64)), w
+
+
+def messy_mask(rng, n_rows, n, density):
+    """A random CSR mask with unsorted indices and its first entry twice."""
+    rows, cols = np.nonzero(rng.random((n_rows, n)) < density)
+    rows, cols = np.concatenate((rows, rows[:1])), np.concatenate((cols, cols[:1]))
+    order = np.lexsort((rng.random(len(rows)), rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+    return sp.csr_matrix((np.ones(len(rows)), cols[order], indptr), shape=(n_rows, n))
+
+
+def free_counts(mask, n):
+    canonical = mask.copy()
+    canonical.sum_duplicates()
+    return n - np.diff(canonical.indptr)
+
+
+class TestTopKGrid:
+    """One pass over a w grid equals one top_k_rows call per value."""
+
+    @pytest.mark.parametrize("ws", GRIDS)
+    def test_integer_ties_signed_zeros_and_non_finite_rows(self, rng, ws):
+        n_rows, n = 2 * ROW_BLOCK + 188, 40
+        a = rng.integers(-3, 4, size=(n_rows, n)).astype(np.float64)
+        b = rng.integers(-3, 4, size=(n_rows, n)).astype(np.float64)
+        a[a == 0] = rng.choice([0.0, -0.0], size=np.count_nonzero(a == 0))
+        b[:, ::3] = -0.0
+        # NaN in the first block, +inf in the second; the third is finite
+        a[5, 7], b[300, 2] = np.nan, np.inf
+        mask = messy_mask(rng, n_rows, n, 0.2)
+        assert not mask.has_canonical_format
+        for k in (1, 10, int(free_counts(mask, n).min())):
+            assert_grid_is_rows(a, b, ws, k, mask)
+
+    def test_random_cases(self, rng):
+        for case in range(700):
+            n_rows, n = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+            scale = rng.choice([1.0, 1e-3, 1e300, 1e307, 1e-320])
+            a = scale * (rng.integers(-2, 3, size=(n_rows, n)) / rng.choice([1.0, 3.0]))
+            b = scale * (rng.integers(-2, 3, size=(n_rows, n)) / rng.choice([1.0, 7.0]))
+            a[rng.random(a.shape) < 0.1] = -0.0
+            if case % 5 == 0:
+                b[rng.integers(n_rows), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+            mask = messy_mask(rng, n_rows, n, 0.3) if case % 2 else None
+            free = n if mask is None else int(free_counts(mask, n).min())
+            k = int(rng.integers(0, free + 1))
+            ws = GRIDS[case % len(GRIDS)]
+            assert_grid_is_rows(a, b, ws, k, mask)
+            with pytest.raises(ConfigError) as grid_err:
+                top_k_grid(a, b, ws, free + 1, mask)
+            with pytest.raises(ConfigError) as rows_err:
+                top_k_rows(a, free + 1, mask, b, ws[0])
+            assert str(grid_err.value) == str(rows_err.value)
+
+    def test_neighbours_that_the_blend_rounds_into_a_tie(self, rng):
+        # each row's item 1 is one unit in the last place above item 0, so
+        # item 0's bound is below item 1's; at w = 0.6 the blend often
+        # rounds the two into a tie, which the lower id wins
+        normal = rng.uniform(1.3, 2.0, 600)
+        subnormal = rng.integers(1, 40, 600) * 2.0**-1074
+        for low in (normal, subnormal):
+            a = np.column_stack((low, np.nextafter(low, np.inf)))
+            b = np.zeros_like(a)
+            assert (top_k_rows(a, 1, None, b, 0.6)[0] == 0).any()
+            assert_grid_is_rows(a, b, [0.0, 0.6], 1, None)
+
+    def test_without_b_every_value_ranks_a(self, rng):
+        a = rng.integers(0, 3, size=(9, 8)).astype(np.float64)
+        for ids, top in top_k_grid(a, None, GRIDS[0], 4):
+            want_ids, want_top = top_k_rows(a, 4)
+            assert np.array_equal(ids, want_ids) and top.tobytes() == want_top.tobytes()
+
+    def test_topk_lists_takes_a_grid(self, rng):
+        a, b = rng.random((20, 12)), rng.random((20, 12))
+        mask = rand_binary_csr(rng, 20, 12, 0.2)
+        grid = topk_lists(a, 5, mask=mask, other=b, w=GRIDS[0])
+        assert len(grid) == len(GRIDS[0])
+        for w, lists in zip(GRIDS[0], grid):
+            one = topk_lists(a, 5, mask=mask, other=b, w=w)
+            assert np.array_equal(lists.users, one.users)
+            assert np.array_equal(lists.items, one.items)
+            assert lists.scores.tobytes() == one.scores.tobytes()
 
 
 class TestRecall:

@@ -24,7 +24,7 @@ from cgsorec.guidance import (
     social_phase,
     unconditional_scores,
 )
-from cgsorec.schedule import model_mean, posterior_coeffs, q_sample
+from cgsorec.schedule import model_mean, q_sample
 
 from conftest import rand_binary_csr, untrained_checkpoint
 
@@ -48,7 +48,7 @@ class TestGuidanceConfig:
             GuidanceConfig(**kwargs)
 
 
-def reference_chain(params, sched, x, cond, mix, T_inf, rng=None):
+def reference_chain(params, sched, x, cond, mix, T_inf):
     """Item-space stepper: full-width denoiser passes, one step at a time."""
     for t in range(T_inf, 0, -1):
         mean = model_mean(x, predict_x0(params, x, t), t, sched)
@@ -56,8 +56,6 @@ def reference_chain(params, sched, x, cond, mix, T_inf, rng=None):
             cond_mean = model_mean(cond, predict_x0(params, cond, t), t, sched)
             mean = (1.0 - mix) * mean + mix * cond_mean
         x = mean
-        if rng is not None and t > 1:
-            x = x + np.sqrt(posterior_coeffs(sched, t)[2]) * rng.standard_normal(x.shape)
     return x
 
 
@@ -79,26 +77,27 @@ def reference_rows(ckpt, rows, cond, mix, cfg, seed, stage):
     for start in range(0, rows.shape[0], CHUNK):
         stop = start + CHUNK
         x = corrupt(rows[start:stop], T_inf, ckpt.sched, seed, stage, start)
-        rng = np.random.default_rng([seed, stage, start, 0xD1CE]) if cfg.stochastic else None
         c = None if cond is None else cond[start:stop]
-        blocks.append(reference_chain(ckpt.params, ckpt.sched, x, c, mix, T_inf, rng))
+        blocks.append(reference_chain(ckpt.params, ckpt.sched, x, c, mix, T_inf))
     return np.vstack(blocks)
 
 
 class TestItemSpaceReference:
     """The hidden-space chain against the item-space stepper."""
 
-    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("dense", [False, True])  # rows given as CSR or as an array
     @pytest.mark.parametrize("T_inf", [None, 2])
     @pytest.mark.parametrize("mix", [0.0, 0.4, 1.0])
     @pytest.mark.parametrize("hidden", [(8,), (8, 6)])
-    def test_matches_reference(self, rng, hidden, mix, T_inf, stochastic):
+    def test_matches_reference(self, rng, hidden, mix, T_inf, dense):
         ckpt = untrained_checkpoint(7, T=4, seed=8, hidden=hidden)
         for b in ckpt.params.biases:  # initialised to zero; exercise them
             b[:] = 0.1 * rng.standard_normal(b.shape)
         rows = rand_binary_csr(rng, CHUNK + 40, 7, 0.3)
         cond = rows + sp.csr_matrix(2.0 * (rng.random(rows.shape) < 0.2))
-        cfg = GuidanceConfig(T_inf=T_inf, stochastic=stochastic)
+        if dense:
+            rows, cond = rows.toarray(), cond.toarray()
+        cfg = GuidanceConfig(T_inf=T_inf)
         got = _chain_rows(ckpt.params, ckpt.sched, rows, cond, mix, cfg, 5, STAGE_ITEM)
         want = reference_rows(ckpt, rows, cond, mix, cfg, 5, STAGE_ITEM)
         np.testing.assert_allclose(got, want, rtol=1e-10)
@@ -177,7 +176,7 @@ class TestReverseChain:
         np.testing.assert_allclose(out, expected, rtol=1e-10)
 
     def test_mix_zero_equals_no_cond(self, rng):
-        cfg = GuidanceConfig(T_inf=4, stochastic=True)
+        cfg = GuidanceConfig(T_inf=4)
         rows = rng.standard_normal((5, 6))
         cond = rng.standard_normal((5, 6))
         a = self.chain(rows, cond, 0.0, cfg)
@@ -191,21 +190,6 @@ class TestReverseChain:
         x0 = predict_x0(self.ckpt.params, x1, 1)
         out = self.chain(rows, None, 0.0, GuidanceConfig(T_inf=2))
         np.testing.assert_allclose(out, x0, rtol=1e-10)
-
-    def test_stochastic_deterministic_given_seed(self, rng):
-        cfg = GuidanceConfig(T_inf=4, stochastic=True)
-        rows = rng.standard_normal((5, 6))
-        a = self.chain(rows, None, 0.0, cfg, seed=77)
-        assert np.array_equal(a, self.chain(rows, None, 0.0, cfg, seed=77))
-        assert not np.array_equal(a, self.chain(rows, None, 0.0, cfg, seed=78))
-
-    def test_stochastic_single_step_equals_deterministic(self, rng):
-        # no noise is added at t=1, so a one-step stochastic chain is
-        # exactly the deterministic one
-        rows = rng.standard_normal((5, 6))
-        det = self.chain(rows, None, 0.0, GuidanceConfig(T_inf=1))
-        sto = self.chain(rows, None, 0.0, GuidanceConfig(T_inf=1, stochastic=True))
-        assert np.array_equal(det, sto)
 
 
 class TestSingleRowBlends:

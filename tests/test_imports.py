@@ -2,11 +2,15 @@
 
 The package's __init__ imports nothing, so a test process that happens
 to import modules in a lucky order could hide an import cycle that a
-user importing one module first would hit.
+user importing one module first would hit.  The patterns the modules
+compile must also compile on Python 3.10, the oldest that
+pyproject.toml supports.
 """
 
+import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -30,3 +34,24 @@ def test_module_imports_alone(module):
         env=env, capture_output=True, text=True, check=False,
     )
     assert result.returncode == 0, result.stderr
+
+
+# Python 3.11 added possessive quantifiers and atomic groups; 3.10 refuses them.
+NEWER_REGEX = ("++", "*+", "?+", "}+", "(?>")
+
+
+def test_no_compiled_pattern_needs_python_3_11():
+    patterns = {
+        f"{module}.{name}": value.pattern
+        for module in MODULES
+        for name, value in vars(importlib.import_module(f"cgsorec.{module}")).items()
+        if isinstance(value, re.Pattern)
+    }
+    assert {"corpus._PAIRS", "pipeline._LISTS"} <= set(patterns)
+    newer = {
+        name: token
+        for name, pattern in patterns.items()
+        for token in NEWER_REGEX
+        if (token.encode() if isinstance(pattern, bytes) else token) in pattern
+    }
+    assert not newer, newer

@@ -36,15 +36,17 @@ def test_every_traced_site_resolves():
 
 
 def test_fused_topk_lists_counts_the_score_rows():
-    # sweep and infer rank the chain pair as topk_lists(a, K, mask, other=b,
-    # w=w_r); the tracer must still count len(a) users per ranking
+    # infer ranks the chain pair as topk_lists(a, K, mask, other=b, w=w_r),
+    # and a w_r sweep its whole grid as one call with a list for w; the
+    # tracer counts len(a) users per call, whatever w is
     spans = load_spans()
     rng = np.random.default_rng(0)
     a, b = rng.random((7, 12)), rng.random((7, 12))
     mask = sp.identity(12, format="csr")[:7]
-    args, kwargs = (a, 3), {"mask": mask, "other": b, "w": 0.35}
-    result = pipeline.topk_lists(*args, **kwargs)
-    assert spans.COUNTS["evaluation.topk_lists"](args, kwargs, result) == {"users": len(a)}
+    for w in (0.35, [0.0, 0.35, 1.0]):
+        args, kwargs = (a, 3), {"mask": mask, "other": b, "w": w}
+        result = pipeline.topk_lists(*args, **kwargs)
+        assert spans.COUNTS["evaluation.topk_lists"](args, kwargs, result) == {"users": len(a)}
 
 
 def test_load_path_sites_record_calls(tmp_path):
