@@ -50,7 +50,6 @@ def default_config() -> dict:
             "social": None,
             "n_users": None,
             "n_items": None,
-            "symmetrize_social": True,
         },
         "split": {
             "ratios": [0.8, 0.1, 0.1],
@@ -72,10 +71,23 @@ def default_config() -> dict:
             "ks": [5, 10],
             "hot_fraction": 0.05,
             "split": "debiased",
-            "recall_per_user": False,
         },
         "csd_valid_fraction": 0.1,
     }
+
+
+def _integer(value) -> int:
+    """An integer config value: an int, or a float that holds one.  A bool,
+    a fraction or a value of any other type raises, never rounds down."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _optional_integer(value) -> int | None:
+    return None if value is None else _integer(value)
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -141,7 +153,7 @@ class ExperimentConfig:
     @property
     def seed(self) -> int:
         s = self.raw["seed"]
-        if not isinstance(s, int) or s < 0:
+        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {s!r}")
         return s
 
@@ -154,6 +166,11 @@ class ExperimentConfig:
         return self.raw["dataset"]
 
     @property
+    def declared_dims(self) -> tuple[int | None, int | None]:
+        """dataset.n_users and dataset.n_items; None is read from the data."""
+        return tuple(self._typed(_optional_integer, "dataset", k) for k in ("n_users", "n_items"))
+
+    @property
     def ratios(self) -> tuple[float, float, float]:
         r = self._typed(lambda r: tuple(float(x) for x in r), "split", "ratios")
         if len(r) != 3:
@@ -161,8 +178,11 @@ class ExperimentConfig:
         return r
 
     @property
-    def debiased_cap(self):
-        return self.raw["split"]["debiased_cap"]
+    def debiased_cap(self) -> int | str:
+        cap = self._typed(lambda c: c if c == "auto" else _integer(c), "split", "debiased_cap")
+        if cap != "auto" and cap < 1:
+            raise ConfigError(f"split.debiased_cap must be 'auto' or at least 1, got {cap}")
+        return cap
 
     @property
     def csd_valid_fraction(self) -> float:
@@ -173,7 +193,7 @@ class ExperimentConfig:
 
     @property
     def eval_ks(self) -> tuple[int, ...]:
-        ks = self._typed(lambda ks: tuple(int(k) for k in ks), "eval", "ks")
+        ks = self._typed(lambda ks: tuple(map(_integer, ks)), "eval", "ks")
         if not ks or min(ks) < 1:
             raise ConfigError(f"eval.ks must be positive cutoffs, got {list(ks)}")
         return ks
@@ -192,10 +212,6 @@ class ExperimentConfig:
             raise ConfigError(f"eval.split must be 'debiased' or 'test', got {s!r}")
         return s
 
-    @property
-    def recall_per_user(self) -> bool:
-        return bool(self.raw["eval"]["recall_per_user"])
-
     def model_section(self, kind: str) -> dict:
         kind = kind.lower()
         if kind not in ("cgd", "csd"):
@@ -208,33 +224,30 @@ class ExperimentConfig:
 
     def schedule(self, kind: str) -> NoiseSchedule:
         return make_schedule(
-            self._model_value(kind, "T", int),
+            self._model_value(kind, "T", _integer),
             self._model_value(kind, "beta_start", float),
             self._model_value(kind, "beta_end", float),
         )
 
     def hidden_dims(self, kind: str) -> tuple[int, ...]:
-        return self._model_value(kind, "hidden_dims", lambda ds: tuple(int(d) for d in ds))
+        return self._model_value(kind, "hidden_dims", lambda ds: tuple(map(_integer, ds)))
 
     def time_embed_dim(self, kind: str) -> int:
-        return self._model_value(kind, "time_embed_dim", int)
+        return self._model_value(kind, "time_embed_dim", _integer)
 
     def train_config(self, kind: str) -> TrainConfig:
         return TrainConfig(
             learning_rate=self._model_value(kind, "learning_rate", float),
-            epochs=self._model_value(kind, "epochs", int),
+            epochs=self._model_value(kind, "epochs", _integer),
             seed=derive_seed(self.seed, f"{kind.lower()}-train"),
-            batch_size=self._model_value(kind, "batch_size", int),
-            patience=self._model_value(kind, "patience", int),
-            valid_every=self._model_value(kind, "valid_every", int),
+            batch_size=self._model_value(kind, "batch_size", _integer),
+            patience=self._model_value(kind, "patience", _integer),
+            valid_every=self._model_value(kind, "valid_every", _integer),
         )
 
     def guidance(self) -> GuidanceConfig:
         def g(key, cast=float):
             return self._typed(cast, "guidance", key)
-
-        def optional_int(v):
-            return None if v is None else int(v)
 
         return GuidanceConfig(
             eta=g("eta"),
@@ -243,8 +256,8 @@ class ExperimentConfig:
             w_r=g("w_r"),
             delta=g("delta"),
             lam=g("lambda"),
-            T_inf=g("T_inf", optional_int),
-            social_keep=g("social_keep", optional_int),
+            T_inf=g("T_inf", _optional_integer),
+            social_keep=g("social_keep", _optional_integer),
         )
 
     def seed_for(self, name: str) -> int:
@@ -258,12 +271,13 @@ class ExperimentConfig:
         value of the wrong type fails as a ConfigError naming its key."""
         _ = (
             self.seed,
+            self.declared_dims,
             self.ratios,
+            self.debiased_cap,
             self.csd_valid_fraction,
             self.eval_ks,
             self.hot_fraction,
             self.eval_split,
-            self.recall_per_user,
             self.guidance(),
         )
         for kind in ("cgd", "csd"):

@@ -98,47 +98,48 @@ def _binary_csr(users, items, shape) -> sp.csr_matrix:
     return m
 
 
-# The strict grammar of the one-pass readers: one record a line, fields
-# split by single tabs, a newline after every line but perhaps the last,
-# no blank lines, spaces or CRs, and no sign on an id.  A file inside it
-# parses the same through np.fromstring as through int() and float() line
-# by line; a file outside it goes to the line loop, which accepts what it
-# always did and names the first bad line.
+# The grammar of every input file: one record a line, fields split by
+# single tabs, `\n` or `\r\n` line ends, blank or whitespace-only lines
+# anywhere, no sign on an id.  Inside it, np.fromstring(sep=" ") reads
+# the file's numbers exactly as int() and float() read its fields.
 _ID = rb"[0-9]{1,18}"  # below 2**63: exact in int64
 REAL_ID = rb"[0-9]{1,15}"  # below 2**53: exact in float64, for tables holding reals
 
 
 def tsv_grammar(*fields: bytes) -> re.Pattern:
-    """The pattern a whole file of `fields`-shaped lines fullmatches.
+    """The pattern whose match on a file ends where its first bad line
+    starts, or at the file's end when every line is good.
 
-    Every field ends at a forced tab or newline, so the match is
-    unambiguous and a failing file backtracks in linear time.
+    Every field ends at a forced tab or line end, so a match never
+    backtracks more than a line.
     """
     line = b"\t".join(fields)
-    return re.compile(b"(?:%b\n)*(?:%b)?" % (line, line))
+    # one branch per record line end: a branch on \r?\n matches a fifth slower
+    return re.compile(rb"(?:%b\n|%b\r\n|[ \t]*\r?\n)*(?:(?:%b|[ \t]*)\r?\Z)?" % ((line,) * 3))
 
 
 _PAIRS = tsv_grammar(_ID, _ID)
+_RATED = tsv_grammar(REAL_ID, REAL_ID, rb"-?[0-9]+(?:\.[0-9]+)?")
 
 
-def read_columns(path, grammar: re.Pattern, fields: int, dtype) -> np.ndarray | None:
-    """The file's `fields` columns as rows of `dtype`, parsed in one array
-    pass; None when the whole file does not match `grammar`."""
+def read_columns(path, what: str, error: type[DataError], *layouts) -> np.ndarray:
+    """The file's columns, parsed in one array pass under the first of
+    `layouts`, (grammar, fields, dtype) triples, whose grammar reads the
+    whole file; otherwise an `error` naming the first line that no layout
+    reads past, which `what` describes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if grammar.fullmatch(data) is None:
-        return None
-    return np.fromstring(data, dtype=dtype, sep=" ").reshape(-1, fields).T
-
-
-def _parse_id(token: str, lineno: int, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {what} {token!r} is not an integer") from None
-    if value < 0:
-        raise ParseError(f"line {lineno}: negative {what} {value}")
-    return value
+    ends = []
+    for grammar, fields, dtype in layouts:
+        ends.append(grammar.match(data).end())
+        if ends[-1] == len(data):
+            if not data.strip():  # np.fromstring reads whitespace alone as one number
+                return np.empty((fields, 0), dtype=dtype)
+            return np.fromstring(data, dtype=dtype, sep=" ").reshape(-1, fields).T
+    end = max(ends)
+    lineno = data.count(b"\n", 0, end) + 1
+    line = data[end:].split(b"\n", 1)[0].decode("utf-8", errors="backslashreplace")
+    raise error(f"{path}: line {lineno} is not {what}: {line!r}")
 
 
 def _dimension(declared: int | None, max_id: int, what: str) -> int:
@@ -150,110 +151,39 @@ def _dimension(declared: int | None, max_id: int, what: str) -> int:
     return declared
 
 
-def text_lines(path, error: type[DataError]):
-    """(line number, line without its newline) for each non-blank line of
-    a UTF-8 text file; a line that is not UTF-8 is an `error` naming it."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise error(f"{path}: line {lineno} is not UTF-8 text") from None
-            line = line.rstrip("\n")
-            if line.strip():
-                yield lineno, line
-
-
-def _interaction_lines(path) -> tuple[list[int], list[int]]:
-    """Users and items of the kept lines, read line by line."""
-    users: list[int] = []
-    items: list[int] = []
-    for lineno, line in text_lines(path, ParseError):
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise ParseError(
-                f"line {lineno}: expected 2 or 3 tab-separated fields, got {len(parts)}"
-            )
-        u = _parse_id(parts[0], lineno, "user id")
-        i = _parse_id(parts[1], lineno, "item id")
-        if len(parts) == 3:
-            try:
-                rating = float(parts[2])
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: rating {parts[2]!r} is not a number"
-                ) from None
-            if rating <= 0:
-                continue
-        users.append(u)
-        items.append(i)
-    return users, items
-
-
 def load_interactions(
     path, n_users: int | None = None, n_items: int | None = None
 ) -> InteractionMatrix:
-    """Read `user<TAB>item[<TAB>rating]` lines into a binary matrix.
+    """Read `user<TAB>item` or `user<TAB>item<TAB>rating` lines into a
+    binary matrix.
 
-    Positive ratings (or absent ones) count as an interaction; zero or
-    negative ratings are dropped.  Dimensions default to max id + 1 and
-    may be overridden; ids beyond declared dims raise DimensionError.
+    Positive ratings count as an interaction; rows rated 0 or below are
+    dropped.  Dimensions default to max id + 1 and may be overridden; ids
+    beyond declared dims raise DimensionError.
     """
-    columns = read_columns(path, _PAIRS, 2, np.int64)
-    if columns is None:
-        # rated files, and Python ints: an id past int64 still reaches the dimension check
-        users, items = _interaction_lines(path)
-        max_u, max_i = max(users, default=-1), max(items, default=-1)
-    else:
-        users, items = columns
-        max_u, max_i = int(np.max(users, initial=-1)), int(np.max(items, initial=-1))
+    columns = read_columns(
+        path, "user<TAB>item[<TAB>rating]", ParseError,
+        (_PAIRS, 2, np.int64), (_RATED, 3, np.float64),
+    )
+    if len(columns) == 3:
+        columns = columns[:2, columns[2] > 0].astype(np.int64)
+    users, items = columns
     if not len(users) and (n_users is None or n_items is None):
         raise DataError(f"{path}: no interactions and no declared dimensions")
+    max_u, max_i = int(np.max(users, initial=-1)), int(np.max(items, initial=-1))
     shape = (_dimension(n_users, max_u, "user"), _dimension(n_items, max_i, "item"))
     return InteractionMatrix(_binary_csr(users, items, shape))
 
 
-def _social_lines(path) -> tuple[list[int], list[int]]:
-    """Both ends of every edge but self-loops, read line by line."""
-    src: list[int] = []
-    dst: list[int] = []
-    for lineno, line in text_lines(path, ParseError):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(
-                f"line {lineno}: expected 2 tab-separated fields, got {len(parts)}"
-            )
-        a = _parse_id(parts[0], lineno, "user id")
-        b = _parse_id(parts[1], lineno, "user id")
-        if a == b:
-            continue
-        src.append(a)
-        dst.append(b)
-    return src, dst
-
-
-def load_social(
-    path, n_users: int | None = None, symmetrize: bool = True
-) -> SocialMatrix:
-    """Read `user<TAB>user` lines; drop self-loops; symmetrize by default."""
-    columns = read_columns(path, _PAIRS, 2, np.int64)
-    if columns is None:
-        src, dst = _social_lines(path)
-        max_u = max(max(src, default=-1), max(dst, default=-1))
-    else:
-        edges = columns[:, columns[0] != columns[1]]
-        src, dst = edges
-        max_u = int(np.max(edges, initial=-1))
-    if not len(src) and n_users is None:
+def load_social(path, n_users: int | None = None) -> SocialMatrix:
+    """Read `user<TAB>user` lines; drop self-loops; symmetrize."""
+    columns = read_columns(path, "user<TAB>user", ParseError, (_PAIRS, 2, np.int64))
+    edges = columns[:, columns[0] != columns[1]]
+    if not edges.shape[1] and n_users is None:
         raise DataError(f"{path}: no edges and no declared dimension")
-    n_users = _dimension(n_users, max_u, "user")
-    raw = _binary_csr(src, dst, (n_users, n_users))
-    raw_edges = raw.nnz
-    if symmetrize:
-        sym = raw.maximum(raw.T).tocsr()
-    else:
-        sym = raw
-    return SocialMatrix(sym, raw_edges=raw_edges)
+    n_users = _dimension(n_users, int(np.max(edges, initial=-1)), "user")
+    raw = _binary_csr(edges[0], edges[1], (n_users, n_users))
+    return SocialMatrix(raw.maximum(raw.T).tocsr(), raw_edges=raw.nnz)
 
 
 def split(R: InteractionMatrix, ratios, seed: int) -> SplitBundle:

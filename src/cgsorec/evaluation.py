@@ -234,7 +234,7 @@ def topk_lists(
     return RankedLists(users, *top_k_rows(score_matrix, K, mask, other, w))
 
 
-def _ranking_metrics(lists: RankedLists, test, ks, in_groups=(None,), per_user=False) -> list:
+def _ranking_metrics(lists: RankedLists, test, ks, in_groups=(None,)) -> list:
     """(recall, ndcg) at every k in `ks`, for each item mask in `in_groups`.
 
     Only the masked test items count (None: all items), and lists whose
@@ -269,20 +269,15 @@ def _ranking_metrics(lists: RankedLists, test, ks, in_groups=(None,), per_user=F
         for k in ks:
             col = K if k is None else min(k, K)
             got = found[:, col]
-            recall[k] = float(np.mean(got / relevant) if per_user else got.sum() / relevant.sum())
+            recall[k] = float(got.sum() / relevant.sum())
             ndcg[k] = float(np.mean(dcg[:, col] / idcg[np.minimum(relevant, col)]))
         out.append((recall, ndcg))
     return out
 
 
-def recall_at_k(lists: RankedLists, test, k: int | None = None, per_user: bool = False) -> float:
-    """Hit ratio over the test set.
-
-    Default is the global ratio sum(hits) / sum(|T(u)|); per_user=True
-    averages the per-user ratios instead (both appear in the
-    literature — the global form is the primary one here).
-    """
-    return _ranking_metrics(lists, test, [k], per_user=per_user)[0][0][k]
+def recall_at_k(lists: RankedLists, test, k: int | None = None) -> float:
+    """Hit ratio over the test set: sum(hits) / sum(|T(u)|)."""
+    return _ranking_metrics(lists, test, [k])[0][0][k]
 
 
 def ndcg_at_k(lists: RankedLists, test, k: int | None = None) -> float:
@@ -367,14 +362,13 @@ class EvalReport:
 
 
 def evaluate_lists(
-    lists: RankedLists, test, train, groups: ItemGroups, ks,
-    config_echo: dict | None = None, per_user_recall: bool = False,
+    lists: RankedLists, test, train, groups: ItemGroups, ks, config_echo: dict | None = None
 ) -> EvalReport:
     """Full evaluation of already-ranked lists against a test split."""
     ks, K = sorted(int(k) for k in ks), lists.items.shape[1]
     if len(lists.users) and K < max(ks):
         raise ConfigError(f"lists hold {K} items, fewer than K={max(ks)}")
-    [(recall, ndcg)] = _ranking_metrics(lists, test, ks, per_user=per_user_recall)
+    [(recall, ndcg)] = _ranking_metrics(lists, test, ks)
     per_group, notices = group_metrics(lists, test, groups, ks)
     hist = frequency_histogram(lists, train, groups)
     return EvalReport(recall, ndcg, per_group, hist, notices, dict(config_echo or {}))

@@ -29,7 +29,6 @@ from .corpus import (
     partition_items,
     read_columns,
     split,
-    text_lines,
     tsv_grammar,
 )
 from .errors import DataError, IntegrityError
@@ -44,19 +43,14 @@ def load_interaction_data(cfg: ExperimentConfig) -> InteractionMatrix:
     """The interactions file alone, for the commands that never read the
     social graph; both input files must still exist."""
     cfg.require_files()
-    ds = cfg.dataset
-    return load_interactions(ds["interactions"], n_users=ds["n_users"], n_items=ds["n_items"])
+    n_users, n_items = cfg.declared_dims
+    return load_interactions(cfg.dataset["interactions"], n_users=n_users, n_items=n_items)
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[InteractionMatrix, SocialMatrix | None]:
     R = load_interaction_data(cfg)
-    ds = cfg.dataset
-    S = None
-    if ds["social"] is not None:
-        S = load_social(
-            ds["social"], n_users=R.n_users, symmetrize=bool(ds["symmetrize_social"])
-        )
-    return R, S
+    social = cfg.dataset["social"]
+    return R, None if social is None else load_social(social, n_users=R.n_users)
 
 
 def make_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
@@ -297,15 +291,7 @@ def eval_target(cfg: ExperimentConfig, bundle: SplitBundle) -> tuple[Interaction
 
 def eval_report(cfg: ExperimentConfig, lists: RankedLists, bundle: SplitBundle):
     target, groups = eval_target(cfg, bundle)
-    return evaluate_lists(
-        lists,
-        target,
-        bundle.train,
-        groups,
-        cfg.eval_ks,
-        config_echo=cfg.raw,
-        per_user_recall=cfg.recall_per_user,
-    )
+    return evaluate_lists(lists, target, bundle.train, groups, cfg.eval_ks, config_echo=cfg.raw)
 
 
 def write_lists(lists: RankedLists, path) -> None:
@@ -321,25 +307,10 @@ def _refuse(users: np.ndarray, bad: np.ndarray, reason: str) -> None:
         raise DataError(f"lists: user {users[np.argmax(bad)]}: {reason}")
 
 
-# write_lists' lines: the score is a float repr.
-_LISTS = tsv_grammar(REAL_ID, REAL_ID, rb"(?:-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan)")
-
-
-def _list_lines(path) -> tuple[list[int], list[int], list[float]]:
-    """Users, items and scores of a lists file, read line by line."""
-    users, items, scores = [], [], []
-    for lineno, line in text_lines(path, DataError):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            u, item, score = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as err:
-            raise DataError(f"{path}:{lineno}: {err}") from err
-        users.append(u)
-        items.append(item)
-        scores.append(score)
-    return users, items, scores
+# write_lists' lines: the score is a float repr.  A signed id is read, so
+# that the range check names the user who holds it.
+_LIST_ID = b"-?" + REAL_ID
+_LISTS = tsv_grammar(_LIST_ID, _LIST_ID, rb"(?:-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan)")
 
 
 def read_lists(path, n_users: int, n_items: int) -> RankedLists:
@@ -351,17 +322,13 @@ def read_lists(path, n_users: int, n_items: int) -> RankedLists:
     DataError names the first user whose list breaks a rule.
     """
     try:
-        columns = read_columns(path, _LISTS, 3, np.float64)
-        if columns is None:
-            # the line loop parses what the array pass refused, or names its bad line
-            columns = _list_lines(path)
+        columns = read_columns(
+            path, "user<TAB>item<TAB>score", DataError, (_LISTS, 3, np.float64)
+        )
     except OSError as err:
         raise DataError(f"cannot read lists file {path!r}: {err}") from err
-    users, items, scores = columns
-    try:
-        users, items = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
-    except OverflowError as err:
-        raise DataError(f"{path}: an id does not fit in 64 bits") from err
+    users, items = columns[:2].astype(np.int64)
+    scores = columns[2]
     order = np.argsort(users, kind="stable")
     owners, sizes = np.unique(users[order], return_counts=True)
     K = int(sizes[0]) if len(sizes) else 0
@@ -371,4 +338,4 @@ def read_lists(path, n_users: int, n_items: int) -> RankedLists:
     _refuse(owners, ((ids < 0) | (ids >= n_items)).any(axis=1), f"item id outside 0..{n_items - 1}")
     ranked = np.sort(ids, axis=1)
     _refuse(owners, (ranked[:, 1:] == ranked[:, :-1]).any(axis=1), "an item is listed twice")
-    return RankedLists(owners, ids, np.array(scores, dtype=np.float64)[order].reshape(ids.shape))
+    return RankedLists(owners, ids, scores[order].reshape(ids.shape))

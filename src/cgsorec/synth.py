@@ -37,7 +37,7 @@ class SyntheticDataset:
     social_edges: np.ndarray
     communities: np.ndarray
 
-    def to_matrices(self, symmetrize: bool = True) -> tuple[InteractionMatrix, SocialMatrix]:
+    def to_matrices(self) -> tuple[InteractionMatrix, SocialMatrix]:
         u, i = self.interactions[:, 0], self.interactions[:, 1]
         R = sp.coo_matrix(
             (np.ones(len(u)), (u, i)), shape=(self.n_users, self.n_items)
@@ -46,10 +46,7 @@ class SyntheticDataset:
         S = sp.coo_matrix(
             (np.ones(len(a)), (a, b)), shape=(self.n_users, self.n_users)
         ).tocsr()
-        raw_edges = S.nnz
-        if symmetrize:
-            S = S.maximum(S.T).tocsr()
-        return InteractionMatrix(R), SocialMatrix(S, raw_edges=raw_edges)
+        return InteractionMatrix(R), SocialMatrix(S.maximum(S.T).tocsr(), raw_edges=S.nnz)
 
 
 def _user_counts(

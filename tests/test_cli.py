@@ -151,6 +151,16 @@ class TestPrepare:
         assert code == 2
         assert "unknown config key 'guidance.stochastic'" in err
 
+    @pytest.mark.parametrize("section, key", [("dataset", "symmetrize_social"), ("eval", "recall_per_user")])
+    def test_removed_knob_exits_2(self, ws, tmp_path, capsys, section, key):
+        cfg = json.loads((ws["root"] / "config.json").read_text())
+        cfg.setdefault(section, {})[key] = True
+        old = tmp_path / "cfg.json"
+        old.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "prepare", str(old))
+        assert code == 2
+        assert f"unknown config key '{section}.{key}'" in err
+
     @pytest.mark.parametrize("which", ["interactions", "social"])
     def test_line_that_is_not_utf8_exits_3(self, tmp_path, capsys, which):
         files = {name: tmp_path / f"{name}.tsv" for name in ("interactions", "social")}
@@ -165,7 +175,27 @@ class TestPrepare:
         }))
         code, _, err = run(capsys, "prepare", str(cfg))
         assert code == 3
-        assert "line 2 is not UTF-8" in err
+        assert f"{which}.tsv: line 2 is not user<TAB>" in err
+        assert ": '\\\\xff" in err  # the bad byte, escaped
+
+    @pytest.mark.parametrize(
+        "old, new", [("\t", "\t+"), ("\t", "\t "), ("\t", "\t7_"), ("\t", "\t\u0663"), ("\n", "\t1\n")]
+    )
+    def test_line_outside_the_grammar_exits_3(self, tmp_path, capsys, old, new):
+        files = {name: tmp_path / f"{name}.tsv" for name in ("interactions", "social")}
+        write_dataset(planted(seed=0), files["interactions"], files["social"])
+        lines = files["interactions"].read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace(old, new, 1)
+        files["interactions"].write_text("".join(lines))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "output_dir": str(tmp_path / "run"),
+            "dataset": {name: str(path) for name, path in files.items()},
+        }))
+        code, _, err = run(capsys, "prepare", str(cfg))
+        assert code == 3
+        shown = repr(lines[2].removesuffix("\n"))
+        assert f"interactions.tsv: line 3 is not user<TAB>item[<TAB>rating]: {shown}" in err
 
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -186,6 +216,14 @@ class TestPrepare:
             ("cgd.epochs=abc", "'abc'"),
             ("eval.ks=abc", "'abc'"),
             ("split.ratios=5", ": 5"),
+            ("cgd.epochs=2.5", ": 2.5"),
+            ("eval.ks=[2.5]", ": [2.5]"),
+            ("guidance.T_inf=true", ": True"),
+            ("guidance.social_keep=2.7", ": 2.7"),
+            ("split.debiased_cap=x", ": 'x'"),
+            ("split.debiased_cap=[3]", ": [3]"),
+            ("split.debiased_cap=2.5", ": 2.5"),
+            ("split.debiased_cap=true", ": True"),
         ],
     )
     def test_wrong_type_is_config_error(self, ws, capsys, assignment, shown):
@@ -394,6 +432,37 @@ class TestGoldenFixtureThroughCli:
         assert out.read_bytes() == expected.read_bytes()
 
 
+def test_social_keep_changes_guided_lists(tmp_path, capsys):
+    """guidance.social_keep reaches the lists through the item condition
+    (lambda > 0), and a negative value is a config error."""
+    write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 1,
+        "output_dir": str(tmp_path / "run"),
+        "dataset": {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")},
+        "guidance": {"delta": 1.0, "eta": 0.2, "w_s": 0.5, "lambda": 2.0, "gamma": 0.5, "w_r": 0.2},
+    }))
+    ds = planted(seed=0)
+    save_checkpoint(untrained_checkpoint(ds.n_items, T=3, seed=21), tmp_path / "ck-item")
+    save_checkpoint(untrained_checkpoint(ds.n_users, T=3, seed=22, tag="CSD"), tmp_path / "ck-social")
+    assert main(["prepare", str(cfg)]) == 0
+
+    def infer(*overrides):
+        out = tmp_path / f"lists{len(overrides)}.tsv"
+        code, _, err = run(
+            capsys, "infer", str(cfg), "--ckpt-cgd", str(tmp_path / "ck-item"),
+            "--ckpt-csd", str(tmp_path / "ck-social"), "--out", str(out), *overrides,
+        )
+        return code, err, out
+
+    default, keep_one = infer()[2], infer("--set", "guidance.social_keep=1")[2]
+    assert default.read_bytes() != keep_one.read_bytes()
+    code, err, _ = infer("--set", "guidance.social_keep=-1")
+    assert code == 2
+    assert "social_keep must be >= 0, got -1" in err
+
+
 class TestEval:
     @pytest.fixture()
     def lists_path(self, ws, capsys):
@@ -541,7 +610,7 @@ class TestListsFileErrors:
         path.write_bytes(b"0\t1\t0.5\n\xff0\t2\t0.5\n")
         code, _, err = run(capsys, "eval", cfg, "--lists", str(path), "--out", str(root / "o.json"))
         assert code == 3
-        assert "line 2 is not UTF-8" in err
+        assert "not-utf8.tsv: line 2 is not user<TAB>item<TAB>score: '\\\\xff0\\t2\\t0.5'" in err
 
 
 @pytest.mark.parametrize("indent", [None, 1])  # write_manifest's layout, and any other

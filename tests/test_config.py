@@ -52,10 +52,10 @@ class TestApplySet:
     def test_float_and_bool_and_list(self):
         raw = default_config()
         apply_set(raw, "guidance.w_r=0.4")
-        apply_set(raw, "eval.recall_per_user=true")
+        apply_set(raw, "guidance.T_inf=true")  # coerced here, refused by validation
         apply_set(raw, "eval.ks=[1, 20]")
         assert raw["guidance"]["w_r"] == 0.4
-        assert raw["eval"]["recall_per_user"] is True
+        assert raw["guidance"]["T_inf"] is True
         assert raw["eval"]["ks"] == [1, 20]
 
     def test_string_passthrough(self):
@@ -117,11 +117,22 @@ class TestValidation:
             {"guidance": {"T_inf": 0}},
             {"eval": {"ks": [0, 10]}},
             {"eval": {"ks": []}},
+            {"seed": True},
+            {"cgd": {"epochs": float("inf")}},
+            {"csd": {"hidden_dims": [16.5]}},
+            {"dataset": {"n_users": 2.5}},
+            {"dataset": {"n_items": "x"}},
+            {"split": {"debiased_cap": 0}},
+            {"split": {"debiased_cap": "x"}},
         ],
     )
     def test_bad_values_fail_at_parse(self, user):
         with pytest.raises(ConfigError):
             config_from_dict(user)
+
+    def test_integral_float_is_an_integer(self):
+        cfg = config_from_dict({"cgd": {"epochs": 3.0}, "dataset": {"n_users": 5.0}})
+        assert cfg.train_config("cgd").epochs == 3 and cfg.declared_dims == (5, None)
 
     def test_schedule_built_from_section(self):
         cfg = config_from_dict({"cgd": {"T": 5, "beta_start": 0.01, "beta_end": 0.05}})

@@ -1,6 +1,7 @@
 """Dataset ingestion, splitting, and the derived condition matrices."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from cgsorec.errors import (
     ParseError,
 )
 
-from conftest import rand_binary_csr
+from conftest import decimal, digits, line_loop, rand_binary_csr
 
 
 def im(dense) -> InteractionMatrix:
@@ -109,12 +110,6 @@ class TestLoadSocial:
         assert S.matrix[0, 1] == 1.0 and S.matrix[1, 0] == 1.0
         assert S.raw_edges == 1
 
-    def test_directed_kept_when_asked(self, tmp_path):
-        f = tmp_path / "s.tsv"
-        f.write_text("0\t1\n")
-        S = load_social(f, symmetrize=False)
-        assert S.matrix[0, 1] == 1.0 and S.matrix[1, 0] == 0.0
-
     def test_raw_edges_counts_directed_input(self, tmp_path):
         f = tmp_path / "s.tsv"
         f.write_text("0\t1\n1\t0\n2\t0\n")
@@ -129,13 +124,15 @@ class TestLoadSocial:
         assert S.n_users == 6
 
 
-# The line loops, kept from before the array pass; the references below add
-# the dimension rules on Python ints, as the loaders applied them.
-INTERACTION_LINES, SOCIAL_LINES = corpus._interaction_lines, corpus._social_lines
+# The loaders' rules, applied to the rows of the test's own line loop.
+INTERACTIONS = "user<TAB>item[<TAB>rating]"
+PAIR, RATED = (digits(18), digits(18)), (digits(15), digits(15), decimal)
 
 
 def reference_interactions(path, n_users=None, n_items=None):
-    users, items = INTERACTION_LINES(path)
+    rows = line_loop(path, INTERACTIONS, ParseError, PAIR, RATED)
+    users = [row[0] for row in rows if len(row) == 2 or row[2] > 0]
+    items = [row[1] for row in rows if len(row) == 2 or row[2] > 0]
     if not users and (n_users is None or n_items is None):
         raise DataError(f"{path}: no interactions and no declared dimensions")
     max_u = max(users, default=-1)
@@ -151,8 +148,9 @@ def reference_interactions(path, n_users=None, n_items=None):
     return InteractionMatrix(corpus._binary_csr(users, items, (n_users, n_items)))
 
 
-def reference_social(path, n_users=None, symmetrize=True):
-    src, dst = SOCIAL_LINES(path)
+def reference_social(path, n_users=None):
+    edges = [row for row in line_loop(path, "user<TAB>user", ParseError, PAIR) if row[0] != row[1]]
+    src, dst = [a for a, _ in edges], [b for _, b in edges]
     if not src and n_users is None:
         raise DataError(f"{path}: no edges and no declared dimension")
     max_u = max(max(src, default=-1), max(dst, default=-1))
@@ -161,8 +159,7 @@ def reference_social(path, n_users=None, symmetrize=True):
     elif max_u >= n_users:
         raise DimensionError(f"user id {max_u} exceeds declared n_users={n_users}")
     raw = corpus._binary_csr(src, dst, (n_users, n_users))
-    sym = raw.maximum(raw.T).tocsr() if symmetrize else raw
-    return SocialMatrix(sym, raw_edges=raw.nnz)
+    return SocialMatrix(raw.maximum(raw.T).tocsr(), raw_edges=raw.nnz)
 
 
 def outcome(load, *args, **kwargs):
@@ -182,13 +179,14 @@ DIRTY_IDS = [
     "+7", " 7", "7 ", "7_0", "-3", "", "x", "\u0663", "1.0",
     "12345678901234567890", "9223372036854775808", "999999999999999999",
 ]
-CLEAN_RATINGS = ["1", "0", "2.5", "0.0", "10", "00.5", "0.000000000000001"]
-DIRTY_RATINGS = ["-1", "1e3", "nan", "inf", "-inf", "abc", " 3", "1_0", "-0.0", ".5", "5.", ""]
+CLEAN_RATINGS = ["1", "0", "2.5", "0.0", "10", "00.5", "0.000000000000001", "-1", "-0.0"]
+DIRTY_RATINGS = ["1e3", "nan", "inf", "-inf", "abc", " 3", "1_0", ".5", "5.", "", "+1"]
 
 
 def random_file(rng, n_fields: int) -> bytes:
     """A few lines of `n_fields` clean fields, then, for half the files,
-    one to three kinds of damage the array pass must leave to the loop."""
+    one to three kinds of change, each either inside the grammar (blank
+    lines, CRLF ends, self-loops) or outside it."""
     def pick(pool):
         return pool[rng.integers(len(pool))]
 
@@ -225,43 +223,43 @@ def random_file(rng, n_fields: int) -> bytes:
 
 
 class TestArrayPassMatchesLineLoop:
-    """On files of every shape the loaders give the line loop's matrix, or
-    its exception with the same message; clean two-column files skip the
-    loop, and rated files always take it."""
+    """On files of every shape the loaders give the test's line loop's
+    matrix, or its exception with the same message."""
 
-    def run_files(self, tmp_path, monkeypatch, seed, loop_name, n_fields_of, compare):
+    def run_files(self, tmp_path, seed, n_fields_of, compare):
         rng = np.random.default_rng(seed)
-        loop = getattr(corpus, loop_name)
-        used = []
-        monkeypatch.setattr(corpus, loop_name, lambda path: used.append(path) or loop(path))
+        refused = 0
         for k in range(300):
             path = tmp_path / f"f{k}.tsv"
             path.write_bytes(random_file(rng, n_fields_of(k)))
-            compare(path, k)
-        # the array pass and the loop each decided a fair share of the files
-        assert 60 < len(used) < 240
+            refused += compare(path, k)[0] is ParseError
+        # the grammar read and refused each a fair share of the files
+        assert 60 < refused < 240
 
-    def test_interactions(self, tmp_path, monkeypatch):
+    def test_interactions(self, tmp_path):
         def compare(path, k):
             dims = [{}, {"n_users": 6, "n_items": 12}, {"n_users": 12, "n_items": 6}][k % 3]
             got = outcome(load_interactions, path, **dims)
             assert got == outcome(reference_interactions, path, **dims), path.read_bytes()
+            return got
 
-        self.run_files(tmp_path, monkeypatch, 17, "_interaction_lines", lambda k: 2 + k % 2, compare)
+        self.run_files(tmp_path, 17, lambda k: 2 + k % 2, compare)
 
-    def test_social(self, tmp_path, monkeypatch):
+    def test_social(self, tmp_path):
         def compare(path, k):
-            kwargs = {"n_users": [None, 6, 12][k % 3], "symmetrize": k % 2 == 0}
-            got = outcome(load_social, path, **kwargs)
-            assert got == outcome(reference_social, path, **kwargs), path.read_bytes()
+            n_users = [None, 6, 12][k % 3]
+            got = outcome(load_social, path, n_users)
+            assert got == outcome(reference_social, path, n_users), path.read_bytes()
+            return got
 
-        self.run_files(tmp_path, monkeypatch, 18, "_social_lines", lambda k: 2, compare)
+        self.run_files(tmp_path, 18, lambda k: 2, compare)
 
     @pytest.mark.parametrize(
         "text",
         ["", "0\t1", "0\t1\n", "0\t1\t1\n2\t3\t0.0", "\n", "0\t1\r\n", "0\t1\n\n",
          "0\t1\n1\t2\t1\n", "12345678901234567890\t1\n", "3\t3\n0\t1\n",
-         "9007199254740993\t1\t1\n"],  # 2**53 + 1: no float64 holds it
+         "9007199254740993\t1\t1\n",  # 2**53 + 1: no float64 holds it
+         " \t\r\n\n\t", "0\t1\t-0.0\n", "0\t1\r", "0\t1\r\r\n", "0\r\n1\t2\n"],
     )
     def test_edge_files(self, tmp_path, text):
         path = tmp_path / "f.tsv"
@@ -270,6 +268,55 @@ class TestArrayPassMatchesLineLoop:
             assert outcome(load_interactions, path, **dims) == outcome(reference_interactions, path, **dims)
         for n_users in (None, 4):
             assert outcome(load_social, path, n_users) == outcome(reference_social, path, n_users)
+
+
+class TestGrammar:
+    """Every input file has one grammar, read in one array pass."""
+
+    @pytest.mark.parametrize("bad", ["+7", " 7", "7_0", "\u0663", "-3", "7 "])
+    def test_id_outside_the_grammar_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "r.tsv"
+        path.write_text(f"0\t1\n2\t{bad}\n")
+        with pytest.raises(ParseError, match=f"r.tsv: line 2 is not {re.escape(INTERACTIONS)}"):
+            load_interactions(path)
+        with pytest.raises(ParseError, match="r.tsv: line 2 is not user<TAB>user"):
+            load_social(path)
+
+    def test_mixed_columns_name_the_first_line_of_the_other_layout(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("0\t1\n1\t2\n3\t4\t1\n")
+        with pytest.raises(ParseError, match=r"line 3 is not .*: '3\\t4\\t1'$"):
+            load_interactions(path)
+        path.write_text("0\t1\t1\n1\t2\n")
+        with pytest.raises(ParseError, match="line 2 is not"):
+            load_interactions(path)
+
+    def test_bad_bytes_are_shown_escaped(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_bytes(b"0\t1\n\xff0\t2\n")
+        with pytest.raises(ParseError, match=r"line 2 is not .*: '\\\\xff0\\t2'$"):
+            load_interactions(path)
+
+    def test_rated_file_is_one_array_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.tsv"
+        path.write_text("0\t0\t4.5\r\n0\t1\t0\n\n1\t0\t-2\n1\t1\t1\n5\t9\t0.0")
+        passes, fromstring = [], np.fromstring
+        monkeypatch.setattr(np, "fromstring", lambda *a, **k: passes.append(a) or fromstring(*a, **k))
+        got = outcome(load_interactions, path)
+        assert len(passes) == 1
+        assert got == outcome(reference_interactions, path)
+        assert got[0] == (2, 2)  # the row rated 0.0 counts toward no dimension
+
+    @pytest.mark.parametrize("text", ["\n \t\n", " \t", "\r\n\t\r\n"])
+    def test_whitespace_alone_is_no_rows(self, tmp_path, text):
+        # np.fromstring(sep=" ") reads whitespace alone as one number
+        path = tmp_path / "r.tsv"
+        path.write_text(text, newline="")
+        pairs = corpus.read_columns(path, "pairs", ParseError, (corpus._PAIRS, 2, np.int64))
+        assert pairs.shape == (2, 0) and pairs.dtype == np.int64
+        R = load_interactions(path, n_users=3, n_items=4)
+        assert (R.n_users, R.n_items, R.nnz) == (3, 4, 0)
+        assert load_social(path, n_users=3).nnz == 0
 
 
 def reference_split(R, ratios, seed):

@@ -47,7 +47,7 @@ def test_no_compiled_pattern_needs_python_3_11():
         for name, value in vars(importlib.import_module(f"cgsorec.{module}")).items()
         if isinstance(value, re.Pattern)
     }
-    assert {"corpus._PAIRS", "pipeline._LISTS"} <= set(patterns)
+    assert {"corpus._PAIRS", "corpus._RATED", "pipeline._LISTS"} <= set(patterns)
     newer = {
         name: token
         for name, pattern in patterns.items()
