@@ -28,13 +28,24 @@ def _ckpt_dir(cfg: ExperimentConfig, kind: str, override: str | None) -> str:
     return override or os.path.join(cfg.output_dir, f"ckpt-{kind}")
 
 
-def _load_both_checkpoints(cfg, args):
+def _inference_inputs(cfg, args, cfgs):
+    """(S, bundle, CSD checkpoint, CGD checkpoint) for inference under
+    each of `cfgs`.  joint_chains reads the social graph and the CSD
+    model only when lambda > 0, so unless one of `cfgs` sets it neither
+    is loaded and both are None; require_files still demands that both
+    input files exist."""
+    social = any(c.guidance().lam > 0 for c in cfgs)
+    if social:
+        R, S = pipeline.load_dataset(cfg)
+    else:
+        R, S = pipeline.load_interaction_data(cfg), None
+    bundle = pipeline.ensure_bundle(cfg, R)
     ckpt_item = load_checkpoint(_ckpt_dir(cfg, "cgd", args.ckpt_cgd))
     csd_dir = _ckpt_dir(cfg, "csd", args.ckpt_csd)
     ckpt_social = None
-    if os.path.exists(os.path.join(csd_dir, "manifest.json")):
+    if social and os.path.exists(os.path.join(csd_dir, "manifest.json")):
         ckpt_social = load_checkpoint(csd_dir)
-    return ckpt_social, ckpt_item
+    return S, bundle, ckpt_social, ckpt_item
 
 
 def cmd_prepare(cfg: ExperimentConfig, args) -> int:
@@ -101,9 +112,7 @@ def cmd_infer(cfg: ExperimentConfig, args) -> int:
     if args.top is not None and args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
     top_k = args.top or max(cfg.eval_ks)
-    R, S = pipeline.load_dataset(cfg)
-    bundle = pipeline.ensure_bundle(cfg, R)
-    ckpt_social, ckpt_item = _load_both_checkpoints(cfg, args)
+    S, bundle, ckpt_social, ckpt_item = _inference_inputs(cfg, args, [cfg])
     lists = pipeline.joint_lists(cfg, ckpt_social, ckpt_item, S, bundle, top_k)
     out = args.out or os.path.join(cfg.output_dir, "lists.tsv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -163,9 +172,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     )
     os.makedirs(out_dir, exist_ok=True)
 
-    R, S = pipeline.load_dataset(cfg)
-    bundle = pipeline.ensure_bundle(cfg, R)
-    ckpt_social, ckpt_item = _load_both_checkpoints(cfg, args)
+    S, bundle, ckpt_social, ckpt_item = _inference_inputs(cfg, args, cfgs)
 
     def chains(cfg_v):
         return joint_chains(*pipeline.chain_args(cfg_v, ckpt_social, ckpt_item, S, bundle))

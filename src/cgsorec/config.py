@@ -86,6 +86,17 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A real config value: an int or a float.  A bool, a string or a
+    value of any other type raises, never parses."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError as err:  # an int beyond float range
+        raise ValueError(f"{value} is out of range") from err
+
+
 def _optional_integer(value) -> int | None:
     return None if value is None else _integer(value)
 
@@ -172,7 +183,7 @@ class ExperimentConfig:
 
     @property
     def ratios(self) -> tuple[float, float, float]:
-        r = self._typed(lambda r: tuple(float(x) for x in r), "split", "ratios")
+        r = self._typed(lambda r: tuple(map(_real, r)), "split", "ratios")
         if len(r) != 3:
             raise ConfigError(f"split.ratios needs 3 entries, got {list(r)}")
         return r
@@ -186,7 +197,7 @@ class ExperimentConfig:
 
     @property
     def csd_valid_fraction(self) -> float:
-        f = self._typed(float, "csd_valid_fraction")
+        f = self._typed(_real, "csd_valid_fraction")
         if not 0.0 <= f < 1.0:
             raise ConfigError(f"csd_valid_fraction must be in [0, 1), got {f}")
         return f
@@ -200,7 +211,7 @@ class ExperimentConfig:
 
     @property
     def hot_fraction(self) -> float:
-        f = self._typed(float, "eval", "hot_fraction")
+        f = self._typed(_real, "eval", "hot_fraction")
         if not 0.0 < f < 1.0:
             raise ConfigError(f"eval.hot_fraction must be in (0, 1), got {f}")
         return f
@@ -225,8 +236,8 @@ class ExperimentConfig:
     def schedule(self, kind: str) -> NoiseSchedule:
         return make_schedule(
             self._model_value(kind, "T", _integer),
-            self._model_value(kind, "beta_start", float),
-            self._model_value(kind, "beta_end", float),
+            self._model_value(kind, "beta_start", _real),
+            self._model_value(kind, "beta_end", _real),
         )
 
     def hidden_dims(self, kind: str) -> tuple[int, ...]:
@@ -237,7 +248,7 @@ class ExperimentConfig:
 
     def train_config(self, kind: str) -> TrainConfig:
         return TrainConfig(
-            learning_rate=self._model_value(kind, "learning_rate", float),
+            learning_rate=self._model_value(kind, "learning_rate", _real),
             epochs=self._model_value(kind, "epochs", _integer),
             seed=derive_seed(self.seed, f"{kind.lower()}-train"),
             batch_size=self._model_value(kind, "batch_size", _integer),
@@ -246,7 +257,7 @@ class ExperimentConfig:
         )
 
     def guidance(self) -> GuidanceConfig:
-        def g(key, cast=float):
+        def g(key, cast=_real):
             return self._typed(cast, "guidance", key)
 
         return GuidanceConfig(

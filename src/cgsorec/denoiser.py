@@ -159,13 +159,29 @@ def _csr_rows(x0) -> sp.csr_matrix:
     if not sp.issparse(x0):
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.ndim != 2:
-            raise ShapeError(f"training batch must be 2-D, got shape {x0.shape}")
+            raise ShapeError(f"rows must be 2-D, got shape {x0.shape}")
         return sp.csr_matrix(x0)
     x0 = sp.csr_matrix(x0, dtype=np.float64)
     if not x0.has_canonical_format:
         x0 = x0.copy()
         x0.sum_duplicates()
     return x0
+
+
+def corrupt_rows(x0: sp.csr_matrix, ab, eps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """q_sample(x0, t, eps) written into `out`, which may be eps itself.
+
+    x0 is canonical CSR (_csr_rows) and ab is alpha_bar at each row's
+    step: a scalar, or a (B, 1) column.  out becomes sqrt(1 - ab) * eps,
+    and sqrt(ab) * x0 is added at x0's stored entries only.  Every
+    product and sum is the IEEE operation of the dense formula, since an
+    entry where x0 = 0 contributes +0 there, so the two agree bitwise.
+    """
+    np.multiply(np.sqrt(1.0 - ab), eps, out=out)
+    rows = np.repeat(np.arange(x0.shape[0]), np.diff(x0.indptr))
+    scale = np.broadcast_to(np.sqrt(ab), (x0.shape[0], 1))[rows, 0]
+    out[rows, x0.indices] += scale * x0.data
+    return out
 
 
 def loss_and_grad(
@@ -182,12 +198,12 @@ def loss_and_grad(
     the mean, so the learning rate is batch-size invariant.
 
     x0 (B x n) may be sparse or dense; it is read as canonical CSR and
-    never densified.  sqrt(1 - ab) * eps is written straight into the
-    embedded input and sqrt(ab) * x0 added at x0's stored entries; the
-    residual is the prediction minus x0 at those entries.  Every product
-    and sum is the IEEE operation of the dense formulas (q_sample, then
-    pred - x0), since an entry where x0 = 0 contributes +0, so the loss
-    and gradients equal theirs bitwise.  No argument is written to.
+    never densified.  The corrupted rows are written straight into the
+    embedded input (corrupt_rows), and the residual is the prediction
+    minus x0 at x0's stored entries.  Every product and sum is the IEEE
+    operation of the dense formulas (q_sample, then pred - x0), since an
+    entry where x0 = 0 contributes +0, so the loss and gradients equal
+    theirs bitwise.  No argument is written to.
     """
     x0 = _csr_rows(x0)
     t = np.asarray(t)
@@ -199,14 +215,10 @@ def loss_and_grad(
         raise ShapeError(f"input width {n} != model width {params.in_dim}")
     if np.any(t < 1) or np.any(t > sched.T):
         raise StepError(f"timestep array outside [1, {sched.T}]")
-    ab = sched.alpha_bar[t - 1][:, None]
-    row_of = np.repeat(np.arange(B), np.diff(x0.indptr))
 
     # Embedded input h = [x_t, emb(t)], built in place.
-    width = n + params.time_embed_dim
-    h = np.empty((B, width))
-    np.multiply(np.sqrt(1.0 - ab), eps, out=h[:, :n])
-    h.reshape(-1)[row_of * width + x0.indices] += np.sqrt(ab)[row_of, 0] * x0.data
+    h = np.empty((B, n + params.time_embed_dim))
+    corrupt_rows(x0, sched.alpha_bar[t - 1][:, None], eps, out=h[:, :n])
     h[:, n:] = timestep_embedding(t, params.time_embed_dim)
 
     acts = [h]
@@ -217,6 +229,7 @@ def loss_and_grad(
         acts.append(z)
     diff = acts[-1] @ params.weights[-1]
     diff += params.biases[-1]
+    row_of = np.repeat(np.arange(B), np.diff(x0.indptr))
     diff.reshape(-1)[row_of * n + x0.indices] -= x0.data
 
     w = loss_weights(sched)[t - 1]

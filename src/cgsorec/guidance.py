@@ -24,11 +24,17 @@ Determinism: corruption noise comes from a stream keyed by
 (seed XOR user_id, stage), so results do not depend on which chains
 are skipped; every reverse step takes its mean; rows are processed in
 fixed 512-row chunks so BLAS sees the same shapes on every run.
+
+Memory: _chain_rows yields a pair's chains chunk by chunk, and each
+phase reduces a chunk as soon as it is made: the social phase into
+re-binarized graph rows, and joint_lists into ranked lists.  Only the
+condition graphs, sparse, and a sweep's gathered item pair are whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,11 +49,12 @@ from .corpus import (
     social_condition,
     social_preference,
 )
-from .denoiser import DenoiserParams, last_hidden
+from .denoiser import DenoiserParams, _csr_rows, corrupt_rows, last_hidden
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluation import blend, top_k_rows
-from .schedule import NoiseSchedule, model_mean, q_sample
+from .schedule import NoiseSchedule, model_mean
+from .schedule import q_sample  # noqa: F401  (bench/spans.py wraps it here)
 from .trainer import Checkpoint
 
 # Independent noise streams per user; values are arbitrary but frozen,
@@ -128,21 +135,28 @@ def _chain_rows(
     cfg: GuidanceConfig,
     seed: int,
     stage: int,
-) -> np.ndarray:
-    """Reverse chains over clean `rows` (corrupted here to T_inf), each
-    step's mean mixed with weight `mix` toward the mean at the clean
-    `cond` row, in fixed CHUNK-row blocks.
+    w: float = 0.0,
+):
+    """The chains of a pair over the same users, one CHUNK-row block at a
+    time: yields (span, a, b) for each block in order.
 
-    Steps run on z = x @ W0x (module docstring); the output head is
-    applied once, at t = 1.  Raises NumericError naming the stage and
-    the first user whose output is not finite.
+    Chain A runs reverse chains over clean `rows` (corrupted here to
+    T_inf), each step's mean mixed with weight `mix` toward the mean at
+    the clean `cond` row.  Chain B runs over `cond` itself, unguided, at
+    stage + 1, only when its blend weight w is > 0; b is None otherwise.
+    Each block's noise is corrupted in place (corrupt_rows), and steps
+    run on z = x @ W0x (module docstring); the output head is applied
+    once, at t = 1.  Raises NumericError naming the stage and the first
+    user of the first block whose output is not finite.
     """
     T_inf = resolve_T_inf(cfg, sched)
+    ab = sched.alpha_bar[T_inf - 1]
     n_rows, width = rows.shape
     if width != params.in_dim:
         raise ShapeError(f"row width {width} != model width {params.in_dim}")
     guided = cond is not None and mix > 0.0
-    if guided and cond.shape != rows.shape:
+    paired = cond is not None and w > 0.0
+    if (guided or paired) and cond.shape != rows.shape:
         raise ShapeError(f"cond shape {cond.shape} != rows shape {rows.shape}")
     w0x = params.weights[0][:width]
     w_out, b_out = params.weights[-1], params.biases[-1]
@@ -153,27 +167,46 @@ def _chain_rows(
         h = last_hidden(params, z, t)
         return h if zc is None else (1.0 - mix) * h + mix * last_hidden(params, zc, t)
 
-    out = np.empty((n_rows, width), dtype=np.float64)
-    for start in range(0, n_rows, CHUNK):
-        stop = min(start + CHUNK, n_rows)
-        span = slice(start, stop)
-        eps = _user_eps(seed, stage, np.arange(start, stop), width)
-        z = q_sample(_dense_rows(rows, span), T_inf, eps, sched) @ w0x
-        zc = _dense_rows(cond, span) @ w0x if guided else None
+    def chain(source, span, zc, stage):
+        eps = _user_eps(seed, stage, np.arange(span.start, span.stop), width)
+        z = corrupt_rows(_csr_rows(source[span]), ab, eps, out=eps) @ w0x
+        del eps  # the noise buffer goes before the output block is made
         for t in range(T_inf, 1, -1):
             z_mix = z if zc is None else (1.0 - mix) * z + mix * zc
             z = model_mean(z_mix, hidden(z, zc, t) @ head_z + bias_z, t, sched)
         # c_xt(1) = 0 and c_x0(1) = 1: the last mean is the mixed prediction.
-        block = out[start:stop]
-        np.matmul(hidden(z, zc, 1), w_out, out=block)
+        block = hidden(z, zc, 1) @ w_out
         block += b_out
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
-            user = start + int(np.argmin(finite))
+            user = span.start + int(np.argmin(finite))
             raise NumericError(
                 f"non-finite {STAGE_NAMES[stage]} chain output, first at user {user}"
             )
-    return out
+        return block
+
+    # No name here or in the callers' loops keeps a block once it is
+    # passed on, so only one block of each chain is alive at a time.
+    for start in range(0, n_rows, CHUNK):
+        span = slice(start, min(start + CHUNK, n_rows))
+        zc = _dense_rows(cond, span) @ w0x if guided else None
+        yield (
+            span,
+            chain(rows, span, zc, stage),
+            chain(cond, span, None, stage + 1) if paired else None,
+        )
+
+
+def _gather(chunks, shape, paired: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The whole chains A and B (None unless `paired`) of _chain_rows' blocks."""
+    out_a = np.empty(shape)
+    out_b = np.empty(shape) if paired else None
+    for span, a, b in chunks:
+        out_a[span] = a
+        if paired:
+            out_b[span] = b
+        del a, b
+    return out_a, out_b
 
 
 def unconditional_scores(
@@ -186,50 +219,39 @@ def unconditional_scores(
 ) -> np.ndarray:
     """Plain diffusion denoising of every row; the no-guidance baseline."""
     cfg = GuidanceConfig(T_inf=T_inf)
-    return _chain_rows(params, sched, rows, None, 0.0, cfg, seed, stage)
+    chunks = _chain_rows(params, sched, rows, None, 0.0, cfg, seed, stage)
+    return _gather(chunks, (rows.shape[0], params.in_dim), False)[0]
 
 
 def binarize_social(
-    S: SocialMatrix, s_bar: np.ndarray, keep: int | None
+    S: SocialMatrix, s_bar: np.ndarray, keep: int | None, start: int = 0
 ) -> SocialMatrix:
-    """Turn denoised score rows back into a 0/1 graph.
+    """Turn denoised score rows back into 0/1 graph rows.
 
-    Each user keeps its `keep` highest-scoring other users (its degree in
-    S when keep is None), at most n - 1; ties break toward the lower user
+    Row j of s_bar holds the scores of user start + j, and the result
+    holds those users' rows of the graph: the whole score matrix gives
+    the whole graph, and row blocks give blocks that stack to it.  Each
+    user keeps its `keep` highest-scoring other users (its degree in S
+    when keep is None), at most n - 1; ties break toward the lower user
     id, as in every ranking (evaluation.top_k_rows).
     """
     if keep is not None and keep < 0:
         raise ConfigError(f"keep must be >= 0, got {keep}")
-    n = S.n_users
-    degrees = np.diff(S.matrix.indptr) if keep is None else np.full(n, keep)
+    n, rows = S.n_users, len(s_bar)
+    if keep is None:
+        degrees = np.diff(S.matrix.indptr[start : start + rows + 1])
+    else:
+        degrees = np.full(rows, keep)
     keep_u = np.minimum(degrees, max(n - 1, 0))
-    ids, _ = top_k_rows(s_bar, int(keep_u.max(initial=0)), sp.identity(n, format="csr"))
+    itself = sp.eye(rows, n, k=start, format="csr")
+    ids, _ = top_k_rows(s_bar, int(keep_u.max(initial=0)), itself)
     # Ids past a row's own keep become n, so they sort behind the kept ones.
     kept = np.arange(ids.shape[1]) < keep_u[:, None]
     neigh = np.sort(np.where(kept, ids, n), axis=1)[kept]
     indptr = np.concatenate(([0], np.cumsum(keep_u)))
     return SocialMatrix(
-        sp.csr_matrix((np.ones(len(neigh)), neigh, indptr), shape=(n, n))
+        sp.csr_matrix((np.ones(len(neigh)), neigh, indptr), shape=(rows, n))
     )
-
-
-def _chain_pair(
-    ckpt: Checkpoint,
-    rows,
-    cond,
-    mix: float,
-    w: float,
-    cfg: GuidanceConfig,
-    seed: int,
-    stage: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Chain A over `rows`, guided toward `cond` by `mix`, and chain B over
-    `cond` itself at stage + 1, run only when its blend weight w is > 0."""
-    out_a = _chain_rows(ckpt.params, ckpt.sched, rows, cond, mix, cfg, seed, stage)
-    out_b = None
-    if w > 0.0:
-        out_b = _chain_rows(ckpt.params, ckpt.sched, cond, None, 0.0, cfg, seed, stage + 1)
-    return out_a, out_b
 
 
 def social_phase(
@@ -238,12 +260,19 @@ def social_phase(
     S_prime: SocialMatrix,
     cfg: GuidanceConfig,
     seed: int,
-) -> np.ndarray:
-    """Denoised social score rows for all users (chains A/B blended by w_s)."""
-    pair = _chain_pair(
-        ckpt, S.matrix, S_prime.matrix, cfg.eta, cfg.w_s, cfg, seed, STAGE_SOCIAL
+) -> SocialMatrix:
+    """The denoised graph: each block of the social chains A (over S,
+    guided toward S' by eta) and B (over S') is blended by w_s and
+    re-binarized as it is made, so no dense n x n score matrix is held."""
+    chunks = _chain_rows(
+        ckpt.params, ckpt.sched, S.matrix, S_prime.matrix, cfg.eta, cfg, seed,
+        STAGE_SOCIAL, cfg.w_s,
     )
-    return blend(*pair, cfg.w_s)
+
+    def rebinarize(span, a, b):
+        return binarize_social(S, blend(a, b, cfg.w_s), cfg.social_keep, span.start).matrix
+
+    return SocialMatrix(sp.vstack(list(starmap(rebinarize, chunks)), format="csr"))
 
 
 def item_phase(
@@ -252,11 +281,22 @@ def item_phase(
     R_prime: InteractionMatrix,
     cfg: GuidanceConfig,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Both item-side chains, unmixed, so callers can sweep w_r for free."""
-    return _chain_pair(
-        ckpt, R.matrix, R_prime.matrix, cfg.gamma, cfg.w_r, cfg, seed, STAGE_ITEM
+    reduce=None,
+):
+    """Both item-side chains, unmixed: A over R guided toward R' by gamma,
+    B over R' when w_r > 0.
+
+    Without `reduce`, the whole pair (b None when w_r = 0), so callers
+    can blend any w_r.  Otherwise each block goes through reduce(span,
+    a, b) as it is made, and the list of what it returns comes back.
+    """
+    chunks = _chain_rows(
+        ckpt.params, ckpt.sched, R.matrix, R_prime.matrix, cfg.gamma, cfg, seed,
+        STAGE_ITEM, cfg.w_r,
     )
+    if reduce is None:
+        return _gather(chunks, R.matrix.shape, cfg.w_r > 0.0)
+    return list(starmap(reduce, chunks))
 
 
 def build_social_condition(
@@ -287,9 +327,11 @@ def joint_chains(
     groups: ItemGroups,
     cfg: GuidanceConfig,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    reduce=None,
+):
     """Everything up to the final w_r blend: runs the social side, builds
-    the item condition, and returns the two item chains unmixed.
+    the item condition, and returns the two item chains unmixed, or each
+    of their blocks reduced (item_phase).
 
     Lets a sweep over w_r reuse one pair of chains instead of rerunning
     the whole pipeline per value.
@@ -303,17 +345,14 @@ def joint_chains(
                 "graph; a social model checkpoint and a social matrix are required"
             )
         s_prime = build_social_condition(S, R, groups, cfg.delta)
-        # the dense social scores die once re-binarized, before the item chains run
-        s_bar = social_phase(ckpt_social, S, s_prime, cfg, seed)
-        S_bar = binarize_social(S, s_bar, cfg.social_keep)
-        del s_bar
+        S_bar = social_phase(ckpt_social, S, s_prime, cfg, seed)
         r_prime = build_item_condition(S_bar, R, cfg.lam)
     else:
         # lam = 0 zeroes the social term of the item condition, so the
         # denoised graph cannot influence the output; skip the social
         # chains entirely (bitwise-identical result, large time save).
         r_prime = R
-    return item_phase(ckpt_item, R, r_prime, cfg, seed)
+    return item_phase(ckpt_item, R, r_prime, cfg, seed, reduce)
 
 
 def joint_inference(

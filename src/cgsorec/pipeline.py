@@ -278,9 +278,18 @@ def joint_lists(
     K: int,
 ) -> RankedLists:
     """Every user's top-K list of the two item chains blended by w_r,
-    train items masked; the blend is done block by block as it is ranked."""
-    a, b = joint_chains(*chain_args(cfg, ckpt_social, ckpt_item, S, bundle))
-    return topk_lists(a, K, mask=bundle.train, other=b, w=cfg.guidance().w_r)
+    train items masked.  Each block of the pair is ranked as soon as it
+    is made, blending as it ranks, so no whole chain is ever held."""
+    train, w_r = bundle.train.matrix, cfg.guidance().w_r
+    n = train.shape[0]
+    lists = RankedLists(np.arange(n), np.empty((n, K), dtype=np.intp), np.empty((n, K)))
+
+    def rank(span, a, b):
+        part = topk_lists(a, K, mask=train[span], other=b, w=w_r)
+        lists.items[span], lists.scores[span] = part.items, part.scores
+
+    joint_chains(*chain_args(cfg, ckpt_social, ckpt_item, S, bundle), rank)
+    return lists
 
 
 def eval_target(cfg: ExperimentConfig, bundle: SplitBundle) -> tuple[InteractionMatrix, ItemGroups]:

@@ -224,6 +224,13 @@ class TestPrepare:
             ("split.debiased_cap=[3]", ": [3]"),
             ("split.debiased_cap=2.5", ": 2.5"),
             ("split.debiased_cap=true", ": True"),
+            ("guidance.w_s=true", ": True"),
+            ('guidance.eta="0.5"', ": '0.5'"),
+            ("cgd.learning_rate=true", ": True"),
+            ("csd.beta_end=false", ": False"),
+            ("split.ratios=[true,0,0]", ": [True, 0, 0]"),
+            ('eval.hot_fraction="0.3"', ": '0.3'"),
+            ("csd_valid_fraction=true", ": True"),
         ],
     )
     def test_wrong_type_is_config_error(self, ws, capsys, assignment, shown):
@@ -333,12 +340,38 @@ class TestInfer:
         assert code == 0
         assert with_social.read_bytes() == without.read_bytes()
 
+    def test_unguided_run_reads_no_social_input(self, ws, tmp_path, capsys):
+        # at lambda = 0 joint_chains never reads the social side, so infer
+        # and sweep load neither the social file nor the CSD checkpoint;
+        # with lambda > 0, or a grid holding one, both are read again
+        broken = tmp_path / "ckpt-csd"
+        broken.mkdir()
+        (broken / "manifest.json").write_text("{not json")
+        social = tmp_path / "social.tsv"
+        social.write_text("not\ta social file\n")
+        bad = ["--ckpt-csd", str(broken), "--set", f"dataset.social={social}"]
+        base, got = tmp_path / "base.tsv", tmp_path / "got.tsv"
+        assert run(capsys, "infer", ws["cfg"], "--out", str(base))[0] == 0
+        code, _, err = run(capsys, "infer", ws["cfg"], "--out", str(got), *bad)
+        assert code == 0, err
+        assert got.read_bytes() == base.read_bytes()
+        sweep = ["sweep", ws["cfg"], "--out-dir", str(tmp_path / "sweep"), *bad]
+        code, _, err = run(capsys, *sweep, "--param", "guidance.w_r", "--values", "0,0.3")
+        assert code == 0, err
+        for guided in (
+            ["infer", ws["cfg"], "--out", str(got), *bad, "--set", "guidance.lambda=1"],
+            [*sweep, "--param", "guidance.lambda", "--values", "0,1"],
+        ):
+            code, _, err = run(capsys, *guided)
+            assert code == 3 and "social.tsv" in err, err
+
     @pytest.mark.parametrize("top", ["0", "-2"])
     def test_top_below_one_exits_2_before_loading(self, ws, capsys, monkeypatch, top):
         def refuse(cfg):
             raise AssertionError("infer loaded data before checking --top")
 
         monkeypatch.setattr(pipeline, "load_dataset", refuse)
+        monkeypatch.setattr(pipeline, "load_interaction_data", refuse)
         out_path = ws["root"] / f"lists_top{top}.tsv"
         code, _, err = run(capsys, "infer", ws["cfg"], "--top", top, "--out", str(out_path))
         assert code == 2

@@ -130,6 +130,36 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict(user)
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", 10**400])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("guidance", "eta"), ("guidance", "gamma"), ("guidance", "w_s"),
+            ("guidance", "w_r"), ("guidance", "delta"), ("guidance", "lambda"),
+            ("cgd", "learning_rate"), ("cgd", "beta_start"), ("cgd", "beta_end"),
+            ("csd", "learning_rate"), ("csd", "beta_start"), ("csd", "beta_end"),
+            ("csd_valid_fraction",), ("eval", "hot_fraction"),
+        ],
+    )
+    def test_real_key_refuses_non_numbers(self, path, value):
+        # a bool is not read as 0.0 or 1.0, nor a string parsed as a number,
+        # and an int beyond float range is refused, not an OverflowError
+        user = value
+        for key in reversed(path):
+            user = {key: user}
+        with pytest.raises(ConfigError, match=f"{'.'.join(path)} has the wrong type"):
+            config_from_dict(user)
+
+    @pytest.mark.parametrize("ratios", [[True, 0, 0], [0.8, "0.1", 0.1], [0.8, 0.1, False]])
+    def test_ratio_entries_refuse_non_numbers(self, ratios):
+        with pytest.raises(ConfigError, match="split.ratios has the wrong type"):
+            config_from_dict({"split": {"ratios": ratios}})
+
+    def test_integer_is_a_real(self):
+        cfg = config_from_dict({"guidance": {"w_s": 1, "lambda": 2}, "split": {"ratios": [1, 0, 0]}})
+        assert (cfg.guidance().w_s, cfg.guidance().lam, cfg.ratios) == (1.0, 2.0, (1.0, 0.0, 0.0))
+        assert all(type(v) is float for v in (cfg.guidance().w_s, *cfg.ratios))
+
     def test_integral_float_is_an_integer(self):
         cfg = config_from_dict({"cgd": {"epochs": 3.0}, "dataset": {"n_users": 5.0}})
         assert cfg.train_config("cgd").epochs == 3 and cfg.declared_dims == (5, None)

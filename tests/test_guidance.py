@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
-from cgsorec.denoiser import predict_x0
+from cgsorec.denoiser import _csr_rows, corrupt_rows, predict_x0
 from cgsorec.errors import ConfigError, NumericError, ShapeError
-from cgsorec.evaluation import ROW_BLOCK
+from cgsorec.evaluation import ROW_BLOCK, blend
 from cgsorec.guidance import (
     CHUNK,
     GuidanceConfig,
@@ -24,7 +24,7 @@ from cgsorec.guidance import (
     social_phase,
     unconditional_scores,
 )
-from cgsorec.schedule import model_mean, q_sample
+from cgsorec.schedule import make_schedule, model_mean, q_sample
 
 from conftest import rand_binary_csr, untrained_checkpoint
 
@@ -48,6 +48,24 @@ class TestGuidanceConfig:
             GuidanceConfig(**kwargs)
 
 
+def whole_pair(params, sched, rows, cond, mix, cfg, seed, stage, w=0.0):
+    """Chains A and B of _chain_rows' blocks, whole (B None when w = 0)."""
+    blocks = list(_chain_rows(params, sched, rows, cond, mix, cfg, seed, stage, w))
+    a = np.vstack([a for _, a, _ in blocks])
+    return a, np.vstack([b for _, _, b in blocks]) if w > 0 else None
+
+
+def chain_a(params, sched, rows, cond, mix, cfg, seed, stage):
+    return whole_pair(params, sched, rows, cond, mix, cfg, seed, stage)[0]
+
+
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.shape == want.shape
+
+
 def reference_chain(params, sched, x, cond, mix, T_inf):
     """Item-space stepper: full-width denoiser passes, one step at a time."""
     for t in range(T_inf, 0, -1):
@@ -69,7 +87,7 @@ def corrupt(rows, T_inf, sched, seed, stage, start=0):
 
 
 def reference_rows(ckpt, rows, cond, mix, cfg, seed, stage):
-    """What _chain_rows computes, stepped in item space with the same noise."""
+    """Chain A of _chain_rows, stepped in item space with the same noise."""
     rows = rows.toarray() if sp.issparse(rows) else rows
     cond = cond.toarray() if sp.issparse(cond) else cond
     T_inf = cfg.T_inf or ckpt.sched.T
@@ -98,7 +116,7 @@ class TestItemSpaceReference:
         if dense:
             rows, cond = rows.toarray(), cond.toarray()
         cfg = GuidanceConfig(T_inf=T_inf)
-        got = _chain_rows(ckpt.params, ckpt.sched, rows, cond, mix, cfg, 5, STAGE_ITEM)
+        got = chain_a(ckpt.params, ckpt.sched, rows, cond, mix, cfg, 5, STAGE_ITEM)
         want = reference_rows(ckpt, rows, cond, mix, cfg, 5, STAGE_ITEM)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -108,6 +126,62 @@ class TestItemSpaceReference:
         rows[CHUNK + 3, 2] = np.nan
         with pytest.raises(NumericError, match="item chain .* user 515"):
             unconditional_scores(ckpt.params, ckpt.sched, rows, stage=STAGE_ITEM)
+
+    def test_pair_interleaves_by_block(self, rng):
+        # a pair's chain B runs on each block before chain A moves to the
+        # next, so a bad condition row in the first block is named before
+        # a bad row of chain A in the second
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rng.random((CHUNK + 40, 7))
+        cond = rows.copy()
+        rows[CHUNK + 3, 2] = np.nan
+        cond[5, 1] = np.nan
+        cfg = GuidanceConfig()
+        with pytest.raises(NumericError, match="item-condition chain .* user 5$"):
+            whole_pair(ckpt.params, ckpt.sched, rows, cond, 0.0, cfg, 1, STAGE_ITEM, w=0.5)
+        with pytest.raises(NumericError, match="item chain .* user 515"):
+            whole_pair(ckpt.params, ckpt.sched, rows, cond, 0.0, cfg, 1, STAGE_ITEM)
+
+
+class TestInPlaceCorruption:
+    """corrupt_rows, the corruption of the chains and of the training
+    step, is q_sample on the dense rows bit for bit."""
+
+    sched = make_schedule(5, 1e-4, 0.02)
+
+    def assert_bitwise(self, x, rng):
+        dense = x.toarray() if sp.issparse(x) else x
+        for t in (4, rng.integers(1, 6, size=len(dense))):
+            eps = rng.standard_normal(dense.shape)
+            want = q_sample(dense, t, eps, self.sched)
+            ab = self.sched.alpha_bar[t - 1]
+            ab = ab[:, None] if np.ndim(t) else ab
+            buf = eps.copy()
+            assert corrupt_rows(_csr_rows(x), ab, buf, out=buf) is buf
+            assert buf.tobytes() == want.tobytes()
+            # into a strided view, as the training step's embedded input;
+            # eps itself is left as it was
+            wide = np.zeros((len(dense), dense.shape[1] + 3))
+            corrupt_rows(_csr_rows(x), ab, eps, out=wide[:, : dense.shape[1]])
+            assert wide[:, : dense.shape[1]].tobytes() == want.tobytes()
+            assert not wide[:, dense.shape[1] :].any()
+
+    def test_dense_rows_with_non_finite_entries(self, rng):
+        x = np.where(rng.random((CHUNK + 40, 9)) < 0.6, 0.0, rng.random((CHUNK + 40, 9)))
+        x[3, 2], x[7, 0], x[7, 5], x[CHUNK + 1, 8] = np.nan, np.inf, -np.inf, -0.0
+        self.assert_bitwise(x, rng)
+
+    def test_non_canonical_csr_rows(self, rng):
+        # unsorted indices, repeated entries (summed, some to zero) and
+        # explicit zeros; small integers sum exactly in any order
+        n_rows, width = CHUNK + 40, 9
+        sizes = rng.integers(0, 7, size=n_rows)
+        indices = rng.integers(0, width, size=sizes.sum())
+        data = rng.integers(-2, 3, size=sizes.sum()).astype(np.float64)
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        x = sp.csr_matrix((data, indices, indptr), shape=(n_rows, width))
+        assert not x.has_canonical_format and (x.data == 0).any()
+        self.assert_bitwise(x, rng)
 
 
 class TestGuidedMean:
@@ -119,7 +193,7 @@ class TestGuidedMean:
 
     def chain(self, rows, cond, mix, T_inf, seed=3):
         cfg = GuidanceConfig(T_inf=T_inf)
-        return _chain_rows(
+        return chain_a(
             self.ckpt.params, self.sched, rows, cond, mix, cfg, seed, STAGE_ITEM
         )
 
@@ -159,7 +233,7 @@ class TestReverseChain:
         self.sched = self.ckpt.sched
 
     def chain(self, rows, cond, mix, cfg, seed=4):
-        return _chain_rows(
+        return chain_a(
             self.ckpt.params, self.sched, rows, cond, mix, cfg, seed, STAGE_SOCIAL
         )
 
@@ -203,9 +277,21 @@ class TestSingleRowBlends:
         S_prime = SocialMatrix(S.matrix + sp.csr_matrix(0.5 * np.ones((5, 5))))
         return S, S_prime
 
+    def scores(self, S, S_prime, cfg):
+        """The blended social scores social_phase re-binarizes, whole;
+        social_phase's graph is checked to be theirs, re-binarized."""
+        pair = whole_pair(
+            self.ckpt.params, self.ckpt.sched, S.matrix, S_prime.matrix, cfg.eta, cfg, 9,
+            STAGE_SOCIAL, cfg.w_s,
+        )
+        s_bar = blend(*pair, cfg.w_s)
+        got = social_phase(self.ckpt, S, S_prime, cfg, seed=9)
+        assert_same_csr(got.matrix, binarize_social(S, s_bar, cfg.social_keep).matrix)
+        return s_bar
+
     def test_all_zero_reduces_to_unconditional(self, rng):
         S, S_prime = self.graphs(rng)
-        got = social_phase(self.ckpt, S, S_prime, GuidanceConfig(), seed=9)
+        got = self.scores(S, S_prime, GuidanceConfig())
         expected = unconditional_scores(
             self.ckpt.params, self.ckpt.sched, S.matrix, seed=9, stage=STAGE_SOCIAL
         )
@@ -214,14 +300,14 @@ class TestSingleRowBlends:
     def test_ws_one_returns_chain_b(self, rng):
         S, S_prime = self.graphs(rng)
         cfg = GuidanceConfig(w_s=1.0, eta=0.2)
-        got = social_phase(self.ckpt, S, S_prime, cfg, seed=9)
+        got = self.scores(S, S_prime, cfg)
         out_b = reference_rows(self.ckpt, S_prime.matrix, None, 0.0, cfg, 9, STAGE_SOCIAL_COND)
         np.testing.assert_allclose(got, out_b, rtol=1e-10)
 
     def test_ws_linear_mix(self, rng):
         S, S_prime = self.graphs(rng)
         cfg = GuidanceConfig(w_s=0.4, eta=0.2)
-        got = social_phase(self.ckpt, S, S_prime, cfg, seed=9)
+        got = self.scores(S, S_prime, cfg)
         out_a = reference_rows(self.ckpt, S.matrix, S_prime.matrix, 0.2, cfg, 9, STAGE_SOCIAL)
         out_b = reference_rows(self.ckpt, S_prime.matrix, None, 0.0, cfg, 9, STAGE_SOCIAL_COND)
         np.testing.assert_allclose(got, 0.6 * out_a + 0.4 * out_b, rtol=1e-10)
@@ -253,6 +339,39 @@ class TestSingleRowBlends:
             unconditional_scores(
                 self.ckpt.params, self.ckpt.sched, rng.standard_normal((3, 4))
             )
+
+
+class TestStreamedSocialGraph:
+    """social_phase re-binarizes each block as it is made; over several
+    blocks, the last one partial, its graph is the whole blended score
+    matrix re-binarized."""
+
+    @pytest.mark.parametrize("keep", [None, 3])
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(eta=0.2, w_s=0.5, delta=1.0),  # guided
+            dict(),  # unguided
+            dict(eta=0.2, delta=1.0),  # w_s = 0: no chain B
+            dict(w_s=0.5, delta=1.0),  # eta = 0: chain A unguided
+        ],
+    )
+    def test_blocks_stack_to_the_whole_graph(self, rng, knobs, keep):
+        n = CHUNK + 40
+        S = rand_binary_csr(rng, n, n, 0.02)
+        S.setdiag(0)
+        S.eliminate_zeros()
+        S = SocialMatrix(S.maximum(S.T).tocsr())
+        R = InteractionMatrix(rand_binary_csr(rng, n, 20, 0.2))
+        ckpt = untrained_checkpoint(n, T=3, seed=7, tag="CSD")
+        cfg = GuidanceConfig(lam=1.0, social_keep=keep, **knobs)
+        S_prime = build_social_condition(S, R, partition_items(R, 0.2), cfg.delta)
+        pair = whole_pair(
+            ckpt.params, ckpt.sched, S.matrix, S_prime.matrix, cfg.eta, cfg, 3,
+            STAGE_SOCIAL, cfg.w_s,
+        )
+        want = binarize_social(S, blend(*pair, cfg.w_s), keep)
+        assert_same_csr(social_phase(ckpt, S, S_prime, cfg, seed=3).matrix, want.matrix)
 
 
 def loop_binarize(S, s_bar, keep):
@@ -326,11 +445,7 @@ class TestBinarizeAgainstLoop:
 
     @staticmethod
     def assert_same(S, s_bar, keep):
-        got = binarize_social(S, s_bar, keep).matrix
-        want = loop_binarize(S, s_bar, keep)
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert_same_csr(binarize_social(S, s_bar, keep).matrix, loop_binarize(S, s_bar, keep))
 
     @pytest.mark.parametrize("keep", [None, 0, 3, 45])
     def test_heavy_ties(self, rng, keep):

@@ -1,24 +1,42 @@
-"""The social-edge holdout that early-stops the social model, and the split
-manifest's two read paths."""
+"""The social-edge holdout that early-stops the social model, the split
+manifest's two read paths, and the streamed ranking's lists and memory."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cgsorec import guidance
 from cgsorec.config import config_from_dict
 from cgsorec.corpus import (
     InteractionMatrix,
     SocialMatrix,
     SplitBundle,
     build_debiased_test,
+    partition_items,
     split,
 )
 from cgsorec.errors import IntegrityError
-from cgsorec.pipeline import load_manifest, social_holdout, write_manifest
+from cgsorec.evaluation import topk_lists
+from cgsorec.guidance import (
+    CHUNK,
+    GuidanceConfig,
+    build_social_condition,
+    joint_chains,
+    social_phase,
+)
+from cgsorec.pipeline import (
+    chain_args,
+    joint_lists,
+    load_manifest,
+    social_holdout,
+    write_manifest,
+)
+from cgsorec.synth import planted
 
-from conftest import rand_binary_csr
+from conftest import rand_binary_csr, untrained_checkpoint
 
 
 def symmetric_social(rng, n, density):
@@ -106,3 +124,92 @@ class TestManifestLayouts:
             fh.write(text.replace(b'"train": [[', b'"train": [[0', 1))
         with pytest.raises(IntegrityError, match="bad split manifest"):
             load_manifest(path)
+
+
+class TestStreamedLists:
+    """joint_lists ranks each block of the item pair as it is made; over
+    several blocks, the last one partial, its lists are those of the
+    whole pair ranked at once, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        rng = np.random.default_rng(5)
+        n_users, n_items = CHUNK + 40, 30
+        R = InteractionMatrix(rand_binary_csr(rng, n_users, n_items, 0.15))
+        b = split(R, (0.8, 0.1, 0.1), seed=3)
+        bundle = SplitBundle(
+            b.train, b.valid, b.test, b.seed, build_debiased_test(b.test, cap=1, seed=0)
+        )
+        S = symmetric_social(rng, n_users, 0.02)
+        ckpt_social = untrained_checkpoint(n_users, T=3, seed=7, tag="CSD")
+        return ckpt_social, untrained_checkpoint(n_items, T=3, seed=6), S, bundle
+
+    GUIDED = {"delta": 1.0, "eta": 0.2, "w_s": 0.5, "lambda": 2.0, "gamma": 0.5, "w_r": 0.2}
+
+    @pytest.mark.parametrize(
+        "guidance",
+        [GUIDED, {}, dict(GUIDED, w_r=0.0), dict(GUIDED, w_s=0.0), dict(GUIDED, **{"lambda": 0.0})],
+        ids=["guided", "unguided", "w_r=0", "w_s=0", "lambda=0"],
+    )
+    def test_lists_of_the_whole_pair(self, inputs, guidance):
+        ckpt_social, ckpt_item, S, bundle = inputs
+        cfg = config_from_dict({"guidance": guidance})
+        got = joint_lists(cfg, ckpt_social, ckpt_item, S, bundle, 10)
+        a, b = joint_chains(*chain_args(cfg, ckpt_social, ckpt_item, S, bundle))
+        want = topk_lists(a, 10, mask=bundle.train, other=b, w=cfg.guidance().w_r)
+        for name in ("users", "items", "scores"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def planted_bundle(n_users: int) -> tuple[SocialMatrix, SplitBundle]:
+    R, S = planted(seed=0, n_users=n_users).to_matrices()
+    b = split(R, (0.8, 0.1, 0.1), seed=0)
+    debiased = build_debiased_test(b.test, cap=1, seed=0)
+    return S, SplitBundle(b.train, b.valid, b.test, b.seed, debiased)
+
+
+def traced_peak(run) -> int:
+    """Bytes tracemalloc sees allocated at once while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Inference holds no dense score matrix: from 200 to 800 users on
+    `planted`, with CHUNK at 32 rows, the traced peak grows by less than
+    one dense matrix of the chains' width, where whole chains (the item
+    pair, or the two social chains and their blend) add one each.
+
+    The condition graphs are still built whole: S' is built here before
+    the measurement starts, and R' is R itself at lambda = 0.  On
+    `planted` R' is about 45% dense, and building it grows the peak by
+    more than one dense matrix."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(guidance, "CHUNK", 32)
+
+    def test_item_lists(self):
+        cfg = config_from_dict({"guidance": {"gamma": 0.5, "w_r": 0.2}})
+        peaks = {}
+        for n in (200, 800):
+            _, bundle = planted_bundle(n)
+            ckpt = untrained_checkpoint(bundle.train.n_items, T=3, seed=1)
+            peaks[n] = traced_peak(lambda: joint_lists(cfg, None, ckpt, None, bundle, 10))
+        assert peaks[800] - peaks[200] < 800 * bundle.train.n_items * 8, peaks
+
+    def test_social_graph(self):
+        cfg = GuidanceConfig(eta=0.2, w_s=0.5, delta=1.0, lam=2.0)
+        peaks = {}
+        for n in (200, 800):
+            S, bundle = planted_bundle(n)
+            groups = partition_items(bundle.train, 0.05)
+            S_prime = build_social_condition(S, bundle.train, groups, cfg.delta)
+            ckpt = untrained_checkpoint(n, T=3, seed=2, tag="CSD")
+            peaks[n] = traced_peak(lambda: social_phase(ckpt, S, S_prime, cfg, 0))
+        assert peaks[800] - peaks[200] < 800 * 800 * 8, peaks

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from cgsorec import pipeline
+from cgsorec import guidance, pipeline
 from cgsorec.cli import main
 from cgsorec.synth import planted, write_dataset
+from cgsorec.trainer import save_checkpoint
+
+from conftest import untrained_checkpoint
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -70,3 +73,45 @@ def test_load_path_sites_record_calls(tmp_path):
     for label in ("corpus.load_interactions", "corpus.split", "pipeline.load_manifest",
                   "pipeline.read_lists"):
         assert tracer.stats[label]["calls"] >= 1, label
+
+
+def test_guided_infer_records_the_chain_work(tmp_path):
+    # the phases run their chains inside their own spans, one block at a
+    # time, so their row counts and self time still measure the chains;
+    # the social blocks are re-binarized and the item blocks ranked as
+    # they are made
+    ds = planted(seed=0)
+    write_dataset(ds, tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 1,
+        "output_dir": str(tmp_path / "run"),
+        "dataset": {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")},
+        "guidance": {"delta": 1.0, "eta": 0.2, "w_s": 0.5, "lambda": 2.0, "gamma": 0.5, "w_r": 0.2},
+    }))
+    save_checkpoint(untrained_checkpoint(ds.n_items, T=3, seed=21), tmp_path / "ck-item")
+    save_checkpoint(untrained_checkpoint(ds.n_users, T=3, seed=22, tag="CSD"), tmp_path / "ck-social")
+    assert main(["prepare", str(cfg)]) == 0
+    tracer = load_spans().Tracer()
+    tracer.install()
+    traced_mean, depths = guidance.model_mean, []
+
+    def model_mean(*args):
+        depths.append(len(tracer._stack()))  # spans open around this step
+        return traced_mean(*args)
+
+    guidance.model_mean = model_mean
+    try:
+        assert main([
+            "infer", str(cfg), "--ckpt-cgd", str(tmp_path / "ck-item"),
+            "--ckpt-csd", str(tmp_path / "ck-social"), "--out", str(tmp_path / "lists.tsv"),
+        ]) == 0
+    finally:
+        guidance.model_mean = traced_mean
+        tracer.restore()
+    stats = tracer.stats
+    assert stats["guidance.social_phase"]["rows"] == 2 * ds.n_users
+    assert stats["guidance.item_phase"]["rows"] == 2 * ds.n_users
+    assert stats["guidance.binarize_social"]["calls"] >= 1
+    assert stats["evaluation.topk_lists"]["users"] == ds.n_users
+    assert depths and min(depths) >= 1
