@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -19,7 +21,7 @@ import sys
 from . import pipeline
 from .config import ExperimentConfig, apply_set, load_config
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import frequency_histogram, group_metrics, keys_to_str
+from .evaluation import RankedLists, frequency_histogram, group_metrics, keys_to_str
 from .guidance import joint_chains
 from .trainer import load_checkpoint, save_checkpoint
 
@@ -167,40 +169,38 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         raw = copy.deepcopy(cfg.raw)
         apply_set(raw, f"{param}={json.dumps(v)}")
         cfgs.append(ExperimentConfig(raw).validate())
+    S, bundle, ckpt_social, ckpt_item = _inference_inputs(cfg, args, cfgs)
+    for cfg_v in cfgs:  # and so is its hot/tail split, which needs the data
+        pipeline.eval_target(cfg_v, bundle)
     out_dir = args.out_dir or os.path.join(
         cfg.output_dir, "sweep-" + param.replace(".", "-")
     )
     os.makedirs(out_dir, exist_ok=True)
 
-    S, bundle, ckpt_social, ckpt_item = _inference_inputs(cfg, args, cfgs)
-
-    def chains(cfg_v):
-        return joint_chains(*pipeline.chain_args(cfg_v, ckpt_social, ckpt_item, S, bundle))
+    def inputs(cfg_v):
+        # chain A never reads w_r, and chain B runs whenever w_r > 0, so a
+        # pair run under a group's largest w_r serves each of its values
+        return (
+            dataclasses.replace(cfg_v.guidance(), w_r=0.0),
+            cfg_v.hot_fraction, cfg_v.seed_for("inference"),
+        )
 
     def ranked():
-        """Each value's lists, in order."""
-        if param == "guidance.w_r":
-            # The chains read w_r only as w_r > 0, so one pair, run under
-            # the largest value, serves the whole grid, ranked in one pass.
-            a, b = chains(max(cfgs, key=lambda c: c.guidance().w_r))
-            grid = [c.guidance().w_r for c in cfgs]
-            lists = pipeline.topk_lists(a, max(cfg.eval_ks), mask=bundle.train, other=b, w=grid)
+        """Each value's lists, in order.  Consecutive values whose chains
+        read the same inputs share one pair, run under their largest w_r
+        and ranked in one pass at their largest K, then cut to each
+        value's own K."""
+        for _, group in itertools.groupby(cfgs, key=inputs):
+            group = list(group)
+            top = max(group, key=lambda c: c.guidance().w_r)
+            a, b = joint_chains(*pipeline.chain_args(top, ckpt_social, ckpt_item, S, bundle))
+            K = max(max(c.eval_ks) for c in group)
+            grid = [c.guidance().w_r for c in group]
+            lists = pipeline.topk_lists(a, K, mask=bundle.train, other=b, w=grid)
             del a, b  # the pair is gone before the values are evaluated
-            yield from lists
-            return
-        # Any other value reuses the previous pair while the chains' inputs
-        # (guidance knobs, hot/tail groups, inference seed) stay the same,
-        # as for eval.split.
-        pair, pair_key = None, None
-        for cfg_v in cfgs:
-            key = (cfg_v.guidance(), cfg_v.hot_fraction, cfg_v.seed_for("inference"))
-            if key != pair_key:
-                pair = None  # the old pair is gone before the new one is built
-                pair, pair_key = chains(cfg_v), key
-            yield pipeline.topk_lists(
-                pair[0], max(cfg_v.eval_ks), mask=bundle.train, other=pair[1],
-                w=cfg_v.guidance().w_r,
-            )
+            for cfg_v, full in zip(group, lists):
+                k = max(cfg_v.eval_ks)
+                yield RankedLists(full.users, full.items[:, :k], full.scores[:, :k])
 
     rows = []
     for v, cfg_v, lists in zip(values, cfgs, ranked()):
@@ -235,9 +235,9 @@ def cmd_bias_report(cfg: ExperimentConfig, args) -> int:
     R = pipeline.load_interaction_data(cfg)
     bundle = pipeline.ensure_bundle(cfg, R)
     lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
-    target, groups = pipeline.eval_target(cfg, bundle)
-    hist = frequency_histogram(lists, bundle.train, groups)
-    per_group, notices = group_metrics(lists, target, groups, cfg.eval_ks)
+    target, hot = pipeline.eval_target(cfg, bundle)
+    hist = frequency_histogram(lists, bundle.train, hot)
+    per_group, notices = group_metrics(lists, target, hot, cfg.eval_ks)
     out = args.out or os.path.join(cfg.output_dir, "bias.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     payload = {"freq_hist": hist, "per_group": per_group, "notices": notices}

@@ -1,9 +1,9 @@
-"""Dataset ingestion, splitting, popularity grouping, and condition matrices.
+"""Dataset ingestion, splitting, the hot-item mask, and the two sparse
+products the condition graphs are built from (guidance).
 
 Everything here is sparse (scipy CSR, float64) and pure: loaders build
-matrices, the split is a per-user seeded partition, and the condition
-builders are small algebraic combinations of the loaded matrices.  No
-function mutates its inputs.
+matrices and the split is a per-user seeded partition.  No function
+mutates its inputs.
 """
 
 from __future__ import annotations
@@ -70,22 +70,6 @@ class SplitBundle:
     test: InteractionMatrix
     seed: int
     debiased_test: InteractionMatrix | None = None
-
-
-@dataclass(frozen=True)
-class ItemGroups:
-    """Hot/tail partition of the item catalog by training popularity."""
-
-    hot: np.ndarray
-    tail: np.ndarray
-    hot_fraction: float
-    n_items: int
-
-    @property
-    def hot_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_items, dtype=bool)
-        mask[self.hot] = True
-        return mask
 
 
 def _binary_csr(users, items, shape) -> sp.csr_matrix:
@@ -270,32 +254,25 @@ def build_debiased_test(
     )
 
 
-def partition_items(train: InteractionMatrix, hot_fraction: float) -> ItemGroups:
-    """Top ceil(fraction * n) items by train count are hot, rest tail.
+def partition_items(train: InteractionMatrix, hot_fraction: float) -> np.ndarray:
+    """The hot-item mask: the top ceil(fraction * n) items by train count
+    are hot (True), the rest tail (~hot).
 
-    Ties in count break toward the lower item id.
+    Ties in count break toward the lower item id.  A fraction that leaves
+    no tail item is a ConfigError.
     """
     if not 0.0 < hot_fraction < 1.0:
         raise ConfigError(f"hot_fraction must be in (0, 1), got {hot_fraction}")
     n = train.n_items
-    counts = np.asarray(train.matrix.sum(axis=0)).ravel()
-    order = np.lexsort((np.arange(n), -counts))
     n_hot = math.ceil(hot_fraction * n)
-    hot = np.sort(order[:n_hot])
-    tail = np.sort(order[n_hot:])
-    return ItemGroups(hot=hot, tail=tail, hot_fraction=hot_fraction, n_items=n)
-
-
-def longtail_submatrix(R: InteractionMatrix, groups: ItemGroups) -> InteractionMatrix:
-    """R with hot-item columns zeroed; shape unchanged."""
-    if groups.n_items != R.n_items:
+    if n_hot >= n:
         raise ConfigError(
-            f"groups cover {groups.n_items} items, matrix has {R.n_items}"
+            f"eval.hot_fraction={hot_fraction} makes all {n} items hot; no tail item is left"
         )
-    keep = sp.diags((~groups.hot_mask).astype(np.float64))
-    out = (R.matrix @ keep).tocsr()
-    out.eliminate_zeros()
-    return InteractionMatrix(out)
+    counts = np.asarray(train.matrix.sum(axis=0)).ravel()
+    hot = np.zeros(n, dtype=bool)
+    hot[np.lexsort((np.arange(n), -counts))[:n_hot]] = True
+    return hot
 
 
 def copurchase(R_l: InteractionMatrix) -> SocialMatrix:
@@ -305,47 +282,10 @@ def copurchase(R_l: InteractionMatrix) -> SocialMatrix:
     return SocialMatrix(m)
 
 
-def social_condition(S: SocialMatrix, Scpl: SocialMatrix, delta: float) -> SocialMatrix:
-    """Blend co-interaction structure into the social graph: delta*Scpl + S."""
-    if delta < 0:
-        raise ConfigError(f"delta must be >= 0, got {delta}")
-    if S.n_users != Scpl.n_users:
-        raise ConfigError(f"dims differ: {S.n_users} vs {Scpl.n_users}")
-    m = (delta * Scpl.matrix + S.matrix).tocsr()
-    m.eliminate_zeros()
-    return SocialMatrix(m)
-
-
 def social_preference(S: SocialMatrix, R: InteractionMatrix) -> InteractionMatrix:
     """Per-user neighbor interaction counts: (S @ R)_ij = neighbors of i on j."""
     if S.n_users != R.n_users:
         raise ConfigError(f"dims differ: {S.n_users} vs {R.n_users}")
     m = (S.matrix @ R.matrix).tocsr()
-    m.eliminate_zeros()
-    return InteractionMatrix(m)
-
-
-def invert_preference(Rs: InteractionMatrix) -> InteractionMatrix:
-    """Elementwise reciprocal on nonzeros (zeros stay zero).
-
-    Turns neighbor-popularity counts into weights that favor items few
-    neighbors touched.
-    """
-    m = Rs.matrix.copy()
-    if np.any(m.data < 0):
-        raise ConfigError("negative preference value; cannot invert")
-    m.eliminate_zeros()
-    m.data = 1.0 / m.data
-    return InteractionMatrix(m)
-
-
-def item_condition(R: InteractionMatrix, Rs: InteractionMatrix, lam: float) -> InteractionMatrix:
-    """Interaction rows re-weighted toward rarity: lam * invert(Rs) + R."""
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
-    if (R.n_users, R.n_items) != (Rs.n_users, Rs.n_items):
-        raise ConfigError("interaction and preference matrices differ in shape")
-    inv = invert_preference(Rs)
-    m = (lam * inv.matrix + R.matrix).tocsr()
     m.eliminate_zeros()
     return InteractionMatrix(m)

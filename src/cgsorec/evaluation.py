@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import InteractionMatrix, ItemGroups
+from .corpus import InteractionMatrix
 from .errors import ConfigError, DataError
 
 
@@ -286,23 +286,23 @@ def ndcg_at_k(lists: RankedLists, test, k: int | None = None) -> float:
 
 
 def group_metrics(
-    lists: RankedLists, test, groups: ItemGroups, ks
+    lists: RankedLists, test, hot: np.ndarray, ks
 ) -> tuple[dict[str, dict[str, dict[int, float]]], list[str]]:
-    """Recall/NDCG per item group, test rows restricted to the group.
+    """Recall/NDCG for the `hot` items and the tail (~hot), test rows
+    restricted to the group.
 
     Ranks stay those of the full recommendation list; only the relevant
     sets shrink.  A group in which the listed users hold no test items is
     omitted, with a notice saying so.
     """
-    masks = (groups.hot_mask, ~groups.hot_mask)
-    scored = dict(zip(("hot", "tail"), _ranking_metrics(lists, test, ks, masks)))
+    scored = dict(zip(("hot", "tail"), _ranking_metrics(lists, test, ks, (hot, ~hot))))
     out = {name: {"recall": m[0], "ndcg": m[1]} for name, m in scored.items() if m}
     notice = "group {!r} has no test interactions; metrics omitted"
     notices = [notice.format(name) for name, m in scored.items() if m is None]
     return out, notices
 
 
-def frequency_histogram(lists: RankedLists, train, groups: ItemGroups, n_buckets: int = 10) -> dict:
+def frequency_histogram(lists: RankedLists, train, hot: np.ndarray, n_buckets: int = 10) -> dict:
     """How often each popularity bucket gets recommended.
 
     Items are bucketed by train interaction count (bucket 1 = least
@@ -323,8 +323,8 @@ def frequency_histogram(lists: RankedLists, train, groups: ItemGroups, n_buckets
     }
     return {
         "decile_mean_freq": decile_means,
-        "hot_mean_freq": float(counts[groups.hot].mean()),
-        "tail_mean_freq": float(counts[groups.tail].mean()),
+        "hot_mean_freq": float(counts[hot].mean()),
+        "tail_mean_freq": float(counts[~hot].mean()),
         "total_count": int(counts.sum()),
     }
 
@@ -362,13 +362,13 @@ class EvalReport:
 
 
 def evaluate_lists(
-    lists: RankedLists, test, train, groups: ItemGroups, ks, config_echo: dict | None = None
+    lists: RankedLists, test, train, hot: np.ndarray, ks, config_echo: dict | None = None
 ) -> EvalReport:
     """Full evaluation of already-ranked lists against a test split."""
     ks, K = sorted(int(k) for k in ks), lists.items.shape[1]
     if len(lists.users) and K < max(ks):
         raise ConfigError(f"lists hold {K} items, fewer than K={max(ks)}")
     [(recall, ndcg)] = _ranking_metrics(lists, test, ks)
-    per_group, notices = group_metrics(lists, test, groups, ks)
-    hist = frequency_histogram(lists, train, groups)
+    per_group, notices = group_metrics(lists, test, hot, ks)
+    hist = frequency_histogram(lists, train, hot)
     return EvalReport(recall, ndcg, per_group, hist, notices, dict(config_echo or {}))

@@ -39,16 +39,7 @@ from itertools import starmap
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import (
-    InteractionMatrix,
-    ItemGroups,
-    SocialMatrix,
-    copurchase,
-    item_condition,
-    longtail_submatrix,
-    social_condition,
-    social_preference,
-)
+from .corpus import InteractionMatrix, SocialMatrix, copurchase, social_preference
 from .denoiser import DenoiserParams, _csr_rows, corrupt_rows, last_hidden
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError, ShapeError
@@ -300,23 +291,32 @@ def item_phase(
 
 
 def build_social_condition(
-    S: SocialMatrix, R: InteractionMatrix, groups: ItemGroups, delta: float
+    S: SocialMatrix, R: InteractionMatrix, hot: np.ndarray, delta: float
 ) -> SocialMatrix:
-    """Condition graph: co-interactions over long-tail items blended into S."""
+    """Condition graph S' = delta * copurchase(R_l) + S: co-interactions
+    over long-tail items, R_l being R with its `hot` columns zeroed."""
     if delta == 0.0:
         return S
-    scpl = copurchase(longtail_submatrix(R, groups))
-    return social_condition(S, scpl, delta)
+    r_l = (R.matrix @ sp.diags((~hot).astype(np.float64))).tocsr()
+    r_l.eliminate_zeros()
+    m = (delta * copurchase(InteractionMatrix(r_l)).matrix + S.matrix).tocsr()
+    m.eliminate_zeros()
+    return SocialMatrix(m)
 
 
 def build_item_condition(
     S_bar: SocialMatrix, R: InteractionMatrix, lam: float
 ) -> InteractionMatrix:
-    """Condition rows: inverted neighbor-popularity counts blended into R."""
+    """Condition rows R' = lam * inv + R, inv being the reciprocal of the
+    neighbor-popularity counts social_preference(S_bar, R) on their
+    nonzeros: weights that favor items few neighbors touched."""
     if lam == 0.0:
         return R
-    r_social = social_preference(S_bar, R)
-    return item_condition(R, r_social, lam)
+    inv = social_preference(S_bar, R).matrix
+    inv.data = 1.0 / inv.data
+    m = (lam * inv + R.matrix).tocsr()
+    m.eliminate_zeros()
+    return InteractionMatrix(m)
 
 
 def joint_chains(
@@ -324,7 +324,7 @@ def joint_chains(
     ckpt_item: Checkpoint,
     S: SocialMatrix | None,
     R: InteractionMatrix,
-    groups: ItemGroups,
+    hot: np.ndarray,
     cfg: GuidanceConfig,
     seed: int,
     reduce=None,
@@ -344,7 +344,7 @@ def joint_chains(
                 "lam > 0 builds the item condition from the denoised social "
                 "graph; a social model checkpoint and a social matrix are required"
             )
-        s_prime = build_social_condition(S, R, groups, cfg.delta)
+        s_prime = build_social_condition(S, R, hot, cfg.delta)
         S_bar = social_phase(ckpt_social, S, s_prime, cfg, seed)
         r_prime = build_item_condition(S_bar, R, cfg.lam)
     else:
@@ -360,7 +360,7 @@ def joint_inference(
     ckpt_item: Checkpoint,
     S: SocialMatrix | None,
     R: InteractionMatrix,
-    groups: ItemGroups,
+    hot: np.ndarray,
     cfg: GuidanceConfig,
     seed: int,
 ) -> np.ndarray:
@@ -371,4 +371,4 @@ def joint_inference(
     The social side (checkpoint and graph) is only consulted when
     lam > 0; it may be None otherwise.
     """
-    return blend(*joint_chains(ckpt_social, ckpt_item, S, R, groups, cfg, seed), cfg.w_r)
+    return blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed), cfg.w_r)

@@ -20,7 +20,6 @@ from .config import ExperimentConfig
 from .corpus import (
     REAL_ID,
     InteractionMatrix,
-    ItemGroups,
     SocialMatrix,
     SplitBundle,
     build_debiased_test,
@@ -261,10 +260,10 @@ def chain_args(
     bundle: SplitBundle,
 ) -> tuple:
     """guidance.joint_chains' arguments under `cfg`: the one place a config
-    becomes guidance knobs, an inference seed and hot/tail item groups."""
-    groups = partition_items(bundle.train, cfg.hot_fraction)
+    becomes guidance knobs, an inference seed and the hot-item mask."""
+    hot = partition_items(bundle.train, cfg.hot_fraction)
     return (
-        ckpt_social, ckpt_item, S, bundle.train, groups,
+        ckpt_social, ckpt_item, S, bundle.train, hot,
         cfg.guidance(), cfg.seed_for("inference"),
     )
 
@@ -292,15 +291,15 @@ def joint_lists(
     return lists
 
 
-def eval_target(cfg: ExperimentConfig, bundle: SplitBundle) -> tuple[InteractionMatrix, ItemGroups]:
-    """The test split and the hot/tail item groups `cfg` evaluates against."""
+def eval_target(cfg: ExperimentConfig, bundle: SplitBundle) -> tuple[InteractionMatrix, np.ndarray]:
+    """The test split and the hot-item mask `cfg` evaluates against."""
     target = bundle.debiased_test if cfg.eval_split == "debiased" else bundle.test
     return target, partition_items(bundle.train, cfg.hot_fraction)
 
 
 def eval_report(cfg: ExperimentConfig, lists: RankedLists, bundle: SplitBundle):
-    target, groups = eval_target(cfg, bundle)
-    return evaluate_lists(lists, target, bundle.train, groups, cfg.eval_ks, config_echo=cfg.raw)
+    target, hot = eval_target(cfg, bundle)
+    return evaluate_lists(lists, target, bundle.train, hot, cfg.eval_ks, config_echo=cfg.raw)
 
 
 def write_lists(lists: RankedLists, path) -> None:

@@ -28,6 +28,18 @@ import scipy.sparse as sp
 from .corpus import InteractionMatrix, SocialMatrix
 from .errors import ConfigError
 
+# community_dataset's fixed knobs: each user's share of picks outside its
+# niche, the intra-community and mutual shares of social edges, the least
+# interactions per user, and each friend circle's item pool, share of the
+# noise picks and share of intra-community edges.
+NOISE_SHARE = 0.08
+HOMOPHILY = 0.9
+MUTUAL = 0.8
+MIN_DEGREE = 5
+CIRCLE_POOL = 8
+CIRCLE_SHARE = 0.8
+CIRCLE_BIAS = 0.6
+
 
 @dataclass(frozen=True)
 class SyntheticDataset:
@@ -83,15 +95,8 @@ def community_dataset(
     n_hot: int,
     niche_size: int,
     hot_share: float = 0.4,
-    noise_share: float = 0.08,
-    homophily: float = 0.9,
-    mutual: float = 0.8,
-    min_degree: int = 5,
     hot_decay: float = 0.7,
     circle_size: int | None = None,
-    circle_pool: int = 8,
-    circle_share: float = 0.8,
-    circle_bias: float = 0.6,
 ) -> SyntheticDataset:
     """Build one planted-bias dataset; see the module docstring for shape.
 
@@ -99,14 +104,14 @@ def community_dataset(
     decay); the remaining ids are long-tail, the first
     n_communities*niche_size of them split into disjoint community
     niches.  With ``circle_size`` set, communities are chunked into
-    friend circles that each own ``circle_pool`` items past the niche
-    range; a ``circle_share`` fraction of noise picks lands there, and a
-    ``circle_bias`` fraction of intra-community edges stays inside the
+    friend circles that each own CIRCLE_POOL items past the niche
+    range; a CIRCLE_SHARE fraction of noise picks lands there, and a
+    CIRCLE_BIAS fraction of intra-community edges stays inside the
     circle.
     """
     if n_hot + n_communities * niche_size > n_items:
         raise ConfigError("niches plus hot set exceed the item catalog")
-    if n_interactions < n_users * min_degree or n_interactions < n_items:
+    if n_interactions < n_users * MIN_DEGREE or n_interactions < n_items:
         raise ConfigError("too few interactions to cover every user and item")
     rng = np.random.default_rng([seed, 0xC0FFEE])
 
@@ -131,17 +136,17 @@ def community_dataset(
                 circle_of[grp] = len(circles)
                 circles.append(grp)
         offset = n_communities * niche_size
-        if offset + len(circles) * circle_pool > len(tail_ids):
+        if offset + len(circles) * CIRCLE_POOL > len(tail_ids):
             raise ConfigError("circle pools exceed the item catalog")
         circle_pools = [
-            tail_ids[offset + g * circle_pool : offset + (g + 1) * circle_pool]
+            tail_ids[offset + g * CIRCLE_POOL : offset + (g + 1) * CIRCLE_POOL]
             for g in range(len(circles))
         ]
     hot_w = 1.0 / (1.0 + np.arange(n_hot)) ** hot_decay
     hot_w /= hot_w.sum()
 
-    max_k = min(n_items, max(2 * n_interactions // n_users, min_degree + 1))
-    k_user = _user_counts(rng, n_users, n_interactions, min_degree, max_k)
+    max_k = min(n_items, max(2 * n_interactions // n_users, MIN_DEGREE + 1))
+    k_user = _user_counts(rng, n_users, n_interactions, MIN_DEGREE, max_k)
 
     users: list[int] = []
     items: list[int] = []
@@ -151,7 +156,7 @@ def community_dataset(
         pool = pools[communities[u]]
         outside = np.setdiff1d(tail_ids, pool, assume_unique=True)
         k_hot = int(np.clip(round(hot_share * k), 1, n_hot))
-        k_niche = int(np.clip(k - k_hot - round(noise_share * k), 1, len(pool)))
+        k_niche = int(np.clip(k - k_hot - round(NOISE_SHARE * k), 1, len(pool)))
         k_noise = k - k_hot - k_niche
         if k_noise > len(outside):
             spill = k_noise - len(outside)
@@ -172,7 +177,7 @@ def community_dataset(
                 picks.append(rng.choice(outside, size=k_noise, replace=False))
             else:
                 sliver = circle_pools[circle_of[u]]
-                k_circ = min(round(circle_share * k_noise), len(sliver))
+                k_circ = min(round(CIRCLE_SHARE * k_noise), len(sliver))
                 if k_circ:
                     picks.append(rng.choice(sliver, size=k_circ, replace=False))
                 if k_noise > k_circ:
@@ -228,12 +233,12 @@ def community_dataset(
         raise ConfigError("edge target below the per-user connectivity floor")
     while len(edges) < n_social_edges:
         r = rng.random()
-        if circles is not None and r < homophily * circle_bias:
+        if circles is not None and r < HOMOPHILY * CIRCLE_BIAS:
             peers = circles[int(rng.integers(len(circles)))]
             if len(peers) < 2:
                 continue
             u, v = rng.choice(peers, size=2, replace=False)
-        elif r < homophily:
+        elif r < HOMOPHILY:
             c = int(rng.integers(n_communities))
             peers = members[c]
             if len(peers) < 2:
@@ -243,7 +248,7 @@ def community_dataset(
             u, v = rng.choice(n_users, size=2, replace=False)
         u, v = int(u), int(v)
         room = n_social_edges - len(edges)
-        if rng.random() < mutual and room >= 2:
+        if rng.random() < MUTUAL and room >= 2:
             edges.add((u, v))
             edges.add((v, u))
         else:

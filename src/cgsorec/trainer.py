@@ -288,7 +288,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild a checkpoint; forward outputs are bitwise equal post-load.
 
-    A tensor holding a non-finite value raises NumericError naming it.
+    A manifest field that is missing or invalid (a schedule or training
+    config the program would refuse included) raises IntegrityError; a
+    tensor holding a non-finite value raises NumericError naming it.
     """
     import os
 
@@ -303,9 +305,17 @@ def load_checkpoint(path) -> Checkpoint:
         layer_dims = tuple(int(d) for d in manifest["layer_dims"])
         time_embed_dim = int(manifest["time_embed_dim"])
         shapes = [tuple(int(d) for d in s) for s in manifest["tensor_shapes"]]
+        tag = str(manifest["model_tag"])
         sched_info = manifest["schedule"]
+        sched = make_schedule(
+            int(sched_info["T"]),
+            float(sched_info["beta_start"]),
+            float(sched_info["beta_end"]),
+        )
         cfg = TrainConfig(**manifest["config"])
-    except (KeyError, TypeError, ValueError) as err:
+        epoch = int(manifest["epoch"])
+        valid_metric = float(manifest["valid_metric"])
+    except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise IntegrityError(f"manifest missing/invalid field: {err}") from err
 
     fan_ins = [layer_dims[0] + time_embed_dim] + list(layer_dims[1:-1])
@@ -331,7 +341,6 @@ def load_checkpoint(path) -> Checkpoint:
         size = int(np.prod(s))
         tensors.append(raw[offset : offset + size].reshape(s).astype(np.float64))
         offset += size
-    tag = str(manifest["model_tag"])
     bad = [i for i, t in enumerate(tensors) if not np.isfinite(t).all()]
     if bad:  # weights are shared, so one bad value reaches every user's output
         name = f"{('weights', 'biases')[bad[0] % 2]}[{bad[0] // 2}]"
@@ -347,15 +356,6 @@ def load_checkpoint(path) -> Checkpoint:
         weights=tensors[0::2],
         biases=tensors[1::2],
     )
-    sched = make_schedule(
-        int(sched_info["T"]),
-        float(sched_info["beta_start"]),
-        float(sched_info["beta_end"]),
-    )
     return Checkpoint(
-        params=params,
-        sched=sched,
-        config=cfg,
-        epoch=int(manifest["epoch"]),
-        valid_metric=float(manifest["valid_metric"]),
+        params=params, sched=sched, config=cfg, epoch=epoch, valid_metric=valid_metric
     )

@@ -97,7 +97,7 @@ def _workspace(tmp_path_factory, name, dataset, n_users, n_items, cgd, csd):
         R=R,
         S=S,
         bundle=bundle,
-        groups=partition_items(bundle.train, cfg.hot_fraction),
+        hot=partition_items(bundle.train, cfg.hot_fraction),
         seed=cfg.seed_for("inference"),
         ck_item=ck_item,
         ck_soc=ck_soc,
@@ -132,7 +132,7 @@ def joint_fixture():
         S=S,
         ck_item=untrained_checkpoint(64, T=5, hidden=(8,), seed=1),
         ck_soc=untrained_checkpoint(50, T=5, hidden=(8,), seed=2, tag="CSD"),
-        groups=partition_items(R, 0.05),
+        hot=partition_items(R, 0.05),
     )
 
 
@@ -144,7 +144,7 @@ def joint_fixture():
 
 def _write_c4(fx, out_dir):
     scores = joint_inference(
-        fx.ck_soc, fx.ck_item, fx.S, fx.R, fx.groups, GuidanceConfig(), seed=99
+        fx.ck_soc, fx.ck_item, fx.S, fx.R, fx.hot, GuidanceConfig(), seed=99
     )
     lists = topk_lists(scores, 10, mask=fx.R.matrix)
     pipeline.write_lists(lists, out_dir / "lists.tsv")
@@ -153,7 +153,7 @@ def _write_c4(fx, out_dir):
 
 def _c5_grid(ws):
     base = joint_inference(
-        None, ws.ck_item, None, ws.bundle.train, ws.groups, GuidanceConfig(), ws.seed
+        None, ws.ck_item, None, ws.bundle.train, ws.hot, GuidanceConfig(), ws.seed
     )
     base_r10 = recall_at_k(
         topk_lists(base, 10, mask=ws.bundle.train), ws.bundle.debiased_test, 10
@@ -164,7 +164,7 @@ def _c5_grid(ws):
     ):
         g = GuidanceConfig(delta=1.0, eta=eta, w_s=w_s, lam=lam, gamma=gamma, w_r=1.0)
         out_a, out_b = joint_chains(
-            ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.groups, g, ws.seed
+            ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.hot, g, ws.seed
         )
         for w_r in (0.0, 0.1, 0.3, 0.5):
             scores = out_a if w_r == 0.0 else (1.0 - w_r) * out_a + w_r * out_b
@@ -191,7 +191,7 @@ def _write_c5(ws, out_dir):
     ):
         report = evaluate_lists(
             topk_lists(scores, 10, mask=ws.bundle.train),
-            ws.bundle.debiased_test, ws.bundle.train, ws.groups,
+            ws.bundle.debiased_test, ws.bundle.train, ws.hot,
             ks=[5, 10], config_echo=echo,
         )
         (out_dir / name).write_text(report.to_json(), encoding="utf-8")
@@ -200,10 +200,10 @@ def _write_c5(ws, out_dir):
 
 def _write_c7(ws, out_dir):
     base = joint_inference(
-        None, ws.ck_item, None, ws.bundle.train, ws.groups, GuidanceConfig(), ws.seed
+        None, ws.ck_item, None, ws.bundle.train, ws.hot, GuidanceConfig(), ws.seed
     )
     cond = joint_inference(
-        ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.groups,
+        ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.hot,
         GuidanceConfig(**C7_GUIDANCE), ws.seed,
     )
     reports = {}
@@ -213,7 +213,7 @@ def _write_c7(ws, out_dir):
     ):
         report = evaluate_lists(
             topk_lists(scores, 10, mask=ws.bundle.train),
-            ws.bundle.test, ws.bundle.train, ws.groups,
+            ws.bundle.test, ws.bundle.train, ws.hot,
             ks=[5, 10], config_echo=echo,
         )
         (out_dir / name).write_text(report.to_json(), encoding="utf-8")
@@ -224,7 +224,7 @@ def _write_c7(ws, out_dir):
 def _write_c8(ws, out_dir):
     g = GuidanceConfig(w_r=1.0, **C8_SWEEP)
     out_a, out_b = joint_chains(
-        ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.groups, g, ws.seed
+        ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.hot, g, ws.seed
     )
     curve = []
     for w_r in np.round(np.arange(0.0, 1.0, 0.1), 1):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -378,6 +379,18 @@ class TestInfer:
         assert f"--top must be at least 1, got {top}" in err
         assert not out_path.exists()
 
+    def test_checkpoint_missing_a_field_exits_3(self, ws, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt-cgd"
+        shutil.copytree(ws["out"] / "ckpt-cgd", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["epoch"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "lists.tsv"
+        code, _, err = run(capsys, "infer", ws["cfg"], "--ckpt-cgd", str(ckpt), "--out", str(out))
+        assert code == 3
+        assert "data error" in err and "epoch" in err
+        assert not out.exists()
+
     def test_nan_checkpoint_exits_4(self, tmp_path, capsys):
         # one NaN weight makes every score NaN; infer must stop, not rank
         # the masked train items first at -inf
@@ -531,6 +544,18 @@ class TestEval:
             )[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("command", ["eval", "bias-report"])
+    def test_fraction_leaving_no_tail_item_exits_2(self, ws, lists_path, tmp_path, capsys, command):
+        # ceil(0.99 * 60) = 60: with no tail item the tail mean would be NaN
+        out = tmp_path / "out.json"
+        code, _, err = run(
+            capsys, command, ws["cfg"], "--lists", str(lists_path), "--out", str(out),
+            "--set", "eval.hot_fraction=0.99",
+        )
+        assert code == 2
+        assert "eval.hot_fraction=0.99 makes all 60 items hot" in err
+        assert not out.exists()
+
     def test_missing_lists_is_data_error(self, ws, capsys):
         code, _, err = run(
             capsys, "eval", ws["cfg"], "--lists", str(ws["root"] / "ghost.tsv")
@@ -575,7 +600,7 @@ class TestListsChecks:
         root, cfg_path = planted_ws
         cfg = load_config(cfg_path)
         bundle = pipeline.ensure_bundle(cfg, pipeline.load_dataset(cfg)[0])
-        hot = partition_items(bundle.train, cfg.hot_fraction).hot_mask
+        hot = partition_items(bundle.train, cfg.hot_fraction)
         test = bundle.test.matrix
         tail_only = [
             u for u in range(test.shape[0])
@@ -811,6 +836,17 @@ class TestSweep:
         assert "config error" in err
         assert not out_dir.exists()
 
+    def test_fraction_leaving_no_tail_item_writes_nothing(self, ws, capsys, tmp_path):
+        # the 60-item catalog has no tail item at 0.99
+        out_dir = tmp_path / "sweep"
+        code, _, err = run(
+            capsys, "sweep", ws["cfg"], "--param", "eval.hot_fraction",
+            "--values", "0.1,0.99", "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "eval.hot_fraction=0.99 makes all 60 items hot" in err
+        assert not out_dir.exists()
+
 
 class TestSweepReusesChains:
     @pytest.fixture(scope="class")
@@ -836,8 +872,9 @@ class TestSweepReusesChains:
             assert main([argv[0], str(cfg_path), *argv[1:]]) == 0
         return root, str(cfg_path)
 
-    def test_eval_split_sweep_runs_the_chains_once(self, trained, capsys, monkeypatch):
-        # eval.split never reaches the chains, so both values share one pair
+    def assert_one_pair_serves(self, trained, capsys, monkeypatch, param, values):
+        """The sweep runs joint_chains once, and each value's report equals
+        infer + eval under that value's --set."""
         root, cfg = trained
         calls = []
         original = cli.joint_chains
@@ -847,28 +884,39 @@ class TestSweepReusesChains:
             return original(*args)
 
         monkeypatch.setattr(cli, "joint_chains", counted)
-        out_dir = root / "sweep-split"
+        out_dir = root / f"sweep-{param}"
         code, _, err = run(
-            capsys, "sweep", cfg, "--param", "eval.split",
-            "--values", '"test","debiased"', "--out-dir", str(out_dir),
+            capsys, "sweep", cfg, "--param", param, "--values", ",".join(values),
+            "--out-dir", str(out_dir),
         )
         assert code == 0, err
         assert len(calls) == 1
         monkeypatch.undo()
-        for split_name in ("test", "debiased"):
-            setting = f"--set=eval.split={json.dumps(split_name)}"
-            lists = root / f"{split_name}.tsv"
-            report = root / f"{split_name}.json"
+        for value in map(json.loads, values):
+            setting = f"--set={param}={json.dumps(value)}"
+            lists, report = root / "lists.tsv", root / "report.json"
             assert run(capsys, "infer", cfg, setting, "--out", str(lists))[0] == 0
             assert run(
                 capsys, "eval", cfg, setting, "--lists", str(lists), "--out", str(report)
             )[0] == 0
-            swept = json.loads(
-                (out_dir / f"report_eval-split={split_name}.json").read_text()
-            )
+            name = f"report_{param.replace('.', '-')}={value}.json"
+            swept = json.loads((out_dir / name).read_text())
             direct = json.loads(report.read_text())
             for section in ("recall", "ndcg", "per_group", "freq_hist"):
                 assert swept[section] == direct[section]
+
+    def test_eval_split_sweep_runs_the_chains_once(self, trained, capsys, monkeypatch):
+        # eval.split never reaches the chains, so both values share one pair
+        self.assert_one_pair_serves(
+            trained, capsys, monkeypatch, "eval.split", ['"test"', '"debiased"']
+        )
+
+    def test_eval_ks_sweep_runs_the_chains_once(self, trained, capsys, monkeypatch):
+        # the pair is ranked once at the largest K, and each value's lists
+        # are cut to its own K
+        self.assert_one_pair_serves(
+            trained, capsys, monkeypatch, "eval.ks", ["[5]", "[20]", "[10]"]
+        )
 
 
 class TestBiasReport:

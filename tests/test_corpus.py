@@ -1,4 +1,6 @@
-"""Dataset ingestion, splitting, and the derived condition matrices."""
+"""Dataset ingestion, splitting, the hot-item mask, and the condition
+matrices built from corpus' products (guidance.build_social_condition
+and build_item_condition)."""
 
 import math
 import re
@@ -14,13 +16,9 @@ from cgsorec.corpus import (
     auto_cap,
     build_debiased_test,
     copurchase,
-    invert_preference,
-    item_condition,
     load_interactions,
     load_social,
-    longtail_submatrix,
     partition_items,
-    social_condition,
     social_preference,
     split,
 )
@@ -30,6 +28,7 @@ from cgsorec.errors import (
     DimensionError,
     ParseError,
 )
+from cgsorec.guidance import build_item_condition, build_social_condition
 
 from conftest import decimal, digits, line_loop, rand_binary_csr
 
@@ -485,30 +484,30 @@ class TestDebiasedTest:
 class TestPartitionItems:
     def test_ceil_count(self):
         R = im(np.ones((2, 100)))
-        g = partition_items(R, 0.05)
-        assert len(g.hot) == 5
+        hot = partition_items(R, 0.05)
+        assert hot.dtype == bool and hot.shape == (100,)
+        assert np.count_nonzero(hot) == 5
 
     def test_tie_break_and_ceil(self):
         dense = np.zeros((9, 3))
         dense[0:9, 0] = 1  # i0: 9
         dense[0:9, 1] = 1  # i1: 9
         dense[0, 2] = 1    # i2: 1
-        g = partition_items(im(dense), 0.34)  # ceil(1.02) = 2
-        assert set(g.hot.tolist()) == {0, 1}
+        hot = partition_items(im(dense), 0.34)  # ceil(1.02) = 2
+        assert hot.tolist() == [True, True, False]
 
     def test_all_equal_counts_id_tiebreak(self):
         R = im(np.ones((3, 4)))
-        g = partition_items(R, 0.5)
-        assert set(g.hot.tolist()) == {0, 1}
-        assert set(g.tail.tolist()) == {2, 3}
+        hot = partition_items(R, 0.5)
+        assert np.flatnonzero(hot).tolist() == [0, 1]
+        assert np.flatnonzero(~hot).tolist() == [2, 3]
 
     def test_partition_invariants(self, rng):
         R = InteractionMatrix(rand_binary_csr(rng, 20, 30, 0.2))
-        g = partition_items(R, 0.1)
-        hot, tail = set(g.hot.tolist()), set(g.tail.tolist())
-        assert hot | tail == set(range(30))
-        assert not (hot & tail)
-        assert len(hot) == math.ceil(0.1 * 30)
+        hot = partition_items(R, 0.1)
+        counts = np.asarray(R.matrix.sum(axis=0)).ravel()
+        assert np.count_nonzero(hot) == math.ceil(0.1 * 30)
+        assert counts[hot].min() >= counts[~hot].max()
 
     def test_fraction_bounds(self):
         R = im(np.ones((2, 4)))
@@ -516,31 +515,34 @@ class TestPartitionItems:
             with pytest.raises(ConfigError):
                 partition_items(R, bad)
 
+    @pytest.mark.parametrize("n, fraction", [(10, 0.95), (300, 0.999), (1, 0.5)])
+    def test_no_tail_item_is_config_error(self, n, fraction):
+        # an empty tail has no mean frequency: reports would hold NaN
+        with pytest.raises(ConfigError, match=rf"eval\.hot_fraction.*all {n} items"):
+            partition_items(im(np.ones((2, n))), fraction)
+
 
 class TestLongtail:
-    def groups(self, hot, tail, n):
-        from cgsorec.corpus import ItemGroups
-
-        return ItemGroups(
-            hot=np.asarray(hot, dtype=np.int64),
-            tail=np.asarray(tail, dtype=np.int64),
-            hot_fraction=0.5,
-            n_items=n,
-        )
+    # build_social_condition at delta = 1 over an empty graph: the
+    # co-interaction counts over R with its hot columns zeroed
+    def longtail_copurchase(self, R, hot):
+        S = sm(np.zeros((R.n_users, R.n_users)))
+        return build_social_condition(S, R, np.array(hot), 1.0).matrix
 
     def test_all_tail_identity(self):
         R = im([[1, 0], [1, 1]])
-        out = longtail_submatrix(R, self.groups([], [0, 1], 2))
-        assert (out.matrix != R.matrix).nnz == 0
+        out = self.longtail_copurchase(R, [False, False])
+        np.testing.assert_array_equal(out.toarray(), copurchase(R).matrix.toarray())
 
     def test_all_hot_zero(self):
         R = im([[1, 0], [1, 1]])
-        assert longtail_submatrix(R, self.groups([0, 1], [], 2)).nnz == 0
+        assert self.longtail_copurchase(R, [True, True]).nnz == 0
 
     def test_masking(self):
-        R = im([[1, 1]])
-        out = longtail_submatrix(R, self.groups([0], [1], 2))
-        assert out.matrix[0, 0] == 0.0 and out.matrix[0, 1] == 1.0
+        R = im([[1, 1], [1, 0]])
+        out = self.longtail_copurchase(R, [True, False])
+        np.testing.assert_array_equal(out.toarray(), [[1, 0], [0, 0]])
+        assert out.nnz == 1  # the zeroed products are not stored
 
 
 class TestCopurchase:
@@ -566,28 +568,33 @@ class TestCopurchase:
 
 
 class TestSocialCondition:
+    R = im([[1, 1], [1, 0]])  # co-interaction counts [[2, 1], [1, 1]]
+    all_tail = np.zeros(2, dtype=bool)
+
     def test_delta_zero_identity(self):
         S = sm([[0, 1], [1, 0]])
-        scpl = sm([[2, 1], [1, 1]])
-        out = social_condition(S, scpl, 0.0)
+        out = build_social_condition(S, self.R, self.all_tail, 0.0)
         assert (out.matrix != S.matrix).nnz == 0
 
     def test_blend_example(self):
         S = sm([[0, 1], [1, 0]])
-        scpl = sm([[2, 1], [1, 1]])
-        out = social_condition(S, scpl, 0.5)
+        out = build_social_condition(S, self.R, self.all_tail, 0.5)
         np.testing.assert_array_equal(out.matrix.toarray(), [[1, 1.5], [1.5, 0.5]])
 
     def test_zero_social_gives_scaled_copurchase(self):
         S = sm(np.zeros((2, 2)))
-        scpl = sm([[2, 1], [1, 1]])
-        out = social_condition(S, scpl, 1.0)
-        np.testing.assert_array_equal(out.matrix.toarray(), scpl.matrix.toarray())
+        out = build_social_condition(S, self.R, self.all_tail, 1.0)
+        np.testing.assert_array_equal(out.matrix.toarray(), [[2, 1], [1, 1]])
 
-    def test_negative_delta_rejected(self):
-        S = sm(np.zeros((2, 2)))
-        with pytest.raises(ConfigError):
-            social_condition(S, S, -0.1)
+    def test_matches_dense_formula(self, rng):
+        S = rand_binary_csr(rng, 15, 15, 0.2)
+        R = rand_binary_csr(rng, 15, 12, 0.25)
+        hot = rng.random(12) < 0.3
+        out = build_social_condition(SocialMatrix(S), InteractionMatrix(R), hot, 0.7).matrix
+        R_l = R.toarray() * ~hot
+        want = 0.7 * (R_l @ R_l.T) + S.toarray()
+        np.testing.assert_array_equal(out.toarray(), want)
+        assert out.nnz == np.count_nonzero(want)
 
 
 class TestSocialPreference:
@@ -620,53 +627,50 @@ class TestSocialPreference:
 
 
 class TestInvertPreference:
+    # build_item_condition's lam * inv + R, inv the reciprocal of the
+    # neighbor counts S_bar @ R on their nonzeros: user 0 has no items,
+    # and its neighbors 1..4 give the counts [4, 2, 0] over items 0..2
+    S_bar = sm(np.vstack(([0, 1, 1, 1, 1], np.eye(5)[1:])))
+    R = im([[0, 0, 0], [1, 1, 0], [1, 1, 0], [1, 0, 0], [1, 0, 0]])
+
     def test_pointwise_values(self):
-        out = invert_preference(im([[2, 0], [1, 4]]))
-        np.testing.assert_array_equal(
-            out.matrix.toarray(), [[0.5, 0.0], [1.0, 0.25]]
-        )
+        out = build_item_condition(self.S_bar, self.R, 1.0)
+        np.testing.assert_array_equal(out.matrix[0].toarray(), [[0.25, 0.5, 0.0]])
 
     def test_involution_on_support(self, rng):
-        vals = sp.csr_matrix(
-            np.array([[2.0, 0.0, 0.5], [4.0, 1.0, 0.0]])
-        )
-        twice = invert_preference(invert_preference(InteractionMatrix(vals)))
-        np.testing.assert_allclose(
-            twice.matrix.toarray(), vals.toarray(), rtol=1e-15
-        )
+        S_bar = rand_binary_csr(rng, 15, 15, 0.3)
+        R = rand_binary_csr(rng, 15, 12, 0.25)
+        out = build_item_condition(SocialMatrix(S_bar), InteractionMatrix(R), 1.0)
+        counts = (S_bar @ R).toarray()
+        off = (counts > 0) & (R.toarray() == 0)
+        assert off.any()
+        np.testing.assert_allclose(1.0 / out.matrix.toarray()[off], counts[off], rtol=1e-15)
 
     def test_sparsity_pattern_preserved(self, rng):
-        Rs = rand_binary_csr(rng, 10, 8, 0.3)
-        Rs.data *= 3.0
-        out = invert_preference(InteractionMatrix(Rs))
-        assert np.array_equal(out.matrix.indices, Rs.indices)
-        assert np.array_equal(out.matrix.indptr, Rs.indptr)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            invert_preference(im([[-1.0]]))
+        # stored entries are exactly those of R and of the neighbor counts
+        S_bar = rand_binary_csr(rng, 10, 10, 0.3)
+        R = rand_binary_csr(rng, 10, 8, 0.3)
+        out = build_item_condition(SocialMatrix(S_bar), InteractionMatrix(R), 3.0).matrix
+        support = (R.toarray() != 0) | ((S_bar @ R).toarray() != 0)
+        assert out.nnz == np.count_nonzero(support)
+        assert np.array_equal(out.toarray() != 0, support)
 
 
 class TestItemCondition:
+    S_bar = TestInvertPreference.S_bar
+
     def test_lambda_zero_identity(self):
-        R = im([[1, 0], [0, 1]])
-        Rs = im([[4, 4], [4, 4]])
-        out = item_condition(R, Rs, 0.0)
+        R = TestInvertPreference.R
+        out = build_item_condition(self.S_bar, R, 0.0)
         assert (out.matrix != R.matrix).nnz == 0
 
     def test_inverted_blend(self):
-        R = im(np.zeros((1, 1)))
-        Rs = im([[4.0]])
-        out = item_condition(R, Rs, 1.0)
-        assert out.matrix[0, 0] == 0.25
+        # user 0 holds no item: its row is lam / counts alone
+        out = build_item_condition(self.S_bar, TestInvertPreference.R, 2.0)
+        np.testing.assert_array_equal(out.matrix[0].toarray(), [[0.5, 1.0, 0.0]])
 
     def test_lambda_two_stacks_on_interaction(self):
-        R = im([[1.0]])
-        Rs = im([[1.0]])
-        out = item_condition(R, Rs, 2.0)
-        assert out.matrix[0, 0] == 3.0
-
-    def test_negative_lambda_rejected(self):
-        R = im([[1.0]])
-        with pytest.raises(ConfigError):
-            item_condition(R, R, -0.5)
+        # user 1's neighbor set is itself: counts equal its row, so an item
+        # it holds gets 2 * 1 / 1 + 1
+        out = build_item_condition(self.S_bar, TestInvertPreference.R, 2.0)
+        np.testing.assert_array_equal(out.matrix[1].toarray(), [[3.0, 3.0, 0.0]])

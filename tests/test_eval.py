@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cgsorec.corpus import InteractionMatrix, ItemGroups, partition_items
+from cgsorec.corpus import InteractionMatrix, partition_items
 from cgsorec.errors import ConfigError, DataError
 from cgsorec.evaluation import (
     ROW_BLOCK,
@@ -355,6 +355,27 @@ class TestTopKGrid:
             want_ids, want_top = top_k_rows(a, 4)
             assert np.array_equal(ids, want_ids) and top.tobytes() == want_top.tobytes()
 
+    def test_a_longer_list_cut_is_the_shorter_list(self, rng):
+        # a sweep ranks values that share chains once, at their largest K,
+        # and cuts each value's lists to its own K
+        for case in range(400):
+            n_rows, n = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+            a = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=(n_rows, n))
+            b = np.round(rng.standard_normal((n_rows, n)), 1)
+            if case % 3 == 0:
+                a[rng.integers(n_rows), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+            mask = messy_mask(rng, n_rows, n, 0.3) if case % 2 else None
+            free = n if mask is None else int(free_counts(mask, n).min())
+            K = int(rng.integers(0, free + 1))
+            k = int(rng.integers(0, K + 1))
+            ws = GRIDS[case % len(GRIDS)]
+            with np.errstate(invalid="ignore"):  # 0 * inf at w = 1
+                longer = [top_k_rows(a, K, mask, b, ws[0]), *top_k_grid(a, b, ws, K, mask)]
+                shorter = [top_k_rows(a, k, mask, b, ws[0]), *top_k_grid(a, b, ws, k, mask)]
+            for (ids, top), (want_ids, want_top) in zip(longer, shorter):
+                assert np.array_equal(ids[:, :k], want_ids)
+                assert top[:, :k].tobytes() == want_top.tobytes()
+
     def test_topk_lists_takes_a_grid(self, rng):
         a, b = rng.random((20, 12)), rng.random((20, 12))
         mask = rand_binary_csr(rng, 20, 12, 0.2)
@@ -482,14 +503,12 @@ class TestBruteForceAgreement:
         return lists, test_sets, sets_to_csr(test_sets, n_users, n_items)
 
     def test_per_group_metrics(self, rng):
-        groups = ItemGroups(
-            hot=np.array([0, 1]), tail=np.array([2, 3, 4, 5]), hot_fraction=1 / 3, n_items=6
-        )
+        hot = np.arange(6) < 2
         for _ in range(30):
             lists, test_sets, test = self.random_case(rng, 12, 6, 4, (0, 4))
-            per_group, _ = group_metrics(lists, test, groups, [1, 2, 4])
-            for name, members in (("hot", groups.hot), ("tail", groups.tail)):
-                restricted = {u: t & set(members.tolist()) for u, t in test_sets.items()}
+            per_group, _ = group_metrics(lists, test, hot, [1, 2, 4])
+            for name, members in (("hot", {0, 1}), ("tail", {2, 3, 4, 5})):
+                restricted = {u: t & members for u, t in test_sets.items()}
                 if not any(restricted.values()):
                     assert name not in per_group
                     continue
@@ -528,12 +547,9 @@ class TestFrequencyHistogram:
     def test_counting_example(self):
         # item 0 is most popular (hot); recommended to both users
         train = sets_to_csr({0: {0}, 1: {0, 1}, 2: {0, 2}}, 3, 4)
-        groups = ItemGroups(
-            hot=np.array([0]), tail=np.array([1, 2, 3]),
-            hot_fraction=0.25, n_items=4,
-        )
+        hot = np.array([True, False, False, False])
         lists = make_lists([[0, 1], [0, 2]])
-        hist = frequency_histogram(lists, train, groups)
+        hist = frequency_histogram(lists, train, hot)
         assert hist["hot_mean_freq"] == 2.0
         assert hist["tail_mean_freq"] == pytest.approx(2 / 3)
         assert hist["total_count"] == 4
@@ -543,9 +559,9 @@ class TestFrequencyHistogram:
 
     def test_conservation(self, rng):
         train = rand_binary_csr(rng, 12, 9, 0.3)
-        groups = partition_items(InteractionMatrix(train), 0.2)
+        hot = partition_items(InteractionMatrix(train), 0.2)
         lists = topk_lists(rng.standard_normal((12, 9)), 4)
-        hist = frequency_histogram(lists, train, groups)
+        hist = frequency_histogram(lists, train, hot)
         assert hist["total_count"] == 4 * 12
 
     def test_uniform_lists_match_multinomial(self, rng):
@@ -554,8 +570,8 @@ class TestFrequencyHistogram:
         U, n, K = 2000, 20, 5
         lists = make_lists([rng.choice(n, K, replace=False).tolist() for _ in range(U)])
         train = rand_binary_csr(rng, 50, n, 0.3)
-        groups = partition_items(InteractionMatrix(train), 0.2)
-        hist = frequency_histogram(lists, train, groups)
+        hot = partition_items(InteractionMatrix(train), 0.2)
+        hist = frequency_histogram(lists, train, hot)
         p = K / n
         expected = U * p
         per_item_sd = np.sqrt(U * p * (1 - p))
@@ -567,22 +583,18 @@ class TestFrequencyHistogram:
 
     def test_empty_lists_rejected(self, rng):
         train = rand_binary_csr(rng, 3, 4, 0.5)
-        groups = partition_items(InteractionMatrix(train), 0.25)
+        hot = partition_items(InteractionMatrix(train), 0.25)
         with pytest.raises(DataError):
-            frequency_histogram(make_lists(np.empty((0, 0))), train, groups)
+            frequency_histogram(make_lists(np.empty((0, 0))), train, hot)
 
 
 class TestGroupMetrics:
-    def groups(self):
-        return ItemGroups(
-            hot=np.array([0, 1]), tail=np.array([2, 3, 4, 5]),
-            hot_fraction=1 / 3, n_items=6,
-        )
+    hot = np.arange(6) < 2  # items 0 and 1 are hot, 2..5 tail
 
     def test_all_hot_equals_overall(self):
         lists = make_lists([[0, 2, 4], [1, 3, 5]])
         test = sets_to_csr({0: {0}, 1: {1}}, 2, 6)
-        per_group, notices = group_metrics(lists, test, self.groups(), [3])
+        per_group, notices = group_metrics(lists, test, self.hot, [3])
         assert "tail" not in per_group
         assert any("tail" in n and "omitted" in n for n in notices)
         assert per_group["hot"]["recall"][3] == recall_at_k(lists, test, 3)
@@ -591,7 +603,7 @@ class TestGroupMetrics:
     def test_hand_counts(self):
         lists = make_lists([[0, 2, 4], [1, 3, 5]])
         test = sets_to_csr({0: {0, 2}, 1: {3, 4}}, 2, 6)
-        per_group, notices = group_metrics(lists, test, self.groups(), [3])
+        per_group, notices = group_metrics(lists, test, self.hot, [3])
         assert notices == []
         # hot: only user 0 has hot test items ({0}, hit at rank 1)
         assert per_group["hot"]["recall"][3] == 1.0
@@ -607,7 +619,7 @@ class TestGroupMetrics:
         # user 0 holds the only hot test item but has no list
         lists = make_lists([[1, 3, 5]], users=[1])
         test = sets_to_csr({0: {0}, 1: {3}}, 2, 6)
-        per_group, notices = group_metrics(lists, test, self.groups(), [3])
+        per_group, notices = group_metrics(lists, test, self.hot, [3])
         assert list(per_group) == ["tail"]
         assert notices == ["group 'hot' has no test interactions; metrics omitted"]
         assert per_group["tail"]["recall"][3] == 1.0
@@ -615,7 +627,7 @@ class TestGroupMetrics:
     def test_empty_tail_group_notice(self):
         lists = make_lists([[0, 1]])
         test = sets_to_csr({0: {0}}, 1, 6)
-        per_group, notices = group_metrics(lists, test, self.groups(), [2])
+        per_group, notices = group_metrics(lists, test, self.hot, [2])
         assert list(per_group) == ["hot"]
         assert len(notices) == 1
 
@@ -760,9 +772,9 @@ class TestEvalReport:
         train = rand_binary_csr(rng, 6, 12, 0.2)
         test_sets = {u: {int(11 - u)} for u in range(6)}
         test = sets_to_csr(test_sets, 6, 12)
-        groups = partition_items(InteractionMatrix(train), 0.25)
+        hot = partition_items(InteractionMatrix(train), 0.25)
         return evaluate_lists(
-            topk_lists(scores, 5, mask=train), test, train, groups, ks=[1, 5],
+            topk_lists(scores, 5, mask=train), test, train, hot, ks=[1, 5],
             config_echo={"seed": 7, "variant": "test"},
         )
 
@@ -789,9 +801,9 @@ class TestEvalReport:
         lists = make_lists([[0, 1]])
         test = sets_to_csr({0: {0}}, 1, 6)
         train = sp.csr_matrix((1, 6))
-        groups = partition_items(InteractionMatrix(sets_to_csr({0: {0}}, 1, 6)), 0.25)
+        hot = partition_items(InteractionMatrix(sets_to_csr({0: {0}}, 1, 6)), 0.25)
         with pytest.raises(ConfigError):
-            evaluate_lists(lists, test, train, groups, ks=[5])
+            evaluate_lists(lists, test, train, hot, ks=[5])
 
     def test_mask_respected_end_to_end(self, rng):
         scores = rng.standard_normal((5, 10))

@@ -476,8 +476,8 @@ class TestConditionBuilders:
     def test_social_condition_delta_zero_is_input(self, rng):
         S = SocialMatrix(rand_binary_csr(rng, 8, 8, 0.2))
         R = InteractionMatrix(rand_binary_csr(rng, 8, 10, 0.3))
-        groups = partition_items(R, 0.2)
-        assert build_social_condition(S, R, groups, 0.0) is S
+        hot = partition_items(R, 0.2)
+        assert build_social_condition(S, R, hot, 0.0) is S
 
     def test_item_condition_lam_zero_is_input(self, rng):
         S = SocialMatrix(rand_binary_csr(rng, 8, 8, 0.2))
@@ -500,15 +500,15 @@ class TestJointInference:
         S.setdiag(0)
         S.eliminate_zeros()
         S = SocialMatrix(S.maximum(S.T).tocsr())
-        groups = partition_items(R, 0.2)
+        hot = partition_items(R, 0.2)
         ckpt_item = untrained_checkpoint(n_items, T=3, seed=6)
         ckpt_social = untrained_checkpoint(n_users, T=3, seed=7, tag="CSD")
-        return ckpt_social, ckpt_item, S, R, groups
+        return ckpt_social, ckpt_item, S, R, hot
 
     def test_zero_config_reduces_bitwise(self, rng):
-        ckpt_social, ckpt_item, S, R, groups = self.build_fixture(rng)
+        ckpt_social, ckpt_item, S, R, hot = self.build_fixture(rng)
         cfg = GuidanceConfig(T_inf=3)
-        out = joint_inference(ckpt_social, ckpt_item, S, R, groups, cfg, seed=42)
+        out = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=42)
         base = unconditional_scores(
             ckpt_item.params, ckpt_item.sched, R.matrix,
             T_inf=3, seed=42, stage=STAGE_ITEM,
@@ -516,42 +516,42 @@ class TestJointInference:
         assert np.array_equal(out, base)
 
     def test_social_ckpt_optional_when_lam_zero(self, rng):
-        _, ckpt_item, S, R, groups = self.build_fixture(rng)
+        _, ckpt_item, S, R, hot = self.build_fixture(rng)
         cfg = GuidanceConfig(T_inf=3, w_r=0.3)
-        out = joint_inference(None, ckpt_item, None, R, groups, cfg, seed=1)
+        out = joint_inference(None, ckpt_item, None, R, hot, cfg, seed=1)
         assert out.shape == (12, 16)
 
     def test_lam_positive_requires_social(self, rng):
-        _, ckpt_item, S, R, groups = self.build_fixture(rng)
+        _, ckpt_item, S, R, hot = self.build_fixture(rng)
         cfg = GuidanceConfig(T_inf=3, lam=0.5)
         with pytest.raises(ConfigError):
-            joint_inference(None, ckpt_item, None, R, groups, cfg, seed=1)
+            joint_inference(None, ckpt_item, None, R, hot, cfg, seed=1)
 
     def test_wr_mix_is_affine_in_endpoints(self, rng):
-        ckpt_social, ckpt_item, S, R, groups = self.build_fixture(rng)
+        ckpt_social, ckpt_item, S, R, hot = self.build_fixture(rng)
         base = dict(T_inf=3, lam=1.0, delta=0.5, eta=0.3, gamma=0.4, w_s=0.25)
         at0 = joint_inference(
-            ckpt_social, ckpt_item, S, R, groups,
+            ckpt_social, ckpt_item, S, R, hot,
             GuidanceConfig(w_r=1e-12, **base), seed=5,
         )
         at1 = joint_inference(
-            ckpt_social, ckpt_item, S, R, groups,
+            ckpt_social, ckpt_item, S, R, hot,
             GuidanceConfig(w_r=1.0, **base), seed=5,
         )
         mid = joint_inference(
-            ckpt_social, ckpt_item, S, R, groups,
+            ckpt_social, ckpt_item, S, R, hot,
             GuidanceConfig(w_r=0.3, **base), seed=5,
         )
         # chains do not depend on w_r, so outputs are affine in it
         np.testing.assert_allclose(mid, 0.7 * at0 + 0.3 * at1, rtol=1e-9, atol=1e-12)
 
     def test_determinism_across_runs(self, rng):
-        ckpt_social, ckpt_item, S, R, groups = self.build_fixture(rng)
+        ckpt_social, ckpt_item, S, R, hot = self.build_fixture(rng)
         cfg = GuidanceConfig(T_inf=3, lam=0.5, delta=0.2, eta=0.1, gamma=0.2, w_s=0.3, w_r=0.4)
-        a = joint_inference(ckpt_social, ckpt_item, S, R, groups, cfg, seed=9)
-        b = joint_inference(ckpt_social, ckpt_item, S, R, groups, cfg, seed=9)
+        a = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=9)
+        b = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=9)
         assert np.array_equal(a, b)
-        c = joint_inference(ckpt_social, ckpt_item, S, R, groups, cfg, seed=10)
+        c = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=10)
         assert not np.array_equal(a, c)
 
     def test_isolated_user_zero_condition(self, rng):
@@ -568,11 +568,11 @@ class TestJointInference:
         for u in range(1, n_users - 1):
             S_dense[u, u + 1] = S_dense[u + 1, u] = 1
         S = SocialMatrix(sp.csr_matrix(S_dense))
-        groups = partition_items(R, 0.3)  # items 0-2 are hot
+        hot = partition_items(R, 0.3)  # items 0-2 are hot
         ckpt_item = untrained_checkpoint(n_items, T=3, seed=1)
         ckpt_social = untrained_checkpoint(n_users, T=3, seed=2, tag="CSD")
         cfg = GuidanceConfig(T_inf=3, lam=1.0)
-        out = joint_inference(ckpt_social, ckpt_item, S, R, groups, cfg, seed=0)
+        out = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=0)
         assert out.shape == (n_users, n_items)
         assert np.all(np.isfinite(out))
 
@@ -612,11 +612,11 @@ class TestGoldenTrace:
         )
         R = InteractionMatrix(sp.csr_matrix(R_dense))
         S = SocialMatrix(sp.csr_matrix(S_dense))
-        groups = partition_items(R, 0.25)  # ceil(2) = 2 hot items
+        hot = partition_items(R, 0.25)  # ceil(2) = 2 hot items
         ckpt_item = untrained_checkpoint(n, T=3, seed=21)
         ckpt_social = untrained_checkpoint(m, T=3, seed=22, tag="CSD")
 
-        got = joint_inference(ckpt_social, ckpt_item, S, R, groups, cfg, seed=seed)
+        got = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=seed)
 
         # ---- independent trace ----
         sched = ckpt_item.sched  # both checkpoints share schedule settings
@@ -667,9 +667,7 @@ class TestGoldenTrace:
             return x
 
         # social side
-        hot_mask = np.zeros(n, dtype=bool)
-        hot_mask[groups.hot] = True
-        R_l = R_dense * (~hot_mask)
+        R_l = R_dense * ~hot
         S_cpl = R_l @ R_l.T
         S_prime = cfg.delta * S_cpl + S_dense
         out_a = chain(ckpt_social.params, S_dense, S_prime, cfg.eta, STAGE_SOCIAL)

@@ -208,8 +208,8 @@ class TestPeakMemory:
         peaks = {}
         for n in (200, 800):
             S, bundle = planted_bundle(n)
-            groups = partition_items(bundle.train, 0.05)
-            S_prime = build_social_condition(S, bundle.train, groups, cfg.delta)
+            hot = partition_items(bundle.train, 0.05)
+            S_prime = build_social_condition(S, bundle.train, hot, cfg.delta)
             ckpt = untrained_checkpoint(n, T=3, seed=2, tag="CSD")
             peaks[n] = traced_peak(lambda: social_phase(ckpt, S, S_prime, cfg, 0))
         assert peaks[800] - peaks[200] < 800 * 800 * 8, peaks

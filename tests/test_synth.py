@@ -1,5 +1,7 @@
 """Planted-bias dataset generators: exact totals, coverage, and structure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,28 @@ class TestRoundTrip:
         assert (R.matrix != R_direct.matrix).nnz == 0
         assert (S.matrix != S_direct.matrix).nnz == 0
         assert S.raw_edges == len(small.social_edges)
+
+
+def file_digests(ds, tmp_path):
+    """sha256 of write_dataset's interactions and social files."""
+    paths = (tmp_path / "interactions.tsv", tmp_path / "social.tsv")
+    write_dataset(ds, *paths)
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+
+
+class TestPinnedOutput:
+    """The benchmark's data is lastfm_like(0): a change to the generator,
+    its fixed knobs included, must show here.  Digests taken under NumPy
+    2.4.6, whose Generator streams the files depend on."""
+
+    def test_lastfm_like_seed_0(self, lastfm, tmp_path):
+        assert file_digests(lastfm, tmp_path) == (
+            "3a853086a385afa3e6e1468058dbc0c16f3afed231b2a9f3b8bd38bf0c7904a9",
+            "2116758df6cbe7f29f94cd6fcf3c88aa37e0ddd67f03576ab0e69fd1d8189a87",
+        )
+
+    def test_planted_seed_0(self, tmp_path):
+        assert file_digests(planted(seed=0), tmp_path) == (
+            "a18ef5d88a7d98a3ba888c41009217b7364f4509fb109ce0010a948eda683907",
+            "62a6fc41ddc8da35720957863745bf71b02e2231b03dfe9cb456bf3b57c5ab13",
+        )

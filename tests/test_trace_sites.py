@@ -5,6 +5,7 @@ traced benchmark run."""
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +18,23 @@ from cgsorec.trainer import save_checkpoint
 
 from conftest import untrained_checkpoint
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name):
+    """bench/<name>.py as a module, with bench/ on sys.path for its imports."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("spans")
 
 
 def test_every_traced_site_resolves():
@@ -115,3 +125,29 @@ def test_guided_infer_records_the_chain_work(tmp_path):
     assert stats["guidance.binarize_social"]["calls"] >= 1
     assert stats["evaluation.topk_lists"]["users"] == ds.n_users
     assert depths and min(depths) >= 1
+
+
+def test_sweep_capture_keeps_the_whole_pair(tmp_path):
+    # lastfm_sweep checks its lists against the pair it captures at
+    # cli.joint_chains; a sweep that stops calling it there, or calls it
+    # per block, leaves that check nothing whole to compare
+    ds = planted(seed=0)
+    write_dataset(ds, tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 1,
+        "output_dir": str(tmp_path / "run"),
+        "dataset": {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")},
+        "guidance": {"gamma": 0.5},
+    }))
+    save_checkpoint(untrained_checkpoint(ds.n_items, T=3, seed=21), tmp_path / "ck-item")
+    assert main(["prepare", str(cfg)]) == 0
+    ctx = {}
+    with load_bench("workloads")._capture_chains(ctx):
+        assert main([
+            "sweep", str(cfg), "--param", "guidance.w_r", "--values", "0,0.2,1",
+            "--ckpt-cgd", str(tmp_path / "ck-item"), "--out-dir", str(tmp_path / "sweep"),
+        ]) == 0
+    a, b = ctx["chains"]
+    assert a.shape == (ds.n_users, ds.n_items)
+    assert b is not None and b.shape == a.shape

@@ -362,6 +362,34 @@ class TestCheckpointIO:
         with pytest.raises(IntegrityError, match="schedule"):
             load_checkpoint(tmp_path / "ck")
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("model_tag", None),
+            ("epoch", None),
+            ("epoch", "six"),
+            ("valid_metric", None),
+            ("valid_metric", "high"),
+            ("schedule.T", None),
+            ("schedule.beta_start", None),
+            ("schedule.beta_end", None),
+            ("schedule.beta_end", 2.0),  # a schedule make_schedule refuses
+        ],
+    )
+    def test_bad_manifest_field_is_integrity_error(self, tmp_path, path, value):
+        # value None deletes the field
+        save_checkpoint(self.make_ckpt(), tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        *outer, name = path.split(".")
+        section = manifest[outer[0]] if outer else manifest
+        if value is None:
+            del section[name]
+        else:
+            section[name] = value
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(IntegrityError, match="manifest missing/invalid field"):
+            load_checkpoint(tmp_path / "ck")
+
     def test_non_finite_tensor_is_numeric_error(self, tmp_path):
         ckpt = self.make_ckpt()
         save_checkpoint(ckpt, tmp_path / "ck")
