@@ -77,30 +77,18 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     out_dir = _ckpt_dir(cfg, kind, args.ckpt_dir)
     log = print if args.verbose else None
 
-    init = None
-    start_epoch = 1
-    baseline = -math.inf
+    resume = None
     if args.resume:
-        previous = load_checkpoint(out_dir)
-        init = previous.params
-        start_epoch = previous.epoch + 1
-        if not math.isnan(previous.valid_metric):
-            baseline = previous.valid_metric
-        print(f"resuming from epoch {previous.epoch}")
+        resume = load_checkpoint(out_dir)
+        print(f"resuming from epoch {resume.epoch}")
 
     if kind == "cgd":
         bundle = pipeline.ensure_bundle(cfg, R)
-        ckpt = pipeline.train_item_model(
-            cfg, bundle, init=init, start_epoch=start_epoch,
-            best_metric_init=baseline, log=log,
-        )
+        ckpt = pipeline.train_item_model(cfg, bundle, resume=resume, log=log)
     else:
         if S is None:
             raise DataError("csd training needs dataset.social")
-        ckpt = pipeline.train_social_model(
-            cfg, S, init=init, start_epoch=start_epoch,
-            best_metric_init=baseline, log=log,
-        )
+        ckpt = pipeline.train_social_model(cfg, S, resume=resume, log=log)
     save_checkpoint(ckpt, out_dir)
     metric = "-" if math.isnan(ckpt.valid_metric) else f"{ckpt.valid_metric:.6f}"
     print(f"model\t{kind}")
@@ -202,6 +190,12 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
                 k = max(cfg_v.eval_ks)
                 yield RankedLists(full.users, full.items[:, :k], full.scores[:, :k])
 
+    # recall@5, recall@10 and ndcg@10 first, then both metrics at every
+    # other cutoff some value evaluates, in ascending order
+    extra = sorted({k for c in cfgs for k in c.eval_ks} - {5, 10})
+    columns = [("recall", 5), ("recall", 10), ("ndcg", 10)]
+    columns += [(metric, k) for k in extra for metric in ("recall", "ndcg")]
+    names = [f"{metric}@{k}" for metric, k in columns]
     rows = []
     for v, cfg_v, lists in zip(values, cfgs, ranked()):
         report = pipeline.eval_report(cfg_v, lists, bundle)
@@ -209,24 +203,15 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         name = f"report_{param.replace('.', '-')}={v}.json"
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-        rows.append(
-            (
-                v,
-                report.recall.get(5, float("nan")),
-                report.recall.get(10, float("nan")),
-                report.ndcg.get(10, float("nan")),
-            )
-        )
-        print(
-            f"{param}={v}\trecall@5={rows[-1][1]!r}\t"
-            f"recall@10={rows[-1][2]!r}\tndcg@10={rows[-1][3]!r}"
-        )
+        cells = [getattr(report, metric).get(k, float("nan")) for metric, k in columns]
+        rows.append((v, cells))
+        print(f"{param}={v}\t" + "\t".join(f"{n}={x!r}" for n, x in zip(names, cells)))
 
     summary = os.path.join(out_dir, "summary.tsv")
     with open(summary, "w", encoding="utf-8") as fh:
-        fh.write("value\trecall@5\trecall@10\tndcg@10\n")
-        for v, r5, r10, n10 in rows:
-            fh.write(f"{v}\t{r5!r}\t{r10!r}\t{n10!r}\n")
+        fh.write("\t".join(["value", *names]) + "\n")
+        for v, cells in rows:
+            fh.write("\t".join([str(v), *map(repr, cells)]) + "\n")
     print(f"summary\t{summary}")
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -87,14 +88,17 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """A real config value: an int or a float.  A bool, a string or a
-    value of any other type raises, never parses."""
+    """A finite real config value: an int or a float.  A bool, a string,
+    NaN, an infinity or a value of any other type raises, never parses."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError as err:  # an int beyond float range
         raise ValueError(f"{value} is out of range") from err
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return value
 
 
 def _optional_integer(value) -> int | None:

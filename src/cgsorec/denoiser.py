@@ -75,6 +75,16 @@ class ParamGrads:
     biases: list[np.ndarray]
 
 
+def param_shapes(layer_dims, time_embed_dim: int) -> list[tuple[int, ...]]:
+    """Shapes of W0, b0, W1, b1, ...: weights[0] also takes the time
+    embedding, so its fan-in is layer_dims[0] + time_embed_dim."""
+    fan_ins = [layer_dims[0] + time_embed_dim, *layer_dims[1:-1]]
+    shapes = []
+    for fan_in, fan_out in zip(fan_ins, layer_dims[1:]):
+        shapes.extend([(fan_in, fan_out), (fan_out,)])
+    return shapes
+
+
 def init_params(
     layer_dims, time_embed_dim: int, seed: int, model_tag: str = "CGD"
 ) -> DenoiserParams:
@@ -88,12 +98,12 @@ def init_params(
     if any(d <= 0 for d in layer_dims) or time_embed_dim <= 0:
         raise ConfigError(f"zero-width layer in dims {layer_dims} + temb {time_embed_dim}")
     rng = np.random.default_rng(seed)
-    fan_ins = [layer_dims[0] + time_embed_dim] + list(layer_dims[1:-1])
+    shapes = param_shapes(layer_dims, time_embed_dim)
     weights, biases = [], []
-    for fan_in, fan_out in zip(fan_ins, layer_dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    for w_shape, b_shape in zip(shapes[0::2], shapes[1::2]):
+        bound = 1.0 / np.sqrt(w_shape[0])
+        weights.append(rng.uniform(-bound, bound, size=w_shape))
+        biases.append(np.zeros(b_shape))
     return DenoiserParams(
         layer_dims=layer_dims,
         time_embed_dim=time_embed_dim,
@@ -103,38 +113,23 @@ def init_params(
     )
 
 
-def _forward(params: DenoiserParams, x: np.ndarray, t):
-    """Batched forward pass keeping activations for backprop.
-
-    x has shape (B, in_dim); t is a scalar step or a length-B array.
-    Returns (prediction, activations) where activations[0] is the
-    embedded input and activations[l] the output of hidden layer l.
-    """
-    if x.ndim != 2 or x.shape[1] != params.in_dim:
-        raise ShapeError(
-            f"input width {x.shape[-1] if x.ndim else '?'} != model width {params.in_dim}"
-        )
-    emb = timestep_embedding(t, params.time_embed_dim)
-    if emb.ndim == 1:
-        emb = np.broadcast_to(emb, (x.shape[0], params.time_embed_dim))
-    h = np.concatenate([x, emb], axis=1)
-    acts = [h]
-    last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if l != last:
-            h = np.tanh(h)
-            acts.append(h)
-    return h, acts
-
-
 def predict_x0(params: DenoiserParams, x_t: np.ndarray, t) -> np.ndarray:
-    """Denoiser output for a single vector or a batch of rows."""
+    """Denoiser output for a single vector or a batch of rows; t is a
+    scalar step or one per row.  [x_t, emb(t)] @ W0, tanh hidden layers,
+    a linear head: the reference the hidden-width chain is tested against."""
     x_t = np.asarray(x_t, dtype=np.float64)
     single = x_t.ndim == 1
     if single:
         x_t = x_t[None, :]
-    out, _ = _forward(params, x_t, t)
+    if x_t.ndim != 2 or x_t.shape[1] != params.in_dim:
+        raise ShapeError(
+            f"input width {x_t.shape[-1] if x_t.ndim else '?'} != model width {params.in_dim}"
+        )
+    emb = timestep_embedding(t, params.time_embed_dim)
+    h = np.concatenate([x_t, np.broadcast_to(emb, (len(x_t), params.time_embed_dim))], axis=1)
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.tanh(h @ w + b)
+    out = h @ params.weights[-1] + params.biases[-1]
     return out[0] if single else out
 
 

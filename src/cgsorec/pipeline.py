@@ -200,55 +200,29 @@ def social_holdout(
 
 
 def train_item_model(
-    cfg: ExperimentConfig,
-    bundle: SplitBundle,
-    init=None,
-    start_epoch: int = 1,
-    best_metric_init: float = -np.inf,
-    log=None,
+    cfg: ExperimentConfig, bundle: SplitBundle, resume: Checkpoint | None = None, log=None
 ) -> Checkpoint:
-    return train_model(
-        "CGD",
-        bundle.train.matrix,
-        cfg.train_config("cgd"),
-        cfg.schedule("cgd"),
-        hidden_dims=cfg.hidden_dims("cgd"),
-        time_embed_dim=cfg.time_embed_dim("cgd"),
-        valid_target=bundle.valid.matrix,
-        valid_mask=bundle.train.matrix,
-        init=init,
-        start_epoch=start_epoch,
-        best_metric_init=best_metric_init,
-        log=log,
-    )
+    train = bundle.train.matrix
+    return _train(cfg, "cgd", train, bundle.valid.matrix, train, resume, log)
 
 
 def train_social_model(
-    cfg: ExperimentConfig,
-    S: SocialMatrix,
-    init=None,
-    start_epoch: int = 1,
-    best_metric_init: float = -np.inf,
-    log=None,
+    cfg: ExperimentConfig, S: SocialMatrix, resume: Checkpoint | None = None, log=None
 ) -> Checkpoint:
     train_rows, held, mask = S.matrix, None, None
     if cfg.csd_valid_fraction > 0:
         holdout = social_holdout(S, cfg.csd_valid_fraction, cfg.seed_for("csd-holdout"))
         if holdout[1].nnz:  # else no row could spare an edge: train on all of S
             train_rows, held, mask = holdout
+    return _train(cfg, "csd", train_rows, held, mask, resume, log)
+
+
+def _train(cfg: ExperimentConfig, kind: str, rows, valid_target, valid_mask, resume, log):
+    """train_model on `rows` under cfg's `kind` ("cgd" or "csd") section."""
     return train_model(
-        "CSD",
-        train_rows,
-        cfg.train_config("csd"),
-        cfg.schedule("csd"),
-        hidden_dims=cfg.hidden_dims("csd"),
-        time_embed_dim=cfg.time_embed_dim("csd"),
-        valid_target=held,
-        valid_mask=mask,
-        init=init,
-        start_epoch=start_epoch,
-        best_metric_init=best_metric_init,
-        log=log,
+        kind.upper(), rows, cfg.train_config(kind), cfg.schedule(kind),
+        hidden_dims=cfg.hidden_dims(kind), time_embed_dim=cfg.time_embed_dim(kind),
+        valid_target=valid_target, valid_mask=valid_mask, resume=resume, log=log,
     )
 
 

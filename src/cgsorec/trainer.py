@@ -10,12 +10,14 @@ checkpoint a pure function of (data, config, schedule).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import os
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
 
-from .denoiser import DenoiserParams, ParamGrads, init_params, loss_and_grad
+from .denoiser import DenoiserParams, ParamGrads, init_params, loss_and_grad, param_shapes
 from .errors import ConfigError, IntegrityError, NumericError
 from .schedule import NoiseSchedule, make_schedule
 
@@ -64,12 +66,24 @@ class AdamState:
 
 
 @dataclass
+class EpochStats:
+    epoch: int
+    loss: float
+    valid_metric: float | None
+
+
+@dataclass
 class Checkpoint:
+    """A trained denoiser: what `infer` reads and what `train_model`
+    resumes from.  `history` lists every epoch of the run that returned
+    it; it is not saved, so a loaded checkpoint's history is empty."""
+
     params: DenoiserParams
     sched: NoiseSchedule
     config: TrainConfig
     epoch: int
     valid_metric: float
+    history: list[EpochStats] = field(default_factory=list)
 
 
 # Entries per block of an in-place Adam update: a block of theta, g, m, v
@@ -122,13 +136,6 @@ def optimizer_step(
     return params, state
 
 
-@dataclass
-class EpochStats:
-    epoch: int
-    loss: float
-    valid_metric: float | None
-
-
 def _train_epoch(
     kind: str,
     epoch: int,
@@ -162,6 +169,20 @@ def _train_epoch(
     return total / max(n_batches, 1)
 
 
+def _mismatch(resume: Checkpoint, kind: str, layer_dims, time_embed_dim: int, sched) -> list[str]:
+    """`field checkpoint-value != run-value` for each model field that differs."""
+    p, s = resume.params, resume.sched
+    model = [
+        ("model_tag", p.model_tag, kind),
+        ("layer_dims", list(p.layer_dims), list(layer_dims)),
+        ("time_embed_dim", p.time_embed_dim, time_embed_dim),
+        ("schedule.T", s.T, sched.T),
+        ("schedule.beta_start", float(s.beta[0]), float(sched.beta[0])),
+        ("schedule.beta_end", float(s.beta[-1]), float(sched.beta[-1])),
+    ]
+    return [f"{name} {ours!r} != {theirs!r}" for name, ours, theirs in model if ours != theirs]
+
+
 def train_model(
     kind: str,
     data,
@@ -172,10 +193,7 @@ def train_model(
     time_embed_dim: int = 16,
     valid_target=None,
     valid_mask=None,
-    init: DenoiserParams | None = None,
-    start_epoch: int = 1,
-    best_metric_init: float = -np.inf,
-    history: list[EpochStats] | None = None,
+    resume: Checkpoint | None = None,
     log=None,
 ) -> Checkpoint:
     """Train a denoiser on the rows of `data`; return the best checkpoint.
@@ -186,27 +204,38 @@ def train_model(
     all rows by unconditional inference, ranks with valid_mask entries
     excluded, and early-stops after `patience` epochs without a new best
     validation Recall@10; otherwise the final epoch's parameters win.
+    The returned checkpoint's history lists every epoch this run trained.
 
     Each epoch draws its shuffle and noise from streams keyed by the
-    epoch number, so resuming (init + start_epoch from a previous
-    checkpoint) replays the exact batches an unbroken run would have
-    seen.  Optimizer moments restart at zero on resume.
+    epoch number, so resuming from a checkpoint (its params, from epoch
+    `resume.epoch + 1`, with its valid_metric as the one to beat unless
+    NaN) replays the batches an unbroken run would have seen.  Optimizer
+    moments restart at zero.  A checkpoint of another model (tag, widths
+    or schedule) is a ConfigError naming each field that differs.
     """
     rows = sp.csr_matrix(data, dtype=np.float64, copy=True)
     rows.sum_duplicates()
     width = rows.shape[1]
-    if init is not None:
-        params = init.copy()
+    layer_dims = (width, *hidden_dims, width)
+    if resume is None:
+        params = init_params(layer_dims, time_embed_dim, seed=cfg.seed, model_tag=kind)
+        start_epoch, best_metric = 1, -np.inf
     else:
-        params = init_params(
-            (width, *hidden_dims, width), time_embed_dim, seed=cfg.seed, model_tag=kind
-        )
+        mismatch = _mismatch(resume, kind, layer_dims, time_embed_dim, sched)
+        if mismatch:
+            raise ConfigError(
+                "the checkpoint to resume holds another model (checkpoint != config): "
+                + "; ".join(mismatch)
+            )
+        params = resume.params.copy()
+        start_epoch = resume.epoch + 1
+        best_metric = -np.inf if np.isnan(resume.valid_metric) else resume.valid_metric
     state = AdamState.zeros_like(params)
 
     best_params = params.copy()
-    best_metric = best_metric_init
     best_epoch = start_epoch - 1
     stale = 0
+    history = []
 
     for epoch in range(start_epoch, cfg.epochs + 1):
         epoch_loss = _train_epoch(kind, epoch, params, state, rows, cfg, sched)
@@ -228,8 +257,7 @@ def train_model(
                 stale = 0
             else:
                 stale += 1
-        if history is not None:
-            history.append(EpochStats(epoch=epoch, loss=epoch_loss, valid_metric=metric))
+        history.append(EpochStats(epoch=epoch, loss=epoch_loss, valid_metric=metric))
         if log is not None:
             shown = "-" if metric is None else f"{metric:.4f}"
             log(f"[{kind}] epoch {epoch:4d}  loss {epoch_loss:.6f}  valid R@10 {shown}")
@@ -245,23 +273,15 @@ def train_model(
         config=cfg,
         epoch=best_epoch,
         valid_metric=float(best_metric),
+        history=history,
     )
-
-
-def _param_tensors(params: DenoiserParams) -> list[np.ndarray]:
-    """Tensors in declaration order: W0, b0, W1, b1, ..."""
-    out = []
-    for w, b in zip(params.weights, params.biases):
-        out.extend([w, b])
-    return out
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write manifest.json + params.bin (little-endian f64) into `path`."""
-    import os
-
     os.makedirs(path, exist_ok=True)
-    tensors = _param_tensors(ckpt.params)
+    # declaration order: W0, b0, W1, b1, ...
+    tensors = [a for pair in zip(ckpt.params.weights, ckpt.params.biases) for a in pair]
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "model_tag": ckpt.params.model_tag,
@@ -285,15 +305,34 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _json(value, name: str, kind, nan: bool = False):
+    """`value` if its JSON type is `kind`, else a TypeError naming the
+    field `name`.  int is an integer, never a bool, a fraction or a
+    string; float is a finite number (NaN too when `nan`), read as a
+    float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(f"{name} is not of type {kind.__name__}: {value!r}")
+    if kind is float:
+        value = float(value)
+        if not (math.isfinite(value) or (nan and math.isnan(value))):
+            raise TypeError(f"{name} is not finite: {value!r}")
+    return value
+
+
+def _ints(value, name: str) -> tuple[int, ...]:
+    return tuple(_json(v, f"{name}[{i}]", int) for i, v in enumerate(_json(value, name, list)))
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild a checkpoint; forward outputs are bitwise equal post-load.
 
-    A manifest field that is missing or invalid (a schedule or training
-    config the program would refuse included) raises IntegrityError; a
-    tensor holding a non-finite value raises NumericError naming it.
+    Each manifest field is read by its JSON type and never converted.  A
+    field that is missing, of the wrong type or invalid (a format other
+    than CHECKPOINT_FORMAT, or a schedule or training config the program
+    would refuse) raises IntegrityError naming it; a tensor holding a
+    non-finite value raises NumericError naming it.  The loaded
+    checkpoint's history is empty.
     """
-    import os
-
     manifest_path = os.path.join(path, "manifest.json")
     blob_path = os.path.join(path, "params.bin")
     try:
@@ -302,31 +341,38 @@ def load_checkpoint(path) -> Checkpoint:
     except (OSError, json.JSONDecodeError) as err:
         raise IntegrityError(f"unreadable manifest {manifest_path}: {err}") from err
     try:
-        layer_dims = tuple(int(d) for d in manifest["layer_dims"])
-        time_embed_dim = int(manifest["time_embed_dim"])
-        shapes = [tuple(int(d) for d in s) for s in manifest["tensor_shapes"]]
-        tag = str(manifest["model_tag"])
-        sched_info = manifest["schedule"]
+        if _json(manifest["format"], "format", int) != CHECKPOINT_FORMAT:
+            raise ValueError(f"format {manifest['format']} is not {CHECKPOINT_FORMAT}")
+        layer_dims = _ints(manifest["layer_dims"], "layer_dims")
+        time_embed_dim = _json(manifest["time_embed_dim"], "time_embed_dim", int)
+        shapes = _json(manifest["tensor_shapes"], "tensor_shapes", list)
+        shapes = [_ints(s, f"tensor_shapes[{i}]") for i, s in enumerate(shapes)]
+        tag = _json(manifest["model_tag"], "model_tag", str)
+        sched_info = _json(manifest["schedule"], "schedule", dict)
         sched = make_schedule(
-            int(sched_info["T"]),
-            float(sched_info["beta_start"]),
-            float(sched_info["beta_end"]),
+            _json(sched_info["T"], "schedule.T", int),
+            _json(sched_info["beta_start"], "schedule.beta_start", float),
+            _json(sched_info["beta_end"], "schedule.beta_end", float),
         )
-        cfg = TrainConfig(**manifest["config"])
-        epoch = int(manifest["epoch"])
-        valid_metric = float(manifest["valid_metric"])
-    except (ConfigError, KeyError, TypeError, ValueError) as err:
+        config = _json(manifest["config"], "config", dict)
+        kinds = {f.name: {"int": int, "float": float}[f.type] for f in fields(TrainConfig)}
+        unknown = sorted(set(config) - set(kinds))
+        if unknown:
+            raise TypeError(f"config has unknown fields {unknown}")
+        cfg = TrainConfig(**{k: _json(v, f"config.{k}", kinds[k]) for k, v in config.items()})
+        epoch = _json(manifest["epoch"], "epoch", int)
+        if epoch < 0:  # the epoch streams are seeded by it
+            raise ValueError(f"epoch {epoch} is negative")
+        valid_metric = _json(manifest["valid_metric"], "valid_metric", float, nan=True)
+    except (ConfigError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise IntegrityError(f"manifest missing/invalid field: {err}") from err
 
-    fan_ins = [layer_dims[0] + time_embed_dim] + list(layer_dims[1:-1])
-    expected = []
-    for fan_in, fan_out in zip(fan_ins, layer_dims[1:]):
-        expected.extend([(fan_in, fan_out), (fan_out,)])
-    if shapes != expected:
+    if len(layer_dims) < 3 or shapes != param_shapes(layer_dims, time_embed_dim):
         raise IntegrityError(
             f"tensor_shapes {shapes} inconsistent with layer_dims {layer_dims}"
         )
-    total = sum(int(np.prod(s)) for s in shapes)
+    ends = np.cumsum([np.prod(s) for s in shapes])
+    total = int(ends[-1])
     try:
         raw = np.fromfile(blob_path, dtype="<f8")
     except OSError as err:
@@ -335,12 +381,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(
             f"params.bin holds {raw.size} doubles, manifest expects {total}"
         )
-    tensors = []
-    offset = 0
-    for s in shapes:
-        size = int(np.prod(s))
-        tensors.append(raw[offset : offset + size].reshape(s).astype(np.float64))
-        offset += size
+    tensors = [a.reshape(s).astype(np.float64) for a, s in zip(np.split(raw, ends[:-1]), shapes)]
     bad = [i for i, t in enumerate(tensors) if not np.isfinite(t).all()]
     if bad:  # weights are shared, so one bad value reaches every user's output
         name = f"{('weights', 'biases')[bad[0] % 2]}[{bad[0] // 2}]"

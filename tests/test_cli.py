@@ -232,6 +232,8 @@ class TestPrepare:
             ("split.ratios=[true,0,0]", ": [True, 0, 0]"),
             ('eval.hot_fraction="0.3"', ": '0.3'"),
             ("csd_valid_fraction=true", ": True"),
+            ("guidance.lambda=NaN", ": nan"),
+            ("cgd.learning_rate=Infinity", ": inf"),
         ],
     )
     def test_wrong_type_is_config_error(self, ws, capsys, assignment, shown):
@@ -284,6 +286,33 @@ class TestTrain:
             "--set", "cgd.learning_rate=0",
         )
         assert code == 2
+
+    def test_resume_of_another_model_exits_2(self, tmp_path, capsys):
+        # a config that describes another model than the checkpoint holds
+        # is refused before any epoch runs, and the checkpoint stays as it was
+        write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "seed": 1,
+            "output_dir": str(tmp_path / "run"),
+            "dataset": {"interactions": str(tmp_path / "r.tsv")},
+            "cgd": {"T": 5, "hidden_dims": [8], "time_embed_dim": 4, "epochs": 1, "batch_size": 64},
+        }))
+        assert main(["prepare", str(cfg_path)]) == 0
+        assert main(["train", str(cfg_path), "--model", "cgd"]) == 0
+        ckpt = tmp_path / "run" / "ckpt-cgd"
+        before = {f: (ckpt / f).read_bytes() for f in ("manifest.json", "params.bin")}
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "train", str(cfg_path), "--model", "cgd", "--resume",
+            "--set", "cgd.hidden_dims=[16]", "--set", "cgd.time_embed_dim=6",
+            "--set", "cgd.T=10", "--set", "cgd.epochs=2",
+        )
+        assert code == 2
+        assert "resuming from epoch 1" in out and "best_epoch" not in out
+        assert "layer_dims [300, 8, 300] != [300, 16, 300]" in err
+        assert "time_embed_dim 4 != 6" in err and "schedule.T 5 != 10" in err
+        assert {f: (ckpt / f).read_bytes() for f in before} == before
 
     def test_nan_checkpoint_resume_exits_4(self, tmp_path, capsys):
         # a checkpoint holding NaN is refused at load, before any epoch runs
@@ -917,6 +946,17 @@ class TestSweepReusesChains:
         self.assert_one_pair_serves(
             trained, capsys, monkeypatch, "eval.ks", ["[5]", "[20]", "[10]"]
         )
+        # the summary adds both metrics at every cutoff beyond 5 and 10,
+        # and a value without a cutoff shows nan there
+        out_dir = trained[0] / "sweep-eval.ks"
+        header, *rows = (out_dir / "summary.tsv").read_text().splitlines()
+        assert header.split("\t") == [
+            "value", "recall@5", "recall@10", "ndcg@10", "recall@20", "ndcg@20",
+        ]
+        table = {row.split("\t")[0]: row.split("\t")[1:] for row in rows}
+        report = json.loads((out_dir / "report_eval-ks=[20].json").read_text())
+        assert table["[20]"][3:] == [repr(report["recall"]["20"]), repr(report["ndcg"]["20"])]
+        assert table["[20]"][:3] == ["nan"] * 3 and table["[5]"][3:] == ["nan"] * 2
 
 
 class TestBiasReport:

@@ -130,7 +130,9 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict(user)
 
-    @pytest.mark.parametrize("value", [True, False, "0.5", 10**400])
+    @pytest.mark.parametrize(
+        "value", [True, False, "0.5", 10**400, float("nan"), float("inf"), float("-inf")]
+    )
     @pytest.mark.parametrize(
         "path",
         [
@@ -143,7 +145,8 @@ class TestValidation:
     )
     def test_real_key_refuses_non_numbers(self, path, value):
         # a bool is not read as 0.0 or 1.0, nor a string parsed as a number,
-        # and an int beyond float range is refused, not an OverflowError
+        # an int beyond float range is refused, not an OverflowError, and
+        # NaN or an infinity is refused, since no comparison holds for NaN
         user = value
         for key in reversed(path):
             user = {key: user}

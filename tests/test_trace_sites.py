@@ -85,6 +85,33 @@ def test_load_path_sites_record_calls(tmp_path):
         assert tracer.stats[label]["calls"] >= 1, label
 
 
+def test_training_sites_record_calls(tmp_path):
+    # train and --resume must reach the trainer, its step, its per-epoch
+    # validation chain and ranking, and checkpoint I/O through the
+    # bindings the tracer wraps, or lastfm_train's per-layer figures read zero
+    write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "output_dir": str(tmp_path / "run"),
+        "dataset": {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")},
+        "cgd": {"T": 3, "hidden_dims": [8], "time_embed_dim": 4, "epochs": 1,
+                "batch_size": 64, "valid_every": 1},
+    }))
+    assert main(["prepare", str(cfg)]) == 0
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert main(["train", str(cfg), "--model", "cgd"]) == 0
+        assert main(["train", str(cfg), "--model", "cgd", "--resume", "--set", "cgd.epochs=2"]) == 0
+    finally:
+        tracer.restore()
+    for label in ("trainer.train_model", "guidance.unconditional_scores",
+                  "evaluation.topk_lists", "denoiser.loss_and_grad",
+                  "trainer.optimizer_step", "trainer.save_checkpoint",
+                  "trainer.load_checkpoint"):
+        assert tracer.stats[label]["calls"] >= 1, label
+
+
 def test_guided_infer_records_the_chain_work(tmp_path):
     # the phases run their chains inside their own spans, one block at a
     # time, so their row counts and self time still measure the chains;

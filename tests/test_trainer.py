@@ -14,9 +14,11 @@ from cgsorec.evaluation import recall_at_k, topk_lists
 from cgsorec.guidance import STAGE_VALID, unconditional_scores
 from cgsorec.schedule import make_schedule
 from cgsorec.synth import planted
+from cgsorec import trainer
 from cgsorec.trainer import (
     ADAM_BLOCK,
     AdamState,
+    Checkpoint,
     EpochStats,
     TrainConfig,
     load_checkpoint,
@@ -206,16 +208,15 @@ class TestTrainModel:
     def test_loss_decreases_by_half(self, rng):
         data = lowrank_rows(rng)
         sched = make_schedule(5, 1e-4, 0.02)
-        history: list[EpochStats] = []
-        train_model(
+        history = train_model(
             "CGD",
             data,
             self.make_cfg(epochs=200, learning_rate=1e-3),
             sched,
             hidden_dims=(32,),
             time_embed_dim=8,
-            history=history,
-        )
+        ).history
+        assert [h.epoch for h in history] == list(range(1, 201))
         assert history[-1].loss <= 0.5 * history[0].loss
 
     def test_sparse_input_equals_dense(self, rng):
@@ -235,12 +236,12 @@ class TestTrainModel:
         bundle = split(R, (0.8, 0.1, 0.1), seed=0)
         cfg = self.make_cfg(epochs=2, batch_size=64, patience=5)
         sched = make_schedule(5, 1e-4, 0.02)
-        history: list[EpochStats] = []
         ckpt = train_model(
             "CGD", bundle.train.matrix, cfg, sched, hidden_dims=(16,),
             time_embed_dim=8, valid_target=bundle.valid.matrix,
-            valid_mask=bundle.train.matrix, history=history,
+            valid_mask=bundle.train.matrix,
         )
+        history = ckpt.history
         best, losses = reference_train(
             bundle.train.matrix, cfg, sched, (16,), 8,
             bundle.valid.matrix, bundle.train.matrix,
@@ -262,7 +263,6 @@ class TestTrainModel:
                 holdout[u, on[0]] = 1.0
                 data[u, on[0]] = 0.0
         sched = make_schedule(3, 0.05, 0.2)
-        history: list[EpochStats] = []
         ckpt = train_model(
             "CGD",
             data,
@@ -272,8 +272,8 @@ class TestTrainModel:
             time_embed_dim=4,
             valid_target=sp.csr_matrix(holdout),
             valid_mask=sp.csr_matrix(data),
-            history=history,
         )
+        history = ckpt.history
         metrics = [h.valid_metric for h in history]
         assert ckpt.valid_metric == max(m for m in metrics if m is not None)
         assert history[ckpt.epoch - 1].valid_metric == ckpt.valid_metric
@@ -281,6 +281,7 @@ class TestTrainModel:
         assert len(history) <= 30
 
     def test_resume_continues_epoch_counter(self, rng):
+        # learning rate, batch size, epochs and patience may change on resume
         data = lowrank_rows(rng)
         sched = make_schedule(3, 0.05, 0.2)
         first = train_model(
@@ -288,12 +289,17 @@ class TestTrainModel:
             hidden_dims=(6,), time_embed_dim=4,
         )
         assert first.epoch == 2
+        before = [w.copy() for w in first.params.weights]
         resumed = train_model(
-            "CGD", data, self.make_cfg(epochs=4), sched,
-            hidden_dims=(6,), time_embed_dim=4,
-            init=first.params, start_epoch=3,
+            "CGD", data, self.make_cfg(epochs=4, learning_rate=1e-2, batch_size=5, patience=1),
+            sched, hidden_dims=(6,), time_embed_dim=4, resume=first,
         )
+        # the run trains a copy; the checkpoint it resumed stays as it was
+        assert all(np.array_equal(w, b) for w, b in zip(first.params.weights, before))
+        assert not np.array_equal(resumed.params.weights[0], before[0])
         assert resumed.epoch == 4
+        assert [h.epoch for h in first.history] == [1, 2]
+        assert [h.epoch for h in resumed.history] == [3, 4]
 
     def test_resume_keeps_better_baseline(self, rng):
         data = lowrank_rows(rng, n_items=60)
@@ -301,19 +307,89 @@ class TestTrainModel:
         holdout[0, 0] = 1.0
         sched = make_schedule(3, 0.05, 0.2)
         init = init_params((60, 6, 60), 4, seed=0, model_tag="CGD")
+        previous = Checkpoint(init, sched, self.make_cfg(), epoch=1, valid_metric=1.0)
         ckpt = train_model(
             "CGD", data, self.make_cfg(epochs=2), sched,
             hidden_dims=(6,), time_embed_dim=4,
             valid_target=sp.csr_matrix(holdout),
             valid_mask=sp.csr_matrix(data),
-            init=init, start_epoch=2, best_metric_init=1.0,
+            resume=previous,
         )
         # recall cannot strictly exceed 1.0, so the resumed run can never
         # displace the baseline checkpoint it started from
         assert ckpt.valid_metric == 1.0
         assert ckpt.epoch == 1
+        assert [h.epoch for h in ckpt.history] == [2]
         for w_out, w_in in zip(ckpt.params.weights, init.weights):
             assert np.array_equal(w_out, w_in)
+
+    def test_resume_from_unvalidated_checkpoint_has_no_baseline(self, rng):
+        # a NaN valid_metric (a run without validation) is no metric to
+        # beat: the first validated epoch becomes the best
+        data = lowrank_rows(rng, n_items=60)
+        holdout = np.zeros_like(data)
+        holdout[0, 0] = 1.0
+        sched = make_schedule(3, 0.05, 0.2)
+        init = init_params((60, 6, 60), 4, seed=0, model_tag="CGD")
+        previous = Checkpoint(init, sched, self.make_cfg(), epoch=1, valid_metric=float("nan"))
+        ckpt = train_model(
+            "CGD", data, self.make_cfg(epochs=2), sched,
+            hidden_dims=(6,), time_embed_dim=4,
+            valid_target=sp.csr_matrix(holdout),
+            valid_mask=sp.csr_matrix(data),
+            resume=previous,
+        )
+        assert ckpt.epoch == 2
+        assert ckpt.valid_metric == ckpt.history[0].valid_metric
+
+    @pytest.mark.parametrize(
+        "change, shown",
+        [
+            ({"kind": "CSD"}, "model_tag 'CGD' != 'CSD'"),
+            ({"hidden_dims": (7,)}, "layer_dims [30, 6, 30] != [30, 7, 30]"),
+            ({"hidden_dims": (6, 6)}, "layer_dims [30, 6, 30] != [30, 6, 6, 30]"),
+            ({"width": 31}, "layer_dims [30, 6, 30] != [31, 6, 31]"),
+            ({"time_embed_dim": 6}, "time_embed_dim 4 != 6"),
+            ({"T": 4}, "schedule.T 3 != 4"),
+            ({"beta_start": 0.04}, "schedule.beta_start 0.05 != 0.04"),
+            ({"beta_end": 0.3}, "schedule.beta_end 0.2 != 0.3"),
+        ],
+    )
+    def test_resume_of_another_model_is_refused(self, rng, monkeypatch, change, shown):
+        data = lowrank_rows(rng)
+        previous = Checkpoint(
+            init_params((30, 6, 30), 4, seed=0, model_tag="CGD"), make_schedule(3, 0.05, 0.2),
+            self.make_cfg(), epoch=1, valid_metric=float("nan"),
+        )
+        run = {"kind": "CGD", "width": 30, "hidden_dims": (6,), "time_embed_dim": 4,
+               "T": 3, "beta_start": 0.05, "beta_end": 0.2, **change}
+
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(trainer, "_train_epoch", no_epoch)
+        with pytest.raises(ConfigError) as err:
+            train_model(
+                run["kind"], np.hstack([data, np.zeros((len(data), run["width"] - 30))]),
+                self.make_cfg(epochs=3),
+                make_schedule(run["T"], run["beta_start"], run["beta_end"]),
+                hidden_dims=run["hidden_dims"], time_embed_dim=run["time_embed_dim"],
+                resume=previous,
+            )
+        # the one field that differs is named, with both values
+        assert str(err.value).endswith(f"(checkpoint != config): {shown}")
+
+    def test_resume_names_every_field_that_differs(self, rng):
+        data = lowrank_rows(rng)
+        previous = Checkpoint(
+            init_params((30, 6, 30), 4, seed=0, model_tag="CGD"), make_schedule(3, 0.05, 0.2),
+            self.make_cfg(), epoch=1, valid_metric=float("nan"),
+        )
+        with pytest.raises(ConfigError, match="layer_dims .*; time_embed_dim 4 != 5; schedule.T 3 != 5$"):
+            train_model(
+                "CGD", data, self.make_cfg(), make_schedule(5, 0.05, 0.2),
+                hidden_dims=(8,), time_embed_dim=5, resume=previous,
+            )
 
 
 class TestCheckpointIO:
@@ -321,14 +397,19 @@ class TestCheckpointIO:
         sched = make_schedule(4, 0.05, 0.2)
         params = init_params((5, 3, 5), 4, seed=9, model_tag="CSD")
         cfg = TrainConfig(learning_rate=1e-3, epochs=7, seed=3)
-        from cgsorec.trainer import Checkpoint
-
         return Checkpoint(params=params, sched=sched, config=cfg, epoch=6, valid_metric=0.25)
 
     def test_roundtrip_bitwise(self, tmp_path):
         ckpt = self.make_ckpt()
         save_checkpoint(ckpt, tmp_path / "ck")
         loaded = load_checkpoint(tmp_path / "ck")
+        # the history is not saved: a checkpoint that has one writes the
+        # same bytes, and a loaded checkpoint's history is empty
+        ckpt.history = [EpochStats(epoch=6, loss=0.5, valid_metric=0.25)]
+        save_checkpoint(ckpt, tmp_path / "with-history")
+        for name in ("manifest.json", "params.bin"):
+            assert (tmp_path / "ck" / name).read_bytes() == (tmp_path / "with-history" / name).read_bytes()
+        assert loaded.history == []
         x = np.linspace(-1, 1, 5)
         assert predict_x0(ckpt.params, x, 2).tobytes() == predict_x0(loaded.params, x, 2).tobytes()
         assert np.array_equal(loaded.sched.beta, ckpt.sched.beta)
@@ -366,18 +447,52 @@ class TestCheckpointIO:
         "path, value",
         [
             ("model_tag", None),
+            ("model_tag", 7),
+            ("format", None),
+            ("format", 2),
+            ("format", "1"),
+            ("format", True),
             ("epoch", None),
             ("epoch", "six"),
+            ("epoch", 1.5),
+            ("epoch", "1"),
+            ("epoch", True),
+            ("epoch", 6.0),
+            ("epoch", -3),
             ("valid_metric", None),
             ("valid_metric", "high"),
+            ("valid_metric", "0.5"),
+            ("valid_metric", True),
+            ("valid_metric", float("inf")),
+            ("layer_dims", [5, 3.0, 5]),
+            ("layer_dims", [5, "3", 5]),
+            ("layer_dims", [5, True, 5]),
+            ("time_embed_dim", 4.0),
+            ("time_embed_dim", "4"),
+            ("tensor_shapes", [[9, 3.0], [3], [3, 5], [5]]),
+            ("tensor_shapes", [[9, 3], ["3"], [3, 5], [5]]),
             ("schedule.T", None),
+            ("schedule.T", 4.9),
+            ("schedule.T", "4"),
             ("schedule.beta_start", None),
+            ("schedule.beta_start", "0.05"),
+            ("schedule.beta_start", float("nan")),
             ("schedule.beta_end", None),
             ("schedule.beta_end", 2.0),  # a schedule make_schedule refuses
+            ("schedule.beta_end", True),
+            ("config.epochs", 7.5),
+            ("config.seed", "3"),
+            ("config.batch_size", True),
+            ("config.patience", 20.0),
+            ("config.learning_rate", "0.001"),
+            ("config.learning_rate", float("nan")),
+            ("config.beta1", True),
+            ("config.epsilon_hat", float("inf")),
         ],
     )
     def test_bad_manifest_field_is_integrity_error(self, tmp_path, path, value):
-        # value None deletes the field
+        # each field is read by its JSON type, never converted; value None
+        # deletes the field
         save_checkpoint(self.make_ckpt(), tmp_path / "ck")
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         *outer, name = path.split(".")
@@ -387,8 +502,10 @@ class TestCheckpointIO:
         else:
             section[name] = value
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(IntegrityError, match="manifest missing/invalid field"):
+        with pytest.raises(IntegrityError, match="manifest missing/invalid field") as err:
             load_checkpoint(tmp_path / "ck")
+        # the message names the field, except make_schedule's own refusal
+        assert name in str(err.value) or (path, value) == ("schedule.beta_end", 2.0)
 
     def test_non_finite_tensor_is_numeric_error(self, tmp_path):
         ckpt = self.make_ckpt()
