@@ -27,7 +27,7 @@ from .trainer import load_checkpoint, save_checkpoint
 
 
 def _ckpt_dir(cfg: ExperimentConfig, kind: str, override: str | None) -> str:
-    return override or os.path.join(cfg.output_dir, f"ckpt-{kind}")
+    return override or os.path.join(cfg["output_dir"], f"ckpt-{kind}")
 
 
 def _inference_inputs(cfg, args, cfgs):
@@ -101,10 +101,10 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 def cmd_infer(cfg: ExperimentConfig, args) -> int:
     if args.top is not None and args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
-    top_k = args.top or max(cfg.eval_ks)
+    top_k = args.top or max(cfg["eval.ks"])
     S, bundle, ckpt_social, ckpt_item = _inference_inputs(cfg, args, [cfg])
     lists = pipeline.joint_lists(cfg, ckpt_social, ckpt_item, S, bundle, top_k)
-    out = args.out or os.path.join(cfg.output_dir, "lists.tsv")
+    out = args.out or os.path.join(cfg["output_dir"], "lists.tsv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     pipeline.write_lists(lists, out)
     print(f"users\t{len(lists.users)}")
@@ -128,7 +128,7 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
     bundle = pipeline.ensure_bundle(cfg, R)
     lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
     report = pipeline.eval_report(cfg, lists, bundle)
-    out = args.out or os.path.join(cfg.output_dir, "report.json")
+    out = args.out or os.path.join(cfg["output_dir"], "report.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -145,10 +145,10 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     param = args.param if "." in args.param else f"guidance.{args.param}"
-    try:
-        values = [json.loads(v) for v in args.values.split(",") if v.strip()]
+    try:  # the items of one JSON array, so that a list value keeps its commas
+        values = json.loads("[" + args.values + "]")
     except json.JSONDecodeError as err:
-        raise ConfigError(f"--values must be comma-separated numbers: {err}") from err
+        raise ConfigError(f"--values must be JSON values separated by commas: {err}") from err
     if not values:
         raise ConfigError("--values is empty")
     # Every value's config is validated before any value is scored.
@@ -161,7 +161,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     for cfg_v in cfgs:  # and so is its hot/tail split, which needs the data
         pipeline.eval_target(cfg_v, bundle)
     out_dir = args.out_dir or os.path.join(
-        cfg.output_dir, "sweep-" + param.replace(".", "-")
+        cfg["output_dir"], "sweep-" + param.replace(".", "-")
     )
     os.makedirs(out_dir, exist_ok=True)
 
@@ -170,7 +170,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         # pair run under a group's largest w_r serves each of its values
         return (
             dataclasses.replace(cfg_v.guidance(), w_r=0.0),
-            cfg_v.hot_fraction, cfg_v.seed_for("inference"),
+            cfg_v["eval.hot_fraction"], cfg_v.seed_for("inference"),
         )
 
     def ranked():
@@ -182,17 +182,17 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
             group = list(group)
             top = max(group, key=lambda c: c.guidance().w_r)
             a, b = joint_chains(*pipeline.chain_args(top, ckpt_social, ckpt_item, S, bundle))
-            K = max(max(c.eval_ks) for c in group)
+            K = max(max(c["eval.ks"]) for c in group)
             grid = [c.guidance().w_r for c in group]
             lists = pipeline.topk_lists(a, K, mask=bundle.train, other=b, w=grid)
             del a, b  # the pair is gone before the values are evaluated
             for cfg_v, full in zip(group, lists):
-                k = max(cfg_v.eval_ks)
+                k = max(cfg_v["eval.ks"])
                 yield RankedLists(full.users, full.items[:, :k], full.scores[:, :k])
 
     # recall@5, recall@10 and ndcg@10 first, then both metrics at every
     # other cutoff some value evaluates, in ascending order
-    extra = sorted({k for c in cfgs for k in c.eval_ks} - {5, 10})
+    extra = sorted({k for c in cfgs for k in c["eval.ks"]} - {5, 10})
     columns = [("recall", 5), ("recall", 10), ("ndcg", 10)]
     columns += [(metric, k) for k in extra for metric in ("recall", "ndcg")]
     names = [f"{metric}@{k}" for metric, k in columns]
@@ -222,8 +222,8 @@ def cmd_bias_report(cfg: ExperimentConfig, args) -> int:
     lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
     target, hot = pipeline.eval_target(cfg, bundle)
     hist = frequency_histogram(lists, bundle.train, hot)
-    per_group, notices = group_metrics(lists, target, hot, cfg.eval_ks)
-    out = args.out or os.path.join(cfg.output_dir, "bias.json")
+    per_group, notices = group_metrics(lists, target, hot, cfg["eval.ks"])
+    out = args.out or os.path.join(cfg["output_dir"], "bias.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     payload = {"freq_hist": hist, "per_group": per_group, "notices": notices}
     with open(out, "w", encoding="utf-8") as fh:
@@ -286,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a grid over one guidance parameter")
     add_common(p)
     p.add_argument("--param", required=True, help="config path, e.g. guidance.w_r")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument(
+        "--values", required=True, help="comma-separated JSON values, e.g. 0,0.2,1 or [5],[5,10]"
+    )
     p.add_argument("--out-dir", default=None)
     p.add_argument("--ckpt-cgd", default=None)
     p.add_argument("--ckpt-csd", default=None)

@@ -1,6 +1,11 @@
 """Experiment configuration: one JSON file, dotted-path overrides, and
 derived per-subsystem seeds.
 
+`SCHEMA` is the one table of config keys: each dotted key's default and
+its reader, which returns the value or raises TypeError or ValueError.
+Reading a config reads every key once, through its reader, and a
+refusal is a ConfigError naming the key.
+
 All randomness in a run flows from the single root `seed`; every
 subsystem (split, each trainer, inference, debiased-test sampling) gets
 its own stream via a stable hash of (root, name), so adding or removing
@@ -9,11 +14,12 @@ one stage never shifts another stage's draws.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .guidance import GuidanceConfig
@@ -27,104 +33,139 @@ def derive_seed(root: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little") & (2**63 - 1)
 
 
-def _default_model() -> dict:
-    return {
-        "T": 20,
-        "beta_start": 1e-4,
-        "beta_end": 0.02,
-        "hidden_dims": [200, 600],
-        "time_embed_dim": 16,
-        "learning_rate": 5e-4,
-        "epochs": 200,
-        "batch_size": 400,
-        "patience": 20,
-        "valid_every": 1,
-    }
-
-
-def default_config() -> dict:
-    return {
-        "seed": 0,
-        "output_dir": "runs/default",
-        "dataset": {
-            "interactions": None,
-            "social": None,
-            "n_users": None,
-            "n_items": None,
-        },
-        "split": {
-            "ratios": [0.8, 0.1, 0.1],
-            "debiased_cap": "auto",
-        },
-        "cgd": _default_model(),
-        "csd": _default_model(),
-        "guidance": {
-            "eta": 0.0,
-            "gamma": 0.0,
-            "w_s": 0.0,
-            "w_r": 0.0,
-            "delta": 0.0,
-            "lambda": 0.0,
-            "T_inf": None,
-            "social_keep": None,
-        },
-        "eval": {
-            "ks": [5, 10],
-            "hot_fraction": 0.05,
-            "split": "debiased",
-        },
-        "csd_valid_fraction": 0.1,
-    }
-
-
 def _integer(value) -> int:
-    """An integer config value: an int, or a float that holds one.  A bool,
-    a fraction or a value of any other type raises, never rounds down."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """An int, or a float that holds one, of at most 10**18 in magnitude:
+    ids have at most 18 digits, so no dimension can need more.  A bool, a
+    fraction or a value of any other type raises, never rounds down."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
         raise TypeError(f"{value!r} is not an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
+    if abs(value) > 10**18:
+        raise ValueError("must be at most 10**18 in magnitude")
     return int(value)
 
 
 def _real(value) -> float:
-    """A finite real config value: an int or a float.  A bool, a string,
-    NaN, an infinity or a value of any other type raises, never parses."""
+    """A finite real: an int or a float.  A bool, a string, NaN, an
+    infinity or a value of any other type raises, never parses."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
     try:
         value = float(value)
     except OverflowError as err:  # an int beyond float range
-        raise ValueError(f"{value} is out of range") from err
+        raise TypeError(f"{value} is out of range") from err
     if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not finite")
+        raise TypeError(f"{value!r} is not finite")
     return value
 
 
-def _optional_integer(value) -> int | None:
-    return None if value is None else _integer(value)
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict) and base[key]:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here!r} must be a table, got {type(value).__name__}")
-            out[key] = _merge(base[key], value, here)
+def _list_of(read):
+    def reader(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"{value!r} is not a list")
+        return tuple(map(read, value))
+    return reader
+
+
+def _optional(read):
+    return lambda value: None if value is None else read(value)
+
+
+def _checked(read, ok, rule: str):
+    """`read`, then a ValueError stating `rule` unless ok(value)."""
+    def reader(value):
+        value = read(value)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+    return reader
+
+
+def _at_least(low: int):
+    return _checked(_integer, lambda n: n >= low, f"must be at least {low}")
+
+
+_PATH = _checked(_string, bool, "must not be empty")
+_DIMENSION = _optional(_at_least(1))
+_SIZES = _checked(_list_of(_at_least(1)), bool, "must not be empty")
+
+
+_MODEL = {
+    "T": (20, _integer),
+    "beta_start": (1e-4, _real),
+    "beta_end": (0.02, _real),
+    "hidden_dims": ([200, 600], _SIZES),
+    "time_embed_dim": (16, _at_least(1)),
+    "learning_rate": (5e-4, _real),
+    "epochs": (200, _integer),
+    "batch_size": (400, _integer),
+    "patience": (20, _integer),
+    "valid_every": (1, _integer),
+}
+
+# dotted key -> (default, reader), in the order default_config lists them.
+# GuidanceConfig, TrainConfig and make_schedule hold their own ranges.
+SCHEMA = {
+    "seed": (0, _at_least(0)),
+    "output_dir": ("runs/default", _PATH),
+    "dataset.interactions": (None, _optional(_PATH)),
+    "dataset.social": (None, _optional(_PATH)),
+    "dataset.n_users": (None, _DIMENSION),
+    "dataset.n_items": (None, _DIMENSION),
+    "split.ratios": (
+        [0.8, 0.1, 0.1], _checked(_list_of(_real), lambda r: len(r) == 3, "must hold 3 entries")
+    ),
+    "split.debiased_cap": ("auto", lambda cap: cap if cap == "auto" else _at_least(1)(cap)),
+    **{f"{kind}.{key}": spec for kind in ("cgd", "csd") for key, spec in _MODEL.items()},
+    **{f"guidance.{k}": (0.0, _real) for k in ("eta", "gamma", "w_s", "w_r", "delta", "lambda")},
+    "guidance.T_inf": (None, _optional(_integer)),
+    "guidance.social_keep": (None, _optional(_integer)),
+    "eval.ks": ([5, 10], _SIZES),
+    "eval.hot_fraction": (0.05, _checked(_real, lambda f: 0.0 < f < 1.0, "must be in (0, 1)")),
+    "eval.split": (
+        "debiased",
+        _checked(_string, lambda s: s in ("debiased", "test"), "must be 'debiased' or 'test'"),
+    ),
+    "csd_valid_fraction": (0.1, _checked(_real, lambda f: 0.0 <= f < 1.0, "must be in [0, 1)")),
+}
+TABLES = {key.partition(".")[0] for key in SCHEMA if "." in key}
+
+
+def _node(raw: dict, key: str) -> tuple[dict, str]:
+    """The dict in `raw` that holds `key`'s value, and its name there."""
+    table, _, leaf = key.rpartition(".")
+    return (raw.setdefault(table, {}) if table else raw), leaf
+
+
+def default_config() -> dict:
+    raw: dict = {}
+    for key, (default, _) in SCHEMA.items():
+        node, leaf = _node(raw, key)
+        node[leaf] = copy.deepcopy(default)
+    return raw
+
+
+def _merge(raw: dict, user: dict, path: str = "") -> dict:
+    """`raw` with `user`'s values set in place, each of its keys checked
+    against SCHEMA."""
+    for key, value in user.items():
+        here = path + key
+        if here in TABLES and isinstance(value, dict):
+            _merge(raw[key], value, here + ".")
+        elif here in TABLES:
+            raise ConfigError(f"{here!r} must be a table, got {type(value).__name__}")
+        elif here in SCHEMA and "." not in key:
+            raw[key] = value
         else:
-            out[key] = value
-    return out
-
-
-def _coerce(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
+            raise ConfigError(f"unknown config key {here!r}")
+    return raw
 
 
 def apply_set(raw: dict, assignment: str) -> None:
@@ -132,184 +173,97 @@ def apply_set(raw: dict, assignment: str) -> None:
     when it can, and stays a string otherwise."""
     if "=" not in assignment:
         raise ConfigError(f"--set needs key=value, got {assignment!r}")
-    key_path, _, value = assignment.partition("=")
-    keys = key_path.strip().split(".")
-    node = raw
-    for k in keys[:-1]:
-        if not isinstance(node, dict) or k not in node:
-            raise ConfigError(f"unknown config key {key_path!r}")
-        node = node[k]
-    leaf = keys[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown config key {key_path!r}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"{key_path!r} is a table, not a value")
-    node[leaf] = _coerce(value.strip())
+    key, _, text = assignment.partition("=")
+    key, text = key.strip(), text.strip()
+    if key in TABLES:
+        raise ConfigError(f"{key!r} is a table, not a value")
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown config key {key!r}")
+    node, leaf = _node(raw, key)
+    try:
+        node[leaf] = json.loads(text)
+    except json.JSONDecodeError:
+        node[leaf] = text
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated view over the merged config dict."""
+    """A merged config dict and, once validated, each key's value as its
+    reader read it: `cfg["eval.ks"]`."""
 
     raw: dict
+    values: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _typed(self, cast, *keys):
-        """The value at raw[keys[0]][keys[1]]... through `cast`; a value of
-        the wrong type (TypeError or ValueError) is a ConfigError showing it."""
-        value = self.raw
-        for key in keys:
-            value = value[key]
-        try:
-            return cast(value)
-        except (TypeError, ValueError) as err:
-            path = ".".join(keys)
-            raise ConfigError(f"{path} has the wrong type: {value!r} ({err})") from err
+    def __getitem__(self, key: str):
+        return self.values[key]
 
-    @property
-    def seed(self) -> int:
-        s = self.raw["seed"]
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {s!r}")
-        return s
-
-    @property
-    def output_dir(self) -> str:
-        return str(self.raw["output_dir"])
-
-    @property
-    def dataset(self) -> dict:
-        return self.raw["dataset"]
-
-    @property
-    def declared_dims(self) -> tuple[int | None, int | None]:
-        """dataset.n_users and dataset.n_items; None is read from the data."""
-        return tuple(self._typed(_optional_integer, "dataset", k) for k in ("n_users", "n_items"))
-
-    @property
-    def ratios(self) -> tuple[float, float, float]:
-        r = self._typed(lambda r: tuple(map(_real, r)), "split", "ratios")
-        if len(r) != 3:
-            raise ConfigError(f"split.ratios needs 3 entries, got {list(r)}")
-        return r
-
-    @property
-    def debiased_cap(self) -> int | str:
-        cap = self._typed(lambda c: c if c == "auto" else _integer(c), "split", "debiased_cap")
-        if cap != "auto" and cap < 1:
-            raise ConfigError(f"split.debiased_cap must be 'auto' or at least 1, got {cap}")
-        return cap
-
-    @property
-    def csd_valid_fraction(self) -> float:
-        f = self._typed(_real, "csd_valid_fraction")
-        if not 0.0 <= f < 1.0:
-            raise ConfigError(f"csd_valid_fraction must be in [0, 1), got {f}")
-        return f
-
-    @property
-    def eval_ks(self) -> tuple[int, ...]:
-        ks = self._typed(lambda ks: tuple(map(_integer, ks)), "eval", "ks")
-        if not ks or min(ks) < 1:
-            raise ConfigError(f"eval.ks must be positive cutoffs, got {list(ks)}")
-        return ks
-
-    @property
-    def hot_fraction(self) -> float:
-        f = self._typed(_real, "eval", "hot_fraction")
-        if not 0.0 < f < 1.0:
-            raise ConfigError(f"eval.hot_fraction must be in (0, 1), got {f}")
-        return f
-
-    @property
-    def eval_split(self) -> str:
-        s = self.raw["eval"]["split"]
-        if s not in ("debiased", "test"):
-            raise ConfigError(f"eval.split must be 'debiased' or 'test', got {s!r}")
-        return s
+    def _section(self, name: str) -> dict:
+        """The read values of one table, by their key within it."""
+        prefix = name + "."
+        return {k[len(prefix):]: v for k, v in self.values.items() if k.startswith(prefix)}
 
     def model_section(self, kind: str) -> dict:
-        kind = kind.lower()
         if kind not in ("cgd", "csd"):
             raise ConfigError(f"model must be 'cgd' or 'csd', got {kind!r}")
-        return self.raw[kind]
-
-    def _model_value(self, kind: str, key: str, cast):
-        self.model_section(kind)
-        return self._typed(cast, kind.lower(), key)
+        return self._section(kind)
 
     def schedule(self, kind: str) -> NoiseSchedule:
-        return make_schedule(
-            self._model_value(kind, "T", _integer),
-            self._model_value(kind, "beta_start", _real),
-            self._model_value(kind, "beta_end", _real),
-        )
-
-    def hidden_dims(self, kind: str) -> tuple[int, ...]:
-        return self._model_value(kind, "hidden_dims", lambda ds: tuple(map(_integer, ds)))
-
-    def time_embed_dim(self, kind: str) -> int:
-        return self._model_value(kind, "time_embed_dim", _integer)
+        m = self.model_section(kind)
+        return make_schedule(m["T"], m["beta_start"], m["beta_end"])
 
     def train_config(self, kind: str) -> TrainConfig:
+        m = self.model_section(kind)
         return TrainConfig(
-            learning_rate=self._model_value(kind, "learning_rate", _real),
-            epochs=self._model_value(kind, "epochs", _integer),
-            seed=derive_seed(self.seed, f"{kind.lower()}-train"),
-            batch_size=self._model_value(kind, "batch_size", _integer),
-            patience=self._model_value(kind, "patience", _integer),
-            valid_every=self._model_value(kind, "valid_every", _integer),
+            learning_rate=m["learning_rate"],
+            epochs=m["epochs"],
+            seed=self.seed_for(f"{kind}-train"),
+            batch_size=m["batch_size"],
+            patience=m["patience"],
+            valid_every=m["valid_every"],
         )
 
     def guidance(self) -> GuidanceConfig:
-        def g(key, cast=_real):
-            return self._typed(cast, "guidance", key)
-
-        return GuidanceConfig(
-            eta=g("eta"),
-            gamma=g("gamma"),
-            w_s=g("w_s"),
-            w_r=g("w_r"),
-            delta=g("delta"),
-            lam=g("lambda"),
-            T_inf=g("T_inf", _optional_integer),
-            social_keep=g("social_keep", _optional_integer),
-        )
+        g = self._section("guidance")
+        g["lam"] = g.pop("lambda")
+        return GuidanceConfig(**g)
 
     def seed_for(self, name: str) -> int:
-        return derive_seed(self.seed, name)
-
-    def to_json(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
+        return derive_seed(self["seed"], name)
 
     def validate(self) -> "ExperimentConfig":
-        """Touch every typed accessor so bad values fail at parse time; a
-        value of the wrong type fails as a ConfigError naming its key."""
-        _ = (
-            self.seed,
-            self.declared_dims,
-            self.ratios,
-            self.debiased_cap,
-            self.csd_valid_fraction,
-            self.eval_ks,
-            self.hot_fraction,
-            self.eval_split,
-            self.guidance(),
-        )
-        for kind in ("cgd", "csd"):
-            self.schedule(kind)
-            self.train_config(kind)
-            self.hidden_dims(kind)
-            self.time_embed_dim(kind)
-        return self
+        """This config with every SCHEMA key read once; a value its reader
+        refuses is a ConfigError naming the key.  The guidance, schedule
+        and training configs are built once too, so their range checks run
+        here: each of their refusals leads with the field it refuses, and
+        is shown under its table."""
+        values = {}
+        for key, (_, read) in SCHEMA.items():
+            node, leaf = _node(self.raw, key)
+            value = node[leaf]
+            try:
+                values[key] = read(value)
+            except (TypeError, ValueError) as err:
+                problem = "has the wrong type" if isinstance(err, TypeError) else "has a bad value"
+                raise ConfigError(f"{key} {problem}: {value!r} ({err})") from err
+        cfg = ExperimentConfig(self.raw, values)
+        table = "guidance"
+        try:
+            cfg.guidance()
+            for table in ("cgd", "csd"):
+                cfg.schedule(table)
+                cfg.train_config(table)
+        except ConfigError as err:
+            raise ConfigError(f"{table}.{err}") from err
+        return cfg
 
     def require_files(self) -> None:
-        path = self.dataset["interactions"]
-        if not path:
+        path = self["dataset.interactions"]
+        if path is None:
             raise ConfigError("dataset.interactions is not set")
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise ConfigError(f"dataset.interactions: no such file {path!r}")
-        social = self.dataset["social"]
-        if social is not None and not os.path.exists(social):
+        social = self["dataset.social"]
+        if social is not None and not os.path.isfile(social):
             raise ConfigError(f"dataset.social: no such file {social!r}")
 
 

@@ -181,7 +181,7 @@ def split(R: InteractionMatrix, ratios, seed: int) -> SplitBundle:
     """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must be 3 non-negatives summing to 1, got {ratios}")
+        raise ConfigError(f"split.ratios must be 3 non-negatives summing to 1, got {ratios}")
     _, r_valid, r_test = ratios
     m = R.matrix.sorted_indices()
     k = np.diff(m.indptr)

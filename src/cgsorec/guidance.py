@@ -86,8 +86,9 @@ class GuidanceConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.delta < 0 or self.lam < 0:
-            raise ConfigError("delta and lam must be >= 0")
+        for name, v in (("delta", self.delta), ("lambda", self.lam)):
+            if v < 0:
+                raise ConfigError(f"{name} must be >= 0, got {v}")
         if self.T_inf is not None and self.T_inf < 1:
             raise ConfigError(f"T_inf must be >= 1, got {self.T_inf}")
         if self.social_keep is not None and self.social_keep < 0:
@@ -98,7 +99,7 @@ def resolve_T_inf(cfg: GuidanceConfig, sched: NoiseSchedule) -> int:
     if cfg.T_inf is None:
         return sched.T
     if cfg.T_inf > sched.T:
-        raise ConfigError(f"T_inf={cfg.T_inf} exceeds schedule length {sched.T}")
+        raise ConfigError(f"guidance.T_inf={cfg.T_inf} exceeds schedule length {sched.T}")
     return cfg.T_inf
 
 

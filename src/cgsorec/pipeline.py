@@ -33,7 +33,7 @@ from .corpus import (
 from .errors import DataError, IntegrityError
 from .evaluation import RankedLists, evaluate_lists, topk_lists
 from .guidance import joint_chains
-from .trainer import Checkpoint, train_model
+from .trainer import Checkpoint, _json, train_model
 
 MANIFEST_NAME = "splits.json"
 
@@ -42,21 +42,22 @@ def load_interaction_data(cfg: ExperimentConfig) -> InteractionMatrix:
     """The interactions file alone, for the commands that never read the
     social graph; both input files must still exist."""
     cfg.require_files()
-    n_users, n_items = cfg.declared_dims
-    return load_interactions(cfg.dataset["interactions"], n_users=n_users, n_items=n_items)
+    return load_interactions(
+        cfg["dataset.interactions"], n_users=cfg["dataset.n_users"], n_items=cfg["dataset.n_items"]
+    )
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[InteractionMatrix, SocialMatrix | None]:
     R = load_interaction_data(cfg)
-    social = cfg.dataset["social"]
+    social = cfg["dataset.social"]
     return R, None if social is None else load_social(social, n_users=R.n_users)
 
 
 def make_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
     """Split + debiased test, all seeds derived from the root seed."""
-    bundle = split(R, cfg.ratios, cfg.seed_for("split"))
+    bundle = split(R, cfg["split.ratios"], cfg.seed_for("split"))
     debiased = build_debiased_test(
-        bundle.test, cap=cfg.debiased_cap, seed=cfg.seed_for("debiased-test")
+        bundle.test, cap=cfg["split.debiased_cap"], seed=cfg.seed_for("debiased-test")
     )
     return SplitBundle(
         train=bundle.train,
@@ -106,7 +107,7 @@ def resolved_cap(bundle: SplitBundle) -> int:
 def manifest_dict(cfg: ExperimentConfig, bundle: SplitBundle) -> dict:
     return {
         "seed": bundle.seed,
-        "ratios": list(cfg.ratios),
+        "ratios": list(cfg["split.ratios"]),
         "n_users": bundle.train.n_users,
         "n_items": bundle.train.n_items,
         "debiased_cap": resolved_cap(bundle),
@@ -118,8 +119,8 @@ def manifest_dict(cfg: ExperimentConfig, bundle: SplitBundle) -> dict:
 
 
 def write_manifest(cfg: ExperimentConfig, bundle: SplitBundle) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    path = os.path.join(cfg.output_dir, MANIFEST_NAME)
+    os.makedirs(cfg["output_dir"], exist_ok=True)
+    path = os.path.join(cfg["output_dir"], MANIFEST_NAME)
     with open(path, "w", encoding="utf-8") as fh:
         # One dumps: json.dump to a file streams through the pure-Python encoder.
         fh.write(json.dumps(manifest_dict(cfg, bundle), sort_keys=True) + "\n")
@@ -127,10 +128,12 @@ def write_manifest(cfg: ExperimentConfig, bundle: SplitBundle) -> str:
 
 
 def load_manifest(path) -> SplitBundle:
+    """The split bundle a write_manifest file holds; its shape and seed are
+    read by their JSON type, never converted."""
     try:
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
-        shape = (int(d["n_users"]), int(d["n_items"]))
+        shape = (_json(d["n_users"], "n_users", int), _json(d["n_items"], "n_items", int))
         names = ("train", "valid", "test", "debiased_test")
         parts = {name: _from_pairs(name, d[name], shape) for name in names}
         keys = np.sort(np.concatenate([parts[name][1] for name in names[:3]]))
@@ -142,7 +145,7 @@ def load_manifest(path) -> SplitBundle:
             train=parts["train"][0],
             valid=parts["valid"][0],
             test=parts["test"][0],
-            seed=int(d["seed"]),
+            seed=_json(d["seed"], "seed", int),
             debiased_test=parts["debiased_test"][0],
         )
     except (OSError, json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as err:
@@ -151,7 +154,7 @@ def load_manifest(path) -> SplitBundle:
 
 def ensure_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
     """Reuse the persisted manifest when present, else split afresh."""
-    path = os.path.join(cfg.output_dir, MANIFEST_NAME)
+    path = os.path.join(cfg["output_dir"], MANIFEST_NAME)
     if os.path.exists(path):
         bundle = load_manifest(path)
         if (bundle.train.n_users, bundle.train.n_items) != (R.n_users, R.n_items):
@@ -210,8 +213,9 @@ def train_social_model(
     cfg: ExperimentConfig, S: SocialMatrix, resume: Checkpoint | None = None, log=None
 ) -> Checkpoint:
     train_rows, held, mask = S.matrix, None, None
-    if cfg.csd_valid_fraction > 0:
-        holdout = social_holdout(S, cfg.csd_valid_fraction, cfg.seed_for("csd-holdout"))
+    fraction = cfg["csd_valid_fraction"]
+    if fraction > 0:
+        holdout = social_holdout(S, fraction, cfg.seed_for("csd-holdout"))
         if holdout[1].nnz:  # else no row could spare an edge: train on all of S
             train_rows, held, mask = holdout
     return _train(cfg, "csd", train_rows, held, mask, resume, log)
@@ -221,7 +225,7 @@ def _train(cfg: ExperimentConfig, kind: str, rows, valid_target, valid_mask, res
     """train_model on `rows` under cfg's `kind` ("cgd" or "csd") section."""
     return train_model(
         kind.upper(), rows, cfg.train_config(kind), cfg.schedule(kind),
-        hidden_dims=cfg.hidden_dims(kind), time_embed_dim=cfg.time_embed_dim(kind),
+        hidden_dims=cfg[f"{kind}.hidden_dims"], time_embed_dim=cfg[f"{kind}.time_embed_dim"],
         valid_target=valid_target, valid_mask=valid_mask, resume=resume, log=log,
     )
 
@@ -235,7 +239,7 @@ def chain_args(
 ) -> tuple:
     """guidance.joint_chains' arguments under `cfg`: the one place a config
     becomes guidance knobs, an inference seed and the hot-item mask."""
-    hot = partition_items(bundle.train, cfg.hot_fraction)
+    hot = partition_items(bundle.train, cfg["eval.hot_fraction"])
     return (
         ckpt_social, ckpt_item, S, bundle.train, hot,
         cfg.guidance(), cfg.seed_for("inference"),
@@ -267,13 +271,13 @@ def joint_lists(
 
 def eval_target(cfg: ExperimentConfig, bundle: SplitBundle) -> tuple[InteractionMatrix, np.ndarray]:
     """The test split and the hot-item mask `cfg` evaluates against."""
-    target = bundle.debiased_test if cfg.eval_split == "debiased" else bundle.test
-    return target, partition_items(bundle.train, cfg.hot_fraction)
+    target = bundle.debiased_test if cfg["eval.split"] == "debiased" else bundle.test
+    return target, partition_items(bundle.train, cfg["eval.hot_fraction"])
 
 
 def eval_report(cfg: ExperimentConfig, lists: RankedLists, bundle: SplitBundle):
     target, hot = eval_target(cfg, bundle)
-    return evaluate_lists(lists, target, bundle.train, hot, cfg.eval_ks, config_echo=cfg.raw)
+    return evaluate_lists(lists, target, bundle.train, hot, cfg["eval.ks"], config_echo=cfg.raw)
 
 
 def write_lists(lists: RankedLists, path) -> None:

@@ -44,11 +44,11 @@ def make_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     Raises ConfigError unless T >= 1 and 0 < beta_start <= beta_end < 1.
     """
     if T < 1:
-        raise ConfigError(f"schedule needs at least one step, got T={T}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError(
-            f"beta bounds must satisfy 0 < start <= end < 1, got ({beta_start}, {beta_end})"
-        )
+        raise ConfigError(f"T must be >= 1, got {T}")
+    if not 0.0 < beta_start < 1.0:
+        raise ConfigError(f"beta_start must be in (0, 1), got {beta_start}")
+    if not beta_start <= beta_end < 1.0:
+        raise ConfigError(f"beta_end must be in [beta_start, 1), got {beta_end}")
     beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)

@@ -37,14 +37,11 @@ class TrainConfig:
     valid_every: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 1 or self.valid_every < 1:
-            raise ConfigError("patience and valid_every must be >= 1")
+        for name in ("epochs", "batch_size", "patience", "valid_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

@@ -97,7 +97,7 @@ def _workspace(tmp_path_factory, name, dataset, n_users, n_items, cgd, csd):
         R=R,
         S=S,
         bundle=bundle,
-        hot=partition_items(bundle.train, cfg.hot_fraction),
+        hot=partition_items(bundle.train, cfg["eval.hot_fraction"]),
         seed=cfg.seed_for("inference"),
         ck_item=ck_item,
         ck_soc=ck_soc,

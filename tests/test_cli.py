@@ -629,7 +629,7 @@ class TestListsChecks:
         root, cfg_path = planted_ws
         cfg = load_config(cfg_path)
         bundle = pipeline.ensure_bundle(cfg, pipeline.load_dataset(cfg)[0])
-        hot = partition_items(bundle.train, cfg.hot_fraction)
+        hot = partition_items(bundle.train, cfg["eval.hot_fraction"])
         test = bundle.test.matrix
         tail_only = [
             u for u in range(test.shape[0])
@@ -737,6 +737,16 @@ class TestManifestChecks:
         code, _, err = self.eval_with(capsys, prepared, indent, leak)
         assert code == 3
         assert "is in more than one of train, valid and test" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_users", 200.7), ("n_users", "200"), ("seed", "7"), ("seed", 1.5)]
+    )
+    def test_shape_or_seed_of_another_json_type_exits_3(self, prepared, capsys, indent, field, value):
+        def edit(d):
+            d[field] = value
+        code, _, err = self.eval_with(capsys, prepared, indent, edit)
+        assert code == 3
+        assert f"{field} is not of type int: {value!r}" in err
 
     @pytest.mark.parametrize("cast", [lambda i: i + 0.5, str, bool], ids=["float", "str", "bool"])
     def test_non_integer_id_exits_3(self, prepared, capsys, indent, cast):
@@ -865,6 +875,19 @@ class TestSweep:
         assert "config error" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("values", ["0,,0.3", "0,0.3,", ",0"])
+    def test_empty_item_writes_nothing(self, ws, capsys, tmp_path, values):
+        # --values holds the items of one JSON array, so a doubled or a
+        # trailing comma is refused, not skipped
+        out_dir = tmp_path / "sweep"
+        code, _, err = run(
+            capsys, "sweep", ws["cfg"], "--param", "w_r", "--values", values,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "--values must be JSON values separated by commas" in err
+        assert not out_dir.exists()
+
     def test_fraction_leaving_no_tail_item_writes_nothing(self, ws, capsys, tmp_path):
         # the 60-item catalog has no tail item at 0.99
         out_dir = tmp_path / "sweep"
@@ -957,6 +980,14 @@ class TestSweepReusesChains:
         report = json.loads((out_dir / "report_eval-ks=[20].json").read_text())
         assert table["[20]"][3:] == [repr(report["recall"]["20"]), repr(report["ndcg"]["20"])]
         assert table["[20]"][:3] == ["nan"] * 3 and table["[5]"][3:] == ["nan"] * 2
+
+    def test_list_values_keep_their_commas(self, trained, capsys, monkeypatch):
+        # a value of several entries is one item of --values
+        self.assert_one_pair_serves(
+            trained, capsys, monkeypatch, "eval.ks", ["[5]", "[10]", "[5,10]"]
+        )
+        rows = (trained[0] / "sweep-eval.ks" / "summary.tsv").read_text().splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["value", "[5]", "[10]", "[5, 10]"]
 
 
 class TestBiasReport:

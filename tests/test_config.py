@@ -18,15 +18,15 @@ from cgsorec.errors import ConfigError
 class TestDefaults:
     def test_defaults_validate(self):
         cfg = config_from_dict({})
-        assert cfg.seed == 0
-        assert cfg.ratios == (0.8, 0.1, 0.1)
-        assert cfg.eval_ks == (5, 10)
-        assert cfg.eval_split == "debiased"
+        assert cfg["seed"] == 0
+        assert cfg["split.ratios"] == (0.8, 0.1, 0.1)
+        assert cfg["eval.ks"] == (5, 10)
+        assert cfg["eval.split"] == "debiased"
         assert cfg.guidance().lam == 0.0
 
     def test_partial_override_merges(self):
         cfg = config_from_dict({"seed": 9, "cgd": {"epochs": 3}})
-        assert cfg.seed == 9
+        assert cfg["seed"] == 9
         assert cfg.train_config("cgd").epochs == 3
         # untouched siblings keep their defaults
         assert cfg.train_config("csd").epochs == 200
@@ -37,6 +37,8 @@ class TestDefaults:
             config_from_dict({"sede": 1})
         with pytest.raises(ConfigError, match="cgd.epoch"):
             config_from_dict({"cgd": {"epoch": 3}})
+        with pytest.raises(ConfigError, match="unknown config key 'cgd.epochs'"):
+            config_from_dict({"cgd.epochs": 3})  # a dotted key is for --set only
 
     def test_section_must_be_table(self):
         with pytest.raises(ConfigError, match="table"):
@@ -160,12 +162,14 @@ class TestValidation:
 
     def test_integer_is_a_real(self):
         cfg = config_from_dict({"guidance": {"w_s": 1, "lambda": 2}, "split": {"ratios": [1, 0, 0]}})
-        assert (cfg.guidance().w_s, cfg.guidance().lam, cfg.ratios) == (1.0, 2.0, (1.0, 0.0, 0.0))
-        assert all(type(v) is float for v in (cfg.guidance().w_s, *cfg.ratios))
+        ratios = cfg["split.ratios"]
+        assert (cfg.guidance().w_s, cfg.guidance().lam, ratios) == (1.0, 2.0, (1.0, 0.0, 0.0))
+        assert all(type(v) is float for v in (cfg.guidance().w_s, *ratios))
 
     def test_integral_float_is_an_integer(self):
         cfg = config_from_dict({"cgd": {"epochs": 3.0}, "dataset": {"n_users": 5.0}})
-        assert cfg.train_config("cgd").epochs == 3 and cfg.declared_dims == (5, None)
+        assert cfg.train_config("cgd").epochs == 3
+        assert (cfg["dataset.n_users"], cfg["dataset.n_items"]) == (5, None)
 
     def test_schedule_built_from_section(self):
         cfg = config_from_dict({"cgd": {"T": 5, "beta_start": 0.01, "beta_end": 0.05}})
@@ -184,18 +188,18 @@ class TestFilesAndIO:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 3, "guidance": {"w_s": 0.2}}))
         cfg = load_config(path)
-        assert cfg.seed == 3
+        assert cfg["seed"] == 3
         assert cfg.guidance().w_s == 0.2
         # serialized form reloads to the identical raw dict
         again = tmp_path / "echo.json"
-        again.write_text(cfg.to_json())
+        again.write_text(json.dumps(cfg.raw))
         assert load_config(again).raw == cfg.raw
 
     def test_load_config_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{}")
         cfg = load_config(path, overrides=["seed=5", "guidance.w_r=0.3"])
-        assert cfg.seed == 5
+        assert cfg["seed"] == 5
         assert cfg.guidance().w_r == 0.3
 
     def test_missing_file(self, tmp_path):

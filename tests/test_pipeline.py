@@ -117,6 +117,19 @@ class TestManifestLayouts:
                              (got.data, want.data)):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize(
+        "field, value", [("n_users", 30.7), ("n_users", "30"), ("seed", "7"), ("seed", 1.5)]
+    )
+    def test_field_of_another_json_type_is_refused(self, tmp_path, rng, field, value):
+        # int() once read 30.7 as 30 and "7" as 7
+        _, path = self.write(tmp_path, rng, (0.7, 0.15, 0.15))
+        d = json.loads(open(path, "rb").read())
+        d[field] = value
+        with open(path, "w") as fh:
+            json.dump(d, fh)
+        with pytest.raises(IntegrityError, match=f"{field} is not of type int: {value!r}"):
+            load_manifest(path)
+
     def test_leading_zero_is_not_json(self, tmp_path, rng):
         _, path = self.write(tmp_path, rng, (0.7, 0.15, 0.15))
         text = open(path, "rb").read()
