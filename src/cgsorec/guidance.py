@@ -27,8 +27,8 @@ fixed 512-row chunks so BLAS sees the same shapes on every run.
 
 Memory: _chain_rows yields a pair's chains chunk by chunk, and each
 phase reduces a chunk as soon as it is made: the social phase into
-re-binarized graph rows, and joint_lists into ranked lists.  Only the
-condition graphs, sparse, and a sweep's gathered item pair are whole.
+re-binarized graph rows, and infer and validation into ranked lists.
+Only the condition graphs, sparse, and a sweep's item pair are whole.
 """
 
 from __future__ import annotations
@@ -189,8 +189,11 @@ def _chain_rows(
         )
 
 
-def _gather(chunks, shape, paired: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The whole chains A and B (None unless `paired`) of _chain_rows' blocks."""
+def _gather(chunks, shape, paired: bool, reduce=None):
+    """The list of reduce(span, a, b) over _chain_rows' blocks or, without
+    `reduce`, the whole chains A and B (None unless `paired`)."""
+    if reduce is not None:
+        return list(starmap(reduce, chunks))
     out_a = np.empty(shape)
     out_b = np.empty(shape) if paired else None
     for span, a, b in chunks:
@@ -208,11 +211,14 @@ def unconditional_scores(
     T_inf: int | None = None,
     seed: int = 0,
     stage: int = STAGE_ITEM,
-) -> np.ndarray:
-    """Plain diffusion denoising of every row; the no-guidance baseline."""
+    reduce=None,
+):
+    """Plain diffusion denoising of every row, the no-guidance baseline:
+    the whole score matrix, or its blocks reduced as in item_phase."""
     cfg = GuidanceConfig(T_inf=T_inf)
     chunks = _chain_rows(params, sched, rows, None, 0.0, cfg, seed, stage)
-    return _gather(chunks, (rows.shape[0], params.in_dim), False)[0]
+    whole = _gather(chunks, (rows.shape[0], params.in_dim), False, reduce)
+    return whole if reduce else whole[0]
 
 
 def binarize_social(
@@ -286,9 +292,7 @@ def item_phase(
         ckpt.params, ckpt.sched, R.matrix, R_prime.matrix, cfg.gamma, cfg, seed,
         STAGE_ITEM, cfg.w_r,
     )
-    if reduce is None:
-        return _gather(chunks, R.matrix.shape, cfg.w_r > 0.0)
-    return list(starmap(reduce, chunks))
+    return _gather(chunks, R.matrix.shape, cfg.w_r > 0.0, reduce)
 
 
 def build_social_condition(
@@ -335,7 +339,9 @@ def joint_chains(
     of their blocks reduced (item_phase).
 
     Lets a sweep over w_r reuse one pair of chains instead of rerunning
-    the whole pipeline per value.
+    the whole pipeline per value: blend(*joint_chains(...), w_r) is the
+    pipeline's scores, bitwise unconditional_scores on R when every
+    coefficient is zero.  The social side may be None when lam = 0.
     """
     if S is not None and S.n_users != R.n_users:
         raise ConfigError(f"social users {S.n_users} != interaction users {R.n_users}")
@@ -355,21 +361,3 @@ def joint_chains(
         r_prime = R
     return item_phase(ckpt_item, R, r_prime, cfg, seed, reduce)
 
-
-def joint_inference(
-    ckpt_social: Checkpoint | None,
-    ckpt_item: Checkpoint,
-    S: SocialMatrix | None,
-    R: InteractionMatrix,
-    hot: np.ndarray,
-    cfg: GuidanceConfig,
-    seed: int,
-) -> np.ndarray:
-    """Full pipeline: social denoising -> graph rebuild -> guided item scores.
-
-    Returns an (n_users, n_items) dense score matrix.  With every
-    coefficient zero this reduces bitwise to unconditional_scores on R.
-    The social side (checkpoint and graph) is only consulted when
-    lam > 0; it may be None otherwise.
-    """
-    return blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed), cfg.w_r)

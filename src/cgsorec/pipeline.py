@@ -2,9 +2,9 @@
 
 Holds the glue with no math of its own: loading data per config,
 materializing/reloading the split manifest, the social-edge holdout used
-to early-stop the social model, the two training entry points, joint
-ranking, and the list-file format, whose reader is the one place lists
-from outside the program are checked.
+to early-stop the social model, the two training entry points, the one
+block-by-block ranking of infer and validation, and the list-file format,
+whose reader is the one place lists from outside the program are checked.
 """
 
 from __future__ import annotations
@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import guidance
 from .config import ExperimentConfig
 from .corpus import (
     REAL_ID,
@@ -31,7 +33,7 @@ from .corpus import (
     tsv_grammar,
 )
 from .errors import DataError, IntegrityError
-from .evaluation import RankedLists, evaluate_lists, topk_lists
+from .evaluation import RankedLists, evaluate_lists, recall_at_k, topk_lists
 from .guidance import joint_chains
 from .trainer import Checkpoint, _json, train_model
 
@@ -223,11 +225,41 @@ def train_social_model(
 
 def _train(cfg: ExperimentConfig, kind: str, rows, valid_target, valid_mask, resume, log):
     """train_model on `rows` under cfg's `kind` ("cgd" or "csd") section."""
-    return train_model(
-        kind.upper(), rows, cfg.train_config(kind), cfg.schedule(kind),
-        hidden_dims=cfg[f"{kind}.hidden_dims"], time_embed_dim=cfg[f"{kind}.time_embed_dim"],
-        valid_target=valid_target, valid_mask=valid_mask, resume=resume, log=log,
+    train_cfg, sched = cfg.train_config(kind), cfg.schedule(kind)
+    validate = None if valid_target is None else recall_validator(
+        rows, valid_target, valid_mask, sched, train_cfg.seed
     )
+    return train_model(
+        kind.upper(), rows, train_cfg, sched,
+        hidden_dims=cfg[f"{kind}.hidden_dims"], time_embed_dim=cfg[f"{kind}.time_embed_dim"],
+        validate=validate, resume=resume, log=log,
+    )
+
+
+def _ranked(chains, n: int, K: int, mask, w: float = 0.0) -> RankedLists:
+    """Users 0..n-1's top-K lists, mask entries excluded.  chains(reduce)
+    hands reduce each block (span, a, b) of a chain pair as it is made,
+    and the block is ranked then, b blended in by w: no chain is whole."""
+    lists = RankedLists(np.arange(n), np.empty((n, K), dtype=np.intp), np.empty((n, K)))
+
+    def rank(span, a, b):
+        part = topk_lists(a, K, mask=mask[span], other=b, w=w)
+        lists.items[span], lists.scores[span] = part.items, part.scores
+
+    chains(rank)
+    return lists
+
+
+def recall_validator(rows, target, mask, sched, seed: int):
+    """train_model's validate: the Recall@10 against `target` of `rows`'
+    unguided chains on the validation stream, `mask` entries excluded."""
+
+    def validate(params) -> float:
+        stage = guidance.STAGE_VALID
+        chains = partial(guidance.unconditional_scores, params, sched, rows, sched.T, seed, stage)
+        return recall_at_k(_ranked(chains, rows.shape[0], 10, mask), target)
+
+    return validate
 
 
 def chain_args(
@@ -255,18 +287,9 @@ def joint_lists(
     K: int,
 ) -> RankedLists:
     """Every user's top-K list of the two item chains blended by w_r,
-    train items masked.  Each block of the pair is ranked as soon as it
-    is made, blending as it ranks, so no whole chain is ever held."""
-    train, w_r = bundle.train.matrix, cfg.guidance().w_r
-    n = train.shape[0]
-    lists = RankedLists(np.arange(n), np.empty((n, K), dtype=np.intp), np.empty((n, K)))
-
-    def rank(span, a, b):
-        part = topk_lists(a, K, mask=train[span], other=b, w=w_r)
-        lists.items[span], lists.scores[span] = part.items, part.scores
-
-    joint_chains(*chain_args(cfg, ckpt_social, ckpt_item, S, bundle), rank)
-    return lists
+    train items masked, ranked block by block (_ranked)."""
+    chains = partial(joint_chains, *chain_args(cfg, ckpt_social, ckpt_item, S, bundle))
+    return _ranked(chains, bundle.train.n_users, K, bundle.train.matrix, cfg.guidance().w_r)
 
 
 def eval_target(cfg: ExperimentConfig, bundle: SplitBundle) -> tuple[InteractionMatrix, np.ndarray]:

@@ -49,7 +49,10 @@ def make_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
         raise ConfigError(f"beta_start must be in (0, 1), got {beta_start}")
     if not beta_start <= beta_end < 1.0:
         raise ConfigError(f"beta_end must be in [beta_start, 1), got {beta_end}")
-    beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+    try:  # NumPy refuses a size it can never allocate before allocating
+        beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+    except MemoryError as err:
+        raise ConfigError(f"T has a bad value: {T} ({err})") from err
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
     sched = NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=alpha_bar)

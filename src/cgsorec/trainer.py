@@ -188,20 +188,19 @@ def train_model(
     *,
     hidden_dims=(200, 600),
     time_embed_dim: int = 16,
-    valid_target=None,
-    valid_mask=None,
+    validate=None,
     resume: Checkpoint | None = None,
     log=None,
 ) -> Checkpoint:
     """Train a denoiser on the rows of `data`; return the best checkpoint.
 
     kind tags the model ("CGD" for item rows, "CSD" for social rows) and
-    is stored in the checkpoint.  When valid_target (a sparse matrix of
-    held-out positives, same shape as data) is given, each epoch scores
-    all rows by unconditional inference, ranks with valid_mask entries
-    excluded, and early-stops after `patience` epochs without a new best
-    validation Recall@10; otherwise the final epoch's parameters win.
-    The returned checkpoint's history lists every epoch this run trained.
+    is stored in the checkpoint.  When validate (params -> metric, higher
+    is better; pipeline.recall_validator) is given, it runs every
+    `valid_every`-th epoch, and training early-stops after `patience`
+    validations without a new best; otherwise the final epoch's
+    parameters win.  The returned checkpoint's history lists every
+    epoch this run trained.
 
     Each epoch draws its shuffle and noise from streams keyed by the
     epoch number, so resuming from a checkpoint (its params, from epoch
@@ -238,15 +237,8 @@ def train_model(
         epoch_loss = _train_epoch(kind, epoch, params, state, rows, cfg, sched)
 
         metric = None
-        if valid_target is not None and epoch % cfg.valid_every == 0:
-            from .evaluation import recall_at_k, topk_lists
-            from .guidance import STAGE_VALID, unconditional_scores
-
-            scores = unconditional_scores(
-                params, sched, rows, T_inf=sched.T, seed=cfg.seed, stage=STAGE_VALID
-            )
-            lists = topk_lists(scores, 10, mask=valid_mask)
-            metric = recall_at_k(lists, valid_target)
+        if validate is not None and epoch % cfg.valid_every == 0:
+            metric = validate(params)
             if metric > best_metric:
                 best_metric = metric
                 best_params = params.copy()
@@ -258,10 +250,10 @@ def train_model(
         if log is not None:
             shown = "-" if metric is None else f"{metric:.4f}"
             log(f"[{kind}] epoch {epoch:4d}  loss {epoch_loss:.6f}  valid R@10 {shown}")
-        if valid_target is not None and stale >= cfg.patience:
+        if validate is not None and stale >= cfg.patience:
             break
 
-    if valid_target is None or not np.isfinite(best_metric):
+    if validate is None or not np.isfinite(best_metric):
         # No validation signal ever arrived; ship the final parameters.
         best_params, best_metric, best_epoch = params, float("nan"), cfg.epochs
     return Checkpoint(
@@ -353,9 +345,9 @@ def load_checkpoint(path) -> Checkpoint:
         )
         config = _json(manifest["config"], "config", dict)
         kinds = {f.name: {"int": int, "float": float}[f.type] for f in fields(TrainConfig)}
-        unknown = sorted(set(config) - set(kinds))
-        if unknown:
-            raise TypeError(f"config has unknown fields {unknown}")
+        for fault, names in ("unknown", config.keys() - kinds), ("missing", kinds.keys() - config):
+            if names:
+                raise TypeError(f"config has {fault} fields {sorted(names)}")
         cfg = TrainConfig(**{k: _json(v, f"config.{k}", kinds[k]) for k, v in config.items()})
         epoch = _json(manifest["epoch"], "epoch", int)
         if epoch < 0:  # the epoch streams are seeded by it

@@ -25,12 +25,11 @@ from cgsorec import pipeline
 from cgsorec.config import config_from_dict
 from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
 from cgsorec.denoiser import init_params, loss_and_grad
-from cgsorec.evaluation import evaluate_lists, ndcg_at_k, recall_at_k, topk_lists
+from cgsorec.evaluation import blend, evaluate_lists, ndcg_at_k, recall_at_k, topk_lists
 from cgsorec.guidance import (
     STAGE_ITEM,
     GuidanceConfig,
     joint_chains,
-    joint_inference,
     unconditional_scores,
 )
 from cgsorec.schedule import make_schedule, posterior_params, q_sample
@@ -143,18 +142,16 @@ def joint_fixture():
 
 
 def _write_c4(fx, out_dir):
-    scores = joint_inference(
-        fx.ck_soc, fx.ck_item, fx.S, fx.R, fx.hot, GuidanceConfig(), seed=99
-    )
+    g = GuidanceConfig()
+    scores = blend(*joint_chains(fx.ck_soc, fx.ck_item, fx.S, fx.R, fx.hot, g, seed=99), g.w_r)
     lists = topk_lists(scores, 10, mask=fx.R.matrix)
     pipeline.write_lists(lists, out_dir / "lists.tsv")
     return scores
 
 
 def _c5_grid(ws):
-    base = joint_inference(
-        None, ws.ck_item, None, ws.bundle.train, ws.hot, GuidanceConfig(), ws.seed
-    )
+    g = GuidanceConfig()
+    base = blend(*joint_chains(None, ws.ck_item, None, ws.bundle.train, ws.hot, g, ws.seed), g.w_r)
     base_r10 = recall_at_k(
         topk_lists(base, 10, mask=ws.bundle.train), ws.bundle.debiased_test, 10
     )
@@ -199,12 +196,11 @@ def _write_c5(ws, out_dir):
 
 
 def _write_c7(ws, out_dir):
-    base = joint_inference(
-        None, ws.ck_item, None, ws.bundle.train, ws.hot, GuidanceConfig(), ws.seed
-    )
-    cond = joint_inference(
-        ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.hot,
-        GuidanceConfig(**C7_GUIDANCE), ws.seed,
+    g = GuidanceConfig()
+    base = blend(*joint_chains(None, ws.ck_item, None, ws.bundle.train, ws.hot, g, ws.seed), g.w_r)
+    g = GuidanceConfig(**C7_GUIDANCE)
+    cond = blend(
+        *joint_chains(ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.hot, g, ws.seed), g.w_r
     )
     reports = {}
     for name, scores, echo in (

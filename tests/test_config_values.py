@@ -125,9 +125,10 @@ def test_every_key_under_mutation(tmp_path, capsys, monkeypatch, inputs):
         ("output_dir", '""'),
         ("output_dir", "[1]"),
         ("output_dir", "5"),
+        ("cgd.T", "100000000000000000"),  # NumPy cannot allocate 10**17 steps
     ],
     ids=["social-table", "interactions-list", "n_users-1e20", "n_users-1e308",
-         "output_dir-empty", "output_dir-list", "output_dir-number"],
+         "output_dir-empty", "output_dir-list", "output_dir-number", "T-1e17"],
 )
 @pytest.mark.parametrize("route", ROUTES)
 def test_value_that_used_to_crash_or_pass_exits_2(tmp_path, capsys, monkeypatch, inputs,
@@ -147,3 +148,4 @@ def test_ratios_refused_by_the_split_name_the_key(tmp_path, capsys, monkeypatch,
     )
     assert code == 2
     assert "split.ratios must be 3 non-negatives summing to 1" in err
+

@@ -1,4 +1,5 @@
-"""Condition-guided reverse inference: chains, mixing, and the joint pipeline."""
+"""Condition-guided reverse inference: chains, mixing, and the joint
+pipeline, whose dense scores are blend(*joint_chains(...), w_r)."""
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cgsorec.guidance import (
     build_item_condition,
     build_social_condition,
     item_phase,
-    joint_inference,
+    joint_chains,
     social_phase,
     unconditional_scores,
 )
@@ -141,6 +142,20 @@ class TestItemSpaceReference:
             whole_pair(ckpt.params, ckpt.sched, rows, cond, 0.0, cfg, 1, STAGE_ITEM, w=0.5)
         with pytest.raises(NumericError, match="item chain .* user 515"):
             whole_pair(ckpt.params, ckpt.sched, rows, cond, 0.0, cfg, 1, STAGE_ITEM)
+
+    def test_reduced_blocks_stack_to_the_whole_scores(self, rng):
+        # with reduce, unconditional_scores hands over each block as it is
+        # made, with no chain B, and returns what reduce returned
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rand_binary_csr(rng, CHUNK + 40, 7, 0.3)
+        blocks = unconditional_scores(
+            ckpt.params, ckpt.sched, rows, seed=4, reduce=lambda span, a, b: (span, a, b)
+        )
+        spans = [(span.start, span.stop) for span, _, _ in blocks]
+        assert spans == [(0, CHUNK), (CHUNK, CHUNK + 40)]
+        assert all(b is None for _, _, b in blocks)
+        whole = unconditional_scores(ckpt.params, ckpt.sched, rows, seed=4)
+        assert np.vstack([a for _, a, _ in blocks]).tobytes() == whole.tobytes()
 
 
 class TestInPlaceCorruption:
@@ -508,7 +523,7 @@ class TestJointInference:
     def test_zero_config_reduces_bitwise(self, rng):
         ckpt_social, ckpt_item, S, R, hot = self.build_fixture(rng)
         cfg = GuidanceConfig(T_inf=3)
-        out = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=42)
+        out = blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed=42), cfg.w_r)
         base = unconditional_scores(
             ckpt_item.params, ckpt_item.sched, R.matrix,
             T_inf=3, seed=42, stage=STAGE_ITEM,
@@ -518,29 +533,23 @@ class TestJointInference:
     def test_social_ckpt_optional_when_lam_zero(self, rng):
         _, ckpt_item, S, R, hot = self.build_fixture(rng)
         cfg = GuidanceConfig(T_inf=3, w_r=0.3)
-        out = joint_inference(None, ckpt_item, None, R, hot, cfg, seed=1)
+        out = blend(*joint_chains(None, ckpt_item, None, R, hot, cfg, seed=1), cfg.w_r)
         assert out.shape == (12, 16)
 
     def test_lam_positive_requires_social(self, rng):
         _, ckpt_item, S, R, hot = self.build_fixture(rng)
         cfg = GuidanceConfig(T_inf=3, lam=0.5)
         with pytest.raises(ConfigError):
-            joint_inference(None, ckpt_item, None, R, hot, cfg, seed=1)
+            joint_chains(None, ckpt_item, None, R, hot, cfg, seed=1)
 
     def test_wr_mix_is_affine_in_endpoints(self, rng):
         ckpt_social, ckpt_item, S, R, hot = self.build_fixture(rng)
         base = dict(T_inf=3, lam=1.0, delta=0.5, eta=0.3, gamma=0.4, w_s=0.25)
-        at0 = joint_inference(
-            ckpt_social, ckpt_item, S, R, hot,
-            GuidanceConfig(w_r=1e-12, **base), seed=5,
-        )
-        at1 = joint_inference(
-            ckpt_social, ckpt_item, S, R, hot,
-            GuidanceConfig(w_r=1.0, **base), seed=5,
-        )
-        mid = joint_inference(
-            ckpt_social, ckpt_item, S, R, hot,
-            GuidanceConfig(w_r=0.3, **base), seed=5,
+        at0, at1, mid = (
+            blend(*joint_chains(
+                ckpt_social, ckpt_item, S, R, hot, GuidanceConfig(w_r=w_r, **base), seed=5,
+            ), w_r)
+            for w_r in (1e-12, 1.0, 0.3)
         )
         # chains do not depend on w_r, so outputs are affine in it
         np.testing.assert_allclose(mid, 0.7 * at0 + 0.3 * at1, rtol=1e-9, atol=1e-12)
@@ -548,10 +557,10 @@ class TestJointInference:
     def test_determinism_across_runs(self, rng):
         ckpt_social, ckpt_item, S, R, hot = self.build_fixture(rng)
         cfg = GuidanceConfig(T_inf=3, lam=0.5, delta=0.2, eta=0.1, gamma=0.2, w_s=0.3, w_r=0.4)
-        a = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=9)
-        b = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=9)
+        a = blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed=9), cfg.w_r)
+        b = blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed=9), cfg.w_r)
         assert np.array_equal(a, b)
-        c = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=10)
+        c = blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed=10), cfg.w_r)
         assert not np.array_equal(a, c)
 
     def test_isolated_user_zero_condition(self, rng):
@@ -572,7 +581,7 @@ class TestJointInference:
         ckpt_item = untrained_checkpoint(n_items, T=3, seed=1)
         ckpt_social = untrained_checkpoint(n_users, T=3, seed=2, tag="CSD")
         cfg = GuidanceConfig(T_inf=3, lam=1.0)
-        out = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=0)
+        out = blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed=0), cfg.w_r)
         assert out.shape == (n_users, n_items)
         assert np.all(np.isfinite(out))
 
@@ -582,7 +591,7 @@ class TestGoldenTrace:
 
     Every formula is restated inline (forward pass, posterior
     coefficients, corruption, blending, binarization) so agreement with
-    joint_inference checks the composed pipeline end to end.
+    blend(*joint_chains(...), w_r) checks the composed pipeline end to end.
     """
 
     def test_five_user_eight_item_trace(self):
@@ -616,7 +625,7 @@ class TestGoldenTrace:
         ckpt_item = untrained_checkpoint(n, T=3, seed=21)
         ckpt_social = untrained_checkpoint(m, T=3, seed=22, tag="CSD")
 
-        got = joint_inference(ckpt_social, ckpt_item, S, R, hot, cfg, seed=seed)
+        got = blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed=seed), cfg.w_r)
 
         # ---- independent trace ----
         sched = ckpt_item.sched  # both checkpoints share schedule settings

@@ -4,9 +4,11 @@ The package's __init__ imports nothing, so a test process that happens
 to import modules in a lucky order could hide an import cycle that a
 user importing one module first would hit.  The patterns the modules
 compile must also compile on Python 3.10, the oldest that
-pyproject.toml supports.
+pyproject.toml supports.  The trainer takes its validation as a
+function, so it imports no module that ranks or runs chains.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -55,3 +57,19 @@ def test_no_compiled_pattern_needs_python_3_11():
         if (token.encode() if isinstance(pattern, bytes) else token) in pattern
     }
     assert not newer, newer
+
+
+
+def test_trainer_imports_no_module_that_ranks_or_runs_chains():
+    # validation comes in as a function (pipeline.recall_validator), so
+    # the trainer, function bodies included, imports none of these
+    with open(os.path.join(SRC, "cgsorec", "trainer.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts |= set((node.module or "").split(".")) | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            parts |= {part for alias in node.names for part in alias.name.split(".")}
+    assert {"denoiser", "schedule"} <= parts  # the walk sees the trainer's imports
+    assert not parts & {"guidance", "evaluation", "pipeline", "cli"}, sorted(parts)

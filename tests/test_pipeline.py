@@ -32,6 +32,7 @@ from cgsorec.pipeline import (
     joint_lists,
     load_manifest,
     social_holdout,
+    train_item_model,
     write_manifest,
 )
 from cgsorec.synth import planted
@@ -193,10 +194,11 @@ def traced_peak(run) -> int:
 
 
 class TestPeakMemory:
-    """Inference holds no dense score matrix: from 200 to 800 users on
-    `planted`, with CHUNK at 32 rows, the traced peak grows by less than
-    one dense matrix of the chains' width, where whole chains (the item
-    pair, or the two social chains and their blend) add one each.
+    """Inference and training validation hold no dense score matrix:
+    from 200 to 800 users on `planted`, with CHUNK at 32 rows, the traced
+    peak grows by less than one dense matrix of the chains' width, where
+    whole chains (the item pair, the two social chains and their blend,
+    or the validation chain) add one each.
 
     The condition graphs are still built whole: S' is built here before
     the measurement starts, and R' is R itself at lambda = 0.  On
@@ -226,3 +228,12 @@ class TestPeakMemory:
             ckpt = untrained_checkpoint(n, T=3, seed=2, tag="CSD")
             peaks[n] = traced_peak(lambda: social_phase(ckpt, S, S_prime, cfg, 0))
         assert peaks[800] - peaks[200] < 800 * 800 * 8, peaks
+
+    def test_training_validation(self):
+        model = {"T": 3, "hidden_dims": [16], "epochs": 1, "batch_size": 64, "valid_every": 1}
+        cfg = config_from_dict({"cgd": model})
+        peaks = {}
+        for n in (200, 800):
+            _, bundle = planted_bundle(n)
+            peaks[n] = traced_peak(lambda: train_item_model(cfg, bundle))
+        assert peaks[800] - peaks[200] < 800 * bundle.train.n_items * 8, peaks

@@ -14,7 +14,7 @@ from cgsorec.evaluation import recall_at_k, topk_lists
 from cgsorec.guidance import STAGE_VALID, unconditional_scores
 from cgsorec.schedule import make_schedule
 from cgsorec.synth import planted
-from cgsorec import trainer
+from cgsorec import pipeline, trainer
 from cgsorec.trainer import (
     ADAM_BLOCK,
     AdamState,
@@ -238,8 +238,9 @@ class TestTrainModel:
         sched = make_schedule(5, 1e-4, 0.02)
         ckpt = train_model(
             "CGD", bundle.train.matrix, cfg, sched, hidden_dims=(16,),
-            time_embed_dim=8, valid_target=bundle.valid.matrix,
-            valid_mask=bundle.train.matrix,
+            time_embed_dim=8, validate=pipeline.recall_validator(
+                bundle.train.matrix, bundle.valid.matrix, bundle.train.matrix, sched, cfg.seed
+            ),
         )
         history = ckpt.history
         best, losses = reference_train(
@@ -263,15 +264,17 @@ class TestTrainModel:
                 holdout[u, on[0]] = 1.0
                 data[u, on[0]] = 0.0
         sched = make_schedule(3, 0.05, 0.2)
+        cfg = self.make_cfg(epochs=30, patience=2)
         ckpt = train_model(
             "CGD",
             data,
-            self.make_cfg(epochs=30, patience=2),
+            cfg,
             sched,
             hidden_dims=(8,),
             time_embed_dim=4,
-            valid_target=sp.csr_matrix(holdout),
-            valid_mask=sp.csr_matrix(data),
+            validate=pipeline.recall_validator(
+                sp.csr_matrix(data), sp.csr_matrix(holdout), sp.csr_matrix(data), sched, cfg.seed
+            ),
         )
         history = ckpt.history
         metrics = [h.valid_metric for h in history]
@@ -308,11 +311,13 @@ class TestTrainModel:
         sched = make_schedule(3, 0.05, 0.2)
         init = init_params((60, 6, 60), 4, seed=0, model_tag="CGD")
         previous = Checkpoint(init, sched, self.make_cfg(), epoch=1, valid_metric=1.0)
+        cfg = self.make_cfg(epochs=2)
         ckpt = train_model(
-            "CGD", data, self.make_cfg(epochs=2), sched,
+            "CGD", data, cfg, sched,
             hidden_dims=(6,), time_embed_dim=4,
-            valid_target=sp.csr_matrix(holdout),
-            valid_mask=sp.csr_matrix(data),
+            validate=pipeline.recall_validator(
+                sp.csr_matrix(data), sp.csr_matrix(holdout), sp.csr_matrix(data), sched, cfg.seed
+            ),
             resume=previous,
         )
         # recall cannot strictly exceed 1.0, so the resumed run can never
@@ -332,11 +337,13 @@ class TestTrainModel:
         sched = make_schedule(3, 0.05, 0.2)
         init = init_params((60, 6, 60), 4, seed=0, model_tag="CGD")
         previous = Checkpoint(init, sched, self.make_cfg(), epoch=1, valid_metric=float("nan"))
+        cfg = self.make_cfg(epochs=2)
         ckpt = train_model(
-            "CGD", data, self.make_cfg(epochs=2), sched,
+            "CGD", data, cfg, sched,
             hidden_dims=(6,), time_embed_dim=4,
-            valid_target=sp.csr_matrix(holdout),
-            valid_mask=sp.csr_matrix(data),
+            validate=pipeline.recall_validator(
+                sp.csr_matrix(data), sp.csr_matrix(holdout), sp.csr_matrix(data), sched, cfg.seed
+            ),
             resume=previous,
         )
         assert ckpt.epoch == 2
@@ -488,6 +495,14 @@ class TestCheckpointIO:
             ("config.learning_rate", float("nan")),
             ("config.beta1", True),
             ("config.epsilon_hat", float("inf")),
+            # the defaulted fields, each once loaded at its default
+            ("config.batch_size", None),
+            ("config.beta1", None),
+            ("config.beta2", None),
+            ("config.epsilon_hat", None),
+            ("config.patience", None),
+            ("config.valid_every", None),
+            ("schedule.T", 10**17),  # too long to allocate
         ],
     )
     def test_bad_manifest_field_is_integrity_error(self, tmp_path, path, value):
