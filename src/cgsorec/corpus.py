@@ -1,5 +1,5 @@
 """Dataset ingestion, splitting, the hot-item mask, and the two sparse
-products the condition graphs are built from (guidance).
+products the condition graphs are built from (guidance), row by row.
 
 Everything here is sparse (scipy CSR, float64) and pure: loaders build
 matrices and the split is a per-user seeded partition.  No function
@@ -35,11 +35,6 @@ class InteractionMatrix:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
-
-    def user_items(self, user: int) -> np.ndarray:
-        """Item ids the user interacted with, ascending."""
-        m = self.matrix
-        return np.sort(m.indices[m.indptr[user] : m.indptr[user + 1]])
 
 
 @dataclass(frozen=True)
@@ -126,12 +121,12 @@ def read_columns(path, what: str, error: type[DataError], *layouts) -> np.ndarra
     raise error(f"{path}: line {lineno} is not {what}: {line!r}")
 
 
-def _dimension(declared: int | None, max_id: int, what: str) -> int:
+def _dimension(path, declared: int | None, max_id: int, what: str) -> int:
     """`declared`, or max_id + 1 when it is None; an id beyond it is refused."""
     if declared is None:
         return max_id + 1
     if max_id >= declared:
-        raise DimensionError(f"{what} id {max_id} exceeds declared n_{what}s={declared}")
+        raise DimensionError(f"{path}: {what} id {max_id} exceeds declared n_{what}s={declared}")
     return declared
 
 
@@ -155,7 +150,7 @@ def load_interactions(
     if not len(users) and (n_users is None or n_items is None):
         raise DataError(f"{path}: no interactions and no declared dimensions")
     max_u, max_i = int(np.max(users, initial=-1)), int(np.max(items, initial=-1))
-    shape = (_dimension(n_users, max_u, "user"), _dimension(n_items, max_i, "item"))
+    shape = (_dimension(path, n_users, max_u, "user"), _dimension(path, n_items, max_i, "item"))
     return InteractionMatrix(_binary_csr(users, items, shape))
 
 
@@ -165,7 +160,7 @@ def load_social(path, n_users: int | None = None) -> SocialMatrix:
     edges = columns[:, columns[0] != columns[1]]
     if not edges.shape[1] and n_users is None:
         raise DataError(f"{path}: no edges and no declared dimension")
-    n_users = _dimension(n_users, int(np.max(edges, initial=-1)), "user")
+    n_users = _dimension(path, n_users, int(np.max(edges, initial=-1)), "user")
     raw = _binary_csr(edges[0], edges[1], (n_users, n_users))
     return SocialMatrix(raw.maximum(raw.T).tocsr(), raw_edges=raw.nnz)
 
@@ -275,17 +270,24 @@ def partition_items(train: InteractionMatrix, hot_fraction: float) -> np.ndarray
     return hot
 
 
-def copurchase(R_l: InteractionMatrix) -> SocialMatrix:
-    """User-user co-interaction counts over long-tail items, diagonal kept."""
-    m = (R_l.matrix @ R_l.matrix.T).tocsr()
-    m.eliminate_zeros()
-    return SocialMatrix(m)
-
-
-def social_preference(S: SocialMatrix, R: InteractionMatrix) -> InteractionMatrix:
-    """Per-user neighbor interaction counts: (S @ R)_ij = neighbors of i on j."""
-    if S.n_users != R.n_users:
-        raise ConfigError(f"dims differ: {S.n_users} vs {R.n_users}")
-    m = (S.matrix @ R.matrix).tocsr()
+def long_tail(R: InteractionMatrix, hot: np.ndarray) -> InteractionMatrix:
+    """R with its `hot` columns zeroed, their entries dropped."""
+    m = (R.matrix @ sp.diags((~hot).astype(np.float64))).tocsr()
     m.eliminate_zeros()
     return InteractionMatrix(m)
+
+
+def copurchase(R_l: InteractionMatrix, rows: slice) -> sp.csr_matrix:
+    """Rows `rows` of the co-interaction counts R_l @ R_l.T, diagonal kept."""
+    m = (R_l.matrix[rows] @ R_l.matrix.T).tocsr()
+    m.eliminate_zeros()
+    return m
+
+
+def social_preference(S: SocialMatrix, R: InteractionMatrix, rows: slice) -> sp.csr_matrix:
+    """Rows `rows` of the neighbor counts: (S @ R)_ij = neighbors of i on j."""
+    if S.n_users != R.n_users:
+        raise ConfigError(f"dims differ: {S.n_users} vs {R.n_users}")
+    m = (S.matrix[rows] @ R.matrix).tocsr()
+    m.eliminate_zeros()
+    return m

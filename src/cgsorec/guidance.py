@@ -25,21 +25,23 @@ Determinism: corruption noise comes from a stream keyed by
 are skipped; every reverse step takes its mean; rows are processed in
 fixed 512-row chunks so BLAS sees the same shapes on every run.
 
-Memory: _chain_rows yields a pair's chains chunk by chunk, and each
-phase reduces a chunk as soon as it is made: the social phase into
-re-binarized graph rows, and infer and validation into ranked lists.
-Only the condition graphs, sparse, and a sweep's item pair are whole.
+Memory: _chain_rows yields a pair's chains chunk by chunk, building
+each chunk's condition rows as it goes, since both condition graphs are
+row-local; each phase reduces a chunk as soon as it is made: the social
+phase into re-binarized graph rows, and infer and validation into
+ranked lists.  Only a sweep's item pair is whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import starmap
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import InteractionMatrix, SocialMatrix, copurchase, social_preference
+from .corpus import InteractionMatrix, SocialMatrix, copurchase, long_tail, social_preference
 from .denoiser import DenoiserParams, _csr_rows, corrupt_rows, last_hidden
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError, ShapeError
@@ -103,13 +105,6 @@ def resolve_T_inf(cfg: GuidanceConfig, sched: NoiseSchedule) -> int:
     return cfg.T_inf
 
 
-def _dense_rows(data, idx) -> np.ndarray:
-    """Rows `idx` (index array or slice) of a dense or sparse matrix, as float64."""
-    if sp.issparse(data):
-        return np.asarray(data[idx].todense(), dtype=np.float64)
-    return np.asarray(data[idx], dtype=np.float64)
-
-
 def _user_eps(seed: int, stage: int, users: np.ndarray, width: int) -> np.ndarray:
     """Corruption noise for a block of users, one stream per (user, stage)."""
     eps = np.empty((len(users), width), dtype=np.float64)
@@ -119,23 +114,17 @@ def _user_eps(seed: int, stage: int, users: np.ndarray, width: int) -> np.ndarra
 
 
 def _chain_rows(
-    params: DenoiserParams,
-    sched: NoiseSchedule,
-    rows,
-    cond,
-    mix: float,
-    cfg: GuidanceConfig,
-    seed: int,
-    stage: int,
-    w: float = 0.0,
+    params: DenoiserParams, sched: NoiseSchedule, rows, cond, mix: float, cfg: GuidanceConfig,
+    seed: int, stage: int, w: float = 0.0,
 ):
     """The chains of a pair over the same users, one CHUNK-row block at a
     time: yields (span, a, b) for each block in order.
 
     Chain A runs reverse chains over clean `rows` (corrupted here to
     T_inf), each step's mean mixed with weight `mix` toward the mean at
-    the clean `cond` row.  Chain B runs over `cond` itself, unguided, at
-    stage + 1, only when its blend weight w is > 0; b is None otherwise.
+    the clean condition row; cond(span) builds a block's condition rows
+    (CSR) when a chain reads them.  Chain B runs over those rows, unguided,
+    at stage + 1, only when its blend weight w is > 0; b is None otherwise.
     Each block's noise is corrupted in place (corrupt_rows), and steps
     run on z = x @ W0x (module docstring); the output head is applied
     once, at t = 1.  Raises NumericError naming the stage and the first
@@ -148,8 +137,6 @@ def _chain_rows(
         raise ShapeError(f"row width {width} != model width {params.in_dim}")
     guided = cond is not None and mix > 0.0
     paired = cond is not None and w > 0.0
-    if (guided or paired) and cond.shape != rows.shape:
-        raise ShapeError(f"cond shape {cond.shape} != rows shape {rows.shape}")
     w0x = params.weights[0][:width]
     w_out, b_out = params.weights[-1], params.biases[-1]
     head_z = w_out @ w0x
@@ -159,9 +146,9 @@ def _chain_rows(
         h = last_hidden(params, z, t)
         return h if zc is None else (1.0 - mix) * h + mix * last_hidden(params, zc, t)
 
-    def chain(source, span, zc, stage):
+    def chain(block, span, zc, stage):
         eps = _user_eps(seed, stage, np.arange(span.start, span.stop), width)
-        z = corrupt_rows(_csr_rows(source[span]), ab, eps, out=eps) @ w0x
+        z = corrupt_rows(_csr_rows(block), ab, eps, out=eps) @ w0x
         del eps  # the noise buffer goes before the output block is made
         for t in range(T_inf, 1, -1):
             z_mix = z if zc is None else (1.0 - mix) * z + mix * zc
@@ -181,11 +168,14 @@ def _chain_rows(
     # passed on, so only one block of each chain is alive at a time.
     for start in range(0, n_rows, CHUNK):
         span = slice(start, min(start + CHUNK, n_rows))
-        zc = _dense_rows(cond, span) @ w0x if guided else None
+        c = cond(span) if guided or paired else None
+        if c is not None and c.shape != (span.stop - start, width):
+            raise ShapeError(f"condition rows {c.shape} != rows {(span.stop - start, width)}")
+        zc = c.toarray() @ w0x if guided else None
         yield (
             span,
-            chain(rows, span, zc, stage),
-            chain(cond, span, None, stage + 1) if paired else None,
+            chain(rows[span], span, zc, stage),
+            chain(c, span, None, stage + 1) if paired else None,
         )
 
 
@@ -205,20 +195,13 @@ def _gather(chunks, shape, paired: bool, reduce=None):
 
 
 def unconditional_scores(
-    params: DenoiserParams,
-    sched: NoiseSchedule,
-    rows,
-    T_inf: int | None = None,
-    seed: int = 0,
-    stage: int = STAGE_ITEM,
-    reduce=None,
-):
+    params: DenoiserParams, sched: NoiseSchedule, rows, T_inf: int | None, seed: int, stage: int,
+    reduce,
+) -> list:
     """Plain diffusion denoising of every row, the no-guidance baseline:
-    the whole score matrix, or its blocks reduced as in item_phase."""
+    the list of reduce(span, a, None) over its blocks, as in item_phase."""
     cfg = GuidanceConfig(T_inf=T_inf)
-    chunks = _chain_rows(params, sched, rows, None, 0.0, cfg, seed, stage)
-    whole = _gather(chunks, (rows.shape[0], params.in_dim), False, reduce)
-    return whole if reduce else whole[0]
+    return list(starmap(reduce, _chain_rows(params, sched, rows, None, 0.0, cfg, seed, stage)))
 
 
 def binarize_social(
@@ -253,18 +236,14 @@ def binarize_social(
 
 
 def social_phase(
-    ckpt: Checkpoint,
-    S: SocialMatrix,
-    S_prime: SocialMatrix,
-    cfg: GuidanceConfig,
-    seed: int,
+    ckpt: Checkpoint, S: SocialMatrix, cond, cfg: GuidanceConfig, seed: int
 ) -> SocialMatrix:
     """The denoised graph: each block of the social chains A (over S,
-    guided toward S' by eta) and B (over S') is blended by w_s and
-    re-binarized as it is made, so no dense n x n score matrix is held."""
+    guided toward the condition rows cond(span) by eta) and B (over
+    those rows) is blended by w_s and re-binarized as it is made, so no
+    dense n x n score matrix is held."""
     chunks = _chain_rows(
-        ckpt.params, ckpt.sched, S.matrix, S_prime.matrix, cfg.eta, cfg, seed,
-        STAGE_SOCIAL, cfg.w_s,
+        ckpt.params, ckpt.sched, S.matrix, cond, cfg.eta, cfg, seed, STAGE_SOCIAL, cfg.w_s
     )
 
     def rebinarize(span, a, b):
@@ -274,54 +253,46 @@ def social_phase(
 
 
 def item_phase(
-    ckpt: Checkpoint,
-    R: InteractionMatrix,
-    R_prime: InteractionMatrix,
-    cfg: GuidanceConfig,
-    seed: int,
-    reduce=None,
+    ckpt: Checkpoint, R: InteractionMatrix, cond, cfg: GuidanceConfig, seed: int, reduce=None
 ):
-    """Both item-side chains, unmixed: A over R guided toward R' by gamma,
-    B over R' when w_r > 0.
+    """Both item-side chains, unmixed: A over R guided toward the
+    condition rows cond(span) by gamma, B over those rows when w_r > 0.
 
     Without `reduce`, the whole pair (b None when w_r = 0), so callers
     can blend any w_r.  Otherwise each block goes through reduce(span,
     a, b) as it is made, and the list of what it returns comes back.
     """
     chunks = _chain_rows(
-        ckpt.params, ckpt.sched, R.matrix, R_prime.matrix, cfg.gamma, cfg, seed,
-        STAGE_ITEM, cfg.w_r,
+        ckpt.params, ckpt.sched, R.matrix, cond, cfg.gamma, cfg, seed, STAGE_ITEM, cfg.w_r
     )
     return _gather(chunks, R.matrix.shape, cfg.w_r > 0.0, reduce)
 
 
 def build_social_condition(
-    S: SocialMatrix, R: InteractionMatrix, hot: np.ndarray, delta: float
-) -> SocialMatrix:
-    """Condition graph S' = delta * copurchase(R_l) + S: co-interactions
-    over long-tail items, R_l being R with its `hot` columns zeroed."""
+    S: SocialMatrix, R_l: InteractionMatrix, delta: float, rows: slice
+) -> sp.csr_matrix:
+    """Rows `rows` of the condition graph S' = delta * copurchase(R_l) + S:
+    co-interactions over long-tail items (corpus.long_tail)."""
     if delta == 0.0:
-        return S
-    r_l = (R.matrix @ sp.diags((~hot).astype(np.float64))).tocsr()
-    r_l.eliminate_zeros()
-    m = (delta * copurchase(InteractionMatrix(r_l)).matrix + S.matrix).tocsr()
+        return S.matrix[rows]
+    m = (delta * copurchase(R_l, rows) + S.matrix[rows]).tocsr()
     m.eliminate_zeros()
-    return SocialMatrix(m)
+    return m
 
 
 def build_item_condition(
-    S_bar: SocialMatrix, R: InteractionMatrix, lam: float
-) -> InteractionMatrix:
-    """Condition rows R' = lam * inv + R, inv being the reciprocal of the
-    neighbor-popularity counts social_preference(S_bar, R) on their
-    nonzeros: weights that favor items few neighbors touched."""
+    S_bar: SocialMatrix | None, R: InteractionMatrix, lam: float, rows: slice
+) -> sp.csr_matrix:
+    """Rows `rows` of the condition R' = lam * inv + R, inv being the
+    reciprocal of the neighbor counts social_preference(S_bar, R) on
+    their nonzeros: weights that favor items few neighbors touched."""
     if lam == 0.0:
-        return R
-    inv = social_preference(S_bar, R).matrix
+        return R.matrix[rows]
+    inv = social_preference(S_bar, R, rows)
     inv.data = 1.0 / inv.data
-    m = (lam * inv + R.matrix).tocsr()
+    m = (lam * inv + R.matrix[rows]).tocsr()
     m.eliminate_zeros()
-    return InteractionMatrix(m)
+    return m
 
 
 def joint_chains(
@@ -334,9 +305,9 @@ def joint_chains(
     seed: int,
     reduce=None,
 ):
-    """Everything up to the final w_r blend: runs the social side, builds
-    the item condition, and returns the two item chains unmixed, or each
-    of their blocks reduced (item_phase).
+    """Everything up to the final w_r blend: runs the social side, and
+    returns the two item chains unmixed, or each of their blocks reduced
+    (item_phase).  Both condition graphs are built a block at a time.
 
     Lets a sweep over w_r reuse one pair of chains instead of rerunning
     the whole pipeline per value: blend(*joint_chains(...), w_r) is the
@@ -345,19 +316,17 @@ def joint_chains(
     """
     if S is not None and S.n_users != R.n_users:
         raise ConfigError(f"social users {S.n_users} != interaction users {R.n_users}")
+    S_bar = None
     if cfg.lam > 0:
         if ckpt_social is None or S is None:
             raise ConfigError(
                 "lam > 0 builds the item condition from the denoised social "
                 "graph; a social model checkpoint and a social matrix are required"
             )
-        s_prime = build_social_condition(S, R, hot, cfg.delta)
-        S_bar = social_phase(ckpt_social, S, s_prime, cfg, seed)
-        r_prime = build_item_condition(S_bar, R, cfg.lam)
-    else:
-        # lam = 0 zeroes the social term of the item condition, so the
-        # denoised graph cannot influence the output; skip the social
-        # chains entirely (bitwise-identical result, large time save).
-        r_prime = R
-    return item_phase(ckpt_item, R, r_prime, cfg, seed, reduce)
-
+        s_cond = partial(build_social_condition, S, long_tail(R, hot), cfg.delta)
+        S_bar = social_phase(ckpt_social, S, s_cond, cfg, seed)
+    # lam = 0 zeroes the social term of the item condition, so the
+    # denoised graph cannot influence the output; the social chains are
+    # skipped entirely (bitwise-identical result, large time save).
+    r_cond = partial(build_item_condition, S_bar, R, cfg.lam)
+    return item_phase(ckpt_item, R, r_cond, cfg, seed, reduce)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -32,7 +33,7 @@ from .corpus import (
     split,
     tsv_grammar,
 )
-from .errors import DataError, IntegrityError
+from .errors import ConfigError, DataError, IntegrityError
 from .evaluation import RankedLists, evaluate_lists, recall_at_k, topk_lists
 from .guidance import joint_chains
 from .trainer import Checkpoint, _json, train_model
@@ -40,13 +41,30 @@ from .trainer import Checkpoint, _json, train_model
 MANIFEST_NAME = "splits.json"
 
 
+@contextmanager
+def _dimensions(cfg: ExperimentConfig):
+    """Inside the block, NumPy's refusal to allocate an array as long as
+    a dimension is a ConfigError naming the larger declared dimension, or
+    a DataError naming the interactions file whose ids set them."""
+    try:
+        yield
+    except MemoryError as err:
+        declared = [k for k in ("dataset.n_users", "dataset.n_items") if cfg[k] is not None]
+        if declared:
+            key = max(declared, key=lambda k: cfg[k])
+            raise ConfigError(f"{key} has a bad value: {cfg[key]} ({err})") from err
+        path = cfg["dataset.interactions"]
+        raise DataError(f"{path}: ids too large to allocate ({err})") from err
+
+
 def load_interaction_data(cfg: ExperimentConfig) -> InteractionMatrix:
     """The interactions file alone, for the commands that never read the
     social graph; both input files must still exist."""
     cfg.require_files()
-    return load_interactions(
-        cfg["dataset.interactions"], n_users=cfg["dataset.n_users"], n_items=cfg["dataset.n_items"]
-    )
+    with _dimensions(cfg):
+        return load_interactions(
+            cfg["dataset.interactions"], cfg["dataset.n_users"], cfg["dataset.n_items"]
+        )
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[InteractionMatrix, SocialMatrix | None]:
@@ -57,10 +75,11 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[InteractionMatrix, SocialMatrix
 
 def make_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
     """Split + debiased test, all seeds derived from the root seed."""
-    bundle = split(R, cfg["split.ratios"], cfg.seed_for("split"))
-    debiased = build_debiased_test(
-        bundle.test, cap=cfg["split.debiased_cap"], seed=cfg.seed_for("debiased-test")
-    )
+    with _dimensions(cfg):
+        bundle = split(R, cfg["split.ratios"], cfg.seed_for("split"))
+        debiased = build_debiased_test(
+            bundle.test, cap=cfg["split.debiased_cap"], seed=cfg.seed_for("debiased-test")
+        )
     return SplitBundle(
         train=bundle.train,
         valid=bundle.valid,
@@ -311,11 +330,6 @@ def write_lists(lists: RankedLists, path) -> None:
         fh.write("".join(map("{}\t{}\t{!r}\n".format, *columns)))
 
 
-def _refuse(users: np.ndarray, bad: np.ndarray, reason: str) -> None:
-    if bad.any():
-        raise DataError(f"lists: user {users[np.argmax(bad)]}: {reason}")
-
-
 # write_lists' lines: the score is a float repr.  A signed id is read, so
 # that the range check names the user who holds it.
 _LIST_ID = b"-?" + REAL_ID
@@ -328,7 +342,7 @@ def read_lists(path, n_users: int, n_items: int) -> RankedLists:
     Lines are grouped by user (ascending), keeping each user's line order.
     Every list must be as long as the lowest user's, its user must be in
     0..n_users-1, and it must hold distinct ids in 0..n_items-1; a
-    DataError names the first user whose list breaks a rule.
+    DataError names the file and the first user whose list breaks a rule.
     """
     try:
         columns = read_columns(
@@ -340,11 +354,16 @@ def read_lists(path, n_users: int, n_items: int) -> RankedLists:
     scores = columns[2]
     order = np.argsort(users, kind="stable")
     owners, sizes = np.unique(users[order], return_counts=True)
+
+    def refuse(bad: np.ndarray, reason: str) -> None:
+        if bad.any():
+            raise DataError(f"{path}: user {owners[np.argmax(bad)]}: {reason}")
+
     K = int(sizes[0]) if len(sizes) else 0
-    _refuse(owners, sizes != K, f"list length differs from the first list's {K}")
-    _refuse(owners, (owners < 0) | (owners >= n_users), f"user id outside 0..{n_users - 1}")
+    refuse(sizes != K, f"list length differs from the first list's {K}")
+    refuse((owners < 0) | (owners >= n_users), f"user id outside 0..{n_users - 1}")
     ids = items[order].reshape(len(owners), K)
-    _refuse(owners, ((ids < 0) | (ids >= n_items)).any(axis=1), f"item id outside 0..{n_items - 1}")
+    refuse(((ids < 0) | (ids >= n_items)).any(axis=1), f"item id outside 0..{n_items - 1}")
     ranked = np.sort(ids, axis=1)
-    _refuse(owners, (ranked[:, 1:] == ranked[:, :-1]).any(axis=1), "an item is listed twice")
+    refuse((ranked[:, 1:] == ranked[:, :-1]).any(axis=1), "an item is listed twice")
     return RankedLists(owners, ids, scores[order].reshape(ids.shape))

@@ -312,6 +312,20 @@ def _ints(value, name: str) -> tuple[int, ...]:
     return tuple(_json(v, f"{name}[{i}]", int) for i, v in enumerate(_json(value, name, list)))
 
 
+def _table(manifest: dict, name: str, kinds: dict, build):
+    """build(**manifest[name]), that object holding exactly the fields of
+    `kinds` (field -> JSON type), each read by its type; every refusal,
+    build's included, names its field as name.field."""
+    table = _json(manifest[name], name, dict)
+    for fault, keys in ("unknown", table.keys() - kinds), ("missing", kinds.keys() - table):
+        if keys:
+            raise TypeError(f"{name} has {fault} fields {sorted(f'{name}.{k}' for k in keys)}")
+    try:
+        return build(**{k: _json(v, f"{name}.{k}", kinds[k]) for k, v in table.items()})
+    except ConfigError as err:  # build's refusals lead with the field
+        raise ValueError(f"{name}.{err}") from err
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild a checkpoint; forward outputs are bitwise equal post-load.
 
@@ -337,23 +351,15 @@ def load_checkpoint(path) -> Checkpoint:
         shapes = _json(manifest["tensor_shapes"], "tensor_shapes", list)
         shapes = [_ints(s, f"tensor_shapes[{i}]") for i, s in enumerate(shapes)]
         tag = _json(manifest["model_tag"], "model_tag", str)
-        sched_info = _json(manifest["schedule"], "schedule", dict)
-        sched = make_schedule(
-            _json(sched_info["T"], "schedule.T", int),
-            _json(sched_info["beta_start"], "schedule.beta_start", float),
-            _json(sched_info["beta_end"], "schedule.beta_end", float),
-        )
-        config = _json(manifest["config"], "config", dict)
+        kinds = {"T": int, "beta_start": float, "beta_end": float}
+        sched = _table(manifest, "schedule", kinds, make_schedule)
         kinds = {f.name: {"int": int, "float": float}[f.type] for f in fields(TrainConfig)}
-        for fault, names in ("unknown", config.keys() - kinds), ("missing", kinds.keys() - config):
-            if names:
-                raise TypeError(f"config has {fault} fields {sorted(names)}")
-        cfg = TrainConfig(**{k: _json(v, f"config.{k}", kinds[k]) for k, v in config.items()})
+        cfg = _table(manifest, "config", kinds, TrainConfig)
         epoch = _json(manifest["epoch"], "epoch", int)
         if epoch < 0:  # the epoch streams are seeded by it
             raise ValueError(f"epoch {epoch} is negative")
         valid_metric = _json(manifest["valid_metric"], "valid_metric", float, nan=True)
-    except (ConfigError, KeyError, OverflowError, TypeError, ValueError) as err:
+    except (KeyError, OverflowError, TypeError, ValueError) as err:
         raise IntegrityError(f"manifest missing/invalid field: {err}") from err
 
     if len(layer_dims) < 3 or shapes != param_shapes(layer_dims, time_embed_dim):

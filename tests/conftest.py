@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from cgsorec.denoiser import init_params
+from cgsorec.guidance import STAGE_ITEM, unconditional_scores
 from cgsorec.schedule import make_schedule
 from cgsorec.trainer import Checkpoint, TrainConfig
 
@@ -95,6 +96,12 @@ def untrained_checkpoint(width: int, T: int = 5, seed: int = 0, hidden=(8,), tag
     params = init_params((width, *hidden, width), 4, seed=seed, model_tag=tag)
     cfg = TrainConfig(learning_rate=1e-3, epochs=1, seed=seed)
     return Checkpoint(params=params, sched=sched, config=cfg, epoch=1, valid_metric=float("nan"))
+
+
+def whole_scores(params, sched, rows, T_inf=None, seed=0, stage=STAGE_ITEM) -> np.ndarray:
+    """unconditional_scores' blocks stacked: every row's denoised scores."""
+    blocks = unconditional_scores(params, sched, rows, T_inf, seed, stage, lambda span, a, b: a)
+    return np.vstack(blocks)
 
 
 @pytest.fixture

@@ -14,13 +14,14 @@ import itertools
 import json
 import statistics
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import rand_binary_csr, record_acceptance, untrained_checkpoint
+from conftest import rand_binary_csr, record_acceptance, untrained_checkpoint, whole_scores
 from cgsorec import pipeline
 from cgsorec.config import config_from_dict
 from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
@@ -409,10 +410,7 @@ def test_criterion_4_zero_guidance_reduction(acc_root, joint_fixture):
     d = acc_root / "c4"
     d.mkdir()
     out = _write_c4(fx, d)
-    ref = unconditional_scores(
-        fx.ck_item.params, fx.ck_item.sched, fx.R.matrix,
-        T_inf=None, seed=99, stage=STAGE_ITEM,
-    )
+    ref = whole_scores(fx.ck_item.params, fx.ck_item.sched, fx.R.matrix, seed=99, stage=STAGE_ITEM)
     ok = np.array_equal(out, ref)
     finish(4, ok, (
         "joint inference with every coefficient zero (social checkpoint and "
@@ -493,11 +491,13 @@ def test_criterion_9_inference_scaling():
     for n_items in (256, 512):
         ck = untrained_checkpoint(n_items, T=5, hidden=(64,), seed=3)
         rows = rand_binary_csr(rng, 1000, n_items, 0.05)
-        unconditional_scores(ck.params, ck.sched, rows, T_inf=5, seed=0)  # warm
+        # the streamed denoise of every row, each block dropped once made
+        denoise = partial(unconditional_scores, ck.params, ck.sched, rows, 5, 0, STAGE_ITEM)
+        denoise(lambda span, a, b: None)  # warm
         samples = []
         for _ in range(5):
             t0 = time.perf_counter()
-            unconditional_scores(ck.params, ck.sched, rows, T_inf=5, seed=0)
+            denoise(lambda span, a, b: None)
             samples.append(time.perf_counter() - t0)
         med[n_items] = statistics.median(samples)
     ratio = med[512] / med[256]

@@ -126,9 +126,13 @@ def test_every_key_under_mutation(tmp_path, capsys, monkeypatch, inputs):
         ("output_dir", "[1]"),
         ("output_dir", "5"),
         ("cgd.T", "100000000000000000"),  # NumPy cannot allocate 10**17 steps
+        # nor an index array 10**18 long, which the loader or the split needs
+        ("dataset.n_users", "1000000000000000000"),
+        ("dataset.n_items", "1000000000000000000"),
     ],
     ids=["social-table", "interactions-list", "n_users-1e20", "n_users-1e308",
-         "output_dir-empty", "output_dir-list", "output_dir-number", "T-1e17"],
+         "output_dir-empty", "output_dir-list", "output_dir-number", "T-1e17",
+         "n_users-1e18", "n_items-1e18"],
 )
 @pytest.mark.parametrize("route", ROUTES)
 def test_value_that_used_to_crash_or_pass_exits_2(tmp_path, capsys, monkeypatch, inputs,

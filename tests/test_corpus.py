@@ -1,9 +1,10 @@
 """Dataset ingestion, splitting, the hot-item mask, and the condition
 matrices built from corpus' products (guidance.build_social_condition
-and build_item_condition)."""
+and build_item_condition), composed from their row blocks."""
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cgsorec.corpus import (
     copurchase,
     load_interactions,
     load_social,
+    long_tail,
     partition_items,
     social_preference,
     split,
@@ -39,6 +41,20 @@ def im(dense) -> InteractionMatrix:
 
 def sm(dense) -> SocialMatrix:
     return SocialMatrix(sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
+
+
+def stacked(build, n: int) -> sp.csr_matrix:
+    """The row blocks build(rows) over n users, two rows at a time (the
+    last block partial when n is odd), stacked: the whole matrix."""
+    return sp.vstack([build(slice(i, min(i + 2, n))) for i in range(0, n, 2)], format="csr")
+
+
+def social_condition(S: SocialMatrix, R: InteractionMatrix, hot, delta: float) -> sp.csr_matrix:
+    return stacked(partial(build_social_condition, S, long_tail(R, hot), delta), S.n_users)
+
+
+def item_condition(S_bar: SocialMatrix, R: InteractionMatrix, lam: float) -> sp.csr_matrix:
+    return stacked(partial(build_item_condition, S_bar, R, lam), R.n_users)
 
 
 class TestLoadInteractions:
@@ -139,11 +155,11 @@ def reference_interactions(path, n_users=None, n_items=None):
     if n_users is None:
         n_users = max_u + 1
     elif max_u >= n_users:
-        raise DimensionError(f"user id {max_u} exceeds declared n_users={n_users}")
+        raise DimensionError(f"{path}: user id {max_u} exceeds declared n_users={n_users}")
     if n_items is None:
         n_items = max_i + 1
     elif max_i >= n_items:
-        raise DimensionError(f"item id {max_i} exceeds declared n_items={n_items}")
+        raise DimensionError(f"{path}: item id {max_i} exceeds declared n_items={n_items}")
     return InteractionMatrix(corpus._binary_csr(users, items, (n_users, n_items)))
 
 
@@ -156,7 +172,7 @@ def reference_social(path, n_users=None):
     if n_users is None:
         n_users = max_u + 1
     elif max_u >= n_users:
-        raise DimensionError(f"user id {max_u} exceeds declared n_users={n_users}")
+        raise DimensionError(f"{path}: user id {max_u} exceeds declared n_users={n_users}")
     raw = corpus._binary_csr(src, dst, (n_users, n_users))
     return SocialMatrix(raw.maximum(raw.T).tocsr(), raw_edges=raw.nnz)
 
@@ -318,12 +334,18 @@ class TestGrammar:
         assert load_social(path, n_users=3).nnz == 0
 
 
+def user_items(R: InteractionMatrix, user: int) -> np.ndarray:
+    """Item ids the user interacted with, ascending."""
+    m = R.matrix
+    return np.sort(m.indices[m.indptr[user] : m.indptr[user + 1]])
+
+
 def reference_split(R, ratios, seed):
     """The per-user split loop: one permutation per user, sliced."""
     _, r_valid, r_test = ratios
     parts = {"train": ([], []), "valid": ([], []), "test": ([], [])}
     for u in range(R.n_users):
-        items = R.user_items(u)
+        items = user_items(R, u)
         k = len(items)
         if k < 3 or (r_valid == 0 and r_test == 0):
             parts["train"][0].extend([u] * k)
@@ -405,9 +427,9 @@ class TestSplit:
         R = InteractionMatrix(rand_binary_csr(rng, 40, 50, 0.3))
         b = split(R, (0.8, 0.1, 0.1), seed=5)
         for u in range(40):
-            k = len(R.user_items(u))
-            got_test = len(b.test.user_items(u))
-            got_valid = len(b.valid.user_items(u))
+            k = len(user_items(R, u))
+            got_test = len(user_items(b.test, u))
+            got_valid = len(user_items(b.valid, u))
             if k < 3:
                 assert got_test == 0 and got_valid == 0
             else:
@@ -527,12 +549,12 @@ class TestLongtail:
     # co-interaction counts over R with its hot columns zeroed
     def longtail_copurchase(self, R, hot):
         S = sm(np.zeros((R.n_users, R.n_users)))
-        return build_social_condition(S, R, np.array(hot), 1.0).matrix
+        return social_condition(S, R, np.array(hot), 1.0)
 
     def test_all_tail_identity(self):
         R = im([[1, 0], [1, 1]])
         out = self.longtail_copurchase(R, [False, False])
-        np.testing.assert_array_equal(out.toarray(), copurchase(R).matrix.toarray())
+        np.testing.assert_array_equal(out.toarray(), stacked(partial(copurchase, R), 2).toarray())
 
     def test_all_hot_zero(self):
         R = im([[1, 0], [1, 1]])
@@ -547,21 +569,19 @@ class TestLongtail:
 
 class TestCopurchase:
     def test_hand_product(self):
-        out = copurchase(im([[1, 1], [1, 0]]))
-        np.testing.assert_array_equal(
-            out.matrix.toarray(), [[2, 1], [1, 1]]
-        )
+        out = stacked(partial(copurchase, im([[1, 1], [1, 0]])), 2)
+        np.testing.assert_array_equal(out.toarray(), [[2, 1], [1, 1]])
 
     def test_zero(self):
-        assert copurchase(im(np.zeros((3, 4)))).matrix.nnz == 0
+        assert stacked(partial(copurchase, im(np.zeros((3, 4)))), 3).nnz == 0
 
     def test_identity_rows(self):
-        out = copurchase(im(np.eye(2)))
-        np.testing.assert_array_equal(out.matrix.toarray(), np.eye(2))
+        out = stacked(partial(copurchase, im(np.eye(2))), 2)
+        np.testing.assert_array_equal(out.toarray(), np.eye(2))
 
     def test_symmetry_vs_dense_product(self, rng):
         Rl = rand_binary_csr(rng, 50, 80, 0.08)
-        out = copurchase(InteractionMatrix(Rl)).matrix.toarray()
+        out = stacked(partial(copurchase, InteractionMatrix(Rl)), 50).toarray()
         dense = Rl.toarray()
         np.testing.assert_array_equal(out, dense @ dense.T)
         np.testing.assert_array_equal(out, out.T)
@@ -573,24 +593,24 @@ class TestSocialCondition:
 
     def test_delta_zero_identity(self):
         S = sm([[0, 1], [1, 0]])
-        out = build_social_condition(S, self.R, self.all_tail, 0.0)
-        assert (out.matrix != S.matrix).nnz == 0
+        out = social_condition(S, self.R, self.all_tail, 0.0)
+        assert (out != S.matrix).nnz == 0
 
     def test_blend_example(self):
         S = sm([[0, 1], [1, 0]])
-        out = build_social_condition(S, self.R, self.all_tail, 0.5)
-        np.testing.assert_array_equal(out.matrix.toarray(), [[1, 1.5], [1.5, 0.5]])
+        out = social_condition(S, self.R, self.all_tail, 0.5)
+        np.testing.assert_array_equal(out.toarray(), [[1, 1.5], [1.5, 0.5]])
 
     def test_zero_social_gives_scaled_copurchase(self):
         S = sm(np.zeros((2, 2)))
-        out = build_social_condition(S, self.R, self.all_tail, 1.0)
-        np.testing.assert_array_equal(out.matrix.toarray(), [[2, 1], [1, 1]])
+        out = social_condition(S, self.R, self.all_tail, 1.0)
+        np.testing.assert_array_equal(out.toarray(), [[2, 1], [1, 1]])
 
     def test_matches_dense_formula(self, rng):
         S = rand_binary_csr(rng, 15, 15, 0.2)
         R = rand_binary_csr(rng, 15, 12, 0.25)
         hot = rng.random(12) < 0.3
-        out = build_social_condition(SocialMatrix(S), InteractionMatrix(R), hot, 0.7).matrix
+        out = social_condition(SocialMatrix(S), InteractionMatrix(R), hot, 0.7)
         R_l = R.toarray() * ~hot
         want = 0.7 * (R_l @ R_l.T) + S.toarray()
         np.testing.assert_array_equal(out.toarray(), want)
@@ -600,15 +620,15 @@ class TestSocialCondition:
 class TestSocialPreference:
     def test_identity_social(self):
         R = im([[1, 0], [1, 1]])
-        out = social_preference(sm(np.eye(2)), R)
-        np.testing.assert_array_equal(out.matrix.toarray(), R.matrix.toarray())
+        out = stacked(partial(social_preference, sm(np.eye(2)), R), 2)
+        np.testing.assert_array_equal(out.toarray(), R.matrix.toarray())
 
     def test_hand_product(self):
-        out = social_preference(sm([[0, 1], [1, 0]]), im([[1, 0], [1, 1]]))
-        np.testing.assert_array_equal(out.matrix.toarray(), [[1, 1], [1, 0]])
+        out = stacked(partial(social_preference, sm([[0, 1], [1, 0]]), im([[1, 0], [1, 1]])), 2)
+        np.testing.assert_array_equal(out.toarray(), [[1, 1], [1, 0]])
 
     def test_zero(self):
-        out = social_preference(sm(np.zeros((2, 2))), im([[1, 0], [1, 1]]))
+        out = stacked(partial(social_preference, sm(np.zeros((2, 2))), im([[1, 0], [1, 1]])), 2)
         assert out.nnz == 0
 
     def test_neighbor_counting_property(self, rng):
@@ -616,7 +636,8 @@ class TestSocialPreference:
         S.setdiag(0)
         S.eliminate_zeros()
         R = rand_binary_csr(rng, 15, 12, 0.25)
-        out = social_preference(SocialMatrix(S), InteractionMatrix(R)).matrix.toarray()
+        out = stacked(partial(social_preference, SocialMatrix(S), InteractionMatrix(R)), 15)
+        out = out.toarray()
         Sd, Rd = S.toarray(), R.toarray()
         for i in range(15):
             for j in range(12):
@@ -634,23 +655,23 @@ class TestInvertPreference:
     R = im([[0, 0, 0], [1, 1, 0], [1, 1, 0], [1, 0, 0], [1, 0, 0]])
 
     def test_pointwise_values(self):
-        out = build_item_condition(self.S_bar, self.R, 1.0)
-        np.testing.assert_array_equal(out.matrix[0].toarray(), [[0.25, 0.5, 0.0]])
+        out = item_condition(self.S_bar, self.R, 1.0)
+        np.testing.assert_array_equal(out[0].toarray(), [[0.25, 0.5, 0.0]])
 
     def test_involution_on_support(self, rng):
         S_bar = rand_binary_csr(rng, 15, 15, 0.3)
         R = rand_binary_csr(rng, 15, 12, 0.25)
-        out = build_item_condition(SocialMatrix(S_bar), InteractionMatrix(R), 1.0)
+        out = item_condition(SocialMatrix(S_bar), InteractionMatrix(R), 1.0)
         counts = (S_bar @ R).toarray()
         off = (counts > 0) & (R.toarray() == 0)
         assert off.any()
-        np.testing.assert_allclose(1.0 / out.matrix.toarray()[off], counts[off], rtol=1e-15)
+        np.testing.assert_allclose(1.0 / out.toarray()[off], counts[off], rtol=1e-15)
 
     def test_sparsity_pattern_preserved(self, rng):
         # stored entries are exactly those of R and of the neighbor counts
         S_bar = rand_binary_csr(rng, 10, 10, 0.3)
         R = rand_binary_csr(rng, 10, 8, 0.3)
-        out = build_item_condition(SocialMatrix(S_bar), InteractionMatrix(R), 3.0).matrix
+        out = item_condition(SocialMatrix(S_bar), InteractionMatrix(R), 3.0)
         support = (R.toarray() != 0) | ((S_bar @ R).toarray() != 0)
         assert out.nnz == np.count_nonzero(support)
         assert np.array_equal(out.toarray() != 0, support)
@@ -661,16 +682,16 @@ class TestItemCondition:
 
     def test_lambda_zero_identity(self):
         R = TestInvertPreference.R
-        out = build_item_condition(self.S_bar, R, 0.0)
-        assert (out.matrix != R.matrix).nnz == 0
+        out = item_condition(self.S_bar, R, 0.0)
+        assert (out != R.matrix).nnz == 0
 
     def test_inverted_blend(self):
         # user 0 holds no item: its row is lam / counts alone
-        out = build_item_condition(self.S_bar, TestInvertPreference.R, 2.0)
-        np.testing.assert_array_equal(out.matrix[0].toarray(), [[0.5, 1.0, 0.0]])
+        out = item_condition(self.S_bar, TestInvertPreference.R, 2.0)
+        np.testing.assert_array_equal(out[0].toarray(), [[0.5, 1.0, 0.0]])
 
     def test_lambda_two_stacks_on_interaction(self):
         # user 1's neighbor set is itself: counts equal its row, so an item
         # it holds gets 2 * 1 / 1 + 1
-        out = build_item_condition(self.S_bar, TestInvertPreference.R, 2.0)
-        np.testing.assert_array_equal(out.matrix[1].toarray(), [[3.0, 3.0, 0.0]])
+        out = item_condition(self.S_bar, TestInvertPreference.R, 2.0)
+        np.testing.assert_array_equal(out[1].toarray(), [[3.0, 3.0, 0.0]])

@@ -694,8 +694,8 @@ class TestListsFile:
         def outcome(path):
             try:
                 got = read_lists(path, 4, 5)
-            except DataError as err:
-                return str(err)
+            except DataError as err:  # named by the file it reads, here a copy's
+                return str(err).replace(str(path), str(tmp_path / f"l{k}.tsv"))
             return tuple(a.dtype.str + a.tobytes().hex() for a in (got.users, got.items, got.scores))
 
         refused = 0

@@ -1,11 +1,20 @@
 """Condition-guided reverse inference: chains, mixing, and the joint
 pipeline, whose dense scores are blend(*joint_chains(...), w_r)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
+from cgsorec.corpus import (
+    InteractionMatrix,
+    SocialMatrix,
+    copurchase,
+    long_tail,
+    partition_items,
+    social_preference,
+)
 from cgsorec.denoiser import _csr_rows, corrupt_rows, predict_x0
 from cgsorec.errors import ConfigError, NumericError, ShapeError
 from cgsorec.evaluation import ROW_BLOCK, blend
@@ -27,7 +36,7 @@ from cgsorec.guidance import (
 )
 from cgsorec.schedule import make_schedule, model_mean, q_sample
 
-from conftest import rand_binary_csr, untrained_checkpoint
+from conftest import rand_binary_csr, untrained_checkpoint, whole_scores
 
 
 class TestGuidanceConfig:
@@ -49,9 +58,16 @@ class TestGuidanceConfig:
             GuidanceConfig(**kwargs)
 
 
+def rows_of(m):
+    """A condition as _chain_rows reads it: each block's rows of the dense
+    or sparse matrix `m`, as CSR (None stays None)."""
+    return None if m is None else lambda span: sp.csr_matrix(m[span])
+
+
 def whole_pair(params, sched, rows, cond, mix, cfg, seed, stage, w=0.0):
-    """Chains A and B of _chain_rows' blocks, whole (B None when w = 0)."""
-    blocks = list(_chain_rows(params, sched, rows, cond, mix, cfg, seed, stage, w))
+    """Chains A and B of _chain_rows' blocks under the condition matrix
+    `cond`, whole (B None when w = 0)."""
+    blocks = list(_chain_rows(params, sched, rows, rows_of(cond), mix, cfg, seed, stage, w))
     a = np.vstack([a for _, a, _ in blocks])
     return a, np.vstack([b for _, _, b in blocks]) if w > 0 else None
 
@@ -126,7 +142,7 @@ class TestItemSpaceReference:
         rows = rng.random((CHUNK + 40, 7))
         rows[CHUNK + 3, 2] = np.nan
         with pytest.raises(NumericError, match="item chain .* user 515"):
-            unconditional_scores(ckpt.params, ckpt.sched, rows, stage=STAGE_ITEM)
+            whole_scores(ckpt.params, ckpt.sched, rows, stage=STAGE_ITEM)
 
     def test_pair_interleaves_by_block(self, rng):
         # a pair's chain B runs on each block before chain A moves to the
@@ -144,17 +160,18 @@ class TestItemSpaceReference:
             whole_pair(ckpt.params, ckpt.sched, rows, cond, 0.0, cfg, 1, STAGE_ITEM)
 
     def test_reduced_blocks_stack_to_the_whole_scores(self, rng):
-        # with reduce, unconditional_scores hands over each block as it is
-        # made, with no chain B, and returns what reduce returned
+        # unconditional_scores hands reduce each block as it is made, with
+        # no chain B, and returns what reduce returned; the blocks stack to
+        # an unguided chain A
         ckpt = untrained_checkpoint(7, T=3, seed=8)
         rows = rand_binary_csr(rng, CHUNK + 40, 7, 0.3)
         blocks = unconditional_scores(
-            ckpt.params, ckpt.sched, rows, seed=4, reduce=lambda span, a, b: (span, a, b)
+            ckpt.params, ckpt.sched, rows, None, 4, STAGE_ITEM, lambda span, a, b: (span, a, b)
         )
         spans = [(span.start, span.stop) for span, _, _ in blocks]
         assert spans == [(0, CHUNK), (CHUNK, CHUNK + 40)]
         assert all(b is None for _, _, b in blocks)
-        whole = unconditional_scores(ckpt.params, ckpt.sched, rows, seed=4)
+        whole = chain_a(ckpt.params, ckpt.sched, rows, None, 0.0, GuidanceConfig(), 4, STAGE_ITEM)
         assert np.vstack([a for _, a, _ in blocks]).tobytes() == whole.tobytes()
 
 
@@ -215,9 +232,7 @@ class TestGuidedMean:
     def test_mix_zero_is_unconditional(self, rng):
         rows = rng.standard_normal((5, 6))
         cond = rng.standard_normal((5, 6))
-        base = unconditional_scores(
-            self.ckpt.params, self.sched, rows, T_inf=3, seed=3, stage=STAGE_ITEM
-        )
+        base = whole_scores(self.ckpt.params, self.sched, rows, T_inf=3, seed=3, stage=STAGE_ITEM)
         assert np.array_equal(self.chain(rows, cond, 0.0, 3), base)
         assert np.array_equal(self.chain(rows, None, 0.7, 3), base)
 
@@ -300,14 +315,14 @@ class TestSingleRowBlends:
             STAGE_SOCIAL, cfg.w_s,
         )
         s_bar = blend(*pair, cfg.w_s)
-        got = social_phase(self.ckpt, S, S_prime, cfg, seed=9)
+        got = social_phase(self.ckpt, S, rows_of(S_prime.matrix), cfg, seed=9)
         assert_same_csr(got.matrix, binarize_social(S, s_bar, cfg.social_keep).matrix)
         return s_bar
 
     def test_all_zero_reduces_to_unconditional(self, rng):
         S, S_prime = self.graphs(rng)
         got = self.scores(S, S_prime, GuidanceConfig())
-        expected = unconditional_scores(
+        expected = whole_scores(
             self.ckpt.params, self.ckpt.sched, S.matrix, seed=9, stage=STAGE_SOCIAL
         )
         assert np.array_equal(got, expected)
@@ -332,7 +347,7 @@ class TestSingleRowBlends:
         R = InteractionMatrix(rand_binary_csr(rng, 6, 7, 0.3))
         R_prime = InteractionMatrix(R.matrix * 2.0)
         cfg = GuidanceConfig(w_r=0.5, gamma=0.3)
-        out_a, out_b = item_phase(ckpt, R, R_prime, cfg, seed=4)
+        out_a, out_b = item_phase(ckpt, R, rows_of(R_prime.matrix), cfg, seed=4)
         want_a = reference_rows(ckpt, R.matrix, R_prime.matrix, 0.3, cfg, 4, STAGE_ITEM)
         want_b = reference_rows(ckpt, R_prime.matrix, None, 0.0, cfg, 4, STAGE_ITEM_COND)
         np.testing.assert_allclose(out_a, want_a, rtol=1e-10)
@@ -341,19 +356,15 @@ class TestSingleRowBlends:
     def test_recommend_wr_zero_skips_chain_b(self, rng):
         ckpt = untrained_checkpoint(7, T=3, seed=5)
         R = InteractionMatrix(rand_binary_csr(rng, 6, 7, 0.3))
-        out_a, out_b = item_phase(ckpt, R, R, GuidanceConfig(), seed=4)
+        out_a, out_b = item_phase(ckpt, R, rows_of(R.matrix), GuidanceConfig(), seed=4)
         assert out_b is None
-        expected = unconditional_scores(
-            ckpt.params, ckpt.sched, R.matrix, seed=4, stage=STAGE_ITEM
-        )
+        expected = whole_scores(ckpt.params, ckpt.sched, R.matrix, seed=4, stage=STAGE_ITEM)
         assert np.array_equal(out_a, expected)
 
     def test_shape_mismatch(self, rng):
         # rows narrower than the model are rejected, not silently projected
         with pytest.raises(ShapeError):
-            unconditional_scores(
-                self.ckpt.params, self.ckpt.sched, rng.standard_normal((3, 4))
-            )
+            whole_scores(self.ckpt.params, self.ckpt.sched, rng.standard_normal((3, 4)))
 
 
 class TestStreamedSocialGraph:
@@ -380,13 +391,13 @@ class TestStreamedSocialGraph:
         R = InteractionMatrix(rand_binary_csr(rng, n, 20, 0.2))
         ckpt = untrained_checkpoint(n, T=3, seed=7, tag="CSD")
         cfg = GuidanceConfig(lam=1.0, social_keep=keep, **knobs)
-        S_prime = build_social_condition(S, R, partition_items(R, 0.2), cfg.delta)
+        cond = partial(build_social_condition, S, long_tail(R, partition_items(R, 0.2)), cfg.delta)
         pair = whole_pair(
-            ckpt.params, ckpt.sched, S.matrix, S_prime.matrix, cfg.eta, cfg, 3,
+            ckpt.params, ckpt.sched, S.matrix, cond(slice(None)), cfg.eta, cfg, 3,
             STAGE_SOCIAL, cfg.w_s,
         )
         want = binarize_social(S, blend(*pair, cfg.w_s), keep)
-        assert_same_csr(social_phase(ckpt, S, S_prime, cfg, seed=3).matrix, want.matrix)
+        assert_same_csr(social_phase(ckpt, S, cond, cfg, seed=3).matrix, want.matrix)
 
 
 def loop_binarize(S, s_bar, keep):
@@ -491,21 +502,46 @@ class TestConditionBuilders:
     def test_social_condition_delta_zero_is_input(self, rng):
         S = SocialMatrix(rand_binary_csr(rng, 8, 8, 0.2))
         R = InteractionMatrix(rand_binary_csr(rng, 8, 10, 0.3))
-        hot = partition_items(R, 0.2)
-        assert build_social_condition(S, R, hot, 0.0) is S
+        R_l = long_tail(R, partition_items(R, 0.2))
+        assert_same_csr(build_social_condition(S, R_l, 0.0, slice(2, 5)), S.matrix[2:5])
 
     def test_item_condition_lam_zero_is_input(self, rng):
         S = SocialMatrix(rand_binary_csr(rng, 8, 8, 0.2))
         R = InteractionMatrix(rand_binary_csr(rng, 8, 10, 0.3))
-        assert build_item_condition(S, R, 0.0) is R
+        assert_same_csr(build_item_condition(S, R, 0.0, slice(2, 5)), R.matrix[2:5])
 
     def test_item_condition_inverts_neighbor_counts(self):
         S_bar = SocialMatrix(sp.csr_matrix(np.array([[0.0, 1], [1, 0]])))
         R = InteractionMatrix(sp.csr_matrix(np.array([[0.0, 1], [1, 1]])))
-        out = build_item_condition(S_bar, R, 2.0)
+        out = build_item_condition(S_bar, R, 2.0, slice(0, 1))
         # user 0's neighbor (user 1) interacted with items 0 and 1:
         # r_s = [1, 1] -> f = [1, 1] -> row 0 = 2*[1,1] + [0,1] = [2,3]
-        np.testing.assert_array_equal(out.matrix.toarray()[0], [2.0, 3.0])
+        np.testing.assert_array_equal(out.toarray(), [[2.0, 3.0]])
+
+    def test_chunk_rows_equal_the_whole_products(self, rng):
+        # the rows a chunk builds, a partial last chunk included, stack to
+        # the whole sparse products bit for bit, stored entries and their
+        # order included
+        n = CHUNK + 40
+        S = rand_binary_csr(rng, n, n, 0.02)
+        S = SocialMatrix(S.maximum(S.T).tocsr())
+        R = InteractionMatrix(rand_binary_csr(rng, n, 60, 0.1))
+        R_l = long_tail(R, partition_items(R, 0.2))
+        cpl = (R_l.matrix @ R_l.matrix.T).tocsr()
+        cpl.eliminate_zeros()
+        counts = (S.matrix @ R.matrix).tocsr()
+        counts.eliminate_zeros()
+        counts.data = 1.0 / counts.data
+        spans = [slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
+        for build, whole in (
+            (partial(build_social_condition, S, R_l, 0.5), 0.5 * cpl + S.matrix),
+            (partial(build_item_condition, S, R, 2.0), 2.0 * counts + R.matrix),
+            (partial(copurchase, R_l), cpl),
+            (partial(social_preference, S, R), (S.matrix @ R.matrix).tocsr()),
+        ):
+            whole = whole.tocsr()
+            whole.eliminate_zeros()
+            assert_same_csr(sp.vstack([build(span) for span in spans], format="csr"), whole)
 
 
 class TestJointInference:
@@ -524,9 +560,8 @@ class TestJointInference:
         ckpt_social, ckpt_item, S, R, hot = self.build_fixture(rng)
         cfg = GuidanceConfig(T_inf=3)
         out = blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed=42), cfg.w_r)
-        base = unconditional_scores(
-            ckpt_item.params, ckpt_item.sched, R.matrix,
-            T_inf=3, seed=42, stage=STAGE_ITEM,
+        base = whole_scores(
+            ckpt_item.params, ckpt_item.sched, R.matrix, T_inf=3, seed=42, stage=STAGE_ITEM
         )
         assert np.array_equal(out, base)
 

@@ -3,6 +3,7 @@ manifest's two read paths, and the streamed ranking's lists and memory."""
 
 import json
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cgsorec.corpus import (
     SocialMatrix,
     SplitBundle,
     build_debiased_test,
+    long_tail,
     partition_items,
     split,
 )
@@ -194,16 +196,15 @@ def traced_peak(run) -> int:
 
 
 class TestPeakMemory:
-    """Inference and training validation hold no dense score matrix:
-    from 200 to 800 users on `planted`, with CHUNK at 32 rows, the traced
-    peak grows by less than one dense matrix of the chains' width, where
-    whole chains (the item pair, the two social chains and their blend,
-    or the validation chain) add one each.
+    """Inference and training validation hold no dense score matrix and
+    no whole condition graph: from 200 to 800 users on `planted`, with
+    CHUNK at 32 rows, the traced peak grows by less than one dense matrix
+    of the chains' width, where whole chains (the item pair, the two
+    social chains and their blend, or the validation chain) add one each.
 
-    The condition graphs are still built whole: S' is built here before
-    the measurement starts, and R' is R itself at lambda = 0.  On
-    `planted` R' is about 45% dense, and building it grows the peak by
-    more than one dense matrix."""
+    Both condition graphs are built a chunk at a time, inside the chain
+    loop.  On `planted` R' is about 45% dense, so building it whole grew
+    the guided lists' peak by more than one dense matrix."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -224,10 +225,24 @@ class TestPeakMemory:
         for n in (200, 800):
             S, bundle = planted_bundle(n)
             hot = partition_items(bundle.train, 0.05)
-            S_prime = build_social_condition(S, bundle.train, hot, cfg.delta)
+            cond = partial(build_social_condition, S, long_tail(bundle.train, hot), cfg.delta)
             ckpt = untrained_checkpoint(n, T=3, seed=2, tag="CSD")
-            peaks[n] = traced_peak(lambda: social_phase(ckpt, S, S_prime, cfg, 0))
+            peaks[n] = traced_peak(lambda: social_phase(ckpt, S, cond, cfg, 0))
         assert peaks[800] - peaks[200] < 800 * 800 * 8, peaks
+
+    def test_guided_lists(self):
+        # every guidance value of the README's example is > 0, so both
+        # condition graphs and both pairs of chains are built
+        cfg = config_from_dict({"guidance": TestStreamedLists.GUIDED})
+        peaks = {}
+        for n in (200, 800):
+            S, bundle = planted_bundle(n)
+            ckpt_social = untrained_checkpoint(n, T=3, seed=2, tag="CSD")
+            ckpt_item = untrained_checkpoint(bundle.train.n_items, T=3, seed=1)
+            peaks[n] = traced_peak(
+                lambda: joint_lists(cfg, ckpt_social, ckpt_item, S, bundle, 10)
+            )
+        assert peaks[800] - peaks[200] < 800 * bundle.train.n_items * 8, peaks
 
     def test_training_validation(self):
         model = {"T": 3, "hidden_dims": [16], "epochs": 1, "batch_size": 64, "valid_every": 1}

@@ -112,12 +112,14 @@ def test_training_sites_record_calls(tmp_path):
         assert tracer.stats[label]["calls"] >= 1, label
 
 
-def test_guided_infer_records_the_chain_work(tmp_path):
+def test_guided_infer_records_the_chain_work(tmp_path, monkeypatch):
     # the phases run their chains inside their own spans, one block at a
     # time, so their row counts and self time still measure the chains;
-    # the social blocks are re-binarized and the item blocks ranked as
-    # they are made
+    # each block's condition rows are built, the social blocks
+    # re-binarized and the item blocks ranked as they are made
+    monkeypatch.setattr(guidance, "CHUNK", 64)
     ds = planted(seed=0)
+    assert -(-ds.n_users // 64) == 4  # the last block partial
     write_dataset(ds, tmp_path / "r.tsv", tmp_path / "s.tsv")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -149,7 +151,10 @@ def test_guided_infer_records_the_chain_work(tmp_path):
     stats = tracer.stats
     assert stats["guidance.social_phase"]["rows"] == 2 * ds.n_users
     assert stats["guidance.item_phase"]["rows"] == 2 * ds.n_users
-    assert stats["guidance.binarize_social"]["calls"] >= 1
+    assert stats["guidance.binarize_social"]["calls"] == 4
+    for label in ("guidance.build_social_condition", "guidance.build_item_condition",
+                  "corpus.copurchase", "corpus.social_preference"):
+        assert stats[label]["calls"] == 4, label
     assert stats["evaluation.topk_lists"]["users"] == ds.n_users
     assert depths and min(depths) >= 1
 
