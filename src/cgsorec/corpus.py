@@ -1,9 +1,11 @@
 """Dataset ingestion, splitting, the hot-item mask, and the two sparse
 products the condition graphs are built from (guidance), row by row.
 
-Everything here is sparse (scipy CSR, float64) and pure: loaders build
-matrices and the split is a per-user seeded partition.  No function
-mutates its inputs.
+Everything here is sparse (scipy CSR, float64, canonical: sorted ids, no
+duplicates) and pure: loaders build matrices and the split is a per-user
+seeded partition.  No function mutates its inputs.  This module owns the
+row layout: canonical_rows reads any rows in it, binary_rows builds 0/1
+rows from sorted ids, and pruned finishes every sparse product.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, DimensionError, ParseError
+from .errors import ConfigError, DataError, DimensionError, ParseError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,11 @@ class InteractionMatrix:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
+
+    @cached_property
+    def transposed(self) -> sp.csr_matrix:
+        """matrix.T as CSR, built once: copurchase reads it every chunk."""
+        return self.matrix.T.tocsr()
 
 
 @dataclass(frozen=True)
@@ -67,14 +75,48 @@ class SplitBundle:
     debiased_test: InteractionMatrix | None = None
 
 
-def _binary_csr(users, items, shape) -> sp.csr_matrix:
-    """CSR with value 1 at each distinct (user, item); duplicates collapse."""
-    data = np.ones(len(users), dtype=np.float64)
-    m = sp.coo_matrix((data, (users, items)), shape=shape).tocsr()
-    m.sum_duplicates()
-    m.data[:] = 1.0
+def canonical_rows(x) -> sp.csr_matrix:
+    """`x` (an InteractionMatrix or SocialMatrix, a sparse matrix or a 2-D
+    array) as float64 CSR in canonical form, duplicates summed; only what
+    is not already so is copied."""
+    if isinstance(x, (InteractionMatrix, SocialMatrix)):
+        x = x.matrix
+    if not sp.issparse(x) and np.ndim(x) != 2:
+        raise ShapeError(f"rows must be 2-D, got shape {np.shape(x)}")
+    x = sp.csr_matrix(x, dtype=np.float64)
+    if not x.has_canonical_format:
+        x = x.copy()
+        x.sum_duplicates()
+    return x
+
+
+def binary_rows(ids, counts, width: int) -> sp.csr_matrix:
+    """0/1 CSR whose row r holds the next counts[r] of `ids`, each row's
+    ids distinct and ascending."""
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    return sp.csr_matrix((np.ones(len(ids)), ids, indptr), shape=(len(counts), width))
+
+
+def pruned(product) -> sp.csr_matrix:
+    """A freshly computed sparse `product` as CSR, its explicit zeros
+    dropped in place."""
+    m = product.tocsr()
     m.eliminate_zeros()
     return m
+
+
+def _binary_csr(users, items, shape) -> sp.csr_matrix:
+    """CSR with value 1 at each distinct (user, item); duplicates collapse."""
+    m = sp.coo_matrix((np.ones(len(users)), (users, items)), shape=shape).tocsr()
+    m.data[:] = 1.0
+    return m
+
+
+def social_graph(src, dst, n_users: int) -> SocialMatrix:
+    """The symmetric 0/1 graph of the directed edges src -> dst (no
+    self-loop); raw_edges counts the distinct directed edges."""
+    raw = _binary_csr(src, dst, (n_users, n_users))
+    return SocialMatrix(raw.maximum(raw.T).tocsr(), raw_edges=raw.nnz)
 
 
 # The grammar of every input file: one record a line, fields split by
@@ -161,8 +203,7 @@ def load_social(path, n_users: int | None = None) -> SocialMatrix:
     if not edges.shape[1] and n_users is None:
         raise DataError(f"{path}: no edges and no declared dimension")
     n_users = _dimension(path, n_users, int(np.max(edges, initial=-1)), "user")
-    raw = _binary_csr(edges[0], edges[1], (n_users, n_users))
-    return SocialMatrix(raw.maximum(raw.T).tocsr(), raw_edges=raw.nnz)
+    return social_graph(*edges, n_users)
 
 
 def split(R: InteractionMatrix, ratios, seed: int) -> SplitBundle:
@@ -272,22 +313,16 @@ def partition_items(train: InteractionMatrix, hot_fraction: float) -> np.ndarray
 
 def long_tail(R: InteractionMatrix, hot: np.ndarray) -> InteractionMatrix:
     """R with its `hot` columns zeroed, their entries dropped."""
-    m = (R.matrix @ sp.diags((~hot).astype(np.float64))).tocsr()
-    m.eliminate_zeros()
-    return InteractionMatrix(m)
+    return InteractionMatrix(pruned(R.matrix @ sp.diags((~hot).astype(np.float64))))
 
 
 def copurchase(R_l: InteractionMatrix, rows: slice) -> sp.csr_matrix:
     """Rows `rows` of the co-interaction counts R_l @ R_l.T, diagonal kept."""
-    m = (R_l.matrix[rows] @ R_l.matrix.T).tocsr()
-    m.eliminate_zeros()
-    return m
+    return pruned(R_l.matrix[rows] @ R_l.transposed)
 
 
 def social_preference(S: SocialMatrix, R: InteractionMatrix, rows: slice) -> sp.csr_matrix:
     """Rows `rows` of the neighbor counts: (S @ R)_ij = neighbors of i on j."""
     if S.n_users != R.n_users:
         raise ConfigError(f"dims differ: {S.n_users} vs {R.n_users}")
-    m = (S.matrix[rows] @ R.matrix).tocsr()
-    m.eliminate_zeros()
-    return m
+    return pruned(S.matrix[rows] @ R.matrix)

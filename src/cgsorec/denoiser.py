@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .corpus import canonical_rows
 from .errors import ConfigError, NumericError, ShapeError, StepError
 from .schedule import NoiseSchedule, loss_weights
 from .schedule import q_sample  # noqa: F401  (bench/spans.py wraps it here)
@@ -148,29 +149,15 @@ def last_hidden(params: DenoiserParams, z: np.ndarray, t: int) -> np.ndarray:
     return h
 
 
-def _csr_rows(x0) -> sp.csr_matrix:
-    """x0 as a float64 CSR matrix in canonical form (sorted indices, no
-    duplicates), copying only what is not already so."""
-    if not sp.issparse(x0):
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.ndim != 2:
-            raise ShapeError(f"rows must be 2-D, got shape {x0.shape}")
-        return sp.csr_matrix(x0)
-    x0 = sp.csr_matrix(x0, dtype=np.float64)
-    if not x0.has_canonical_format:
-        x0 = x0.copy()
-        x0.sum_duplicates()
-    return x0
-
-
 def corrupt_rows(x0: sp.csr_matrix, ab, eps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """q_sample(x0, t, eps) written into `out`, which may be eps itself.
 
-    x0 is canonical CSR (_csr_rows) and ab is alpha_bar at each row's
-    step: a scalar, or a (B, 1) column.  out becomes sqrt(1 - ab) * eps,
-    and sqrt(ab) * x0 is added at x0's stored entries only.  Every
-    product and sum is the IEEE operation of the dense formula, since an
-    entry where x0 = 0 contributes +0 there, so the two agree bitwise.
+    x0 is canonical CSR (corpus.canonical_rows) and ab is alpha_bar at
+    each row's step: a scalar, or a (B, 1) column.  out becomes
+    sqrt(1 - ab) * eps, and sqrt(ab) * x0 is added at x0's stored entries
+    only.  Every product and sum is the IEEE operation of the dense
+    formula, since an entry where x0 = 0 contributes +0 there, so the two
+    agree bitwise.
     """
     np.multiply(np.sqrt(1.0 - ab), eps, out=out)
     rows = np.repeat(np.arange(x0.shape[0]), np.diff(x0.indptr))
@@ -200,7 +187,7 @@ def loss_and_grad(
     entry where x0 = 0 contributes +0, so the loss and gradients equal
     theirs bitwise.  No argument is written to.
     """
-    x0 = _csr_rows(x0)
+    x0 = canonical_rows(x0)
     t = np.asarray(t)
     eps = np.asarray(eps, dtype=np.float64)
     B, n = x0.shape

@@ -5,7 +5,8 @@ looked up once against the test rows.  Recall@k (global hit ratio, or
 per-user mean) and NDCG@k (per-user DCG/IDCG, log-2 discounts) are
 column k of row-wise cumsums; a hot or tail group masks the hits and
 each user's relevant count, and users with none are left out.  The
-popularity histogram is one bincount.
+popularity histogram is one bincount.  Test, train and mask rows are
+read as corpus.canonical_rows, so an entry stored twice counts once.
 
 Every ranking goes through top_k_rows: the top-K lists evaluated here and
 at each validation epoch, the re-binarized social graph
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import InteractionMatrix
+from .corpus import canonical_rows
 from .errors import ConfigError, DataError
 
 
@@ -49,22 +50,13 @@ class RankedLists:
     scores: np.ndarray
 
 
-def _as_csr(matrix) -> sp.csr_matrix:
-    if isinstance(matrix, InteractionMatrix):
-        return matrix.matrix
-    return matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(matrix)
-
-
 ROW_BLOCK = 256
 
 
 def _checked_mask(mask, shape, k: int) -> sp.csr_matrix:
-    """`mask` as canonical CSR (duplicates summed); a ConfigError when k
+    """`mask` (none when None) as canonical rows; a ConfigError when k
     exceeds a row's unmasked count."""
-    mask = _as_csr(mask) if mask is not None else sp.csr_matrix(shape)
-    if not mask.has_canonical_format:
-        mask = mask.copy()
-        mask.sum_duplicates()
+    mask = canonical_rows(sp.csr_matrix(shape) if mask is None else mask)
     free = shape[1] - np.diff(mask.indptr)
     if (free < k).any():
         raise ConfigError(f"K={k} exceeds {free[free < k][0]} unmasked items")
@@ -242,7 +234,7 @@ def _ranking_metrics(lists: RankedLists, test, ks, in_groups=(None,)) -> list:
     raise DataError and a group's are None.  IDCG comes from a table by
     min(relevant, k); k None or beyond the list length is the whole list.
     """
-    test = _as_csr(test)
+    test = canonical_rows(test)
     (n_rows, n), ptr = test.shape, test.indptr
     users, ids = lists.users, lists.items
     rows = np.repeat(np.arange(n_rows), np.diff(ptr))
@@ -312,7 +304,7 @@ def frequency_histogram(lists: RankedLists, train, hot: np.ndarray, n_buckets: i
     """
     if not len(lists.users):
         raise DataError("no ranked lists to histogram")
-    train = _as_csr(train)
+    train = canonical_rows(train)
     n_items = train.shape[1]
     counts = np.bincount(lists.items.ravel(), minlength=n_items)
     popularity = np.asarray(train.sum(axis=0)).ravel()

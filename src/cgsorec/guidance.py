@@ -41,8 +41,9 @@ from itertools import starmap
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import InteractionMatrix, SocialMatrix, copurchase, long_tail, social_preference
-from .denoiser import DenoiserParams, _csr_rows, corrupt_rows, last_hidden
+from .corpus import InteractionMatrix, SocialMatrix, binary_rows, canonical_rows, copurchase
+from .corpus import long_tail, pruned, social_preference
+from .denoiser import DenoiserParams, corrupt_rows, last_hidden
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluation import blend, top_k_rows
@@ -148,7 +149,7 @@ def _chain_rows(
 
     def chain(block, span, zc, stage):
         eps = _user_eps(seed, stage, np.arange(span.start, span.stop), width)
-        z = corrupt_rows(_csr_rows(block), ab, eps, out=eps) @ w0x
+        z = corrupt_rows(canonical_rows(block), ab, eps, out=eps) @ w0x
         del eps  # the noise buffer goes before the output block is made
         for t in range(T_inf, 1, -1):
             z_mix = z if zc is None else (1.0 - mix) * z + mix * zc
@@ -229,10 +230,7 @@ def binarize_social(
     # Ids past a row's own keep become n, so they sort behind the kept ones.
     kept = np.arange(ids.shape[1]) < keep_u[:, None]
     neigh = np.sort(np.where(kept, ids, n), axis=1)[kept]
-    indptr = np.concatenate(([0], np.cumsum(keep_u)))
-    return SocialMatrix(
-        sp.csr_matrix((np.ones(len(neigh)), neigh, indptr), shape=(rows, n))
-    )
+    return SocialMatrix(binary_rows(neigh, keep_u, n))
 
 
 def social_phase(
@@ -275,9 +273,7 @@ def build_social_condition(
     co-interactions over long-tail items (corpus.long_tail)."""
     if delta == 0.0:
         return S.matrix[rows]
-    m = (delta * copurchase(R_l, rows) + S.matrix[rows]).tocsr()
-    m.eliminate_zeros()
-    return m
+    return pruned(delta * copurchase(R_l, rows) + S.matrix[rows])
 
 
 def build_item_condition(
@@ -290,9 +286,7 @@ def build_item_condition(
         return R.matrix[rows]
     inv = social_preference(S_bar, R, rows)
     inv.data = 1.0 / inv.data
-    m = (lam * inv + R.matrix[rows]).tocsr()
-    m.eliminate_zeros()
-    return m
+    return pruned(lam * inv + R.matrix[rows])
 
 
 def joint_chains(

@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ from .corpus import (
     InteractionMatrix,
     SocialMatrix,
     SplitBundle,
+    binary_rows,
     build_debiased_test,
     load_interactions,
     load_social,
@@ -80,13 +82,7 @@ def make_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
         debiased = build_debiased_test(
             bundle.test, cap=cfg["split.debiased_cap"], seed=cfg.seed_for("debiased-test")
         )
-    return SplitBundle(
-        train=bundle.train,
-        valid=bundle.valid,
-        test=bundle.test,
-        seed=bundle.seed,
-        debiased_test=debiased,
-    )
+    return replace(bundle, debiased_test=debiased)
 
 
 def _pairs(m: InteractionMatrix) -> list[list[int]]:
@@ -113,8 +109,7 @@ def _from_pairs(name: str, pairs, shape) -> tuple[InteractionMatrix, np.ndarray]
     keys = users * n_items + items
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError(f"{name}: pairs are repeated or out of (user, item) order")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=n_users))))
-    m = sp.csr_matrix((np.ones(len(items)), items, indptr), shape=shape)
+    m = binary_rows(items, np.bincount(users, minlength=n_users), n_items)
     return InteractionMatrix(m), keys
 
 
@@ -148,13 +143,20 @@ def write_manifest(cfg: ExperimentConfig, bundle: SplitBundle) -> str:
     return path
 
 
-def load_manifest(path) -> SplitBundle:
-    """The split bundle a write_manifest file holds; its shape and seed are
-    read by their JSON type, never converted."""
+def load_manifest(path, shape) -> SplitBundle:
+    """The split bundle a write_manifest file holds, for data of `shape`
+    (n_users, n_items); a manifest of another shape is refused before any
+    split is built.  Its shape and seed are read by their JSON type, never
+    converted."""
     try:
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
-        shape = (_json(d["n_users"], "n_users", int), _json(d["n_items"], "n_items", int))
+        built = (_json(d["n_users"], "n_users", int), _json(d["n_items"], "n_items", int))
+        if built != tuple(shape):
+            raise IntegrityError(
+                f"split manifest {path!r} was built for {built[0]}x{built[1]}, "
+                f"data is {shape[0]}x{shape[1]}"
+            )
         names = ("train", "valid", "test", "debiased_test")
         parts = {name: _from_pairs(name, d[name], shape) for name in names}
         keys = np.sort(np.concatenate([parts[name][1] for name in names[:3]]))
@@ -162,13 +164,8 @@ def load_manifest(path) -> SplitBundle:
         if len(shared):
             user, item = divmod(int(shared[0]), shape[1])
             raise ValueError(f"pair [{user}, {item}] is in more than one of train, valid and test")
-        return SplitBundle(
-            train=parts["train"][0],
-            valid=parts["valid"][0],
-            test=parts["test"][0],
-            seed=_json(d["seed"], "seed", int),
-            debiased_test=parts["debiased_test"][0],
-        )
+        seed = _json(d["seed"], "seed", int)
+        return SplitBundle(**{name: part for name, (part, _) in parts.items()}, seed=seed)
     except (OSError, json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise IntegrityError(f"bad split manifest {path!r}: {err}") from err
 
@@ -177,14 +174,7 @@ def ensure_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
     """Reuse the persisted manifest when present, else split afresh."""
     path = os.path.join(cfg["output_dir"], MANIFEST_NAME)
     if os.path.exists(path):
-        bundle = load_manifest(path)
-        if (bundle.train.n_users, bundle.train.n_items) != (R.n_users, R.n_items):
-            raise IntegrityError(
-                f"manifest {path!r} was built for "
-                f"{bundle.train.n_users}x{bundle.train.n_items}, data is "
-                f"{R.n_users}x{R.n_items}"
-            )
-        return bundle
+        return load_manifest(path, (R.n_users, R.n_items))
     return make_bundle(cfg, R)
 
 
@@ -213,14 +203,9 @@ def social_holdout(
     held = np.concatenate(held) if held else np.empty(0, dtype=m.indices.dtype)
     keys = np.repeat(np.arange(n), deg) * n + m.indices
     kept = m.indices[~np.isin(keys, np.repeat(np.arange(n), n_held) * n + held)]
-
-    def rows_to_csr(idx, sizes):
-        indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-        return sp.csr_matrix((np.ones(len(idx)), idx, indptr), shape=(n, n))
-
-    train = rows_to_csr(kept, deg - n_held)
+    train = binary_rows(kept, deg - n_held, n)
     mask = (train + sp.identity(n, format="csr")).tocsr()
-    return train, rows_to_csr(held, n_held), mask
+    return train, binary_rows(held, n_held, n), mask
 
 
 def train_item_model(

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .corpus import InteractionMatrix, SocialMatrix
+from .corpus import InteractionMatrix, SocialMatrix, _binary_csr, social_graph
 from .errors import ConfigError
 
 # community_dataset's fixed knobs: each user's share of picks outside its
@@ -50,15 +49,9 @@ class SyntheticDataset:
     communities: np.ndarray
 
     def to_matrices(self) -> tuple[InteractionMatrix, SocialMatrix]:
-        u, i = self.interactions[:, 0], self.interactions[:, 1]
-        R = sp.coo_matrix(
-            (np.ones(len(u)), (u, i)), shape=(self.n_users, self.n_items)
-        ).tocsr()
-        a, b = self.social_edges[:, 0], self.social_edges[:, 1]
-        S = sp.coo_matrix(
-            (np.ones(len(a)), (a, b)), shape=(self.n_users, self.n_users)
-        ).tocsr()
-        return InteractionMatrix(R), SocialMatrix(S.maximum(S.T).tocsr(), raw_edges=S.nnz)
+        u, i = self.interactions.T
+        R = InteractionMatrix(_binary_csr(u, i, (self.n_users, self.n_items)))
+        return R, social_graph(*self.social_edges.T, self.n_users)
 
 
 def _user_counts(

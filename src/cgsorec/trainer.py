@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import scipy.sparse as sp
 
+from .corpus import canonical_rows
 from .denoiser import DenoiserParams, ParamGrads, init_params, loss_and_grad, param_shapes
 from .errors import ConfigError, IntegrityError, NumericError
 from .schedule import NoiseSchedule, make_schedule
@@ -166,10 +167,11 @@ def _train_epoch(
     return total / max(n_batches, 1)
 
 
-def _mismatch(resume: Checkpoint, kind: str, layer_dims, time_embed_dim: int, sched) -> list[str]:
-    """`field checkpoint-value != run-value` for each model field that differs."""
+def _mismatch(resume, kind: str, layer_dims, time_embed_dim, sched, cfg) -> list[str]:
+    """`field checkpoint-value != run-value` for each field of the model,
+    and of the training config but epochs, that differs."""
     p, s = resume.params, resume.sched
-    model = [
+    checked = [
         ("model_tag", p.model_tag, kind),
         ("layer_dims", list(p.layer_dims), list(layer_dims)),
         ("time_embed_dim", p.time_embed_dim, time_embed_dim),
@@ -177,7 +179,9 @@ def _mismatch(resume: Checkpoint, kind: str, layer_dims, time_embed_dim: int, sc
         ("schedule.beta_start", float(s.beta[0]), float(sched.beta[0])),
         ("schedule.beta_end", float(s.beta[-1]), float(sched.beta[-1])),
     ]
-    return [f"{name} {ours!r} != {theirs!r}" for name, ours, theirs in model if ours != theirs]
+    checked += [(f"config.{f.name}", getattr(resume.config, f.name), getattr(cfg, f.name))
+                for f in fields(TrainConfig) if f.name != "epochs"]
+    return [f"{name} {ours!r} != {theirs!r}" for name, ours, theirs in checked if ours != theirs]
 
 
 def train_model(
@@ -207,21 +211,21 @@ def train_model(
     `resume.epoch + 1`, with its valid_metric as the one to beat unless
     NaN) replays the batches an unbroken run would have seen.  Optimizer
     moments restart at zero.  A checkpoint of another model (tag, widths
-    or schedule) is a ConfigError naming each field that differs.
+    or schedule) or training config (any field but epochs) is a
+    ConfigError naming each field that differs.
     """
-    rows = sp.csr_matrix(data, dtype=np.float64, copy=True)
-    rows.sum_duplicates()
+    rows = canonical_rows(data)
     width = rows.shape[1]
     layer_dims = (width, *hidden_dims, width)
     if resume is None:
         params = init_params(layer_dims, time_embed_dim, seed=cfg.seed, model_tag=kind)
         start_epoch, best_metric = 1, -np.inf
     else:
-        mismatch = _mismatch(resume, kind, layer_dims, time_embed_dim, sched)
+        mismatch = _mismatch(resume, kind, layer_dims, time_embed_dim, sched, cfg)
         if mismatch:
             raise ConfigError(
-                "the checkpoint to resume holds another model (checkpoint != config): "
-                + "; ".join(mismatch)
+                "the checkpoint to resume holds another model or training config "
+                "(checkpoint != config): " + "; ".join(mismatch)
             )
         params = resume.params.copy()
         start_epoch = resume.epoch + 1
@@ -333,15 +337,15 @@ def load_checkpoint(path) -> Checkpoint:
     field that is missing, of the wrong type or invalid (a format other
     than CHECKPOINT_FORMAT, or a schedule or training config the program
     would refuse) raises IntegrityError naming it; a tensor holding a
-    non-finite value raises NumericError naming it.  The loaded
-    checkpoint's history is empty.
+    non-finite value raises NumericError naming it.  Every refusal names
+    the file.  The loaded checkpoint's history is empty.
     """
     manifest_path = os.path.join(path, "manifest.json")
     blob_path = os.path.join(path, "params.bin")
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # a byte that is not UTF-8 is a ValueError
         raise IntegrityError(f"unreadable manifest {manifest_path}: {err}") from err
     try:
         if _json(manifest["format"], "format", int) != CHECKPOINT_FORMAT:
@@ -360,11 +364,11 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"epoch {epoch} is negative")
         valid_metric = _json(manifest["valid_metric"], "valid_metric", float, nan=True)
     except (KeyError, OverflowError, TypeError, ValueError) as err:
-        raise IntegrityError(f"manifest missing/invalid field: {err}") from err
+        raise IntegrityError(f"manifest missing/invalid field in {manifest_path}: {err}") from err
 
     if len(layer_dims) < 3 or shapes != param_shapes(layer_dims, time_embed_dim):
         raise IntegrityError(
-            f"tensor_shapes {shapes} inconsistent with layer_dims {layer_dims}"
+            f"{manifest_path}: tensor_shapes {shapes} inconsistent with layer_dims {layer_dims}"
         )
     ends = np.cumsum([np.prod(s) for s in shapes])
     total = int(ends[-1])
@@ -373,9 +377,7 @@ def load_checkpoint(path) -> Checkpoint:
     except OSError as err:
         raise IntegrityError(f"unreadable params blob {blob_path}: {err}") from err
     if raw.size != total:
-        raise IntegrityError(
-            f"params.bin holds {raw.size} doubles, manifest expects {total}"
-        )
+        raise IntegrityError(f"{blob_path} holds {raw.size} doubles, manifest expects {total}")
     tensors = [a.reshape(s).astype(np.float64) for a, s in zip(np.split(raw, ends[:-1]), shapes)]
     bad = [i for i, t in enumerate(tensors) if not np.isfinite(t).all()]
     if bad:  # weights are shared, so one bad value reaches every user's output

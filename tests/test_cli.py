@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -312,6 +313,39 @@ class TestTrain:
         assert "resuming from epoch 1" in out and "best_epoch" not in out
         assert "layer_dims [300, 8, 300] != [300, 16, 300]" in err
         assert "time_embed_dim 4 != 6" in err and "schedule.T 5 != 10" in err
+        assert {f: (ckpt / f).read_bytes() for f in before} == before
+
+    @pytest.mark.parametrize(
+        "setting, shown",
+        [
+            ("cgd.learning_rate=0.5", r"config\.learning_rate 0\.0005 != 0\.5$"),
+            ("seed=7", r"config\.seed [0-9]+ != [0-9]+$"),
+            ("cgd.batch_size=32", r"config\.batch_size 64 != 32$"),
+        ],
+    )
+    def test_resume_under_another_training_config_exits_2(self, tmp_path, capsys, setting, shown):
+        # only cgd.epochs may change on resume: the saved checkpoint's
+        # config must describe the whole run
+        write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "seed": 1,
+            "output_dir": str(tmp_path / "run"),
+            "dataset": {"interactions": str(tmp_path / "r.tsv")},
+            "cgd": {"T": 5, "hidden_dims": [16], "epochs": 2, "batch_size": 64},
+        }))
+        assert main(["prepare", str(cfg_path)]) == 0
+        assert main(["train", str(cfg_path), "--model", "cgd"]) == 0
+        ckpt = tmp_path / "run" / "ckpt-cgd"
+        before = {f: (ckpt / f).read_bytes() for f in ("manifest.json", "params.bin")}
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "train", str(cfg_path), "--model", "cgd", "--resume",
+            "--set", "cgd.epochs=3", "--set", setting,
+        )
+        assert code == 2
+        assert "best_epoch" not in out
+        assert re.search(shown, err.strip()), err
         assert {f: (ckpt / f).read_bytes() for f in before} == before
 
     def test_nan_checkpoint_resume_exits_4(self, tmp_path, capsys):

@@ -8,10 +8,16 @@ lands there.
 
 import copy
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cgsorec
 from cgsorec.cli import main
 from cgsorec.config import SCHEMA
 from cgsorec.synth import planted, write_dataset
@@ -153,3 +159,24 @@ def test_ratios_refused_by_the_split_name_the_key(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert "split.ratios must be 3 non-negatives summing to 1" in err
 
+
+def test_n_items_the_host_cannot_hold_exits_2(tmp_path, inputs):
+    # inside the 10**18 bound, so NumPy tries to allocate the split's
+    # 22.4 GiB column index, which a 2 GiB address space refuses.  Never
+    # run uncapped: the host might grant the allocation and then run out
+    # of memory filling it.
+    (tmp_path / "cfg.json").write_text(json.dumps(inputs[0]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cgsorec.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "cgsorec.cli", "prepare", "cfg.json",
+         "--set", "dataset.n_items=3000000000"],
+        cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: dataset.n_items has a bad value: 3000000000")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -632,6 +632,41 @@ class TestGroupMetrics:
         assert len(notices) == 1
 
 
+class TestCanonicalTestRows:
+    """Every metric reads the test rows in canonical form, so an entry
+    stored twice counts once and the stored order does not matter."""
+
+    def test_entry_stored_twice_counts_once(self):
+        lists = make_lists([[1, 3, 5]])
+        twice = sp.csr_matrix(([1.0, 1.0, 1.0], [2, 1, 2], [0, 3]), shape=(1, 6))
+        # items 1 and 2 are relevant and 1 is listed: 1/2, not 1/3
+        assert recall_at_k(lists, twice, 3) == 0.5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_metric_equals_the_canonical_forms(self, seed):
+        rng = np.random.default_rng(seed)
+        n_users, n_items, K = 40, 30, 8
+        canonical = rand_binary_csr(rng, n_users, n_items, 0.2)
+        # a third of the entries stored twice, each row's ids shuffled
+        coo = canonical.tocoo()
+        twice = rng.random(coo.nnz) < 1 / 3
+        rows = np.concatenate((coo.row, coo.row[twice]))
+        cols = np.concatenate((coo.col, coo.col[twice]))
+        order = np.lexsort((rng.random(len(rows)), rows))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_users))))
+        messy = sp.csr_matrix((np.ones(len(rows)), cols[order], indptr), shape=canonical.shape)
+        assert not messy.has_canonical_format
+        lists = make_lists([rng.permutation(n_items)[:K] for _ in range(n_users)])
+        hot = np.arange(n_items) < 6
+        for k in (1, 5, None):
+            assert recall_at_k(lists, messy, k) == recall_at_k(lists, canonical, k)
+            assert ndcg_at_k(lists, messy, k) == ndcg_at_k(lists, canonical, k)
+        ks = [1, 5, K]
+        assert group_metrics(lists, messy, hot, ks) == group_metrics(lists, canonical, hot, ks)
+        report = evaluate_lists(lists, messy, canonical, hot, ks).to_json()
+        assert report == evaluate_lists(lists, canonical, canonical, hot, ks).to_json()
+
+
 def score(field: bytes) -> float:
     """A field parser for a score as repr(float) writes it; it raises
     ValueError on any other field."""

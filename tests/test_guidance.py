@@ -10,12 +10,13 @@ import scipy.sparse as sp
 from cgsorec.corpus import (
     InteractionMatrix,
     SocialMatrix,
+    canonical_rows,
     copurchase,
     long_tail,
     partition_items,
     social_preference,
 )
-from cgsorec.denoiser import _csr_rows, corrupt_rows, predict_x0
+from cgsorec.denoiser import corrupt_rows, predict_x0
 from cgsorec.errors import ConfigError, NumericError, ShapeError
 from cgsorec.evaluation import ROW_BLOCK, blend
 from cgsorec.guidance import (
@@ -189,12 +190,12 @@ class TestInPlaceCorruption:
             ab = self.sched.alpha_bar[t - 1]
             ab = ab[:, None] if np.ndim(t) else ab
             buf = eps.copy()
-            assert corrupt_rows(_csr_rows(x), ab, buf, out=buf) is buf
+            assert corrupt_rows(canonical_rows(x), ab, buf, out=buf) is buf
             assert buf.tobytes() == want.tobytes()
             # into a strided view, as the training step's embedded input;
             # eps itself is left as it was
             wide = np.zeros((len(dense), dense.shape[1] + 3))
-            corrupt_rows(_csr_rows(x), ab, eps, out=wide[:, : dense.shape[1]])
+            corrupt_rows(canonical_rows(x), ab, eps, out=wide[:, : dense.shape[1]])
             assert wide[:, : dense.shape[1]].tobytes() == want.tobytes()
             assert not wide[:, dense.shape[1] :].any()
 

@@ -96,8 +96,10 @@ class TestManifestLayouts:
     """write_manifest's layout and any other layout of the same JSON load
     as the written bundle, bit for bit."""
 
+    shape = (30, 40)
+
     def write(self, tmp_path, rng, ratios):
-        R = InteractionMatrix(rand_binary_csr(rng, 30, 40, 0.2))
+        R = InteractionMatrix(rand_binary_csr(rng, *self.shape, 0.2))
         b = split(R, ratios, seed=3)
         bundle = SplitBundle(
             train=b.train, valid=b.valid, test=b.test, seed=b.seed,
@@ -111,7 +113,7 @@ class TestManifestLayouts:
         bundle, path = self.write(tmp_path, rng, ratios)
         other = tmp_path / "indented.json"
         other.write_text(json.dumps(json.loads(open(path, "rb").read()), indent=1))
-        for loaded in (load_manifest(path), load_manifest(other)):
+        for loaded in (load_manifest(path, self.shape), load_manifest(other, self.shape)):
             assert loaded.seed == bundle.seed
             for name in ("train", "valid", "test", "debiased_test"):
                 got, want = getattr(loaded, name).matrix, getattr(bundle, name).matrix
@@ -131,7 +133,7 @@ class TestManifestLayouts:
         with open(path, "w") as fh:
             json.dump(d, fh)
         with pytest.raises(IntegrityError, match=f"{field} is not of type int: {value!r}"):
-            load_manifest(path)
+            load_manifest(path, self.shape)
 
     def test_leading_zero_is_not_json(self, tmp_path, rng):
         _, path = self.write(tmp_path, rng, (0.7, 0.15, 0.15))
@@ -139,7 +141,7 @@ class TestManifestLayouts:
         with open(path, "wb") as fh:
             fh.write(text.replace(b'"train": [[', b'"train": [[0', 1))
         with pytest.raises(IntegrityError, match="bad split manifest"):
-            load_manifest(path)
+            load_manifest(path, self.shape)
 
 
 class TestStreamedLists:

@@ -283,7 +283,8 @@ class TestTrainModel:
         assert len(history) <= 30
 
     def test_resume_continues_epoch_counter(self, rng):
-        # learning rate, batch size, epochs and patience may change on resume
+        # epochs may change on resume (every other config field is checked
+        # by test_resume_under_another_training_config_is_refused)
         data = lowrank_rows(rng)
         sched = make_schedule(3, 0.05, 0.2)
         first = train_model(
@@ -293,8 +294,8 @@ class TestTrainModel:
         assert first.epoch == 2
         before = [w.copy() for w in first.params.weights]
         resumed = train_model(
-            "CGD", data, self.make_cfg(epochs=4, learning_rate=1e-2, batch_size=5, patience=1),
-            sched, hidden_dims=(6,), time_embed_dim=4, resume=first,
+            "CGD", data, self.make_cfg(epochs=4), sched,
+            hidden_dims=(6,), time_embed_dim=4, resume=first,
         )
         # the run trains a copy; the checkpoint it resumed stays as it was
         assert all(np.array_equal(w, b) for w, b in zip(first.params.weights, before))
@@ -383,6 +384,30 @@ class TestTrainModel:
                 resume=previous,
             )
         # the one field that differs is named, with both values
+        assert str(err.value).endswith(f"(checkpoint != config): {shown}")
+
+    @pytest.mark.parametrize(
+        "change, shown",
+        [
+            ({"learning_rate": 0.5}, "config.learning_rate 0.005 != 0.5"),
+            ({"seed": 7}, "config.seed 11 != 7"),
+            ({"batch_size": 5}, "config.batch_size 8 != 5"),
+            ({"patience": 1}, "config.patience 3 != 1"),
+            ({"beta2": 0.99}, "config.beta2 0.999 != 0.99"),
+        ],
+    )
+    def test_resume_under_another_training_config_is_refused(self, rng, change, shown):
+        # every training config field but epochs must be the checkpoint's
+        data = lowrank_rows(rng)
+        previous = Checkpoint(
+            init_params((30, 6, 30), 4, seed=0, model_tag="CGD"), make_schedule(3, 0.05, 0.2),
+            self.make_cfg(), epoch=1, valid_metric=float("nan"),
+        )
+        with pytest.raises(ConfigError) as err:
+            train_model(
+                "CGD", data, self.make_cfg(epochs=4, **change), make_schedule(3, 0.05, 0.2),
+                hidden_dims=(6,), time_embed_dim=4, resume=previous,
+            )
         assert str(err.value).endswith(f"(checkpoint != config): {shown}")
 
     def test_resume_names_every_field_that_differs(self, rng):
