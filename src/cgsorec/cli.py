@@ -23,7 +23,7 @@ from .config import ExperimentConfig, apply_set, load_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import RankedLists, frequency_histogram, group_metrics, keys_to_str
 from .guidance import joint_chains
-from .trainer import load_checkpoint, save_checkpoint
+from .trainer import float32_params, load_checkpoint, save_checkpoint
 
 
 def _ckpt_dir(cfg: ExperimentConfig, kind: str, override: str | None) -> str:
@@ -80,6 +80,8 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     resume = None
     if args.resume:
         resume = load_checkpoint(out_dir)
+        # refused before anything runs or is written, naming the blob
+        float32_params(resume.params, os.path.join(out_dir, "params.bin"))
         print(f"resuming from epoch {resume.epoch}")
 
     if kind == "cgd":

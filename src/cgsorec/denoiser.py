@@ -5,12 +5,13 @@ timestep embedding, applies tanh hidden layers and a linear output head,
 and predicts the clean vector directly.  Gradients are exact analytic
 backpropagation; there is no autodiff dependency, which keeps checkpoints
 byte-reproducible and lets the test suite verify every gradient
-coordinate against finite differences.
+coordinate against finite differences.  The training step computes in
+its params' dtype (the trainer's float32); inference runs in float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,14 +59,16 @@ class DenoiserParams:
     def in_dim(self) -> int:
         return self.layer_dims[0]
 
-    def copy(self) -> "DenoiserParams":
-        return DenoiserParams(
-            layer_dims=self.layer_dims,
-            time_embed_dim=self.time_embed_dim,
-            model_tag=self.model_tag,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+    def astype(self, dtype) -> "DenoiserParams":
+        """A copy with every tensor cast to dtype."""
+        return replace(
+            self,
+            weights=[w.astype(dtype) for w in self.weights],
+            biases=[b.astype(dtype) for b in self.biases],
         )
+
+    def copy(self) -> "DenoiserParams":
+        return self.astype(self.weights[0].dtype)
 
 
 @dataclass
@@ -155,14 +158,17 @@ def corrupt_rows(x0: sp.csr_matrix, ab, eps: np.ndarray, out: np.ndarray) -> np.
     x0 is canonical CSR (corpus.canonical_rows) and ab is alpha_bar at
     each row's step: a scalar, or a (B, 1) column.  out becomes
     sqrt(1 - ab) * eps, and sqrt(ab) * x0 is added at x0's stored entries
-    only.  Every product and sum is the IEEE operation of the dense
+    only.  The coefficients (float64, from the schedule) and x0's values
+    are rounded once to out's dtype, so eps and out of one dtype compute
+    in it.  Every product and sum is the IEEE operation of the dense
     formula, since an entry where x0 = 0 contributes +0 there, so the two
     agree bitwise.
     """
-    np.multiply(np.sqrt(1.0 - ab), eps, out=out)
+    dtype = out.dtype
+    np.multiply(np.sqrt(1.0 - ab).astype(dtype), eps, out=out)
     rows = np.repeat(np.arange(x0.shape[0]), np.diff(x0.indptr))
-    scale = np.broadcast_to(np.sqrt(ab), (x0.shape[0], 1))[rows, 0]
-    out[rows, x0.indices] += scale * x0.data
+    scale = np.broadcast_to(np.sqrt(ab).astype(dtype), (x0.shape[0], 1))[rows, 0]
+    out[rows, x0.indices] += scale * x0.data.astype(dtype, copy=False)
     return out
 
 
@@ -185,11 +191,15 @@ def loss_and_grad(
     minus x0 at x0's stored entries.  Every product and sum is the IEEE
     operation of the dense formulas (q_sample, then pred - x0), since an
     entry where x0 = 0 contributes +0, so the loss and gradients equal
-    theirs bitwise.  No argument is written to.
+    theirs bitwise.  No argument is written to.  It computes in params'
+    dtype: eps, every batch-sized array and the gradients take it, the
+    schedule's float64 coefficients are rounded to it once, and the loss
+    is reduced in float64.
     """
+    dtype = params.weights[0].dtype
     x0 = canonical_rows(x0)
     t = np.asarray(t)
-    eps = np.asarray(eps, dtype=np.float64)
+    eps = np.asarray(eps, dtype=dtype)
     B, n = x0.shape
     if eps.shape != x0.shape:
         raise ConfigError(f"eps shape {eps.shape} does not match x0 shape {x0.shape}")
@@ -199,30 +209,33 @@ def loss_and_grad(
         raise StepError(f"timestep array outside [1, {sched.T}]")
 
     # Embedded input h = [x_t, emb(t)], built in place.
-    h = np.empty((B, n + params.time_embed_dim))
+    h = np.empty((B, n + params.time_embed_dim), dtype=dtype)
     corrupt_rows(x0, sched.alpha_bar[t - 1][:, None], eps, out=h[:, :n])
     h[:, n:] = timestep_embedding(t, params.time_embed_dim)
 
-    acts = [h]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = acts[-1] @ w
-        z += b
-        np.tanh(z, out=z)
-        acts.append(z)
-    diff = acts[-1] @ params.weights[-1]
-    diff += params.biases[-1]
-    row_of = np.repeat(np.arange(B), np.diff(x0.indptr))
-    diff.reshape(-1)[row_of * n + x0.indices] -= x0.data
+    # A diverged model overflows here, and the loss check below refuses
+    # it, so NumPy's overflow warnings would only repeat that refusal.
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = [h]
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            z = acts[-1] @ w
+            z += b
+            np.tanh(z, out=z)
+            acts.append(z)
+        diff = acts[-1] @ params.weights[-1]
+        diff += params.biases[-1]
+        row_of = np.repeat(np.arange(B), np.diff(x0.indptr))
+        diff.reshape(-1)[row_of * n + x0.indices] -= x0.data.astype(dtype, copy=False)
 
-    w = loss_weights(sched)[t - 1]
-    loss = float(np.mean(w * np.sum(diff * diff, axis=1)))
-    if not np.isfinite(loss):
-        raise NumericError("non-finite training loss")
+        w = loss_weights(sched)[t - 1]
+        loss = float(np.mean(w * np.sum(diff * diff, axis=1, dtype=np.float64)))
+        if not np.isfinite(loss):
+            raise NumericError("non-finite training loss")
 
     # Backprop: linear head, tanh hidden layers; the residual becomes the
     # output gradient and each activation its tanh derivative, in place.
     g = diff
-    g *= ((2.0 / B) * w)[:, None]
+    g *= ((2.0 / B) * w).astype(dtype)[:, None]
     grads_w = [np.empty(0)] * len(params.weights)
     grads_b = [np.empty(0)] * len(params.biases)
     for l in range(len(params.weights) - 1, -1, -1):

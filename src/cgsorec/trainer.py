@@ -4,7 +4,10 @@ The trainer only ever sees raw interaction rows (R for the item model,
 S for the social model) — condition vectors exist solely at inference
 time, so nothing here accepts one.  Runs are bit-reproducible: seeded
 shuffling, seeded timestep/noise draws, and a fixed optimizer make the
-checkpoint a pure function of (data, config, schedule).
+checkpoint a pure function of (data, config, schedule).  Both models
+step in float32; validation and checkpoints see the exact float64
+upcast of the float32 weights, so the `<f8` checkpoint layout and
+float64 inference are unchanged.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .errors import ConfigError, IntegrityError, NumericError
 from .schedule import NoiseSchedule, make_schedule
 
 CHECKPOINT_FORMAT = 1
+
+# The dtype both models step in (train_model).
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,9 @@ def optimizer_step(
     Each tensor is updated in blocks of about ADAM_BLOCK entries through
     one scratch buffer, with the operations of the textbook update in
     the same order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    theta -= lr*(m/corr1) / (sqrt(v/corr2) + eps_hat).  The result is
-    bitwise that of the whole-tensor expressions.
+    theta -= lr*(m/corr1) / (sqrt(v/corr2) + eps_hat).  It computes in
+    the dtype of params, which the moments share, so the result is
+    bitwise that of the whole-tensor expressions in that dtype.
     """
     state.step += 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -113,7 +120,7 @@ def optimizer_step(
     gradients = list(grads.weights) + list(grads.biases)
     # Slices along the first axis per block, and the largest block.
     rows = [max(1, ADAM_BLOCK // max(a[:1].size, 1)) for a in tensors]
-    scratch = np.empty((2, max(r * a[:1].size for r, a in zip(rows, tensors))))
+    scratch = np.empty((2, max(r * a[:1].size for r, a in zip(rows, tensors))), tensors[0].dtype)
     for theta, g, m, v, r in zip(tensors, gradients, state.m, state.v, rows):
         for th, gb, mb, vb in zip(*(_blocks(a, r) for a in (theta, g, m, v))):
             s1, s2 = (s[: gb.size].reshape(gb.shape) for s in scratch)
@@ -154,7 +161,7 @@ def _train_epoch(
     for start in range(0, n_rows, cfg.batch_size):
         idx = perm[start : start + cfg.batch_size]
         t = rng_noise.integers(1, sched.T + 1, size=len(idx))
-        eps = rng_noise.standard_normal((len(idx), width))
+        eps = rng_noise.standard_normal((len(idx), width), dtype=TRAIN_DTYPE)
         try:
             loss, grads = loss_and_grad(params, rows[idx], t, eps, sched)
         except NumericError as err:
@@ -184,6 +191,28 @@ def _mismatch(resume, kind: str, layer_dims, time_embed_dim, sched, cfg) -> list
     return [f"{name} {ours!r} != {theirs!r}" for name, ours, theirs in checked if ours != theirs]
 
 
+def _non_finite(params: DenoiserParams) -> str | None:
+    """The name of params' first tensor holding a non-finite value."""
+    named = [(f"{kind}[{i}]", a) for kind in ("weights", "biases")
+             for i, a in enumerate(getattr(params, kind))]
+    return next((name for name, a in named if not np.isfinite(a).all()), None)
+
+
+def float32_params(params: DenoiserParams, source: str) -> DenoiserParams:
+    """params rounded once to TRAIN_DTYPE.  A value that would round to a
+    non-finite one (|w| above float32's largest, about 3.4e38) is a
+    NumericError naming its tensor and `source`."""
+    with np.errstate(over="ignore"):
+        rounded = params.astype(TRAIN_DTYPE)
+    name = _non_finite(rounded)
+    if name is not None:
+        raise NumericError(
+            f"{name} in {source} holds a value beyond the largest of the float32 "
+            f"training step, {float(np.finfo(TRAIN_DTYPE).max):.3g}"
+        )
+    return rounded
+
+
 def train_model(
     kind: str,
     data,
@@ -206,20 +235,29 @@ def train_model(
     parameters win.  The returned checkpoint's history lists every
     epoch this run trained.
 
+    The model steps in float32 (TRAIN_DTYPE): init_params' draw, or the
+    resumed params, are rounded to it once, and each batch's noise is
+    drawn in it.  Validation and the returned checkpoint get the exact
+    float64 upcast of the float32 weights, so the saved checkpoint is the
+    model validation scored.
+
     Each epoch draws its shuffle and noise from streams keyed by the
     epoch number, so resuming from a checkpoint (its params, from epoch
     `resume.epoch + 1`, with its valid_metric as the one to beat unless
     NaN) replays the batches an unbroken run would have seen.  Optimizer
-    moments restart at zero.  A checkpoint of another model (tag, widths
-    or schedule) or training config (any field but epochs) is a
-    ConfigError naming each field that differs.
+    moments restart at zero.  A resumed run that never beats the
+    checkpoint returns its params unrounded.  A checkpoint of another
+    model (tag, widths or schedule) or training config (any field but
+    epochs) is a ConfigError naming each field that differs; one whose
+    values float32 cannot hold is a NumericError (float32_params).
     """
     rows = canonical_rows(data)
     width = rows.shape[1]
     layer_dims = (width, *hidden_dims, width)
     if resume is None:
         params = init_params(layer_dims, time_embed_dim, seed=cfg.seed, model_tag=kind)
-        start_epoch, best_metric = 1, -np.inf
+        params = params.astype(TRAIN_DTYPE)
+        start_epoch, best_metric, best_params = 1, -np.inf, None
     else:
         mismatch = _mismatch(resume, kind, layer_dims, time_embed_dim, sched, cfg)
         if mismatch:
@@ -227,25 +265,31 @@ def train_model(
                 "the checkpoint to resume holds another model or training config "
                 "(checkpoint != config): " + "; ".join(mismatch)
             )
-        params = resume.params.copy()
+        params = float32_params(resume.params, f"the {kind} checkpoint to resume")
         start_epoch = resume.epoch + 1
         best_metric = -np.inf if np.isnan(resume.valid_metric) else resume.valid_metric
+        best_params = resume.params.copy()
     state = AdamState.zeros_like(params)
 
-    best_params = params.copy()
     best_epoch = start_epoch - 1
     stale = 0
     history = []
 
     for epoch in range(start_epoch, cfg.epochs + 1):
         epoch_loss = _train_epoch(kind, epoch, params, state, rows, cfg, sched)
+        # the next batch's loss checks every other step; the epoch's last
+        # step could otherwise ship an overflowed weight
+        name = _non_finite(params)
+        if name is not None:
+            raise NumericError(f"{kind} epoch {epoch}: non-finite {name} after the last step")
 
         metric = None
         if validate is not None and epoch % cfg.valid_every == 0:
-            metric = validate(params)
+            shipped = params.astype(np.float64)
+            metric = validate(shipped)
             if metric > best_metric:
                 best_metric = metric
-                best_params = params.copy()
+                best_params = shipped
                 best_epoch = epoch
                 stale = 0
             else:
@@ -259,7 +303,7 @@ def train_model(
 
     if validate is None or not np.isfinite(best_metric):
         # No validation signal ever arrived; ship the final parameters.
-        best_params, best_metric, best_epoch = params, float("nan"), cfg.epochs
+        best_params, best_metric, best_epoch = params.astype(np.float64), float("nan"), cfg.epochs
     return Checkpoint(
         params=best_params,
         sched=sched,

@@ -32,8 +32,9 @@ def stdout_table(out):
     return rows
 
 
-def nan_planted_checkpoint(tmp_path):
-    """Config path of a 1-epoch `planted` run whose CGD params.bin[0] is NaN."""
+def nan_planted_checkpoint(tmp_path, value=np.nan, at=0):
+    """Config path of a 1-epoch `planted` run whose CGD params.bin[at] is
+    `value`, NaN unless given."""
     write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
     cfg = {
         "seed": 1,
@@ -53,7 +54,7 @@ def nan_planted_checkpoint(tmp_path):
     assert main(["train", str(cfg_path), "--model", "cgd"]) == 0
     blob = tmp_path / "run" / "ckpt-cgd" / "params.bin"
     params = np.fromfile(blob, dtype="<f8")
-    params[0] = np.nan
+    params[at] = value
     params.tofile(blob)
     return cfg_path
 
@@ -354,6 +355,21 @@ class TestTrain:
         code, _, err = run(capsys, "train", str(cfg_path), "--model", "cgd", "--resume")
         assert code == 4
         assert "weights[0]" in err
+
+    @pytest.mark.parametrize("at, tensor", [(0, "weights[0]"), (-1, "biases[1]")])
+    def test_resume_of_a_value_float32_cannot_hold_exits_4(self, tmp_path, capsys, at, tensor):
+        # 1e300 is finite, so the checkpoint loads, but training steps in
+        # float32, where it is inf: the resume is refused before any epoch
+        # runs, naming the tensor and the blob, and nothing is written
+        cfg_path = nan_planted_checkpoint(tmp_path, value=1e300, at=at)
+        run_dir = tmp_path / "run"
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        code, out, err = run(capsys, "train", str(cfg_path), "--model", "cgd", "--resume")
+        assert code == 4
+        assert f"{tensor} in {run_dir / 'ckpt-cgd' / 'params.bin'} holds a value beyond" in err
+        assert "epoch" not in out + err
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
 class TestInfer:

@@ -16,6 +16,8 @@ from cgsorec.denoiser import (
 from cgsorec.errors import ConfigError, NumericError, ShapeError
 from cgsorec.schedule import loss_weights, make_schedule, q_sample
 
+from test_pipeline import traced_peak
+
 
 def dense_loss_and_grad(params, x0, t, eps, sched):
     """The dense formulas the training step is held to bitwise: q_sample on
@@ -312,3 +314,42 @@ class TestStepBitwise:
         x0 = sp.csr_matrix((rng.random((1, 9)) < 0.4).astype(np.float64))
         for t in range(1, self.SCHED.T + 1):
             self.check(params, x0, np.array([t]), rng.standard_normal((1, 9)))
+
+
+class TestFloat32Step:
+    """float32 params (the trainer's) step in float32: every gradient is
+    float32, the values are the float64 step's to float32 rounding, and
+    no float64 array of the batch's size is made."""
+
+    SCHED = make_schedule(5, 0.05, 0.3)
+
+    def batch(self, n, hidden, B, density):
+        rng = np.random.default_rng(23)
+        params = init_params((n, *hidden, n), 3, seed=4).astype(np.float32)
+        x0 = sp.csr_matrix((rng.random((B, n)) < density).astype(np.float64))
+        t = rng.integers(1, self.SCHED.T + 1, size=B)
+        eps = rng.standard_normal((B, n), dtype=np.float32)
+        return params, x0, t, eps
+
+    @pytest.mark.parametrize("hidden", [(6,), (5, 4)])
+    def test_matches_the_float64_step_to_float32_rounding(self, hidden):
+        params, x0, t, eps = self.batch(40, hidden, 16, 0.3)
+        loss, grads = loss_and_grad(params, x0, t, eps, self.SCHED)
+        # the same inputs, exactly: the float64 upcasts
+        ref_loss, ref = loss_and_grad(
+            params.astype(np.float64), x0, t, eps.astype(np.float64), self.SCHED
+        )
+        assert all(g.dtype == np.float32 for g in grads.weights + grads.biases)
+        tol = 64 * np.finfo(np.float32).eps
+        assert abs(loss - ref_loss) <= tol * ref_loss
+        for got, want in zip(grads.weights + grads.biases, ref.weights + ref.biases):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_holds_half_the_float64_steps_bytes(self):
+        params, x0, t, eps = self.batch(2000, (16,), 100, 0.02)
+        wide = params.astype(np.float64), eps.astype(np.float64)
+        peaks = {}
+        for name, (p, e) in (("f32", (params, eps)), ("f64", wide)):
+            peaks[name] = traced_peak(lambda: loss_and_grad(p, x0, t, e, self.SCHED))
+        assert peaks["f32"] <= 0.55 * peaks["f64"], peaks

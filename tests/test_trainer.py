@@ -8,11 +8,11 @@ import pytest
 import scipy.sparse as sp
 
 from cgsorec.corpus import split
-from cgsorec.denoiser import ParamGrads, init_params, predict_x0
+from cgsorec.denoiser import ParamGrads, init_params, predict_x0, timestep_embedding
 from cgsorec.errors import ConfigError, IntegrityError, NumericError
 from cgsorec.evaluation import recall_at_k, topk_lists
 from cgsorec.guidance import STAGE_VALID
-from cgsorec.schedule import make_schedule
+from cgsorec.schedule import loss_weights, make_schedule
 from cgsorec.synth import planted
 from cgsorec import pipeline, trainer
 from cgsorec.trainer import (
@@ -28,7 +28,6 @@ from cgsorec.trainer import (
 )
 
 from conftest import whole_scores
-from test_denoiser import dense_loss_and_grad
 
 
 def zero_grads(params) -> ParamGrads:
@@ -60,14 +59,43 @@ def textbook_adam(params, grads, m, v, step, cfg) -> None:
         )
 
 
+def dense_loss_and_grad_f32(params, x0, t, eps, sched):
+    """test_denoiser.dense_loss_and_grad restated on float32 params: each
+    whole-array expression in float32, with the schedule's coefficients
+    and x0 rounded to float32 once, and the squared errors summed and the
+    loss reduced in float64.  Returns (loss, weight and bias gradients)."""
+    f32 = np.float32
+    ab = sched.alpha_bar[t - 1][:, None]
+    x0 = x0.astype(f32)
+    x_t = np.sqrt(ab).astype(f32) * x0 + np.sqrt(1.0 - ab).astype(f32) * eps
+    h = np.concatenate([x_t, timestep_embedding(t, params.time_embed_dim).astype(f32)], axis=1)
+    acts = [h]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.tanh(h @ w + b)
+        acts.append(h)
+    diff = h @ params.weights[-1] + params.biases[-1] - x0
+    w = loss_weights(sched)[t - 1]
+    loss = float(np.mean(w * np.sum(diff * diff, axis=1, dtype=np.float64)))
+    g = ((2.0 / x0.shape[0]) * w).astype(f32)[:, None] * diff
+    n_layers = len(params.weights)
+    grads_w, grads_b = [None] * n_layers, [None] * n_layers
+    for l in range(n_layers - 1, -1, -1):
+        grads_w[l] = acts[l].T @ g
+        grads_b[l] = g.sum(axis=0)
+        if l > 0:
+            g = (g @ params.weights[l].T) * (1.0 - acts[l] * acts[l])
+    return loss, grads_w, grads_b
+
+
 def reference_train(data, cfg, sched, hidden, time_embed_dim, valid_target, valid_mask):
-    """train_model restated on dense batches, with the dense step and
-    textbook Adam; returns (best params, per-epoch losses)."""
+    """train_model restated on dense batches, with the dense float32 step
+    and textbook Adam in float32, validating the float64 upcast; returns
+    (best params, per-epoch losses)."""
     dense = data.toarray()
     n_rows, width = dense.shape
     params = init_params(
         (width, *hidden, width), time_embed_dim, seed=cfg.seed, model_tag="CGD"
-    )
+    ).astype(np.float32)
     tensors = list(params.weights) + list(params.biases)
     m = [np.zeros_like(a) for a in tensors]
     v = [np.zeros_like(a) for a in tensors]
@@ -79,17 +107,18 @@ def reference_train(data, cfg, sched, hidden, time_embed_dim, valid_target, vali
         for start in range(0, n_rows, cfg.batch_size):
             x0 = dense[perm[start : start + cfg.batch_size]]
             t = rng_noise.integers(1, sched.T + 1, size=len(x0))
-            eps = rng_noise.standard_normal(x0.shape)
-            loss, gw, gb = dense_loss_and_grad(params, x0, t, eps, sched)
+            eps = rng_noise.standard_normal(x0.shape, dtype=np.float32)
+            loss, gw, gb = dense_loss_and_grad_f32(params, x0, t, eps, sched)
             step += 1
             textbook_adam(params, ParamGrads(gw, gb), m, v, step, cfg)
             total += loss
             n_batches += 1
         losses.append(total / n_batches)
-        scores = whole_scores(params, sched, data, T_inf=sched.T, seed=cfg.seed, stage=STAGE_VALID)
+        upcast = params.astype(np.float64)
+        scores = whole_scores(upcast, sched, data, T_inf=sched.T, seed=cfg.seed, stage=STAGE_VALID)
         metric = recall_at_k(topk_lists(scores, 10, mask=valid_mask), valid_target)
         if metric > best_metric:
-            best, best_metric = params.copy(), metric
+            best, best_metric = upcast, metric
     return best, losses
 
 
@@ -158,11 +187,20 @@ class TestOptimizerStep:
 
 
 class TestAdamBitwise:
+    """optimizer_step computes in its params' dtype, each bitwise the
+    textbook update in that dtype."""
+
     def test_equals_textbook_adam_over_five_steps(self):
+        self.check(np.float64)
+
+    def test_equals_textbook_adam_over_five_steps_in_float32(self):
+        self.check(np.float32)
+
+    def check(self, dtype):
         # widths chosen so no tensor is a whole number of blocks, one
         # spans many blocks, and one row of the output layer exceeds a block
         width = ADAM_BLOCK + 5
-        params = init_params((width, 3, width), 4, seed=3)
+        params = init_params((width, 3, width), 4, seed=3).astype(dtype)
         tensors = list(params.weights) + list(params.biases)
         assert all(a.size % ADAM_BLOCK for a in tensors)
         assert max(a.size for a in tensors) > 2 * ADAM_BLOCK
@@ -182,6 +220,7 @@ class TestAdamBitwise:
             textbook_adam(ref, grads, m, v, step, cfg)
             assert state.step == step
             for got, want in zip(tensors + state.m + state.v, ref_tensors + m + v):
+                assert got.dtype == dtype
                 assert got.tobytes() == want.tobytes()
             for g, c in zip(list(grads.weights) + list(grads.biases), gcopy):
                 assert g.tobytes() == c.tobytes()
@@ -327,6 +366,58 @@ class TestTrainModel:
         assert [h.epoch for h in ckpt.history] == [2]
         for w_out, w_in in zip(ckpt.params.weights, init.weights):
             assert np.array_equal(w_out, w_in)
+
+    def test_resume_of_a_value_float32_cannot_hold_is_refused(self, rng, monkeypatch):
+        # 1e300 is a finite float64 but inf in float32, the training dtype
+        data = lowrank_rows(rng)
+        init = init_params((30, 6, 30), 4, seed=0, model_tag="CGD")
+        init.biases[1][3] = 1e300
+        previous = Checkpoint(init, make_schedule(3, 0.05, 0.2), self.make_cfg(), 1, float("nan"))
+
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(trainer, "_train_epoch", no_epoch)
+        shown = r"^biases\[1\] in the CGD checkpoint to resume holds a value beyond"
+        with pytest.raises(NumericError, match=shown):
+            train_model(
+                "CGD", data, self.make_cfg(epochs=2), make_schedule(3, 0.05, 0.2),
+                hidden_dims=(6,), time_embed_dim=4, resume=previous,
+            )
+
+    def test_overflow_in_an_epochs_last_step_is_refused(self, rng):
+        # one batch per epoch and no validation: no later loss sees the
+        # step, and float32 weights overflow to inf at this learning rate
+        data = lowrank_rows(rng)
+        cfg = self.make_cfg(epochs=1, batch_size=len(data), learning_rate=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"^CGD epoch 1: non-finite weights\[0\] after"):
+                train_model(
+                    "CGD", data, cfg, make_schedule(3, 0.05, 0.2),
+                    hidden_dims=(6,), time_embed_dim=4,
+                )
+
+    def test_validation_scores_the_saved_checkpoint(self, tmp_path):
+        # training steps in float32, and both validation and the checkpoint
+        # get its exact float64 upcast: the saved valid_metric is the
+        # validator's metric of the weights the checkpoint holds
+        R, _ = planted(seed=0).to_matrices()
+        bundle = split(R, (0.8, 0.1, 0.1), seed=0)
+        cfg = self.make_cfg(epochs=3, batch_size=64)
+        sched = make_schedule(5, 1e-4, 0.02)
+        validate = pipeline.recall_validator(
+            bundle.train.matrix, bundle.valid.matrix, bundle.train.matrix, sched, cfg.seed
+        )
+        ckpt = train_model(
+            "CGD", bundle.train.matrix, cfg, sched, hidden_dims=(16,), time_embed_dim=8,
+            validate=validate,
+        )
+        save_checkpoint(ckpt, tmp_path / "ck")
+        loaded = load_checkpoint(tmp_path / "ck")
+        assert validate(loaded.params) == ckpt.valid_metric
+        for a in loaded.params.weights + loaded.params.biases:
+            assert a.dtype == np.float64
+            assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
 
     def test_resume_from_unvalidated_checkpoint_has_no_baseline(self, rng):
         # a NaN valid_metric (a run without validation) is no metric to
