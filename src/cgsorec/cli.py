@@ -23,7 +23,8 @@ from .config import ExperimentConfig, apply_set, load_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import RankedLists, frequency_histogram, group_metrics, keys_to_str
 from .guidance import joint_chains
-from .trainer import float32_params, load_checkpoint, save_checkpoint
+from .store import load_checkpoint, resolved_cap, save_checkpoint
+from .trainer import float32_params
 
 
 def _ckpt_dir(cfg: ExperimentConfig, kind: str, override: str | None) -> str:
@@ -35,18 +36,18 @@ def _inference_inputs(cfg, args, cfgs):
     each of `cfgs`.  joint_chains reads the social graph and the CSD
     model only when lambda > 0, so unless one of `cfgs` sets it neither
     is loaded and both are None; require_files still demands that both
-    input files exist."""
+    input files exist.  A checkpoint of the other model is refused."""
     social = any(c.guidance().lam > 0 for c in cfgs)
     if social:
         R, S = pipeline.load_dataset(cfg)
     else:
         R, S = pipeline.load_interaction_data(cfg), None
     bundle = pipeline.ensure_bundle(cfg, R)
-    ckpt_item = load_checkpoint(_ckpt_dir(cfg, "cgd", args.ckpt_cgd))
+    ckpt_item = load_checkpoint(_ckpt_dir(cfg, "cgd", args.ckpt_cgd), "CGD")
     csd_dir = _ckpt_dir(cfg, "csd", args.ckpt_csd)
     ckpt_social = None
     if social and os.path.exists(os.path.join(csd_dir, "manifest.json")):
-        ckpt_social = load_checkpoint(csd_dir)
+        ckpt_social = load_checkpoint(csd_dir, "CSD")
     return S, bundle, ckpt_social, ckpt_item
 
 
@@ -63,7 +64,7 @@ def cmd_prepare(cfg: ExperimentConfig, args) -> int:
     print(f"valid\t{bundle.valid.nnz}")
     print(f"test\t{bundle.test.nnz}")
     print(f"debiased_test\t{bundle.debiased_test.nnz}")
-    print(f"debiased_cap\t{pipeline.resolved_cap(bundle)}")
+    print(f"debiased_cap\t{resolved_cap(bundle)}")
     print(f"manifest\t{path}")
     return 0
 

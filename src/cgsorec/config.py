@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .guidance import GuidanceConfig
 from .schedule import NoiseSchedule, make_schedule
-from .trainer import TrainConfig
+from .store import TrainConfig
 
 
 def derive_seed(root: int, name: str) -> int:

@@ -5,7 +5,8 @@ Everything here is sparse (scipy CSR, float64, canonical: sorted ids, no
 duplicates) and pure: loaders build matrices and the split is a per-user
 seeded partition.  No function mutates its inputs.  This module owns the
 row layout: canonical_rows reads any rows in it, binary_rows builds 0/1
-rows from sorted ids, and pruned finishes every sparse product.
+rows from sorted ids and binary_pairs from unordered (row, column)
+pairs, and pruned finishes every sparse product.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def pruned(product) -> sp.csr_matrix:
     return m
 
 
-def _binary_csr(users, items, shape) -> sp.csr_matrix:
+def binary_pairs(users, items, shape) -> sp.csr_matrix:
     """CSR with value 1 at each distinct (user, item); duplicates collapse."""
     m = sp.coo_matrix((np.ones(len(users)), (users, items)), shape=shape).tocsr()
     m.data[:] = 1.0
@@ -115,7 +116,7 @@ def _binary_csr(users, items, shape) -> sp.csr_matrix:
 def social_graph(src, dst, n_users: int) -> SocialMatrix:
     """The symmetric 0/1 graph of the directed edges src -> dst (no
     self-loop); raw_edges counts the distinct directed edges."""
-    raw = _binary_csr(src, dst, (n_users, n_users))
+    raw = binary_pairs(src, dst, (n_users, n_users))
     return SocialMatrix(raw.maximum(raw.T).tocsr(), raw_edges=raw.nnz)
 
 
@@ -193,7 +194,7 @@ def load_interactions(
         raise DataError(f"{path}: no interactions and no declared dimensions")
     max_u, max_i = int(np.max(users, initial=-1)), int(np.max(items, initial=-1))
     shape = (_dimension(path, n_users, max_u, "user"), _dimension(path, n_items, max_i, "item"))
-    return InteractionMatrix(_binary_csr(users, items, shape))
+    return InteractionMatrix(binary_pairs(users, items, shape))
 
 
 def load_social(path, n_users: int | None = None) -> SocialMatrix:
@@ -239,7 +240,7 @@ def split(R: InteractionMatrix, ratios, seed: int) -> SplitBundle:
     is_valid = ~is_test & (pos < (n_test + n_valid)[users])
 
     def part(mask) -> InteractionMatrix:
-        return InteractionMatrix(_binary_csr(users[mask], items[mask], (R.n_users, R.n_items)))
+        return InteractionMatrix(binary_pairs(users[mask], items[mask], (R.n_users, R.n_items)))
 
     return SplitBundle(
         train=part(~(is_test | is_valid)), valid=part(is_valid), test=part(is_test), seed=seed
@@ -286,7 +287,7 @@ def build_debiased_test(
         users.extend(col_users[pick])
         items.extend([item] * cap)
     return InteractionMatrix(
-        _binary_csr(users, items, (test.n_users, test.n_items))
+        binary_pairs(users, items, (test.n_users, test.n_items))
     )
 
 

@@ -49,7 +49,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .evaluation import blend, top_k_rows
 from .schedule import NoiseSchedule, model_mean
 from .schedule import q_sample  # noqa: F401  (bench/spans.py wraps it here)
-from .trainer import Checkpoint
+from .store import Checkpoint
 
 # Independent noise streams per user; values are arbitrary but frozen,
 # since checkpoints and reports produced under them must replay exactly.

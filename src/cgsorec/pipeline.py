@@ -1,16 +1,15 @@
 """End-to-end orchestration shared by the CLI commands and the test rig.
 
-Holds the glue with no math of its own: loading data per config,
-materializing/reloading the split manifest, the social-edge holdout used
-to early-stop the social model, the two training entry points, the one
-block-by-block ranking of infer and validation, and the list-file format,
-whose reader is the one place lists from outside the program are checked.
+Holds the glue with no math of its own: loading data per config, making
+the split or reloading it from the split manifest (whose file `store`
+writes and reads), the social-edge holdout used to early-stop the social
+model, the two training entry points, the one block-by-block ranking of
+infer and validation, and the list-file format, whose reader is the one
+place lists from outside the program are checked.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import os
 from contextlib import contextmanager
 from dataclasses import replace
@@ -35,12 +34,12 @@ from .corpus import (
     split,
     tsv_grammar,
 )
-from .errors import ConfigError, DataError, IntegrityError
+from .errors import ConfigError, DataError
 from .evaluation import RankedLists, evaluate_lists, recall_at_k, topk_lists
 from .guidance import joint_chains
-from .trainer import Checkpoint, _json, train_model
-
-MANIFEST_NAME = "splits.json"
+from .store import MANIFEST_NAME, Checkpoint
+from .store import load_manifest, write_manifest  # noqa: F401  (bench/spans.py wraps them here)
+from .trainer import train_model
 
 
 @contextmanager
@@ -83,91 +82,6 @@ def make_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
             bundle.test, cap=cfg["split.debiased_cap"], seed=cfg.seed_for("debiased-test")
         )
     return replace(bundle, debiased_test=debiased)
-
-
-def _pairs(m: InteractionMatrix) -> list[list[int]]:
-    """(user, item) pairs sorted by user, then item."""
-    coo = m.matrix.sorted_indices().tocoo()
-    return np.column_stack((coo.row, coo.col)).tolist()
-
-
-def _from_pairs(name: str, pairs, shape) -> tuple[InteractionMatrix, np.ndarray]:
-    """One split's matrix, from its [user, item] pairs, and its keys
-    user * n_items + item; a ValueError unless every pair is two JSON
-    integers in range and the keys strictly increase, as write_manifest
-    lists them (so no pair is listed twice)."""
-    if set(map(len, pairs)) - {2}:
-        raise ValueError(f"{name}: every pair must be [user, item]")
-    flat = list(itertools.chain.from_iterable(pairs))
-    if set(map(type, flat)) - {int}:
-        raise ValueError(f"{name}: every id must be an integer")
-    flat = np.array(flat, dtype=np.int64)
-    users, items = flat[0::2], flat[1::2]
-    n_users, n_items = shape
-    if np.any((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items)):
-        raise ValueError(f"{name}: a pair lies outside the {n_users}x{n_items} matrix")
-    keys = users * n_items + items
-    if np.any(keys[1:] <= keys[:-1]):
-        raise ValueError(f"{name}: pairs are repeated or out of (user, item) order")
-    m = binary_rows(items, np.bincount(users, minlength=n_users), n_items)
-    return InteractionMatrix(m), keys
-
-
-def resolved_cap(bundle: SplitBundle) -> int:
-    """The debiased test's largest per-item count: the cap it was built under."""
-    if not bundle.debiased_test.nnz:
-        return 0
-    return int(np.diff(bundle.debiased_test.matrix.tocsc().indptr).max())
-
-
-def manifest_dict(cfg: ExperimentConfig, bundle: SplitBundle) -> dict:
-    return {
-        "seed": bundle.seed,
-        "ratios": list(cfg["split.ratios"]),
-        "n_users": bundle.train.n_users,
-        "n_items": bundle.train.n_items,
-        "debiased_cap": resolved_cap(bundle),
-        "train": _pairs(bundle.train),
-        "valid": _pairs(bundle.valid),
-        "test": _pairs(bundle.test),
-        "debiased_test": _pairs(bundle.debiased_test),
-    }
-
-
-def write_manifest(cfg: ExperimentConfig, bundle: SplitBundle) -> str:
-    os.makedirs(cfg["output_dir"], exist_ok=True)
-    path = os.path.join(cfg["output_dir"], MANIFEST_NAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        # One dumps: json.dump to a file streams through the pure-Python encoder.
-        fh.write(json.dumps(manifest_dict(cfg, bundle), sort_keys=True) + "\n")
-    return path
-
-
-def load_manifest(path, shape) -> SplitBundle:
-    """The split bundle a write_manifest file holds, for data of `shape`
-    (n_users, n_items); a manifest of another shape is refused before any
-    split is built.  Its shape and seed are read by their JSON type, never
-    converted."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        built = (_json(d["n_users"], "n_users", int), _json(d["n_items"], "n_items", int))
-        if built != tuple(shape):
-            raise IntegrityError(
-                f"split manifest {path!r} was built for {built[0]}x{built[1]}, "
-                f"data is {shape[0]}x{shape[1]}"
-            )
-        names = ("train", "valid", "test", "debiased_test")
-        parts = {name: _from_pairs(name, d[name], shape) for name in names}
-        keys = np.sort(np.concatenate([parts[name][1] for name in names[:3]]))
-        shared = keys[1:][keys[1:] == keys[:-1]]
-        if len(shared):
-            user, item = divmod(int(shared[0]), shape[1])
-            raise ValueError(f"pair [{user}, {item}] is in more than one of train, valid and test")
-        seed = _json(d["seed"], "seed", int)
-        return SplitBundle(**{name: part for name, (part, _) in parts.items()}, seed=seed)
-    except (OSError, json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as err:
-        raise IntegrityError(f"bad split manifest {path!r}: {err}") from err
 
 
 def ensure_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:

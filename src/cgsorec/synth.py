@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import InteractionMatrix, SocialMatrix, _binary_csr, social_graph
+from .corpus import InteractionMatrix, SocialMatrix, binary_pairs, social_graph
 from .errors import ConfigError
 
 # community_dataset's fixed knobs: each user's share of picks outside its
@@ -50,7 +50,7 @@ class SyntheticDataset:
 
     def to_matrices(self) -> tuple[InteractionMatrix, SocialMatrix]:
         u, i = self.interactions.T
-        R = InteractionMatrix(_binary_csr(u, i, (self.n_users, self.n_items)))
+        R = InteractionMatrix(binary_pairs(u, i, (self.n_users, self.n_items)))
         return R, social_graph(*self.social_edges.T, self.n_users)
 
 

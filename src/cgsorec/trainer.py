@@ -1,4 +1,4 @@
-"""Unconditional training for both diffusion models, plus checkpoint I/O.
+"""Unconditional training for both diffusion models.
 
 The trainer only ever sees raw interaction rows (R for the item model,
 S for the social model) — condition vectors exist solely at inference
@@ -7,48 +7,26 @@ shuffling, seeded timestep/noise draws, and a fixed optimizer make the
 checkpoint a pure function of (data, config, schedule).  Both models
 step in float32; validation and checkpoints see the exact float64
 upcast of the float32 weights, so the `<f8` checkpoint layout and
-float64 inference are unchanged.
+float64 inference are unchanged.  The records a run takes and returns,
+TrainConfig and Checkpoint, and their files belong to `store`.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import canonical_rows
-from .denoiser import DenoiserParams, ParamGrads, init_params, loss_and_grad, param_shapes
-from .errors import ConfigError, IntegrityError, NumericError
-from .schedule import NoiseSchedule, make_schedule
-
-CHECKPOINT_FORMAT = 1
+from .denoiser import DenoiserParams, ParamGrads, init_params, loss_and_grad
+from .errors import ConfigError, NumericError
+from .schedule import NoiseSchedule
+from .store import Checkpoint, EpochStats, TrainConfig, non_finite
+from .store import load_checkpoint, save_checkpoint  # noqa: F401  (bench/checks.py imports these)
 
 # The dtype both models step in (train_model).
 TRAIN_DTYPE = np.float32
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float
-    epochs: int
-    seed: int
-    batch_size: int = 400
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_hat: float = 1e-8
-    patience: int = 20
-    valid_every: int = 1
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("epochs", "batch_size", "patience", "valid_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -67,27 +45,6 @@ class AdamState:
             m=[np.zeros_like(a) for a in tensors],
             v=[np.zeros_like(a) for a in tensors],
         )
-
-
-@dataclass
-class EpochStats:
-    epoch: int
-    loss: float
-    valid_metric: float | None
-
-
-@dataclass
-class Checkpoint:
-    """A trained denoiser: what `infer` reads and what `train_model`
-    resumes from.  `history` lists every epoch of the run that returned
-    it; it is not saved, so a loaded checkpoint's history is empty."""
-
-    params: DenoiserParams
-    sched: NoiseSchedule
-    config: TrainConfig
-    epoch: int
-    valid_metric: float
-    history: list[EpochStats] = field(default_factory=list)
 
 
 # Entries per block of an in-place Adam update: a block of theta, g, m, v
@@ -191,20 +148,13 @@ def _mismatch(resume, kind: str, layer_dims, time_embed_dim, sched, cfg) -> list
     return [f"{name} {ours!r} != {theirs!r}" for name, ours, theirs in checked if ours != theirs]
 
 
-def _non_finite(params: DenoiserParams) -> str | None:
-    """The name of params' first tensor holding a non-finite value."""
-    named = [(f"{kind}[{i}]", a) for kind in ("weights", "biases")
-             for i, a in enumerate(getattr(params, kind))]
-    return next((name for name, a in named if not np.isfinite(a).all()), None)
-
-
 def float32_params(params: DenoiserParams, source: str) -> DenoiserParams:
     """params rounded once to TRAIN_DTYPE.  A value that would round to a
     non-finite one (|w| above float32's largest, about 3.4e38) is a
     NumericError naming its tensor and `source`."""
     with np.errstate(over="ignore"):
         rounded = params.astype(TRAIN_DTYPE)
-    name = _non_finite(rounded)
+    name = non_finite(rounded)
     if name is not None:
         raise NumericError(
             f"{name} in {source} holds a value beyond the largest of the float32 "
@@ -279,7 +229,7 @@ def train_model(
         epoch_loss = _train_epoch(kind, epoch, params, state, rows, cfg, sched)
         # the next batch's loss checks every other step; the epoch's last
         # step could otherwise ship an overflowed weight
-        name = _non_finite(params)
+        name = non_finite(params)
         if name is not None:
             raise NumericError(f"{kind} epoch {epoch}: non-finite {name} after the last step")
 
@@ -311,133 +261,4 @@ def train_model(
         epoch=best_epoch,
         valid_metric=float(best_metric),
         history=history,
-    )
-
-
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write manifest.json + params.bin (little-endian f64) into `path`."""
-    os.makedirs(path, exist_ok=True)
-    # declaration order: W0, b0, W1, b1, ...
-    tensors = [a for pair in zip(ckpt.params.weights, ckpt.params.biases) for a in pair]
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "model_tag": ckpt.params.model_tag,
-        "layer_dims": list(ckpt.params.layer_dims),
-        "time_embed_dim": ckpt.params.time_embed_dim,
-        "tensor_shapes": [list(a.shape) for a in tensors],
-        "schedule": {
-            "T": ckpt.sched.T,
-            "beta_start": float(ckpt.sched.beta[0]),
-            "beta_end": float(ckpt.sched.beta[-1]),
-        },
-        "config": asdict(ckpt.config),
-        "epoch": ckpt.epoch,
-        "valid_metric": ckpt.valid_metric,
-    }
-    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(path, "params.bin"), "wb") as fh:
-        for a in tensors:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def _json(value, name: str, kind, nan: bool = False):
-    """`value` if its JSON type is `kind`, else a TypeError naming the
-    field `name`.  int is an integer, never a bool, a fraction or a
-    string; float is a finite number (NaN too when `nan`), read as a
-    float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise TypeError(f"{name} is not of type {kind.__name__}: {value!r}")
-    if kind is float:
-        value = float(value)
-        if not (math.isfinite(value) or (nan and math.isnan(value))):
-            raise TypeError(f"{name} is not finite: {value!r}")
-    return value
-
-
-def _ints(value, name: str) -> tuple[int, ...]:
-    return tuple(_json(v, f"{name}[{i}]", int) for i, v in enumerate(_json(value, name, list)))
-
-
-def _table(manifest: dict, name: str, kinds: dict, build):
-    """build(**manifest[name]), that object holding exactly the fields of
-    `kinds` (field -> JSON type), each read by its type; every refusal,
-    build's included, names its field as name.field."""
-    table = _json(manifest[name], name, dict)
-    for fault, keys in ("unknown", table.keys() - kinds), ("missing", kinds.keys() - table):
-        if keys:
-            raise TypeError(f"{name} has {fault} fields {sorted(f'{name}.{k}' for k in keys)}")
-    try:
-        return build(**{k: _json(v, f"{name}.{k}", kinds[k]) for k, v in table.items()})
-    except ConfigError as err:  # build's refusals lead with the field
-        raise ValueError(f"{name}.{err}") from err
-
-
-def load_checkpoint(path) -> Checkpoint:
-    """Rebuild a checkpoint; forward outputs are bitwise equal post-load.
-
-    Each manifest field is read by its JSON type and never converted.  A
-    field that is missing, of the wrong type or invalid (a format other
-    than CHECKPOINT_FORMAT, or a schedule or training config the program
-    would refuse) raises IntegrityError naming it; a tensor holding a
-    non-finite value raises NumericError naming it.  Every refusal names
-    the file.  The loaded checkpoint's history is empty.
-    """
-    manifest_path = os.path.join(path, "manifest.json")
-    blob_path = os.path.join(path, "params.bin")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as err:  # a byte that is not UTF-8 is a ValueError
-        raise IntegrityError(f"unreadable manifest {manifest_path}: {err}") from err
-    try:
-        if _json(manifest["format"], "format", int) != CHECKPOINT_FORMAT:
-            raise ValueError(f"format {manifest['format']} is not {CHECKPOINT_FORMAT}")
-        layer_dims = _ints(manifest["layer_dims"], "layer_dims")
-        time_embed_dim = _json(manifest["time_embed_dim"], "time_embed_dim", int)
-        shapes = _json(manifest["tensor_shapes"], "tensor_shapes", list)
-        shapes = [_ints(s, f"tensor_shapes[{i}]") for i, s in enumerate(shapes)]
-        tag = _json(manifest["model_tag"], "model_tag", str)
-        kinds = {"T": int, "beta_start": float, "beta_end": float}
-        sched = _table(manifest, "schedule", kinds, make_schedule)
-        kinds = {f.name: {"int": int, "float": float}[f.type] for f in fields(TrainConfig)}
-        cfg = _table(manifest, "config", kinds, TrainConfig)
-        epoch = _json(manifest["epoch"], "epoch", int)
-        if epoch < 0:  # the epoch streams are seeded by it
-            raise ValueError(f"epoch {epoch} is negative")
-        valid_metric = _json(manifest["valid_metric"], "valid_metric", float, nan=True)
-    except (KeyError, OverflowError, TypeError, ValueError) as err:
-        raise IntegrityError(f"manifest missing/invalid field in {manifest_path}: {err}") from err
-
-    if len(layer_dims) < 3 or shapes != param_shapes(layer_dims, time_embed_dim):
-        raise IntegrityError(
-            f"{manifest_path}: tensor_shapes {shapes} inconsistent with layer_dims {layer_dims}"
-        )
-    ends = np.cumsum([np.prod(s) for s in shapes])
-    total = int(ends[-1])
-    try:
-        raw = np.fromfile(blob_path, dtype="<f8")
-    except OSError as err:
-        raise IntegrityError(f"unreadable params blob {blob_path}: {err}") from err
-    if raw.size != total:
-        raise IntegrityError(f"{blob_path} holds {raw.size} doubles, manifest expects {total}")
-    tensors = [a.reshape(s).astype(np.float64) for a, s in zip(np.split(raw, ends[:-1]), shapes)]
-    bad = [i for i, t in enumerate(tensors) if not np.isfinite(t).all()]
-    if bad:  # weights are shared, so one bad value reaches every user's output
-        name = f"{('weights', 'biases')[bad[0] % 2]}[{bad[0] // 2}]"
-        chain = {"CGD": "item", "CSD": "social"}.get(tag, tag)
-        raise NumericError(
-            f"non-finite {name} in {tag} checkpoint {blob_path}: every "
-            f"{chain} chain output would be non-finite, first at user 0"
-        )
-    params = DenoiserParams(
-        layer_dims=layer_dims,
-        time_embed_dim=time_embed_dim,
-        model_tag=tag,
-        weights=tensors[0::2],
-        biases=tensors[1::2],
-    )
-    return Checkpoint(
-        params=params, sched=sched, config=cfg, epoch=epoch, valid_metric=valid_metric
     )

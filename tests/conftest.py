@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from cgsorec.denoiser import init_params
 from cgsorec.guidance import STAGE_ITEM, unconditional_scores
 from cgsorec.schedule import make_schedule
-from cgsorec.trainer import Checkpoint, TrainConfig
+from cgsorec.store import Checkpoint, TrainConfig
 
 ACCEPTANCE_LINES: list[str] = []
 

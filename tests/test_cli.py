@@ -13,7 +13,7 @@ from cgsorec.cli import main
 from cgsorec.config import load_config
 from cgsorec.corpus import partition_items
 from cgsorec.synth import community_dataset, planted, write_dataset
-from cgsorec.trainer import save_checkpoint
+from cgsorec.store import save_checkpoint
 
 from conftest import untrained_checkpoint
 
@@ -805,6 +805,79 @@ class TestManifestChecks:
         code, _, err = self.eval_with(capsys, prepared, indent, edit)
         assert code == 3
         assert "train: every id must be an integer" in err
+
+    def test_debiased_pair_that_is_not_a_test_pair_exits_3(self, prepared, capsys, indent):
+        # such a pair once loaded, and eval counted it in recall's denominator
+        def edit(d):
+            d["debiased_test"] = sorted(d["debiased_test"] + [d["train"][0]])
+        code, _, err = self.eval_with(capsys, prepared, indent, edit)
+        user, item = json.loads(prepared[1].read_text())["train"][0]
+        assert code == 3
+        assert f"debiased_test pair [{user}, {item}] is not a test pair" in err
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ([0.8, 0.2], "ratios must be 3 numbers, got [0.8, 0.2]"),
+            ([0.8, "0.1", 0.1], "ratios[1] is not of type float: '0.1'"),
+            ([0.8, 0.1, True], "ratios[2] is not of type float: True"),
+            ("0.8,0.1,0.1", "ratios is not of type list: '0.8,0.1,0.1'"),
+        ],
+    )
+    def test_ratios_other_than_three_numbers_exit_3(self, prepared, capsys, indent, value, shown):
+        def edit(d):
+            d["ratios"] = value
+        code, _, err = self.eval_with(capsys, prepared, indent, edit)
+        assert code == 3
+        assert shown in err
+
+    @pytest.mark.parametrize("change", [1, -1, 0.0, "0"], ids=["above", "below", "float", "str"])
+    def test_debiased_cap_other_than_the_debiased_tests_exits_3(self, prepared, capsys, indent,
+                                                                change):
+        cap = json.loads(prepared[1].read_text())["debiased_cap"]
+
+        def edit(d):
+            d["debiased_cap"] = cap + change if isinstance(change, int) else change
+        code, _, err = self.eval_with(capsys, prepared, indent, edit)
+        assert code == 3
+        if isinstance(change, int):
+            assert f"debiased_cap {cap + change} != debiased_test's largest item count {cap}" in err
+        else:
+            assert f"debiased_cap is not of type int: {change!r}" in err
+
+
+@pytest.mark.parametrize("command", ["infer", "sweep"])
+def test_checkpoint_in_the_other_models_slot_exits_3(tmp_path, capsys, command):
+    # on a square dataset either model fits either slot: a swap once ran
+    # and wrote lists from the wrong model
+    n = 120
+    write_dataset(planted(seed=0, n_users=n, n_items=n), tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 1, "output_dir": str(tmp_path / "run"), "guidance": {"lambda": 1.0},
+        "dataset": {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")},
+    }))
+    item, social = str(tmp_path / "ck-item"), str(tmp_path / "ck-social")
+    save_checkpoint(untrained_checkpoint(n, T=3, seed=21), item)
+    save_checkpoint(untrained_checkpoint(n, T=3, seed=22, tag="CSD"), social)
+    assert main(["prepare", str(cfg)]) == 0
+
+    def argv(cgd, csd, out):
+        tail = {"infer": ["--out", str(out)],
+                "sweep": ["--param", "guidance.w_r", "--values", "0,0.5", "--out-dir", str(out)]}
+        return [command, str(cfg), "--ckpt-cgd", cgd, "--ckpt-csd", csd, *tail[command]]
+
+    assert run(capsys, *argv(item, social, tmp_path / "out"))[0] == 0
+    for cgd, csd, refused, held, slot in [
+        (social, item, social, "CSD", "CGD"),  # both swapped: the item slot is read first
+        (social, social, social, "CSD", "CGD"),
+        (item, item, item, "CGD", "CSD"),
+    ]:
+        code, _, err = run(capsys, *argv(cgd, csd, tmp_path / "refused"))
+        assert code == 3
+        shown = os.path.join(refused, "manifest.json")
+        assert f"{shown}: model_tag '{held}' where '{slot}' belongs" in err
+        assert not (tmp_path / "refused").exists()
 
 
 def test_commands_that_never_read_the_social_file_skip_it(ws, capsys, monkeypatch, tmp_path):

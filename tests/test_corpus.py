@@ -160,7 +160,7 @@ def reference_interactions(path, n_users=None, n_items=None):
         n_items = max_i + 1
     elif max_i >= n_items:
         raise DimensionError(f"{path}: item id {max_i} exceeds declared n_items={n_items}")
-    return InteractionMatrix(corpus._binary_csr(users, items, (n_users, n_items)))
+    return InteractionMatrix(corpus.binary_pairs(users, items, (n_users, n_items)))
 
 
 def reference_social(path, n_users=None):
@@ -173,7 +173,7 @@ def reference_social(path, n_users=None):
         n_users = max_u + 1
     elif max_u >= n_users:
         raise DimensionError(f"{path}: user id {max_u} exceeds declared n_users={n_users}")
-    raw = corpus._binary_csr(src, dst, (n_users, n_users))
+    raw = corpus.binary_pairs(src, dst, (n_users, n_users))
     return SocialMatrix(raw.maximum(raw.T).tocsr(), raw_edges=raw.nnz)
 
 
@@ -359,7 +359,7 @@ def reference_split(R, ratios, seed):
             parts[name][0].extend([u] * len(piece))
             parts[name][1].extend(piece)
     shape = (R.n_users, R.n_items)
-    return {name: corpus._binary_csr(u, i, shape) for name, (u, i) in parts.items()}
+    return {name: corpus.binary_pairs(u, i, shape) for name, (u, i) in parts.items()}
 
 
 class TestSplit:

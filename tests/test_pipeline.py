@@ -29,14 +29,8 @@ from cgsorec.guidance import (
     joint_chains,
     social_phase,
 )
-from cgsorec.pipeline import (
-    chain_args,
-    joint_lists,
-    load_manifest,
-    social_holdout,
-    train_item_model,
-    write_manifest,
-)
+from cgsorec.pipeline import chain_args, joint_lists, social_holdout, train_item_model
+from cgsorec.store import load_manifest, write_manifest
 from cgsorec.synth import planted
 
 from conftest import rand_binary_csr, untrained_checkpoint

@@ -15,17 +15,8 @@ from cgsorec.guidance import STAGE_VALID
 from cgsorec.schedule import loss_weights, make_schedule
 from cgsorec.synth import planted
 from cgsorec import pipeline, trainer
-from cgsorec.trainer import (
-    ADAM_BLOCK,
-    AdamState,
-    Checkpoint,
-    EpochStats,
-    TrainConfig,
-    load_checkpoint,
-    optimizer_step,
-    save_checkpoint,
-    train_model,
-)
+from cgsorec.store import Checkpoint, EpochStats, TrainConfig, load_checkpoint, save_checkpoint
+from cgsorec.trainer import ADAM_BLOCK, AdamState, optimizer_step, train_model
 
 from conftest import whole_scores
 
@@ -646,6 +637,14 @@ class TestCheckpointIO:
         values.tofile(blob)
         with pytest.raises(NumericError, match=r"biases\[0\]"):
             load_checkpoint(tmp_path / "ck")
+
+    def test_model_of_another_tag_is_refused_when_one_is_asked_for(self, tmp_path):
+        save_checkpoint(self.make_ckpt(), tmp_path / "ck")  # a CSD model
+        assert load_checkpoint(tmp_path / "ck", "CSD").params.model_tag == "CSD"
+        shown = f"{tmp_path / 'ck' / 'manifest.json'}: model_tag 'CSD' where 'CGD' belongs"
+        with pytest.raises(IntegrityError) as err:
+            load_checkpoint(tmp_path / "ck", "CGD")
+        assert str(err.value) == shown
 
     def test_unreadable_manifest(self, tmp_path):
         (tmp_path / "ck").mkdir()
