@@ -36,13 +36,14 @@ def _inference_inputs(cfg, args, cfgs):
     each of `cfgs`.  joint_chains reads the social graph and the CSD
     model only when lambda > 0, so unless one of `cfgs` sets it neither
     is loaded and both are None; require_files still demands that both
-    input files exist.  A checkpoint of the other model is refused."""
+    input files exist.  Each of `cfgs` must make the split (ensure_bundle),
+    and a checkpoint of the other model is refused."""
     social = any(c.guidance().lam > 0 for c in cfgs)
     if social:
         R, S = pipeline.load_dataset(cfg)
     else:
         R, S = pipeline.load_interaction_data(cfg), None
-    bundle = pipeline.ensure_bundle(cfg, R)
+    bundle = pipeline.ensure_bundle(cfg, R, cfgs)
     ckpt_item = load_checkpoint(_ckpt_dir(cfg, "cgd", args.ckpt_cgd), "CGD")
     csd_dir = _ckpt_dir(cfg, "csd", args.ckpt_csd)
     ckpt_social = None
@@ -148,6 +149,11 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     param = args.param if "." in args.param else f"guidance.{args.param}"
+    if param.partition(".")[0] in ("dataset", "cgd", "csd"):
+        raise ConfigError(
+            f"sweep cannot vary {param}: every value is scored on the base config's "
+            "data, split and checkpoints"
+        )
     try:  # the items of one JSON array, so that a list value keeps its commas
         values = json.loads("[" + args.values + "]")
     except json.JSONDecodeError as err:

@@ -267,10 +267,6 @@ class ExperimentConfig:
             raise ConfigError(f"dataset.social: no such file {social!r}")
 
 
-def config_from_dict(user: dict) -> ExperimentConfig:
-    return ExperimentConfig(_merge(default_config(), user)).validate()
-
-
 def load_config(path, overrides=()) -> ExperimentConfig:
     """Read JSON config, apply --set overrides, validate."""
     try:

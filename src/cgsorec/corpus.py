@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, DimensionError, ParseError, ShapeError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,13 @@ class SocialMatrix:
 
 @dataclass(frozen=True)
 class SplitBundle:
+    """A split, and the seed and ratios it was made under."""
+
     train: InteractionMatrix
     valid: InteractionMatrix
     test: InteractionMatrix
     seed: int
+    ratios: tuple[float, float, float]
     debiased_test: InteractionMatrix | None = None
 
 
@@ -83,7 +86,7 @@ def canonical_rows(x) -> sp.csr_matrix:
     if isinstance(x, (InteractionMatrix, SocialMatrix)):
         x = x.matrix
     if not sp.issparse(x) and np.ndim(x) != 2:
-        raise ShapeError(f"rows must be 2-D, got shape {np.shape(x)}")
+        raise ConfigError(f"rows must be 2-D, got shape {np.shape(x)}")
     x = sp.csr_matrix(x, dtype=np.float64)
     if not x.has_canonical_format:
         x = x.copy()
@@ -144,10 +147,10 @@ _PAIRS = tsv_grammar(_ID, _ID)
 _RATED = tsv_grammar(REAL_ID, REAL_ID, rb"-?[0-9]+(?:\.[0-9]+)?")
 
 
-def read_columns(path, what: str, error: type[DataError], *layouts) -> np.ndarray:
+def read_columns(path, what: str, *layouts) -> np.ndarray:
     """The file's columns, parsed in one array pass under the first of
     `layouts`, (grammar, fields, dtype) triples, whose grammar reads the
-    whole file; otherwise an `error` naming the first line that no layout
+    whole file; otherwise a DataError naming the first line that no layout
     reads past, which `what` describes."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -161,7 +164,7 @@ def read_columns(path, what: str, error: type[DataError], *layouts) -> np.ndarra
     end = max(ends)
     lineno = data.count(b"\n", 0, end) + 1
     line = data[end:].split(b"\n", 1)[0].decode("utf-8", errors="backslashreplace")
-    raise error(f"{path}: line {lineno} is not {what}: {line!r}")
+    raise DataError(f"{path}: line {lineno} is not {what}: {line!r}")
 
 
 def _dimension(path, declared: int | None, max_id: int, what: str) -> int:
@@ -169,7 +172,7 @@ def _dimension(path, declared: int | None, max_id: int, what: str) -> int:
     if declared is None:
         return max_id + 1
     if max_id >= declared:
-        raise DimensionError(f"{path}: {what} id {max_id} exceeds declared n_{what}s={declared}")
+        raise DataError(f"{path}: {what} id {max_id} exceeds declared n_{what}s={declared}")
     return declared
 
 
@@ -181,11 +184,10 @@ def load_interactions(
 
     Positive ratings count as an interaction; rows rated 0 or below are
     dropped.  Dimensions default to max id + 1 and may be overridden; ids
-    beyond declared dims raise DimensionError.
+    beyond declared dims raise DataError.
     """
     columns = read_columns(
-        path, "user<TAB>item[<TAB>rating]", ParseError,
-        (_PAIRS, 2, np.int64), (_RATED, 3, np.float64),
+        path, "user<TAB>item[<TAB>rating]", (_PAIRS, 2, np.int64), (_RATED, 3, np.float64)
     )
     if len(columns) == 3:
         columns = columns[:2, columns[2] > 0].astype(np.int64)
@@ -199,7 +201,7 @@ def load_interactions(
 
 def load_social(path, n_users: int | None = None) -> SocialMatrix:
     """Read `user<TAB>user` lines; drop self-loops; symmetrize."""
-    columns = read_columns(path, "user<TAB>user", ParseError, (_PAIRS, 2, np.int64))
+    columns = read_columns(path, "user<TAB>user", (_PAIRS, 2, np.int64))
     edges = columns[:, columns[0] != columns[1]]
     if not edges.shape[1] and n_users is None:
         raise DataError(f"{path}: no edges and no declared dimension")
@@ -242,9 +244,7 @@ def split(R: InteractionMatrix, ratios, seed: int) -> SplitBundle:
     def part(mask) -> InteractionMatrix:
         return InteractionMatrix(binary_pairs(users[mask], items[mask], (R.n_users, R.n_items)))
 
-    return SplitBundle(
-        train=part(~(is_test | is_valid)), valid=part(is_valid), test=part(is_test), seed=seed
-    )
+    return SplitBundle(part(~(is_test | is_valid)), part(is_valid), part(is_test), seed, ratios)
 
 
 def auto_cap(counts: np.ndarray, survival: float = 0.3) -> int:

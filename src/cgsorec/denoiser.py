@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import canonical_rows
-from .errors import ConfigError, NumericError, ShapeError, StepError
+from .errors import ConfigError, NumericError
 from .schedule import NoiseSchedule, loss_weights
 from .schedule import q_sample  # noqa: F401  (bench/spans.py wraps it here)
 
@@ -126,7 +126,7 @@ def predict_x0(params: DenoiserParams, x_t: np.ndarray, t) -> np.ndarray:
     if single:
         x_t = x_t[None, :]
     if x_t.ndim != 2 or x_t.shape[1] != params.in_dim:
-        raise ShapeError(
+        raise ConfigError(
             f"input width {x_t.shape[-1] if x_t.ndim else '?'} != model width {params.in_dim}"
         )
     emb = timestep_embedding(t, params.time_embed_dim)
@@ -204,9 +204,9 @@ def loss_and_grad(
     if eps.shape != x0.shape:
         raise ConfigError(f"eps shape {eps.shape} does not match x0 shape {x0.shape}")
     if n != params.in_dim:
-        raise ShapeError(f"input width {n} != model width {params.in_dim}")
+        raise ConfigError(f"input width {n} != model width {params.in_dim}")
     if np.any(t < 1) or np.any(t > sched.T):
-        raise StepError(f"timestep array outside [1, {sched.T}]")
+        raise ConfigError(f"timestep array outside [1, {sched.T}]")
 
     # Embedded input h = [x_t, emb(t)], built in place.
     h = np.empty((B, n + params.time_embed_dim), dtype=dtype)

@@ -1,41 +1,19 @@
-"""Exception hierarchy shared by every module.
+"""The package's exceptions, one per exit code that `cli.main` gives:
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericError -> 4.
+    ConfigError   2   a config value, option or combination is invalid
+    DataError     3   an input file, split manifest or checkpoint is
+                      malformed or contradicts itself or the data
+    NumericError  4   training or inference met a non-finite value
 """
 
 
-class CgsorecError(Exception):
-    """Base class for all errors raised by this package."""
+class ConfigError(Exception):
+    """Exit code 2."""
 
 
-class ConfigError(CgsorecError):
-    """Invalid configuration value or option combination."""
+class DataError(Exception):
+    """Exit code 3."""
 
 
-class StepError(ConfigError):
-    """Diffusion timestep outside the valid range [1, T]."""
-
-
-class ShapeError(ConfigError):
-    """Vector or matrix dimensions inconsistent with the model."""
-
-
-class DataError(CgsorecError):
-    """Problem with input data files or derived datasets."""
-
-
-class ParseError(DataError):
-    """Malformed record in an input file; message carries the line number."""
-
-
-class DimensionError(DataError):
-    """An id in the data exceeds the declared matrix dimensions."""
-
-
-class IntegrityError(DataError):
-    """Checkpoint or manifest contents fail a consistency check."""
-
-
-class NumericError(CgsorecError):
-    """Non-finite value encountered during training or inference."""
+class NumericError(Exception):
+    """Exit code 4."""

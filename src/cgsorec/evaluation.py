@@ -272,11 +272,6 @@ def recall_at_k(lists: RankedLists, test, k: int | None = None) -> float:
     return _ranking_metrics(lists, test, [k])[0][0][k]
 
 
-def ndcg_at_k(lists: RankedLists, test, k: int | None = None) -> float:
-    """Mean over users of DCG/IDCG with 1/log2(rank+1) gains."""
-    return _ranking_metrics(lists, test, [k])[0][1][k]
-
-
 def group_metrics(
     lists: RankedLists, test, hot: np.ndarray, ks
 ) -> tuple[dict[str, dict[str, dict[int, float]]], list[str]]:

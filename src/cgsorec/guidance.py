@@ -45,7 +45,7 @@ from .corpus import InteractionMatrix, SocialMatrix, binary_rows, canonical_rows
 from .corpus import long_tail, pruned, social_preference
 from .denoiser import DenoiserParams, corrupt_rows, last_hidden
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .evaluation import blend, top_k_rows
 from .schedule import NoiseSchedule, model_mean
 from .schedule import q_sample  # noqa: F401  (bench/spans.py wraps it here)
@@ -135,7 +135,7 @@ def _chain_rows(
     ab = sched.alpha_bar[T_inf - 1]
     n_rows, width = rows.shape
     if width != params.in_dim:
-        raise ShapeError(f"row width {width} != model width {params.in_dim}")
+        raise ConfigError(f"row width {width} != model width {params.in_dim}")
     guided = cond is not None and mix > 0.0
     paired = cond is not None and w > 0.0
     w0x = params.weights[0][:width]
@@ -171,7 +171,7 @@ def _chain_rows(
         span = slice(start, min(start + CHUNK, n_rows))
         c = cond(span) if guided or paired else None
         if c is not None and c.shape != (span.stop - start, width):
-            raise ShapeError(f"condition rows {c.shape} != rows {(span.stop - start, width)}")
+            raise ConfigError(f"condition rows {c.shape} != rows {(span.stop - start, width)}")
         zc = c.toarray() @ w0x if guided else None
         yield (
             span,

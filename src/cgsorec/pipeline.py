@@ -37,7 +37,7 @@ from .corpus import (
 from .errors import ConfigError, DataError
 from .evaluation import RankedLists, evaluate_lists, recall_at_k, topk_lists
 from .guidance import joint_chains
-from .store import MANIFEST_NAME, Checkpoint
+from .store import MANIFEST_NAME, Checkpoint, resolved_cap
 from .store import load_manifest, write_manifest  # noqa: F401  (bench/spans.py wraps them here)
 from .trainer import train_model
 
@@ -84,12 +84,29 @@ def make_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
     return replace(bundle, debiased_test=debiased)
 
 
-def ensure_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
-    """Reuse the persisted manifest when present, else split afresh."""
+def ensure_bundle(cfg: ExperimentConfig, R: InteractionMatrix, cfgs=()) -> SplitBundle:
+    """The split in cfg's manifest when there is one, else a fresh split
+    under cfg.  cfg, and each of `cfgs` (a sweep's values, all scored on
+    this split), must make this split: the same seed and ratios, and the
+    same cap when it sets an integer one; else a ConfigError names each
+    key that differs."""
     path = os.path.join(cfg["output_dir"], MANIFEST_NAME)
     if os.path.exists(path):
-        return load_manifest(path, (R.n_users, R.n_items))
-    return make_bundle(cfg, R)
+        bundle, source = load_manifest(path, (R.n_users, R.n_items)), f"split manifest {path!r}"
+    else:
+        bundle, source = make_bundle(cfg, R), "the base config's split"
+    held = {"seed": bundle.seed, "ratios": list(bundle.ratios), "debiased_cap": resolved_cap(bundle)}
+    for c in (cfg, *cfgs):
+        wanted = {"seed": c.seed_for("split"), "ratios": list(c["split.ratios"]),
+                  "debiased_cap": c["split.debiased_cap"]}
+        changed = [f"{key} {held[key]!r} != {wanted[key]!r}" for key in held
+                   if wanted[key] not in ("auto", held[key])]
+        if changed:
+            raise ConfigError(
+                f"{source} was made under another split config (split != config): "
+                + "; ".join(changed)
+            )
+    return bundle
 
 
 def social_holdout(
@@ -244,9 +261,7 @@ def read_lists(path, n_users: int, n_items: int) -> RankedLists:
     DataError names the file and the first user whose list breaks a rule.
     """
     try:
-        columns = read_columns(
-            path, "user<TAB>item<TAB>score", DataError, (_LISTS, 3, np.float64)
-        )
+        columns = read_columns(path, "user<TAB>item<TAB>score", (_LISTS, 3, np.float64))
     except OSError as err:
         raise DataError(f"cannot read lists file {path!r}: {err}") from err
     users, items = columns[:2].astype(np.int64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StepError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def make_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
 
 def _check_step(t: int, T: int) -> None:
     if not 1 <= t <= T:
-        raise StepError(f"timestep {t} outside [1, {T}]")
+        raise ConfigError(f"timestep {t} outside [1, {T}]")
 
 
 def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
@@ -88,7 +88,7 @@ def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.nda
         return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
     t = np.asarray(t)
     if np.any(t < 1) or np.any(t > sched.T):
-        raise StepError(f"timestep array outside [1, {sched.T}]")
+        raise ConfigError(f"timestep array outside [1, {sched.T}]")
     ab = sched.alpha_bar[t - 1][:, None]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
@@ -105,16 +105,6 @@ def posterior_coeffs(sched: NoiseSchedule, t: int) -> tuple[float, float, float]
     c_x0 = np.sqrt(ab_prev) * (1.0 - a_t) / denom
     sigma2 = (1.0 - a_t) * (1.0 - ab_prev) / denom
     return float(c_xt), float(c_x0), float(sigma2)
-
-
-def posterior_params(
-    x_t: np.ndarray, x0: np.ndarray, t: int, sched: NoiseSchedule
-) -> tuple[np.ndarray, float]:
-    """Mean and variance of the true reverse transition given (x_t, x0)."""
-    c_xt, c_x0, sigma2 = posterior_coeffs(sched, t)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x0 = np.asarray(x0, dtype=np.float64)
-    return c_xt * x_t + c_x0 * x0, sigma2
 
 
 def model_mean(

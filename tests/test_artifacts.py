@@ -12,6 +12,7 @@ numbers on purpose updates only the digests it must, file by file.
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -95,8 +96,11 @@ def test_artifacts_match_their_pins(name, tmp_path, monkeypatch):
         for key in sorted(set(want[part]) | set(got[part]))
         if want[part].get(key) != got[part].get(key)
     ]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "<unset>")
     assert not changed, (
         f"{len(changed)} artifacts of the {name} script differ from their pins, "
-        f"which were taken under {BUILD}; another build may round differently:\n"
+        f"which were taken under {BUILD} at its default of 2 BLAS threads on 2 CPUs; "
+        f"this run has OPENBLAS_NUM_THREADS={threads} on {os.cpu_count()} CPUs. "
+        "Another build or another BLAS thread count may round differently:\n"
         + "\n".join(changed)
     )

@@ -10,7 +10,7 @@ import pytest
 
 from cgsorec import cli, pipeline
 from cgsorec.cli import main
-from cgsorec.config import load_config
+from cgsorec.config import derive_seed, load_config
 from cgsorec.corpus import partition_items
 from cgsorec.synth import community_dataset, planted, write_dataset
 from cgsorec.store import save_checkpoint
@@ -320,7 +320,8 @@ class TestTrain:
         "setting, shown",
         [
             ("cgd.learning_rate=0.5", r"config\.learning_rate 0\.0005 != 0\.5$"),
-            ("seed=7", r"config\.seed [0-9]+ != [0-9]+$"),
+            # the split manifest, made under the old seed, refuses first
+            ("seed=7", r"\(split != config\): seed [0-9]+ != [0-9]+$"),
             ("cgd.batch_size=32", r"config\.batch_size 64 != 32$"),
         ],
     )
@@ -347,6 +348,29 @@ class TestTrain:
         assert code == 2
         assert "best_epoch" not in out
         assert re.search(shown, err.strip()), err
+        assert {f: (ckpt / f).read_bytes() for f in before} == before
+
+    def test_resume_of_the_social_model_under_another_seed_exits_2(self, tmp_path, capsys):
+        # csd reads no split manifest, so the checkpoint's config refuses
+        write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "seed": 1,
+            "output_dir": str(tmp_path / "run"),
+            "dataset": {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")},
+            "csd": {"T": 5, "hidden_dims": [16], "epochs": 2, "batch_size": 64},
+        }))
+        assert main(["train", str(cfg_path), "--model", "csd"]) == 0
+        ckpt = tmp_path / "run" / "ckpt-csd"
+        before = {f: (ckpt / f).read_bytes() for f in ("manifest.json", "params.bin")}
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "train", str(cfg_path), "--model", "csd", "--resume",
+            "--set", "csd.epochs=3", "--set", "seed=7",
+        )
+        assert code == 2
+        assert "best_epoch" not in out
+        assert re.search(r"\(checkpoint != config\): config\.seed [0-9]+ != [0-9]+$", err.strip()), err
         assert {f: (ckpt / f).read_bytes() for f in before} == before
 
     def test_nan_checkpoint_resume_exits_4(self, tmp_path, capsys):
@@ -750,21 +774,24 @@ class TestListsFileErrors:
         assert "not-utf8.tsv: line 2 is not user<TAB>item<TAB>score: '\\\\xff0\\t2\\t0.5'" in err
 
 
+@pytest.fixture
+def prepared(tmp_path):
+    """(config, split manifest, lists file) of `planted(0)` after
+    `prepare`, under the default seed and split config; no model."""
+    write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = tmp_path / "cfg.json"
+    dataset = {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")}
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "run"), "dataset": dataset}))
+    assert main(["prepare", str(cfg)]) == 0
+    lists = tmp_path / "lists.tsv"
+    lists.write_text("".join(f"0\t{i}\t0.0\n" for i in range(10)))
+    return str(cfg), tmp_path / "run" / "splits.json", str(lists)
+
+
 @pytest.mark.parametrize("indent", [None, 1])  # write_manifest's layout, and any other
 class TestManifestChecks:
     """A split manifest whose splits contradict each other is refused with
     exit 3 by every command that reads it."""
-
-    @pytest.fixture
-    def prepared(self, tmp_path):
-        write_dataset(planted(seed=0), tmp_path / "r.tsv", tmp_path / "s.tsv")
-        cfg = tmp_path / "cfg.json"
-        dataset = {"interactions": str(tmp_path / "r.tsv"), "social": str(tmp_path / "s.tsv")}
-        cfg.write_text(json.dumps({"output_dir": str(tmp_path / "run"), "dataset": dataset}))
-        assert main(["prepare", str(cfg)]) == 0
-        lists = tmp_path / "lists.tsv"
-        lists.write_text("".join(f"0\t{i}\t0.0\n" for i in range(10)))
-        return str(cfg), tmp_path / "run" / "splits.json", str(lists)
 
     def eval_with(self, capsys, prepared, indent, edit):
         cfg, manifest, lists = prepared
@@ -844,6 +871,75 @@ class TestManifestChecks:
             assert f"debiased_cap {cap + change} != debiased_test's largest item count {cap}" in err
         else:
             assert f"debiased_cap is not of type int: {change!r}" in err
+
+
+class TestSplitReuse:
+    """A split manifest is reused only under the split config it was made
+    under: every command that reads it refuses another seed, other ratios
+    or another integer cap with exit 2, naming the manifest, each key and
+    both values, before it writes anything or loads a model."""
+
+    @pytest.mark.parametrize("command", ["bias-report", "eval", "infer", "sweep", "train"])
+    def test_split_under_another_config_exits_2(self, prepared, tmp_path, capsys, command):
+        cfg, manifest, lists = prepared
+        tail = {"bias-report": ["--lists", lists], "eval": ["--lists", lists], "infer": [],
+                "sweep": ["--param", "w_r", "--values", "0,0.5"], "train": ["--model", "cgd"]}
+        argv = [command, cfg, *tail[command]]
+        cap = json.loads(manifest.read_text())["debiased_cap"]
+        seeds = derive_seed(0, "split"), derive_seed(99, "split")
+        for settings, shown in [
+            (["split.ratios=[0.5,0.25,0.25]"], "ratios [0.8, 0.1, 0.1] != [0.5, 0.25, 0.25]"),
+            (["split.ratios=[2,-1,0]"], "ratios [0.8, 0.1, 0.1] != [2.0, -1.0, 0.0]"),
+            (["seed=99"], "seed {} != {}".format(*seeds)),
+            ([f"split.debiased_cap={cap + 1}"], f"debiased_cap {cap} != {cap + 1}"),
+            (["seed=99", "split.ratios=[0.5,0.25,0.25]", f"split.debiased_cap={cap + 1}"],
+             "seed {} != {}; ratios [0.8, 0.1, 0.1] != [0.5, 0.25, 0.25]; ".format(*seeds)
+             + f"debiased_cap {cap} != {cap + 1}"),
+        ]:
+            before = sorted(tmp_path.rglob("*"))
+            code, _, err = run(capsys, *argv, *(f"--set={s}" for s in settings))
+            assert code == 2, err
+            assert err == (f"config error: split manifest {str(manifest)!r} was made under "
+                           f"another split config (split != config): {shown}\n")
+            assert sorted(tmp_path.rglob("*")) == before
+
+    def test_the_manifests_own_split_config_is_reused(self, prepared, capsys):
+        cfg, manifest, lists = prepared
+        cap = json.loads(manifest.read_text())["debiased_cap"]
+        code, _, err = run(
+            capsys, "eval", cfg, "--lists", lists, "--set", "seed=0",
+            "--set", "split.ratios=[0.8,0.1,0.1]", "--set", f"split.debiased_cap={cap}",
+        )
+        assert code == 0, err
+
+    def test_sweep_value_under_another_split_exits_2(self, prepared, tmp_path, capsys):
+        # every value is scored on the manifest's split, so each must make it
+        cfg, manifest, _ = prepared
+        code, _, err = run(
+            capsys, "sweep", cfg, "--param", "split.ratios",
+            "--values", "[0.8,0.1,0.1],[0.5,0.25,0.25]", "--out-dir", str(tmp_path / "sweep"),
+        )
+        assert code == 2
+        assert f"split manifest {str(manifest)!r} was made under another split config" in err
+        assert err.endswith("ratios [0.8, 0.1, 0.1] != [0.5, 0.25, 0.25]\n")
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "param, values",
+        [("dataset.social", '"social.tsv","./social.tsv"'), ("dataset.n_items", "60,80"),
+         ("cgd.epochs", "1,5"), ("csd.T", "3,5")],
+    )
+    def test_sweep_over_a_key_it_cannot_honour_exits_2(self, ws, tmp_path, capsys, param, values):
+        # the data, the split and both checkpoints are the base config's:
+        # such a sweep once scored every value alike, or ended in a traceback
+        code, _, err = run(
+            capsys, "sweep", ws["cfg"], "--param", param, "--values", values,
+            "--out-dir", str(tmp_path / "sweep"),
+        )
+        assert code == 2
+        assert err == (f"config error: sweep cannot vary {param}: every value is scored on "
+                       "the base config's data, split and checkpoints\n")
+        assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize("command", ["infer", "sweep"])
@@ -1047,9 +1143,9 @@ class TestSweepReusesChains:
             assert main([argv[0], str(cfg_path), *argv[1:]]) == 0
         return root, str(cfg_path)
 
-    def assert_one_pair_serves(self, trained, capsys, monkeypatch, param, values):
-        """The sweep runs joint_chains once, and each value's report equals
-        infer + eval under that value's --set."""
+    def assert_sweep_runs_pairs(self, trained, capsys, monkeypatch, param, values, pairs=1):
+        """The sweep runs joint_chains `pairs` times, and each value's
+        report equals infer + eval under that value's --set."""
         root, cfg = trained
         calls = []
         original = cli.joint_chains
@@ -1065,7 +1161,7 @@ class TestSweepReusesChains:
             "--out-dir", str(out_dir),
         )
         assert code == 0, err
-        assert len(calls) == 1
+        assert len(calls) == pairs
         monkeypatch.undo()
         for value in map(json.loads, values):
             setting = f"--set={param}={json.dumps(value)}"
@@ -1082,14 +1178,14 @@ class TestSweepReusesChains:
 
     def test_eval_split_sweep_runs_the_chains_once(self, trained, capsys, monkeypatch):
         # eval.split never reaches the chains, so both values share one pair
-        self.assert_one_pair_serves(
+        self.assert_sweep_runs_pairs(
             trained, capsys, monkeypatch, "eval.split", ['"test"', '"debiased"']
         )
 
     def test_eval_ks_sweep_runs_the_chains_once(self, trained, capsys, monkeypatch):
         # the pair is ranked once at the largest K, and each value's lists
         # are cut to its own K
-        self.assert_one_pair_serves(
+        self.assert_sweep_runs_pairs(
             trained, capsys, monkeypatch, "eval.ks", ["[5]", "[20]", "[10]"]
         )
         # the summary adds both metrics at every cutoff beyond 5 and 10,
@@ -1104,9 +1200,19 @@ class TestSweepReusesChains:
         assert table["[20]"][3:] == [repr(report["recall"]["20"]), repr(report["ndcg"]["20"])]
         assert table["[20]"][:3] == ["nan"] * 3 and table["[5]"][3:] == ["nan"] * 2
 
+    @pytest.mark.parametrize(
+        "param, values",
+        [("guidance.gamma", ["0.8", "0.2"]), ("guidance.lambda", ["0", "2.0"])],
+        ids=["gamma", "lambda"],
+    )
+    def test_sweep_over_a_knob_the_chains_read_runs_them_per_value(self, trained, capsys,
+                                                                   monkeypatch, param, values):
+        # each value gets its own pair, equal to the one infer runs for it
+        self.assert_sweep_runs_pairs(trained, capsys, monkeypatch, param, values, pairs=2)
+
     def test_list_values_keep_their_commas(self, trained, capsys, monkeypatch):
         # a value of several entries is one item of --values
-        self.assert_one_pair_serves(
+        self.assert_sweep_runs_pairs(
             trained, capsys, monkeypatch, "eval.ks", ["[5]", "[10]", "[5,10]"]
         )
         rows = (trained[0] / "sweep-eval.ks" / "summary.tsv").read_text().splitlines()

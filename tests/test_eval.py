@@ -16,7 +16,6 @@ from cgsorec.evaluation import (
     evaluate_lists,
     frequency_histogram,
     group_metrics,
-    ndcg_at_k,
     recall_at_k,
     top_k_grid,
     top_k_rows,
@@ -25,6 +24,7 @@ from cgsorec.evaluation import (
 from cgsorec.pipeline import read_lists, write_lists
 
 from conftest import decimal, digits, line_loop, rand_binary_csr
+from reference import ndcg_at_k
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +748,7 @@ class TestListsFile:
             path.write_text(ending.join("\t".join(r) for r in rows) + ending * (rng.random() < 0.8))
             got = outcome(path)
             try:
-                rows = line_loop(path, "user<TAB>item<TAB>score", DataError, layout)
+                rows = line_loop(path, "user<TAB>item<TAB>score", layout)
             except DataError as err:
                 assert got == str(err), path.read_bytes()
                 refused += 1

@@ -17,7 +17,7 @@ from cgsorec.corpus import (
     social_preference,
 )
 from cgsorec.denoiser import corrupt_rows, predict_x0
-from cgsorec.errors import ConfigError, NumericError, ShapeError
+from cgsorec.errors import ConfigError, NumericError
 from cgsorec.evaluation import ROW_BLOCK, blend
 from cgsorec.guidance import (
     CHUNK,
@@ -254,7 +254,7 @@ class TestGuidedMean:
         np.testing.assert_allclose(mid, 0.5 * a + 0.5 * b, rtol=1e-12)
 
     def test_shape_error(self, rng):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"condition rows \(5, 5\) != rows \(5, 6\)"):
             self.chain(rng.standard_normal((5, 6)), rng.standard_normal((5, 5)), 0.5, 2)
 
 
@@ -364,7 +364,7 @@ class TestSingleRowBlends:
 
     def test_shape_mismatch(self, rng):
         # rows narrower than the model are rejected, not silently projected
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="row width 4 != model width 5"):
             whole_scores(self.ckpt.params, self.ckpt.sched, rng.standard_normal((3, 4)))
 
 

@@ -7,10 +7,12 @@ compile must also compile on Python 3.10, the oldest that
 pyproject.toml supports.  The trainer takes its validation as a
 function, so it imports no module that ranks or runs chains.  The state
 files have one owner, `store`, and no module reaches into another's
-underscore names.
+underscore names.  There is one exception class per exit code, and no
+public name that only the tests use.
 """
 
 import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -23,7 +25,17 @@ import pytest
 import cgsorec
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cgsorec.__file__)))
+REPO = os.path.dirname(SRC)
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cgsorec.__path__))
+
+
+def parse(path) -> ast.Module:
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def module_tree(module: str) -> ast.Module:
+    return parse(os.path.join(SRC, "cgsorec", f"{module}.py"))
 
 
 def test_modules_found():
@@ -65,10 +77,8 @@ def test_no_compiled_pattern_needs_python_3_11():
 def test_trainer_imports_no_module_that_ranks_or_runs_chains():
     # validation comes in as a function (pipeline.recall_validator), so
     # the trainer, function bodies included, imports none of these
-    with open(os.path.join(SRC, "cgsorec", "trainer.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
     parts = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(module_tree("trainer")):
         if isinstance(node, ast.ImportFrom):
             parts |= set((node.module or "").split(".")) | {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
@@ -81,8 +91,7 @@ def sibling_names(module: str) -> list[tuple[str, str]]:
     """(source module, name) for each name cgsorec.<module> takes from
     another module of the package: each `from .source import name`, and
     each `source.name` read off a module bound by `from . import source`."""
-    with open(os.path.join(SRC, "cgsorec", f"{module}.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = module_tree(module)
     found, bound = [], {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cgsorec")):
@@ -117,8 +126,76 @@ def test_checkpoint_records_and_files_belong_to_store():
     assert ("store", "Checkpoint") in sibling_names("guidance")
     assert ("store", "TrainConfig") in sibling_names("config")
     for module in ("trainer", "pipeline"):
-        with open(os.path.join(SRC, "cgsorec", f"{module}.py"), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                    for alias in node.names}
+        imported = {alias.name for node in ast.walk(module_tree(module))
+                    if isinstance(node, ast.Import) for alias in node.names}
         assert "json" not in imported, module
+
+
+def test_errors_defines_exactly_the_classes_cli_main_catches():
+    # one class per exit code: another class either escapes main as a
+    # traceback or is caught through a base, where nothing tells it apart
+    defined = {node.name for node in module_tree("errors").body if isinstance(node, ast.ClassDef)}
+    main = next(node for node in module_tree("cli").body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {name.id for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)
+              for name in ast.walk(node.type) if isinstance(name, ast.Name)}
+    assert "DataError" in caught  # the walk sees main's handlers
+    assert defined == caught
+
+
+def names_read(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each name `tree` reads: a variable, an attribute,
+    or a name an import binds (a dotted one by its last part)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            found.append((node.name.rpartition(".")[2], node.lineno))
+    return found
+
+
+def public_definitions(tree: ast.Module):
+    """(dotted name, node) for each public top-level function and class,
+    and each public method of such a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method
+
+
+def names_used_outside_src() -> set[str]:
+    """The names bench/ reads, the last part of each label in
+    bench/spans.py's SITES (the tracer wraps what it names), and the words
+    in README.md's code spans and blocks."""
+    names = set()
+    for path in glob.glob(os.path.join(REPO, "bench", "*.py")):
+        names |= {name for name, _ in names_read(parse(path))}
+    sites = next(node.value for node in parse(os.path.join(REPO, "bench", "spans.py")).body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SITES")
+    names |= {label.rpartition(".")[2] for label in ast.literal_eval(sites)}
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        code = re.findall(r"```.*?```|`[^`\n]*`", fh.read(), re.S)
+    return names | set(re.findall(r"\w+", " ".join(code)))
+
+
+def test_every_public_name_has_a_user_outside_its_own_body():
+    # a function only the tests call belongs to the tests (tests/reference.py)
+    trees = {module: module_tree(module) for module in MODULES}
+    read = {module: names_read(tree) for module, tree in trees.items()}
+    outside = names_used_outside_src()
+    assert {"q_sample", "planted"} <= outside  # a SITES label and README's code count
+    unused = sorted(
+        f"{module}.{dotted}"
+        for module, tree in trees.items()
+        for dotted, node in public_definitions(tree)
+        if node.name not in outside and not any(
+            name == node.name and not (user == module and node.lineno <= line <= node.end_lineno)
+            for user, found in read.items() for name, line in found
+        )
+    )
+    assert not unused, unused

@@ -3,6 +3,7 @@ manifest's two read paths, and the streamed ranking's lists and memory."""
 
 import json
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 import scipy.sparse as sp
 
 from cgsorec import guidance
-from cgsorec.config import config_from_dict
 from cgsorec.corpus import (
     InteractionMatrix,
     SocialMatrix,
@@ -20,7 +20,7 @@ from cgsorec.corpus import (
     partition_items,
     split,
 )
-from cgsorec.errors import IntegrityError
+from cgsorec.errors import DataError
 from cgsorec.evaluation import topk_lists
 from cgsorec.guidance import (
     CHUNK,
@@ -34,6 +34,7 @@ from cgsorec.store import load_manifest, write_manifest
 from cgsorec.synth import planted
 
 from conftest import rand_binary_csr, untrained_checkpoint
+from reference import config_from_dict, to_matrices
 
 
 def symmetric_social(rng, n, density):
@@ -95,12 +96,9 @@ class TestManifestLayouts:
     def write(self, tmp_path, rng, ratios):
         R = InteractionMatrix(rand_binary_csr(rng, *self.shape, 0.2))
         b = split(R, ratios, seed=3)
-        bundle = SplitBundle(
-            train=b.train, valid=b.valid, test=b.test, seed=b.seed,
-            debiased_test=build_debiased_test(b.test, cap=1, seed=0),
-        )
-        cfg = config_from_dict({"output_dir": str(tmp_path), "split": {"ratios": list(ratios)}})
-        return bundle, write_manifest(cfg, bundle)
+        bundle = replace(b, debiased_test=build_debiased_test(b.test, cap=1, seed=0))
+        # the ratios written are the bundle's, whatever the config says
+        return bundle, write_manifest(config_from_dict({"output_dir": str(tmp_path)}), bundle)
 
     @pytest.mark.parametrize("ratios", [(0.7, 0.15, 0.15), (0.8, 0.0, 0.2)])
     def test_both_layouts_give_the_written_bundle(self, tmp_path, rng, ratios):
@@ -108,7 +106,7 @@ class TestManifestLayouts:
         other = tmp_path / "indented.json"
         other.write_text(json.dumps(json.loads(open(path, "rb").read()), indent=1))
         for loaded in (load_manifest(path, self.shape), load_manifest(other, self.shape)):
-            assert loaded.seed == bundle.seed
+            assert loaded.seed == bundle.seed and loaded.ratios == bundle.ratios == ratios
             for name in ("train", "valid", "test", "debiased_test"):
                 got, want = getattr(loaded, name).matrix, getattr(bundle, name).matrix
                 assert got.shape == want.shape
@@ -126,7 +124,7 @@ class TestManifestLayouts:
         d[field] = value
         with open(path, "w") as fh:
             json.dump(d, fh)
-        with pytest.raises(IntegrityError, match=f"{field} is not of type int: {value!r}"):
+        with pytest.raises(DataError, match=f"{field} is not of type int: {value!r}"):
             load_manifest(path, self.shape)
 
     def test_leading_zero_is_not_json(self, tmp_path, rng):
@@ -134,7 +132,7 @@ class TestManifestLayouts:
         text = open(path, "rb").read()
         with open(path, "wb") as fh:
             fh.write(text.replace(b'"train": [[', b'"train": [[0', 1))
-        with pytest.raises(IntegrityError, match="bad split manifest"):
+        with pytest.raises(DataError, match="bad split manifest"):
             load_manifest(path, self.shape)
 
 
@@ -149,9 +147,7 @@ class TestStreamedLists:
         n_users, n_items = CHUNK + 40, 30
         R = InteractionMatrix(rand_binary_csr(rng, n_users, n_items, 0.15))
         b = split(R, (0.8, 0.1, 0.1), seed=3)
-        bundle = SplitBundle(
-            b.train, b.valid, b.test, b.seed, build_debiased_test(b.test, cap=1, seed=0)
-        )
+        bundle = replace(b, debiased_test=build_debiased_test(b.test, cap=1, seed=0))
         S = symmetric_social(rng, n_users, 0.02)
         ckpt_social = untrained_checkpoint(n_users, T=3, seed=7, tag="CSD")
         return ckpt_social, untrained_checkpoint(n_items, T=3, seed=6), S, bundle
@@ -175,10 +171,10 @@ class TestStreamedLists:
 
 
 def planted_bundle(n_users: int) -> tuple[SocialMatrix, SplitBundle]:
-    R, S = planted(seed=0, n_users=n_users).to_matrices()
+    R, S = to_matrices(planted(seed=0, n_users=n_users))
     b = split(R, (0.8, 0.1, 0.1), seed=0)
     debiased = build_debiased_test(b.test, cap=1, seed=0)
-    return S, SplitBundle(b.train, b.valid, b.test, b.seed, debiased)
+    return S, replace(b, debiased_test=debiased)
 
 
 def traced_peak(run) -> int:

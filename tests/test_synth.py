@@ -8,6 +8,8 @@ import pytest
 from cgsorec.corpus import load_interactions, load_social
 from cgsorec.synth import community_dataset, lastfm_like, planted, write_dataset
 
+from reference import to_matrices
+
 
 @pytest.fixture(scope="module")
 def lastfm():
@@ -37,7 +39,7 @@ class TestTotals:
         assert len(pairs) == len(small.interactions)
 
     def test_matrices_preserve_totals(self, small):
-        R, S = small.to_matrices()
+        R, S = to_matrices(small)
         assert R.matrix.nnz == 4800
         assert float(R.matrix.max()) == 1.0
         assert S.raw_edges == 2600
@@ -84,7 +86,7 @@ class TestCoverage:
 
 class TestStructure:
     def test_symmetrized_matrix(self, small):
-        _, S = small.to_matrices()
+        _, S = to_matrices(small)
         assert (S.matrix != S.matrix.T).nnz == 0
         assert S.matrix.diagonal().sum() == 0.0
 
@@ -104,7 +106,7 @@ class TestStructure:
     def test_community_niches_are_disjoint(self, small):
         # each community concentrates on tail items that other communities
         # rarely touch: a user's strongest tail overlap is intra-community
-        R, _ = small.to_matrices()
+        R, _ = to_matrices(small)
         dense = R.matrix.toarray()
         n_hot = round(0.05 * small.n_items)
         tail = dense[:, n_hot:]
@@ -128,7 +130,7 @@ class TestRoundTrip:
         inter = tmp_path / "interactions.tsv"
         social = tmp_path / "social.tsv"
         write_dataset(small, inter, social)
-        R_direct, S_direct = small.to_matrices()
+        R_direct, S_direct = to_matrices(small)
         R = load_interactions(inter, n_users=small.n_users, n_items=small.n_items)
         S = load_social(social, n_users=small.n_users)
         assert (R.matrix != R_direct.matrix).nnz == 0

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from cgsorec.corpus import split
 from cgsorec.denoiser import ParamGrads, init_params, predict_x0, timestep_embedding
-from cgsorec.errors import ConfigError, IntegrityError, NumericError
+from cgsorec.errors import ConfigError, DataError, NumericError
 from cgsorec.evaluation import recall_at_k, topk_lists
 from cgsorec.guidance import STAGE_VALID
 from cgsorec.schedule import loss_weights, make_schedule
@@ -19,6 +19,7 @@ from cgsorec.store import Checkpoint, EpochStats, TrainConfig, load_checkpoint, 
 from cgsorec.trainer import ADAM_BLOCK, AdamState, optimizer_step, train_model
 
 from conftest import whole_scores
+from reference import to_matrices
 
 
 def zero_grads(params) -> ParamGrads:
@@ -261,7 +262,7 @@ class TestTrainModel:
 
     def test_equals_dense_reference_loop(self):
         # 200 rows in batches of 64: the last batch is partial
-        R, _ = planted(seed=0).to_matrices()
+        R, _ = to_matrices(planted(seed=0))
         bundle = split(R, (0.8, 0.1, 0.1), seed=0)
         cfg = self.make_cfg(epochs=2, batch_size=64, patience=5)
         sched = make_schedule(5, 1e-4, 0.02)
@@ -392,7 +393,7 @@ class TestTrainModel:
         # training steps in float32, and both validation and the checkpoint
         # get its exact float64 upcast: the saved valid_metric is the
         # validator's metric of the weights the checkpoint holds
-        R, _ = planted(seed=0).to_matrices()
+        R, _ = to_matrices(planted(seed=0))
         bundle = split(R, (0.8, 0.1, 0.1), seed=0)
         cfg = self.make_cfg(epochs=3, batch_size=64)
         sched = make_schedule(5, 1e-4, 0.02)
@@ -535,7 +536,7 @@ class TestCheckpointIO:
         save_checkpoint(ckpt, tmp_path / "ck")
         blob = (tmp_path / "ck" / "params.bin").read_bytes()
         (tmp_path / "ck" / "params.bin").write_bytes(blob[:-16])
-        with pytest.raises(IntegrityError):
+        with pytest.raises(DataError, match=r"params\.bin holds \d+ doubles, manifest expects \d+"):
             load_checkpoint(tmp_path / "ck")
 
     def test_manifest_dim_mismatch_names_field(self, tmp_path):
@@ -544,7 +545,7 @@ class TestCheckpointIO:
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         manifest["layer_dims"] = [5, 4, 5]
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(IntegrityError, match="layer_dims|tensor"):
+        with pytest.raises(DataError, match="layer_dims|tensor"):
             load_checkpoint(tmp_path / "ck")
 
     def test_missing_manifest_field(self, tmp_path):
@@ -553,7 +554,7 @@ class TestCheckpointIO:
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         del manifest["schedule"]
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(IntegrityError, match="schedule"):
+        with pytest.raises(DataError, match="schedule"):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize(
@@ -623,7 +624,7 @@ class TestCheckpointIO:
         else:
             section[name] = value
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(IntegrityError, match="manifest missing/invalid field") as err:
+        with pytest.raises(DataError, match="manifest missing/invalid field") as err:
             load_checkpoint(tmp_path / "ck")
         # the message names the field by its dotted path
         assert path in str(err.value)
@@ -642,12 +643,12 @@ class TestCheckpointIO:
         save_checkpoint(self.make_ckpt(), tmp_path / "ck")  # a CSD model
         assert load_checkpoint(tmp_path / "ck", "CSD").params.model_tag == "CSD"
         shown = f"{tmp_path / 'ck' / 'manifest.json'}: model_tag 'CSD' where 'CGD' belongs"
-        with pytest.raises(IntegrityError) as err:
+        with pytest.raises(DataError) as err:
             load_checkpoint(tmp_path / "ck", "CGD")
         assert str(err.value) == shown
 
     def test_unreadable_manifest(self, tmp_path):
         (tmp_path / "ck").mkdir()
         (tmp_path / "ck" / "manifest.json").write_text("{broken")
-        with pytest.raises(IntegrityError):
+        with pytest.raises(DataError, match="unreadable manifest"):
             load_checkpoint(tmp_path / "ck")
