@@ -19,9 +19,10 @@ import os
 import sys
 
 from . import pipeline
-from .config import ExperimentConfig, apply_set, load_config
+from .config import SCHEMA, ExperimentConfig, apply_set, load_config
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import RankedLists, frequency_histogram, group_metrics, keys_to_str
+from .evaluation import RankedLists, report_json
+from .evaluation import frequency_histogram, group_metrics  # noqa: F401  (bench/spans.py wraps them here)
 from .guidance import joint_chains
 from .store import load_checkpoint, resolved_cap, save_checkpoint
 from .trainer import float32_params
@@ -33,17 +34,17 @@ def _ckpt_dir(cfg: ExperimentConfig, kind: str, override: str | None) -> str:
 
 def _inference_inputs(cfg, args, cfgs):
     """(S, bundle, CSD checkpoint, CGD checkpoint) for inference under
-    each of `cfgs`.  joint_chains reads the social graph and the CSD
-    model only when lambda > 0, so unless one of `cfgs` sets it neither
-    is loaded and both are None; require_files still demands that both
-    input files exist.  Each of `cfgs` must make the split (ensure_bundle),
-    and a checkpoint of the other model is refused."""
+    each of `cfgs`, all scored on cfg's split (ensure_bundle).
+    joint_chains reads the social graph and the CSD model only when
+    lambda > 0, so unless one of `cfgs` sets it neither is loaded and
+    both are None; require_files still demands that both input files
+    exist.  A checkpoint of the other model is refused."""
     social = any(c.guidance().lam > 0 for c in cfgs)
     if social:
         R, S = pipeline.load_dataset(cfg)
     else:
         R, S = pipeline.load_interaction_data(cfg), None
-    bundle = pipeline.ensure_bundle(cfg, R, cfgs)
+    bundle = pipeline.ensure_bundle(cfg, R)
     ckpt_item = load_checkpoint(_ckpt_dir(cfg, "cgd", args.ckpt_cgd), "CGD")
     csd_dir = _ckpt_dir(cfg, "csd", args.ckpt_csd)
     ckpt_social = None
@@ -117,8 +118,24 @@ def cmd_infer(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _write_freq_tsv(hist: dict, path) -> None:
+def _lists_report(cfg: ExperimentConfig, args, name: str) -> tuple[dict, str]:
+    """The eval report of the lists file args.lists on cfg's split, and
+    the path for it: args.out, else `name` under output_dir."""
+    R = pipeline.load_interaction_data(cfg)
+    bundle = pipeline.ensure_bundle(cfg, R)
+    lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
+    report = pipeline.eval_report(cfg, lists, bundle)
+    out = args.out or os.path.join(cfg["output_dir"], name)
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    return report, out
+
+
+def _write_report(payload: dict, path) -> None:
+    """`payload` as JSON at `path`, and its histogram at path.freq.tsv."""
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report_json(payload))
+    hist = payload["freq_hist"]
+    with open(path + ".freq.tsv", "w", encoding="utf-8") as fh:
         fh.write("bucket\tmean_freq\n")
         for decile, value in sorted(hist["decile_mean_freq"].items()):
             fh.write(f"decile_{decile}\t{value!r}\n")
@@ -128,28 +145,21 @@ def _write_freq_tsv(hist: dict, path) -> None:
 
 
 def cmd_eval(cfg: ExperimentConfig, args) -> int:
-    R = pipeline.load_interaction_data(cfg)
-    bundle = pipeline.ensure_bundle(cfg, R)
-    lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
-    report = pipeline.eval_report(cfg, lists, bundle)
-    out = args.out or os.path.join(cfg["output_dir"], "report.json")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    _write_freq_tsv(report.freq_hist, out + ".freq.tsv")
-    for k in sorted(report.recall):
-        print(f"recall@{k}\t{report.recall[k]!r}")
-    for k in sorted(report.ndcg):
-        print(f"ndcg@{k}\t{report.ndcg[k]!r}")
-    for notice in report.notices:
+    report, out = _lists_report(cfg, args, "report.json")
+    _write_report(report, out)
+    for metric in ("recall", "ndcg"):
+        for k in sorted(report[metric]):
+            print(f"{metric}@{k}\t{report[metric][k]!r}")
+    for notice in report["notices"]:
         print(f"notice\t{notice}")
     print(f"report\t{out}")
     return 0
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    param = args.param if "." in args.param else f"guidance.{args.param}"
-    if param.partition(".")[0] in ("dataset", "cgd", "csd"):
+    # a bare name is a guidance knob unless it is a top-level key
+    param = args.param if "." in args.param or args.param in SCHEMA else f"guidance.{args.param}"
+    if param in SCHEMA and param.partition(".")[0] not in ("guidance", "eval"):
         raise ConfigError(
             f"sweep cannot vary {param}: every value is scored on the base config's "
             "data, split and checkpoints"
@@ -177,10 +187,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     def inputs(cfg_v):
         # chain A never reads w_r, and chain B runs whenever w_r > 0, so a
         # pair run under a group's largest w_r serves each of its values
-        return (
-            dataclasses.replace(cfg_v.guidance(), w_r=0.0),
-            cfg_v["eval.hot_fraction"], cfg_v.seed_for("inference"),
-        )
+        return dataclasses.replace(cfg_v.guidance(), w_r=0.0), cfg_v["eval.hot_fraction"]
 
     def ranked():
         """Each value's lists, in order.  Consecutive values whose chains
@@ -208,11 +215,11 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     rows = []
     for v, cfg_v, lists in zip(values, cfgs, ranked()):
         report = pipeline.eval_report(cfg_v, lists, bundle)
-        report.config_echo = dict(cfg.raw, swept={param: v})
+        report["config"] = dict(cfg.raw, swept={param: v})
         name = f"report_{param.replace('.', '-')}={v}.json"
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        cells = [getattr(report, metric).get(k, float("nan")) for metric, k in columns]
+            fh.write(report_json(report))
+        cells = [report[metric].get(k, float("nan")) for metric, k in columns]
         rows.append((v, cells))
         print(f"{param}={v}\t" + "\t".join(f"{n}={x!r}" for n, x in zip(names, cells)))
 
@@ -226,22 +233,12 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_bias_report(cfg: ExperimentConfig, args) -> int:
-    R = pipeline.load_interaction_data(cfg)
-    bundle = pipeline.ensure_bundle(cfg, R)
-    lists = pipeline.read_lists(args.lists, R.n_users, R.n_items)
-    target, hot = pipeline.eval_target(cfg, bundle)
-    hist = frequency_histogram(lists, bundle.train, hot)
-    per_group, notices = group_metrics(lists, target, hot, cfg["eval.ks"])
-    out = args.out or os.path.join(cfg["output_dir"], "bias.json")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    payload = {"freq_hist": hist, "per_group": per_group, "notices": notices}
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(keys_to_str(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_freq_tsv(hist, out + ".freq.tsv")
+    report, out = _lists_report(cfg, args, "bias.json")
+    _write_report({key: report[key] for key in ("freq_hist", "per_group", "notices")}, out)
+    hist = report["freq_hist"]
     print(f"hot_mean_freq\t{hist['hot_mean_freq']!r}")
     print(f"tail_mean_freq\t{hist['tail_mean_freq']!r}")
-    for notice in notices:
+    for notice in report["notices"]:
         print(f"notice\t{notice}")
     print(f"bias_report\t{out}")
     return 0

@@ -27,7 +27,7 @@ once per value, so every list is the one top_k_rows gives on its own.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,32 +63,25 @@ def _checked_mask(mask, shape, k: int) -> sp.csr_matrix:
     return mask
 
 
-def blend(a: np.ndarray, b: np.ndarray | None, w: float) -> np.ndarray:
-    """(1 - w) * a + w * b; `a` itself when there is no b or w is 0."""
-    if b is None or w == 0.0:
-        return a
-    return (1.0 - w) * a + w * b
-
-
 def top_k_rows(
     scores: np.ndarray, k: int, mask=None, other=None, w: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k best column ids and their scores, best first.
 
-    The rows ranked are those of blend(scores, other, w).  Ties break
-    toward the lower column id and NaN ranks after every number.  Masked
-    entries (a sparse matrix of already-seen (row, column) positions,
-    duplicates allowed) rank after everything, so no masked id is listed;
-    k larger than a row's unmasked count is a config error.
+    The rows ranked are the blend (1 - w) * scores + w * other, or scores
+    alone when there is no other or w is 0.  Ties break toward the lower
+    column id and NaN ranks after every number.  Masked entries (a sparse
+    matrix of already-seen (row, column) positions, duplicates allowed)
+    rank after everything, so no masked id is listed; k larger than a
+    row's unmasked count is a config error.
 
     Rows are ranked ROW_BLOCK at a time in one buffer holding the block's
-    blend (the same operations as blend), negated, with +inf at the
-    masked positions.  An argpartition picks each row's k smallest.  When
-    the k-th is below +inf and every entry equal to it was picked, the
-    picks sorted by id and then stably by value are the row's list.  Any
-    other row (ties straddling the cut, a k-th value of NaN or +inf) is
-    lexsorted whole by (masked, value); lexsort is stable, so ties keep
-    id order.
+    blend, negated, with +inf at the masked positions.  An argpartition
+    picks each row's k smallest.  When the k-th is below +inf and every
+    entry equal to it was picked, the picks sorted by id and then stably
+    by value are the row's list.  Any other row (ties straddling the cut,
+    a k-th value of NaN or +inf) is lexsorted whole by (masked, value);
+    lexsort is stable, so ties keep id order.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n_rows, n = scores.shape
@@ -325,37 +318,21 @@ def keys_to_str(obj):
     return obj
 
 
-@dataclass
-class EvalReport:
-    """Everything one evaluation run produces, JSON-serializable."""
-
-    recall: dict[int, float]
-    ndcg: dict[int, float]
-    per_group: dict[str, dict[str, dict[int, float]]]
-    freq_hist: dict
-    notices: list[str] = field(default_factory=list)
-    config_echo: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "recall": self.recall,
-            "ndcg": self.ndcg,
-            "per_group": self.per_group,
-            "freq_hist": self.freq_hist,
-            "notices": list(self.notices),
-            "config": self.config_echo,
-        }
-        return json.dumps(keys_to_str(payload), indent=2, sort_keys=True) + "\n"
+def report_json(payload: dict) -> str:
+    """The text of a report file: `payload`, keys stringified and sorted,
+    indented, and a newline."""
+    return json.dumps(keys_to_str(payload), indent=2, sort_keys=True) + "\n"
 
 
-def evaluate_lists(
-    lists: RankedLists, test, train, hot: np.ndarray, ks, config_echo: dict | None = None
-) -> EvalReport:
-    """Full evaluation of already-ranked lists against a test split."""
+def evaluate_lists(lists: RankedLists, test, train, hot: np.ndarray, ks) -> dict:
+    """A report's fields for already-ranked lists against a test split:
+    recall and ndcg at each of `ks`, the hot/tail breakdown (per_group,
+    with its notices) and the popularity histogram (freq_hist)."""
     ks, K = sorted(int(k) for k in ks), lists.items.shape[1]
     if len(lists.users) and K < max(ks):
         raise ConfigError(f"lists hold {K} items, fewer than K={max(ks)}")
     [(recall, ndcg)] = _ranking_metrics(lists, test, ks)
     per_group, notices = group_metrics(lists, test, hot, ks)
-    hist = frequency_histogram(lists, train, hot)
-    return EvalReport(recall, ndcg, per_group, hist, notices, dict(config_echo or {}))
+    freq_hist = frequency_histogram(lists, train, hot)
+    return {"recall": recall, "ndcg": ndcg, "per_group": per_group,
+            "freq_hist": freq_hist, "notices": notices}

@@ -46,7 +46,7 @@ from .corpus import long_tail, pruned, social_preference
 from .denoiser import DenoiserParams, corrupt_rows, last_hidden
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError
-from .evaluation import blend, top_k_rows
+from .evaluation import top_k_rows
 from .schedule import NoiseSchedule, model_mean
 from .schedule import q_sample  # noqa: F401  (bench/spans.py wraps it here)
 from .store import Checkpoint
@@ -206,16 +206,18 @@ def unconditional_scores(
 
 
 def binarize_social(
-    S: SocialMatrix, s_bar: np.ndarray, keep: int | None, start: int = 0
+    S: SocialMatrix, s_bar: np.ndarray, keep: int | None, start: int = 0,
+    other: np.ndarray | None = None, w: float = 0.0,
 ) -> SocialMatrix:
     """Turn denoised score rows back into 0/1 graph rows.
 
-    Row j of s_bar holds the scores of user start + j, and the result
-    holds those users' rows of the graph: the whole score matrix gives
-    the whole graph, and row blocks give blocks that stack to it.  Each
-    user keeps its `keep` highest-scoring other users (its degree in S
-    when keep is None), at most n - 1; ties break toward the lower user
-    id, as in every ranking (evaluation.top_k_rows).
+    Row j of s_bar holds the scores of user start + j, blended with
+    other's row j by w as top_k_rows blends, and the result holds those
+    users' rows of the graph: the whole score matrix gives the whole
+    graph, and row blocks give blocks that stack to it.  Each user keeps
+    its `keep` highest-scoring other users (its degree in S when keep is
+    None), at most n - 1; ties break toward the lower user id, as in
+    every ranking (evaluation.top_k_rows).
     """
     if keep is not None and keep < 0:
         raise ConfigError(f"keep must be >= 0, got {keep}")
@@ -226,7 +228,7 @@ def binarize_social(
         degrees = np.full(rows, keep)
     keep_u = np.minimum(degrees, max(n - 1, 0))
     itself = sp.eye(rows, n, k=start, format="csr")
-    ids, _ = top_k_rows(s_bar, int(keep_u.max(initial=0)), itself)
+    ids, _ = top_k_rows(s_bar, int(keep_u.max(initial=0)), itself, other, w)
     # Ids past a row's own keep become n, so they sort behind the kept ones.
     kept = np.arange(ids.shape[1]) < keep_u[:, None]
     neigh = np.sort(np.where(kept, ids, n), axis=1)[kept]
@@ -245,7 +247,7 @@ def social_phase(
     )
 
     def rebinarize(span, a, b):
-        return binarize_social(S, blend(a, b, cfg.w_s), cfg.social_keep, span.start).matrix
+        return binarize_social(S, a, cfg.social_keep, span.start, other=b, w=cfg.w_s).matrix
 
     return SocialMatrix(sp.vstack(list(starmap(rebinarize, chunks)), format="csr"))
 
@@ -304,7 +306,8 @@ def joint_chains(
     (item_phase).  Both condition graphs are built a block at a time.
 
     Lets a sweep over w_r reuse one pair of chains instead of rerunning
-    the whole pipeline per value: blend(*joint_chains(...), w_r) is the
+    the whole pipeline per value: the pair (a, b) blended as
+    (1 - w_r) * a + w_r * b (a alone when b is None or w_r is 0) is the
     pipeline's scores, bitwise unconditional_scores on R when every
     coefficient is zero.  The social side may be None when lam = 0.
     """

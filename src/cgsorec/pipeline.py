@@ -84,28 +84,26 @@ def make_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
     return replace(bundle, debiased_test=debiased)
 
 
-def ensure_bundle(cfg: ExperimentConfig, R: InteractionMatrix, cfgs=()) -> SplitBundle:
+def ensure_bundle(cfg: ExperimentConfig, R: InteractionMatrix) -> SplitBundle:
     """The split in cfg's manifest when there is one, else a fresh split
-    under cfg.  cfg, and each of `cfgs` (a sweep's values, all scored on
-    this split), must make this split: the same seed and ratios, and the
-    same cap when it sets an integer one; else a ConfigError names each
-    key that differs."""
+    under cfg.  cfg must make this split: the same seed and ratios, and
+    the same cap when it sets an integer one; else a ConfigError names
+    each key that differs."""
     path = os.path.join(cfg["output_dir"], MANIFEST_NAME)
     if os.path.exists(path):
         bundle, source = load_manifest(path, (R.n_users, R.n_items)), f"split manifest {path!r}"
     else:
         bundle, source = make_bundle(cfg, R), "the base config's split"
     held = {"seed": bundle.seed, "ratios": list(bundle.ratios), "debiased_cap": resolved_cap(bundle)}
-    for c in (cfg, *cfgs):
-        wanted = {"seed": c.seed_for("split"), "ratios": list(c["split.ratios"]),
-                  "debiased_cap": c["split.debiased_cap"]}
-        changed = [f"{key} {held[key]!r} != {wanted[key]!r}" for key in held
-                   if wanted[key] not in ("auto", held[key])]
-        if changed:
-            raise ConfigError(
-                f"{source} was made under another split config (split != config): "
-                + "; ".join(changed)
-            )
+    wanted = {"seed": cfg.seed_for("split"), "ratios": list(cfg["split.ratios"]),
+              "debiased_cap": cfg["split.debiased_cap"]}
+    changed = [f"{key} {held[key]!r} != {wanted[key]!r}" for key in held
+               if wanted[key] not in ("auto", held[key])]
+    if changed:
+        raise ConfigError(
+            f"{source} was made under another split config (split != config): "
+            + "; ".join(changed)
+        )
     return bundle
 
 
@@ -233,9 +231,11 @@ def eval_target(cfg: ExperimentConfig, bundle: SplitBundle) -> tuple[Interaction
     return target, partition_items(bundle.train, cfg["eval.hot_fraction"])
 
 
-def eval_report(cfg: ExperimentConfig, lists: RankedLists, bundle: SplitBundle):
+def eval_report(cfg: ExperimentConfig, lists: RankedLists, bundle: SplitBundle) -> dict:
+    """evaluate_lists' fields for `lists` under cfg, and cfg as "config"."""
     target, hot = eval_target(cfg, bundle)
-    return evaluate_lists(lists, target, bundle.train, hot, cfg["eval.ks"], config_echo=cfg.raw)
+    report = evaluate_lists(lists, target, bundle.train, hot, cfg["eval.ks"])
+    return dict(report, config=cfg.raw)
 
 
 def write_lists(lists: RankedLists, path) -> None:

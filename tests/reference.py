@@ -1,6 +1,6 @@
 """Small readers the tests share that the program itself never calls: a
-config from a dict, the exact reverse posterior, NDCG@k alone, and a
-synthetic dataset's two matrices."""
+config from a dict, the exact reverse posterior, NDCG@k alone, a
+synthetic dataset's two matrices, and the blend of a chain pair."""
 
 import numpy as np
 
@@ -36,3 +36,11 @@ def to_matrices(ds: SyntheticDataset) -> tuple[InteractionMatrix, SocialMatrix]:
     u, i = ds.interactions.T
     R = InteractionMatrix(binary_pairs(u, i, (ds.n_users, ds.n_items)))
     return R, social_graph(*ds.social_edges.T, ds.n_users)
+
+
+def blend(a: np.ndarray, b: np.ndarray | None, w: float) -> np.ndarray:
+    """(1 - w) * a + w * b; `a` itself when there is no b or w is 0: the
+    scores evaluation.top_k_rows ranks for (a, b, w)."""
+    if b is None or w == 0.0:
+        return a
+    return (1.0 - w) * a + w * b

@@ -22,11 +22,11 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import rand_binary_csr, record_acceptance, untrained_checkpoint, whole_scores
-from reference import config_from_dict, ndcg_at_k, posterior_params
+from reference import blend, config_from_dict, ndcg_at_k, posterior_params
 from cgsorec import pipeline
 from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
 from cgsorec.denoiser import init_params, loss_and_grad
-from cgsorec.evaluation import blend, evaluate_lists, recall_at_k, topk_lists
+from cgsorec.evaluation import evaluate_lists, recall_at_k, report_json, topk_lists
 from cgsorec.guidance import (
     STAGE_ITEM,
     GuidanceConfig,
@@ -72,11 +72,12 @@ def acc_root(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance")
 
 
-def _workspace(tmp_path_factory, name, dataset, n_users, n_items, cgd, csd):
-    root = tmp_path_factory.mktemp(name)
-    write_dataset(dataset, root / "r.tsv", root / "s.tsv")
+def _workspace(root, make, n_users, n_items, cgd, csd, seed):
+    """Both models trained, in directory `root`, on make(seed=seed) under
+    the root config seed `seed`."""
+    write_dataset(make(seed=seed), root / "r.tsv", root / "s.tsv")
     cfg = config_from_dict({
-        "seed": 0,
+        "seed": seed,
         "output_dir": str(root / "run"),
         "dataset": {
             "interactions": str(root / "r.tsv"),
@@ -105,20 +106,24 @@ def _workspace(tmp_path_factory, name, dataset, n_users, n_items, cgd, csd):
     )
 
 
+def planted_workspace(root, seed=0):
+    """The workspace of criteria 7 and 8: `planted`, 200 users."""
+    return _workspace(root, planted, 200, 300, PLANTED_MODEL, PLANTED_MODEL, seed)
+
+
+def lastfm_workspace(root, seed=0):
+    """The workspace of criteria 5 and 6: `lastfm_like`, 1853 users."""
+    return _workspace(root, lastfm_like, 1853, 2698, LASTFM_CGD, LASTFM_CSD, seed)
+
+
 @pytest.fixture(scope="module")
 def planted_ws(tmp_path_factory):
-    return _workspace(
-        tmp_path_factory, "acc-planted", planted(seed=0), 200, 300,
-        PLANTED_MODEL, PLANTED_MODEL,
-    )
+    return planted_workspace(tmp_path_factory.mktemp("acc-planted"))
 
 
 @pytest.fixture(scope="module")
 def lastfm_ws(tmp_path_factory):
-    return _workspace(
-        tmp_path_factory, "acc-lastfm", lastfm_like(seed=0), 1853, 2698,
-        LASTFM_CGD, LASTFM_CSD,
-    )
+    return lastfm_workspace(tmp_path_factory.mktemp("acc-lastfm"))
 
 
 @pytest.fixture(scope="module")
@@ -189,10 +194,9 @@ def _write_c5(ws, out_dir):
     ):
         report = evaluate_lists(
             topk_lists(scores, 10, mask=ws.bundle.train),
-            ws.bundle.debiased_test, ws.bundle.train, ws.hot,
-            ks=[5, 10], config_echo=echo,
+            ws.bundle.debiased_test, ws.bundle.train, ws.hot, ks=[5, 10],
         )
-        (out_dir / name).write_text(report.to_json(), encoding="utf-8")
+        (out_dir / name).write_text(report_json(dict(report, config=echo)), encoding="utf-8")
     return res
 
 
@@ -210,26 +214,26 @@ def _write_c7(ws, out_dir):
     ):
         report = evaluate_lists(
             topk_lists(scores, 10, mask=ws.bundle.train),
-            ws.bundle.test, ws.bundle.train, ws.hot,
-            ks=[5, 10], config_echo=echo,
+            ws.bundle.test, ws.bundle.train, ws.hot, ks=[5, 10],
         )
-        (out_dir / name).write_text(report.to_json(), encoding="utf-8")
+        (out_dir / name).write_text(report_json(dict(report, config=echo)), encoding="utf-8")
         reports[name] = report
     return reports
 
 
-def _write_c8(ws, out_dir):
+def _c8_lists(ws):
+    """(w_r, top-10 lists) at each w_r of criterion 8's grid, 0 to 0.9."""
     g = GuidanceConfig(w_r=1.0, **C8_SWEEP)
     out_a, out_b = joint_chains(
         ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.hot, g, ws.seed
     )
-    curve = []
     for w_r in np.round(np.arange(0.0, 1.0, 0.1), 1):
         scores = out_a if w_r == 0.0 else (1.0 - w_r) * out_a + w_r * out_b
-        n10 = ndcg_at_k(
-            topk_lists(scores, 10, mask=ws.bundle.train), ws.bundle.test, 10
-        )
-        curve.append((float(w_r), n10))
+        yield float(w_r), topk_lists(scores, 10, mask=ws.bundle.train)
+
+
+def _write_c8(ws, out_dir):
+    curve = [(w_r, ndcg_at_k(lists, ws.bundle.test, 10)) for w_r, lists in _c8_lists(ws)]
     with open(out_dir / "sweep.tsv", "w", encoding="utf-8") as fh:
         fh.write("w_r\tndcg@10\n")
         for w_r, v in curve:
@@ -459,8 +463,8 @@ def test_criterion_7_hot_tail_tradeoff(acc_root, planted_ws):
     d = acc_root / "c7"
     d.mkdir()
     reports = _write_c7(ws, d)
-    off = reports["base_report.json"].per_group
-    on = reports["guided_report.json"].per_group
+    off = reports["base_report.json"]["per_group"]
+    on = reports["guided_report.json"]["per_group"]
     hot_off, hot_on = off["hot"]["recall"][10], on["hot"]["recall"][10]
     tail_off, tail_on = off["tail"]["recall"][10], on["tail"]["recall"][10]
     elapsed = ws.train_secs + (time.perf_counter() - t0)

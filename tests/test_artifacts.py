@@ -7,22 +7,32 @@ partial.  Each file the script leaves, and each command's stdout, must
 match its pinned digest in `pinned_artifacts.json`.  A change meant to
 keep outputs byte-identical changes no digest; a change that moves
 numbers on purpose updates only the digests it must, file by file.
+
+OpenBLAS rounds some products differently by thread count, so the
+thread count is part of the pins: each script runs in a child process
+(`python tests/test_artifacts.py NAME`, which prints the digests as
+JSON) with OPENBLAS_NUM_THREADS set to THREADS, whatever the caller's.
 """
 
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import cgsorec
 from cgsorec.cli import main
 from cgsorec.synth import lastfm_like, planted, write_dataset
 
 PINS = Path(__file__).with_name("pinned_artifacts.json")
 BUILD = "NumPy 2.4.6 with OpenBLAS 0.3.31 (Haswell kernel)"
+THREADS = 2
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cgsorec.__file__)))
 
 GUIDANCE = {"delta": 1.0, "eta": 0.2, "w_s": 0.5, "lambda": 2.0, "gamma": 0.5, "w_r": 0.2}
 UNGUIDED = [f"--set=guidance.{k}=0" for k in GUIDANCE]
@@ -86,9 +96,15 @@ def run_script(name: str, root: Path) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
-def test_artifacts_match_their_pins(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    got = run_script(name, tmp_path)
+def test_artifacts_match_their_pins(name, tmp_path):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(THREADS), PYTHONPATH=path)
+    child = subprocess.run(
+        [sys.executable, __file__, name], cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
     want = json.loads(PINS.read_text())[name]
     changed = [
         f"{part} {key}: {want[part].get(key)} -> {got[part].get(key)}"
@@ -96,11 +112,15 @@ def test_artifacts_match_their_pins(name, tmp_path, monkeypatch):
         for key in sorted(set(want[part]) | set(got[part]))
         if want[part].get(key) != got[part].get(key)
     ]
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "<unset>")
     assert not changed, (
         f"{len(changed)} artifacts of the {name} script differ from their pins, "
-        f"which were taken under {BUILD} at its default of 2 BLAS threads on 2 CPUs; "
-        f"this run has OPENBLAS_NUM_THREADS={threads} on {os.cpu_count()} CPUs. "
-        "Another build or another BLAS thread count may round differently:\n"
+        f"which were taken under {BUILD} at OPENBLAS_NUM_THREADS={THREADS} on 2 CPUs; "
+        f"this run set the same count on {os.cpu_count()} CPUs. Another build may "
+        "round differently, and so may a host with fewer CPUs than threads, since "
+        "OpenBLAS runs at most one thread per CPU:\n"
         + "\n".join(changed)
     )
+
+
+if __name__ == "__main__":
+    json.dump(run_script(sys.argv[1], Path.cwd()), sys.stdout)

@@ -718,6 +718,35 @@ class TestListsChecks:
             per_group = json.loads((root / "out.json").read_text())["per_group"]
             assert list(per_group) == ["tail"]
 
+    @pytest.mark.parametrize("command", ["eval", "bias-report"])
+    def test_lists_shorter_than_the_largest_k_exit_2(self, planted_ws, tmp_path, capsys, command):
+        # bias-report scores lists as eval does, so it labels no @5 figure @10
+        root, cfg = planted_ws
+        path = tmp_path / "lists.tsv"
+        path.write_text("".join(f"{u}\t{i}\t0.0\n" for u in range(3) for i in range(5)))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, command, cfg, "--lists", str(path), "--out", str(out))
+        assert code == 2
+        assert err == "config error: lists hold 5 items, fewer than K=10\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["eval", "bias-report"])
+    def test_users_with_no_test_item_exit_3(self, planted_ws, tmp_path, capsys, command):
+        # every planted user holds a test item, but not a debiased one
+        root, cfg_path = planted_ws
+        cfg = load_config(cfg_path)
+        test = pipeline.ensure_bundle(cfg, pipeline.load_dataset(cfg)[0]).debiased_test.matrix
+        empty = np.flatnonzero(np.diff(test.indptr) == 0)[:2]
+        assert len(empty) == 2
+        path = tmp_path / "lists.tsv"
+        path.write_text("".join(f"{u}\t{i}\t0.0\n" for u in empty for i in range(10)))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, command, cfg_path, "--lists", str(path), "--out", str(out),
+                           "--set", "eval.split=debiased")
+        assert code == 3
+        assert err == "data error: metrics undefined: every listed user's test row is empty\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_user_beyond_n_users(self, planted_ws, capsys):
         code, _, err = self.run_on(capsys, planted_ws, "eval", [(0, range(10)), (5000, range(10))])
         assert code == 3
@@ -913,21 +942,36 @@ class TestSplitReuse:
         assert code == 0, err
 
     def test_sweep_value_under_another_split_exits_2(self, prepared, tmp_path, capsys):
-        # every value is scored on the manifest's split, so each must make it
+        # every value is scored on the manifest's split, so no split key is swept
         cfg, manifest, _ = prepared
         code, _, err = run(
             capsys, "sweep", cfg, "--param", "split.ratios",
             "--values", "[0.8,0.1,0.1],[0.5,0.25,0.25]", "--out-dir", str(tmp_path / "sweep"),
         )
         assert code == 2
-        assert f"split manifest {str(manifest)!r} was made under another split config" in err
-        assert err.endswith("ratios [0.8, 0.1, 0.1] != [0.5, 0.25, 0.25]\n")
+        assert err == ("config error: sweep cannot vary split.ratios: every value is "
+                       "scored on the base config's data, split and checkpoints\n")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_over_the_manifests_own_cap_exits_2(self, prepared, tmp_path, capsys):
+        # the value makes the manifest's split, yet a split key is refused
+        # up front all the same, not scored as a copy of the base row
+        cfg, manifest, _ = prepared
+        cap = json.loads(manifest.read_text())["debiased_cap"]
+        code, _, err = run(
+            capsys, "sweep", cfg, "--param", "split.debiased_cap", "--values", str(cap),
+            "--out-dir", str(tmp_path / "sweep"),
+        )
+        assert code == 2
+        assert err == ("config error: sweep cannot vary split.debiased_cap: every value is "
+                       "scored on the base config's data, split and checkpoints\n")
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize(
         "param, values",
         [("dataset.social", '"social.tsv","./social.tsv"'), ("dataset.n_items", "60,80"),
-         ("cgd.epochs", "1,5"), ("csd.T", "3,5")],
+         ("cgd.epochs", "1,5"), ("csd.T", "3,5"), ("split.ratios", "[0.8,0.1,0.1]"),
+         ("seed", "7,8"), ("output_dir", '"a","b"'), ("csd_valid_fraction", "0.1,0.2")],
     )
     def test_sweep_over_a_key_it_cannot_honour_exits_2(self, ws, tmp_path, capsys, param, values):
         # the data, the split and both checkpoints are the base config's:
@@ -1234,3 +1278,16 @@ class TestBiasReport:
         assert payload["freq_hist"]["total_count"] == 40 * 10
         assert "hot_mean_freq" in stdout
         assert os.path.exists(str(out) + ".freq.tsv")
+
+    def test_bias_report_is_part_of_the_eval_report(self, ws, capsys, tmp_path):
+        lists = tmp_path / "lists.tsv"
+        assert run(capsys, "infer", ws["cfg"], "--out", str(lists))[0] == 0
+        for command in ("eval", "bias-report"):
+            argv = ["--lists", str(lists), "--out", str(tmp_path / f"{command}.json")]
+            assert run(capsys, command, ws["cfg"], *argv)[0] == 0
+        report = json.loads((tmp_path / "eval.json").read_text())
+        bias = json.loads((tmp_path / "bias-report.json").read_text())
+        assert bias == {key: report[key] for key in ("freq_hist", "per_group", "notices")}
+        tsv = [(tmp_path / f"{command}.json.freq.tsv").read_bytes()
+               for command in ("eval", "bias-report")]
+        assert tsv[0] == tsv[1]

@@ -10,13 +10,12 @@ from cgsorec.corpus import InteractionMatrix, partition_items
 from cgsorec.errors import ConfigError, DataError
 from cgsorec.evaluation import (
     ROW_BLOCK,
-    EvalReport,
     RankedLists,
-    blend,
     evaluate_lists,
     frequency_histogram,
     group_metrics,
     recall_at_k,
+    report_json,
     top_k_grid,
     top_k_rows,
     topk_lists,
@@ -24,7 +23,7 @@ from cgsorec.evaluation import (
 from cgsorec.pipeline import read_lists, write_lists
 
 from conftest import decimal, digits, line_loop, rand_binary_csr
-from reference import ndcg_at_k
+from reference import blend, ndcg_at_k
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +662,8 @@ class TestCanonicalTestRows:
             assert ndcg_at_k(lists, messy, k) == ndcg_at_k(lists, canonical, k)
         ks = [1, 5, K]
         assert group_metrics(lists, messy, hot, ks) == group_metrics(lists, canonical, hot, ks)
-        report = evaluate_lists(lists, messy, canonical, hot, ks).to_json()
-        assert report == evaluate_lists(lists, canonical, canonical, hot, ks).to_json()
+        report = report_json(evaluate_lists(lists, messy, canonical, hot, ks))
+        assert report == report_json(evaluate_lists(lists, canonical, canonical, hot, ks))
 
 
 def score(field: bytes) -> float:
@@ -808,14 +807,13 @@ class TestEvalReport:
         test_sets = {u: {int(11 - u)} for u in range(6)}
         test = sets_to_csr(test_sets, 6, 12)
         hot = partition_items(InteractionMatrix(train), 0.25)
-        return evaluate_lists(
-            topk_lists(scores, 5, mask=train), test, train, hot, ks=[1, 5],
-            config_echo={"seed": 7, "variant": "test"},
-        )
+        report = evaluate_lists(topk_lists(scores, 5, mask=train), test, train, hot, ks=[1, 5])
+        assert set(report) == {"recall", "ndcg", "per_group", "freq_hist", "notices"}
+        return dict(report, config={"seed": 7, "variant": "test"})
 
     def test_json_round_trip(self, rng):
         report = self.build_report(rng)
-        text = report.to_json()
+        text = report_json(report)
         assert text.endswith("\n")
         payload = json.loads(text)
         assert set(payload) == {
@@ -824,13 +822,14 @@ class TestEvalReport:
         assert set(payload["recall"]) == {"1", "5"}
         assert payload["config"] == {"seed": 7, "variant": "test"}
         # sorted keys: serialization is reproducible
-        assert text == report.to_json()
+        assert text == report_json(report)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_metric_ranges(self, rng):
         report = self.build_report(rng)
-        for k, v in {**report.recall, **report.ndcg}.items():
+        for k, v in {**report["recall"], **report["ndcg"]}.items():
             assert 0.0 <= v <= 1.0
-        assert report.freq_hist["total_count"] == 5 * 6
+        assert report["freq_hist"]["total_count"] == 5 * 6
 
     def test_lists_shorter_than_k(self, rng):
         lists = make_lists([[0, 1]])

@@ -18,7 +18,7 @@ from cgsorec.corpus import (
 )
 from cgsorec.denoiser import corrupt_rows, predict_x0
 from cgsorec.errors import ConfigError, NumericError
-from cgsorec.evaluation import ROW_BLOCK, blend
+from cgsorec.evaluation import ROW_BLOCK
 from cgsorec.guidance import (
     CHUNK,
     GuidanceConfig,
@@ -38,6 +38,7 @@ from cgsorec.guidance import (
 from cgsorec.schedule import make_schedule, model_mean, q_sample
 
 from conftest import rand_binary_csr, untrained_checkpoint, whole_scores
+from reference import blend
 
 
 class TestGuidanceConfig:
@@ -497,6 +498,15 @@ class TestBinarizeAgainstLoop:
         S = SocialMatrix(sp.csr_matrix(np.ones((1, 1))))
         self.assert_same(S, np.ones((1, 1)), None)
         self.assert_same(S, np.ones((1, 1)), 2)
+
+    @pytest.mark.parametrize("w", [0.0, 0.3, 0.5, 1.0])
+    def test_pair_blended_in_the_block(self, rng, w):
+        # a block of a pair re-binarizes as its blend does, rounded ties included
+        S = SocialMatrix(rand_binary_csr(rng, 40, 40, 0.15))
+        a, b = (np.round(rng.standard_normal((30, 40)), 1) for _ in range(2))
+        for keep in (None, 3):
+            got = binarize_social(S, a, keep, 10, other=b, w=w).matrix
+            assert_same_csr(got, binarize_social(S, blend(a, b, w), keep, 10).matrix)
 
 
 class TestConditionBuilders:
