@@ -23,19 +23,36 @@ rtol 1e-10.
 Determinism: corruption noise comes from a stream keyed by
 (seed XOR user_id, stage), so results do not depend on which chains
 are skipped; every reverse step takes its mean; rows are processed in
-fixed 512-row chunks so BLAS sees the same shapes on every run.
+fixed 256-row chunks so BLAS sees the same shapes on every run.  While
+a pair's chains run, NumPy's OpenBLAS is held to one thread
+(_one_blas_thread), since it rounds some products differently at other
+thread counts: inference bytes do not depend on OPENBLAS_NUM_THREADS.
+Up to WORKERS threads run the chunks, each chunk wholly on one worker,
+and blocks come back in chunk order, so a chunk's bytes do not depend on
+the worker count either.  Where the hold cannot be taken, one worker
+runs the chunks, one at a time.
 
 Memory: _chain_rows yields a pair's chains chunk by chunk, building
 each chunk's condition rows as it goes, since both condition graphs are
 row-local; each phase reduces a chunk as soon as it is made: the social
 phase into re-binarized graph rows, and infer and validation into
-ranked lists.  Only a sweep's item pair is whole.
+ranked lists.  Only a sweep's item pair is whole.  At most WORKERS
+chunks are alive at a time, the one being reduced included.  The
+calling thread allocates each chunk's blocks, which hold its noise
+until the output head overwrites it, and checks them; a worker allocates
+no chunk-sized array, since glibc keeps what a thread frees in that
+thread's arena.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import starmap
 
 import numpy as np
@@ -61,7 +78,8 @@ STAGE_ITEM_COND = 3
 STAGE_VALID = 4
 STAGE_NAMES = ("social", "social-condition", "item", "item-condition", "validation")
 
-CHUNK = 512
+CHUNK = 256
+WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -106,12 +124,54 @@ def resolve_T_inf(cfg: GuidanceConfig, sched: NoiseSchedule) -> int:
     return cfg.T_inf
 
 
-def _user_eps(seed: int, stage: int, users: np.ndarray, width: int) -> np.ndarray:
-    """Corruption noise for a block of users, one stream per (user, stage)."""
-    eps = np.empty((len(users), width), dtype=np.float64)
-    for j, u in enumerate(users):
-        eps[j] = np.random.default_rng([seed ^ int(u), stage]).standard_normal(width)
-    return eps
+@cache
+def _blas_threads():
+    """(get, set) of the thread count of NumPy's own OpenBLAS, the library
+    loaded from NumPy's install (/proc/self/maps), or None where there is
+    no such library or it exports neither naming of the two functions."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = {parts[5] for parts in map(str.split, fh) if len(parts) == 6}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path) or os.path.relpath(path, site)[:5] != "numpy":
+            continue
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Holds NumPy's OpenBLAS to one thread while the block runs, then
+    restores the count it had, and yields the number of chunk workers:
+    WORKERS under the hold, 1 where no hold can be taken."""
+    threads = _blas_threads()
+    if threads is None:
+        yield 1
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield WORKERS
+    finally:
+        put(before)
+
+
+def _user_eps(seed: int, stage: int, users, out: np.ndarray) -> None:
+    """Corruption noise for a block of users written into `out`, one
+    stream per (user, stage)."""
+    for row, u in zip(out, users):
+        np.random.default_rng([seed ^ int(u), stage]).standard_normal(out=row)
 
 
 def _chain_rows(
@@ -128,8 +188,10 @@ def _chain_rows(
     at stage + 1, only when its blend weight w is > 0; b is None otherwise.
     Each block's noise is corrupted in place (corrupt_rows), and steps
     run on z = x @ W0x (module docstring); the output head is applied
-    once, at t = 1.  Raises NumericError naming the stage and the first
-    user of the first block whose output is not finite.
+    once, at t = 1, into the block that held the noise.  The calling
+    thread builds each chunk's rows and blocks, and the workers fill
+    them (module docstring).  Raises NumericError naming the stage and
+    the first user of the first block whose output is not finite.
     """
     T_inf = resolve_T_inf(cfg, sched)
     ab = sched.alpha_bar[T_inf - 1]
@@ -140,59 +202,94 @@ def _chain_rows(
     paired = cond is not None and w > 0.0
     w0x = params.weights[0][:width]
     w_out, b_out = params.weights[-1], params.biases[-1]
-    head_z = w_out @ w0x
-    bias_z = b_out @ w0x
 
     def hidden(z, zc, t):
         h = last_hidden(params, z, t)
         return h if zc is None else (1.0 - mix) * h + mix * last_hidden(params, zc, t)
 
-    def chain(block, span, zc, stage):
-        eps = _user_eps(seed, stage, np.arange(span.start, span.stop), width)
-        z = corrupt_rows(canonical_rows(block), ab, eps, out=eps) @ w0x
-        del eps  # the noise buffer goes before the output block is made
+    def chain(x0, block, span, zc, stage):
+        _user_eps(seed, stage, range(span.start, span.stop), block)
+        z = corrupt_rows(x0, ab, block, out=block) @ w0x
         for t in range(T_inf, 1, -1):
             z_mix = z if zc is None else (1.0 - mix) * z + mix * zc
             z = model_mean(z_mix, hidden(z, zc, t) @ head_z + bias_z, t, sched)
         # c_xt(1) = 0 and c_x0(1) = 1: the last mean is the mixed prediction.
-        block = hidden(z, zc, 1) @ w_out
+        np.matmul(hidden(z, zc, 1), w_out, out=block)
         block += b_out
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            user = span.start + int(np.argmin(finite))
-            raise NumericError(
-                f"non-finite {STAGE_NAMES[stage]} chain output, first at user {user}"
-            )
-        return block
 
-    # No name here or in the callers' loops keeps a block once it is
-    # passed on, so only one block of each chain is alive at a time.
-    for start in range(0, n_rows, CHUNK):
-        span = slice(start, min(start + CHUNK, n_rows))
-        c = cond(span) if guided or paired else None
-        if c is not None and c.shape != (span.stop - start, width):
-            raise ConfigError(f"condition rows {c.shape} != rows {(span.stop - start, width)}")
-        zc = c.toarray() @ w0x if guided else None
-        yield (
-            span,
-            chain(rows[span], span, zc, stage),
-            chain(c, span, None, stage + 1) if paired else None,
-        )
-
-
-def _gather(chunks, shape, paired: bool, reduce=None):
-    """The list of reduce(span, a, b) over _chain_rows' blocks or, without
-    `reduce`, the whole chains A and B (None unless `paired`)."""
-    if reduce is not None:
-        return list(starmap(reduce, chunks))
-    out_a = np.empty(shape)
-    out_b = np.empty(shape) if paired else None
-    for span, a, b in chunks:
-        out_a[span] = a
+    def pair(span, x0, c, a, b):
+        chain(x0, a, span, c @ w0x if guided else None, stage)
         if paired:
-            out_b[span] = b
-        del a, b
-    return out_a, out_b
+            chain(c, b, span, None, stage + 1)
+        return span, a, b
+
+    def finite(span, a, b):
+        """The chunk as a worker made it, once chain A's block, then chain
+        B's, is checked on this thread."""
+        for block, block_stage in ((a, stage), (b, stage + 1)):
+            if block is None:
+                continue
+            ok = np.isfinite(block).all(axis=1)
+            if not ok.all():
+                user = span.start + int(np.argmin(ok))
+                raise NumericError(
+                    f"non-finite {STAGE_NAMES[block_stage]} chain output, first at user {user}"
+                )
+        return span, a, b
+
+    def submit(pool, span):
+        """Builds a chunk's rows and blocks and hands them to a worker; an
+        error here is raised by the future's result(), in chunk order."""
+        try:
+            c = cond(span) if guided or paired else None
+            shape = (span.stop - span.start, width)
+            if c is not None and c.shape != shape:
+                raise ConfigError(f"condition rows {c.shape} != rows {shape}")
+            c = None if c is None else canonical_rows(c)
+            a, b = np.empty(shape), np.empty(shape) if paired else None
+            return pool.submit(pair, span, canonical_rows(rows[span]), c, a, b)
+        except Exception as err:
+            failed = Future()
+            failed.set_exception(err)
+            return failed
+
+    # The hold starts before the first product and ends, pool drained,
+    # when the chains finish, raise or are closed.  No name here or in
+    # the callers' loops keeps a block once it is passed on.
+    with _one_blas_thread() as workers:
+        pool = ThreadPoolExecutor(workers)
+        try:
+            head_z = w_out @ w0x
+            bias_z = b_out @ w0x
+            spans = (slice(i, min(i + CHUNK, n_rows)) for i in range(0, n_rows, CHUNK))
+            pending = deque()
+            while True:
+                for span in spans:
+                    pending.append(submit(pool, span))
+                    if len(pending) == workers:
+                        break
+                if not pending:
+                    return
+                yield finite(*pending.popleft().result())
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _gather(chunks, shape=None, paired: bool = False, reduce=None):
+    """The list of reduce(span, a, b) over _chain_rows' blocks or, without
+    `reduce`, the whole chains A and B (None unless `paired`).  The chains
+    are closed however this ends, so their hold on BLAS ends with it."""
+    with closing(chunks):
+        if reduce is not None:
+            return list(starmap(reduce, chunks))
+        out_a = np.empty(shape)
+        out_b = np.empty(shape) if paired else None
+        for span, a, b in chunks:
+            out_a[span] = a
+            if paired:
+                out_b[span] = b
+            del a, b
+        return out_a, out_b
 
 
 def unconditional_scores(
@@ -201,8 +298,8 @@ def unconditional_scores(
 ) -> list:
     """Plain diffusion denoising of every row, the no-guidance baseline:
     the list of reduce(span, a, None) over its blocks, as in item_phase."""
-    cfg = GuidanceConfig(T_inf=T_inf)
-    return list(starmap(reduce, _chain_rows(params, sched, rows, None, 0.0, cfg, seed, stage)))
+    chunks = _chain_rows(params, sched, rows, None, 0.0, GuidanceConfig(T_inf=T_inf), seed, stage)
+    return _gather(chunks, reduce=reduce)
 
 
 def binarize_social(
@@ -249,7 +346,7 @@ def social_phase(
     def rebinarize(span, a, b):
         return binarize_social(S, a, cfg.social_keep, span.start, other=b, w=cfg.w_s).matrix
 
-    return SocialMatrix(sp.vstack(list(starmap(rebinarize, chunks)), format="csr"))
+    return SocialMatrix(sp.vstack(_gather(chunks, reduce=rebinarize), format="csr"))
 
 
 def item_phase(

@@ -200,22 +200,23 @@ def _write_c5(ws, out_dir):
     return res
 
 
-def _write_c7(ws, out_dir):
+def _c7_lists(ws):
+    """(file name, top-10 lists, config echo) of criterion 7's unguided
+    and guided runs."""
     g = GuidanceConfig()
     base = blend(*joint_chains(None, ws.ck_item, None, ws.bundle.train, ws.hot, g, ws.seed), g.w_r)
+    yield "base_report.json", topk_lists(base, 10, mask=ws.bundle.train), {"conditions": "disabled"}
     g = GuidanceConfig(**C7_GUIDANCE)
     cond = blend(
         *joint_chains(ws.ck_soc, ws.ck_item, ws.S, ws.bundle.train, ws.hot, g, ws.seed), g.w_r
     )
+    yield "guided_report.json", topk_lists(cond, 10, mask=ws.bundle.train), dict(C7_GUIDANCE)
+
+
+def _write_c7(ws, out_dir):
     reports = {}
-    for name, scores, echo in (
-        ("base_report.json", base, {"conditions": "disabled"}),
-        ("guided_report.json", cond, dict(C7_GUIDANCE)),
-    ):
-        report = evaluate_lists(
-            topk_lists(scores, 10, mask=ws.bundle.train),
-            ws.bundle.test, ws.bundle.train, ws.hot, ks=[5, 10],
-        )
+    for name, lists, echo in _c7_lists(ws):
+        report = evaluate_lists(lists, ws.bundle.test, ws.bundle.train, ws.hot, ks=[5, 10])
         (out_dir / name).write_text(report_json(dict(report, config=echo)), encoding="utf-8")
         reports[name] = report
     return reports

@@ -2,16 +2,20 @@
 
 The script runs every command in a temporary directory, with relative
 paths, on two datasets: `planted(0)`, and `lastfm_like(0)` under a tiny
-model, whose 1853 users run as four 512-row chunks, the last one
+model, whose 1853 users run as eight 256-row chunks, the last one
 partial.  Each file the script leaves, and each command's stdout, must
 match its pinned digest in `pinned_artifacts.json`.  A change meant to
 keep outputs byte-identical changes no digest; a change that moves
 numbers on purpose updates only the digests it must, file by file.
 
-OpenBLAS rounds some products differently by thread count, so the
-thread count is part of the pins: each script runs in a child process
+OpenBLAS rounds some products differently by thread count.  Inference
+holds it to one thread, but training runs at the count it finds, so
+the count is part of the pins: each script runs in a child process
 (`python tests/test_artifacts.py NAME`, which prints the digests as
 JSON) with OPENBLAS_NUM_THREADS set to THREADS, whatever the caller's.
+The wheel's OpenBLAS is a DYNAMIC_ARCH build that picks its kernel for
+the CPU it runs on (`get_corename()`; SkylakeX where the pins were
+taken), so a CPU of another family may round differently.
 """
 
 import hashlib
@@ -30,7 +34,7 @@ from cgsorec.cli import main
 from cgsorec.synth import lastfm_like, planted, write_dataset
 
 PINS = Path(__file__).with_name("pinned_artifacts.json")
-BUILD = "NumPy 2.4.6 with OpenBLAS 0.3.31 (Haswell kernel)"
+BUILD = "NumPy 2.4.6 with OpenBLAS 0.3.31 (its SkylakeX kernel)"
 THREADS = 2
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cgsorec.__file__)))
 
@@ -116,8 +120,9 @@ def test_artifacts_match_their_pins(name, tmp_path):
         f"{len(changed)} artifacts of the {name} script differ from their pins, "
         f"which were taken under {BUILD} at OPENBLAS_NUM_THREADS={THREADS} on 2 CPUs; "
         f"this run set the same count on {os.cpu_count()} CPUs. Another build may "
-        "round differently, and so may a host with fewer CPUs than threads, since "
-        "OpenBLAS runs at most one thread per CPU:\n"
+        "round differently, and so may a CPU of another family, since OpenBLAS picks "
+        "its kernel per CPU, or a host with fewer CPUs than threads, since OpenBLAS "
+        "runs at most one thread per CPU:\n"
         + "\n".join(changed)
     )
 

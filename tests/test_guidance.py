@@ -1,12 +1,18 @@
 """Condition-guided reverse inference: chains, mixing, and the joint
 pipeline, whose dense scores are blend(*joint_chains(...), w_r)."""
 
+import json
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import cgsorec
+from cgsorec import guidance, trainer
 from cgsorec.corpus import (
     InteractionMatrix,
     SocialMatrix,
@@ -26,6 +32,7 @@ from cgsorec.guidance import (
     STAGE_ITEM_COND,
     STAGE_SOCIAL,
     STAGE_SOCIAL_COND,
+    _blas_threads,
     _chain_rows,
     binarize_social,
     build_item_condition,
@@ -35,10 +42,15 @@ from cgsorec.guidance import (
     social_phase,
     unconditional_scores,
 )
+from cgsorec.pipeline import recall_validator
 from cgsorec.schedule import make_schedule, model_mean, q_sample
+from cgsorec.store import TrainConfig, save_checkpoint
+from cgsorec.synth import lastfm_like, planted, write_dataset
 
 from conftest import rand_binary_csr, untrained_checkpoint, whole_scores
-from reference import blend
+from reference import blend, to_matrices
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cgsorec.__file__)))
 
 
 class TestGuidanceConfig:
@@ -143,7 +155,7 @@ class TestItemSpaceReference:
         ckpt = untrained_checkpoint(7, T=3, seed=8)
         rows = rng.random((CHUNK + 40, 7))
         rows[CHUNK + 3, 2] = np.nan
-        with pytest.raises(NumericError, match="item chain .* user 515"):
+        with pytest.raises(NumericError, match=f"item chain .* user {CHUNK + 3}$"):
             whole_scores(ckpt.params, ckpt.sched, rows, stage=STAGE_ITEM)
 
     def test_pair_interleaves_by_block(self, rng):
@@ -158,7 +170,7 @@ class TestItemSpaceReference:
         cfg = GuidanceConfig()
         with pytest.raises(NumericError, match="item-condition chain .* user 5$"):
             whole_pair(ckpt.params, ckpt.sched, rows, cond, 0.0, cfg, 1, STAGE_ITEM, w=0.5)
-        with pytest.raises(NumericError, match="item chain .* user 515"):
+        with pytest.raises(NumericError, match=f"item chain .* user {CHUNK + 3}$"):
             whole_pair(ckpt.params, ckpt.sched, rows, cond, 0.0, cfg, 1, STAGE_ITEM)
 
     def test_reduced_blocks_stack_to_the_whole_scores(self, rng):
@@ -630,6 +642,151 @@ class TestJointInference:
         out = blend(*joint_chains(ckpt_social, ckpt_item, S, R, hot, cfg, seed=0), cfg.w_r)
         assert out.shape == (n_users, n_items)
         assert np.all(np.isfinite(out))
+
+
+def blas_threads():
+    """NumPy's OpenBLAS thread count, as _chain_rows' hold reads it."""
+    return _blas_threads()[0]()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """NumPy's OpenBLAS at two threads for the test, so that the hold's
+    one thread shows; the count the test found is put back after."""
+    get, put = _blas_threads()
+    before = get()
+    put(2)
+    yield
+    put(before)
+
+
+@pytest.mark.skipif(_blas_threads() is None, reason="no settable NumPy OpenBLAS here")
+@pytest.mark.usefixtures("two_blas_threads")
+class TestOneBlasThread:
+    """_chain_rows holds NumPy's OpenBLAS to one thread from its first
+    product until it finishes, raises or is closed, and runs its chunks on
+    WORKERS threads with bytes and errors as one worker gives them."""
+
+    def test_chains_run_at_one_thread_and_restore_the_count(self, rng, monkeypatch):
+        seen = []
+
+        def mean(*args):
+            seen.append(blas_threads())
+            return model_mean(*args)
+
+        monkeypatch.setattr(guidance, "model_mean", mean)
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        whole_scores(ckpt.params, ckpt.sched, rand_binary_csr(rng, 2 * CHUNK + 40, 7, 0.3))
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_restored_after_a_non_finite_chain(self, rng):
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rng.random((2 * CHUNK + 40, 7))
+        rows[CHUNK + 3, 2] = np.nan
+        with pytest.raises(NumericError):
+            whole_scores(ckpt.params, ckpt.sched, rows)
+        assert blas_threads() == 2
+
+    def test_restored_when_the_chains_are_closed_early(self, rng):
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rand_binary_csr(rng, 3 * CHUNK, 7, 0.3)
+        chunks = _chain_rows(ckpt.params, ckpt.sched, rows, None, 0.0, GuidanceConfig(), 1, 0)
+        assert blas_threads() == 2  # nothing runs before the first block is asked for
+        next(chunks)
+        assert blas_threads() == 1
+        chunks.close()
+        assert blas_threads() == 2
+
+    def test_restored_when_a_reduce_raises(self, rng):
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rand_binary_csr(rng, 3 * CHUNK, 7, 0.3)
+
+        def reduce(span, a, b):
+            raise ValueError("reduce failed")
+
+        with pytest.raises(ValueError, match="reduce failed"):
+            unconditional_scores(ckpt.params, ckpt.sched, rows, None, 1, STAGE_ITEM, reduce)
+        assert blas_threads() == 2
+
+    def test_training_steps_after_a_validation_keep_the_default_count(self, monkeypatch):
+        # validation runs the chains under the hold; the gradient steps
+        # before and after it run at the count training found
+        R = to_matrices(planted(seed=0))[0].matrix
+        traced, seen = trainer.loss_and_grad, []
+
+        def loss_and_grad(*args, **kwargs):
+            seen.append(blas_threads())
+            return traced(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "loss_and_grad", loss_and_grad)
+        sched = make_schedule(3, 1e-4, 0.02)
+        validate = recall_validator(R, R, sp.csr_matrix(R.shape), sched, seed=3)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=64, seed=1, valid_every=1)
+        ckpt = trainer.train_model("CGD", R, cfg, sched, hidden_dims=(8,), time_embed_dim=4,
+                                   validate=validate)
+        assert [e.valid_metric is not None for e in ckpt.history] == [True, True]
+        steps = -(-R.shape[0] // 64)
+        assert seen == [2] * (2 * steps)
+
+    @pytest.mark.parametrize("w", [0.0, 0.5])
+    def test_one_worker_and_two_give_the_same_bytes(self, rng, monkeypatch, w):
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rand_binary_csr(rng, 3 * CHUNK + 40, 7, 0.3)  # the last chunk partial
+        cond = rows + sp.csr_matrix(2.0 * (rng.random(rows.shape) < 0.2))
+        got = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(guidance, "WORKERS", workers)
+            got[workers] = whole_pair(
+                ckpt.params, ckpt.sched, rows, cond, 0.4, GuidanceConfig(), 5, STAGE_ITEM, w
+            )
+        (a1, b1), (a2, b2) = got[1], got[2]
+        assert a1.tobytes() == a2.tobytes()
+        assert b1 is b2 is None if w == 0.0 else b1.tobytes() == b2.tobytes()
+
+    def test_the_first_non_finite_user_is_the_serial_one(self, rng, monkeypatch):
+        # chunks 1 and 2 run at once on two workers and both hold a bad
+        # row; the one named is chunk 1's, as one worker names it
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rng.random((3 * CHUNK + 40, 7))
+        rows[CHUNK + 3, 2] = np.nan
+        rows[2 * CHUNK, 1] = np.nan
+        for workers in (1, 2):
+            monkeypatch.setattr(guidance, "WORKERS", workers)
+            with pytest.raises(NumericError, match=f"item chain .* user {CHUNK + 3}$"):
+                whole_scores(ckpt.params, ckpt.sched, rows)
+
+    def test_guided_lists_do_not_depend_on_the_thread_count(self, tmp_path):
+        # at lastfm_like's shapes and the benchmark's hidden width, the
+        # chain's products (head_z = W_out @ W0x among them) round
+        # differently at one thread and two; planted's shapes do not
+        ds = lastfm_like(seed=0)
+        write_dataset(ds, tmp_path / "r.tsv", tmp_path / "s.tsv")
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "seed": 1,
+            "output_dir": "run",
+            "dataset": {"interactions": "r.tsv", "social": "s.tsv"},
+            "guidance": {"delta": 1.0, "eta": 0.2, "w_s": 0.5, "lambda": 2.0, "gamma": 0.5,
+                         "w_r": 0.2},
+        }))
+        save_checkpoint(untrained_checkpoint(ds.n_items, T=3, seed=21, hidden=(200,)),
+                        tmp_path / "ck-item")
+        save_checkpoint(untrained_checkpoint(ds.n_users, T=3, seed=22, hidden=(200,), tag="CSD"),
+                        tmp_path / "ck-social")
+        lists = {}
+        for threads in (1, 2):
+            out = f"lists-{threads}.tsv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+                filter(None, [SRC, os.environ.get("PYTHONPATH")])
+            ))
+            child = subprocess.run(
+                [sys.executable, "-m", "cgsorec.cli", "infer", "cfg.json", "--ckpt-cgd", "ck-item",
+                 "--ckpt-csd", "ck-social", "--out", out],
+                cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
+            )
+            assert child.returncode == 0, child.stderr
+            lists[threads] = (tmp_path / out).read_bytes()
+        assert lists[1] == lists[2]
 
 
 class TestGoldenTrace:

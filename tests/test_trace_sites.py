@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +117,9 @@ def test_guided_infer_records_the_chain_work(tmp_path, monkeypatch):
     # the phases run their chains inside their own spans, one block at a
     # time, so their row counts and self time still measure the chains;
     # each block's condition rows are built, the social blocks
-    # re-binarized and the item blocks ranked as they are made
+    # re-binarized and the item blocks ranked as they are made.  The
+    # chain steps may run on worker threads, so a step is attributed to
+    # the phase whose call is open, on whichever thread, while it runs
     monkeypatch.setattr(guidance, "CHUNK", 64)
     ds = planted(seed=0)
     assert -(-ds.n_users // 64) == 4  # the last block partial
@@ -133,12 +136,24 @@ def test_guided_infer_records_the_chain_work(tmp_path, monkeypatch):
     assert main(["prepare", str(cfg)]) == 0
     tracer = load_spans().Tracer()
     tracer.install()
-    traced_mean, depths = guidance.model_mean, []
+    names = ("social_phase", "item_phase", "model_mean")
+    traced = {name: getattr(guidance, name) for name in names}
+    open_phases, steps = [], []
+
+    def phase(name):
+        def run(*args, **kwargs):
+            open_phases.append(name)
+            try:
+                return traced[name](*args, **kwargs)
+            finally:
+                open_phases.remove(name)
+        return run
 
     def model_mean(*args):
-        depths.append(len(tracer._stack()))  # spans open around this step
-        return traced_mean(*args)
+        steps.append(tuple(open_phases))  # list.append is atomic across threads
+        return traced["model_mean"](*args)
 
+    guidance.social_phase, guidance.item_phase = phase("social_phase"), phase("item_phase")
     guidance.model_mean = model_mean
     try:
         assert main([
@@ -146,7 +161,8 @@ def test_guided_infer_records_the_chain_work(tmp_path, monkeypatch):
             "--ckpt-csd", str(tmp_path / "ck-social"), "--out", str(tmp_path / "lists.tsv"),
         ]) == 0
     finally:
-        guidance.model_mean = traced_mean
+        for name, fn in traced.items():
+            setattr(guidance, name, fn)
         tracer.restore()
     stats = tracer.stats
     assert stats["guidance.social_phase"]["rows"] == 2 * ds.n_users
@@ -156,7 +172,10 @@ def test_guided_infer_records_the_chain_work(tmp_path, monkeypatch):
                   "corpus.copurchase", "corpus.social_preference"):
         assert stats[label]["calls"] == 4, label
     assert stats["evaluation.topk_lists"]["users"] == ds.n_users
-    assert depths and min(depths) >= 1
+    # both chains of each phase, over 4 blocks, take T - 1 = 2 mean steps
+    per_phase = 2 * 4 * 2
+    assert stats["schedule.model_mean"]["calls"] == 2 * per_phase
+    assert Counter(steps) == {("social_phase",): per_phase, ("item_phase",): per_phase}
 
 
 def test_sweep_capture_keeps_the_whole_pair(tmp_path):
