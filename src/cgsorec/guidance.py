@@ -25,8 +25,9 @@ Determinism: corruption noise comes from a stream keyed by
 are skipped; every reverse step takes its mean; rows are processed in
 fixed 256-row chunks so BLAS sees the same shapes on every run.  While
 a pair's chains run, NumPy's OpenBLAS is held to one thread
-(_one_blas_thread), since it rounds some products differently at other
-thread counts: inference bytes do not depend on OPENBLAS_NUM_THREADS.
+(blas.one_blas_thread), since it rounds some products differently at
+other thread counts: inference bytes do not depend on
+OPENBLAS_NUM_THREADS.
 Up to WORKERS threads run the chunks, each chunk wholly on one worker,
 and blocks come back in chunk order, so a chunk's bytes do not depend on
 the worker count either.  Where the hold cannot be taken, one worker
@@ -46,18 +47,17 @@ thread's arena.
 
 from __future__ import annotations
 
-import ctypes
-import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import starmap
 
 import numpy as np
 import scipy.sparse as sp
 
+from .blas import one_blas_thread
 from .corpus import InteractionMatrix, SocialMatrix, binary_rows, canonical_rows, copurchase
 from .corpus import long_tail, pruned, social_preference
 from .denoiser import DenoiserParams, corrupt_rows, last_hidden
@@ -122,49 +122,6 @@ def resolve_T_inf(cfg: GuidanceConfig, sched: NoiseSchedule) -> int:
     if cfg.T_inf > sched.T:
         raise ConfigError(f"guidance.T_inf={cfg.T_inf} exceeds schedule length {sched.T}")
     return cfg.T_inf
-
-
-@cache
-def _blas_threads():
-    """(get, set) of the thread count of NumPy's own OpenBLAS, the library
-    loaded from NumPy's install (/proc/self/maps), or None where there is
-    no such library or it exports neither naming of the two functions."""
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = {parts[5] for parts in map(str.split, fh) if len(parts) == 6}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        if "openblas" not in os.path.basename(path) or os.path.relpath(path, site)[:5] != "numpy":
-            continue
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads"):
-            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Holds NumPy's OpenBLAS to one thread while the block runs, then
-    restores the count it had, and yields the number of chunk workers:
-    WORKERS under the hold, 1 where no hold can be taken."""
-    threads = _blas_threads()
-    if threads is None:
-        yield 1
-        return
-    get, put = threads
-    before = get()
-    put(1)
-    try:
-        yield WORKERS
-    finally:
-        put(before)
 
 
 def _user_eps(seed: int, stage: int, users, out: np.ndarray) -> None:
@@ -256,7 +213,8 @@ def _chain_rows(
     # The hold starts before the first product and ends, pool drained,
     # when the chains finish, raise or are closed.  No name here or in
     # the callers' loops keeps a block once it is passed on.
-    with _one_blas_thread() as workers:
+    with one_blas_thread() as held:
+        workers = WORKERS if held else 1
         pool = ThreadPoolExecutor(workers)
         try:
             head_z = w_out @ w0x

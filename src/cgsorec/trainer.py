@@ -9,15 +9,29 @@ step in float32; validation and checkpoints see the exact float64
 upcast of the float32 weights, so the `<f8` checkpoint layout and
 float64 inference are unchanged.  The records a run takes and returns,
 TrainConfig and Checkpoint, and their files belong to `store`.
+
+Two cores, used only where they pay: the gradient steps run at
+OpenBLAS's default thread count, and after each one its workers are
+released (blas.release_blas_workers) instead of spinning through the
+one-core work that follows.  Each batch's Adam update runs on one
+helper thread, in the caller's context (so under its np.errstate),
+while this thread draws the next batch's timesteps and noise from the
+same stream in the same order and gathers its rows; the next gradient
+step waits for the update.  Every update reads and writes what it would
+have in a loop on one thread, so checkpoints and logs are the same
+bytes.  The helper lives as long as train_model.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
 
+from .blas import release_blas_workers
 from .corpus import canonical_rows
 from .denoiser import DenoiserParams, ParamGrads, init_params, loss_and_grad
 from .errors import ConfigError, NumericError
@@ -106,28 +120,41 @@ def _train_epoch(
     rows: sp.csr_matrix,
     cfg: TrainConfig,
     sched: NoiseSchedule,
+    helper: ThreadPoolExecutor,
 ) -> float:
     """One pass over `rows` in the epoch's seeded batches; returns the mean
     batch loss.  Each batch goes to the step as sparse rows, and every
-    batch array is freed on return, before the epoch's validation."""
+    batch array is freed on return, before the epoch's validation.  Each
+    Adam update runs on `helper` (module docstring); the next gradient
+    step waits for it, and so does every way out of the epoch."""
     n_rows, width = rows.shape
     perm = np.random.default_rng([cfg.seed, 1, epoch]).permutation(n_rows)
     rng_noise = np.random.default_rng([cfg.seed, 2, epoch])
     total = 0.0
     n_batches = 0
-    for start in range(0, n_rows, cfg.batch_size):
-        idx = perm[start : start + cfg.batch_size]
-        t = rng_noise.integers(1, sched.T + 1, size=len(idx))
-        eps = rng_noise.standard_normal((len(idx), width), dtype=TRAIN_DTYPE)
-        try:
-            loss, grads = loss_and_grad(params, rows[idx], t, eps, sched)
-        except NumericError as err:
-            raise NumericError(
-                f"{kind} epoch {epoch} batch {n_batches + 1}: {err}"
-            ) from err
-        optimizer_step(params, grads, state, cfg)
-        total += loss
-        n_batches += 1
+    update = None
+    try:
+        for start in range(0, n_rows, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            t = rng_noise.integers(1, sched.T + 1, size=len(idx))
+            eps = rng_noise.standard_normal((len(idx), width), dtype=TRAIN_DTYPE)
+            x0 = rows[idx]
+            if update is not None:
+                update.result()
+            try:
+                loss, grads = loss_and_grad(params, x0, t, eps, sched)
+            except NumericError as err:
+                raise NumericError(
+                    f"{kind} epoch {epoch} batch {n_batches + 1}: {err}"
+                ) from err
+            release_blas_workers()
+            # the caller's np.errstate, a context variable, covers the update
+            update = helper.submit(copy_context().run, optimizer_step, params, grads, state, cfg)
+            total += loss
+            n_batches += 1
+    finally:
+        if update is not None:
+            update.result()
     return total / max(n_batches, 1)
 
 
@@ -225,31 +252,32 @@ def train_model(
     stale = 0
     history = []
 
-    for epoch in range(start_epoch, cfg.epochs + 1):
-        epoch_loss = _train_epoch(kind, epoch, params, state, rows, cfg, sched)
-        # the next batch's loss checks every other step; the epoch's last
-        # step could otherwise ship an overflowed weight
-        name = non_finite(params)
-        if name is not None:
-            raise NumericError(f"{kind} epoch {epoch}: non-finite {name} after the last step")
+    with ThreadPoolExecutor(1) as helper:
+        for epoch in range(start_epoch, cfg.epochs + 1):
+            epoch_loss = _train_epoch(kind, epoch, params, state, rows, cfg, sched, helper)
+            # the next batch's loss checks every other step; the epoch's last
+            # step could otherwise ship an overflowed weight
+            name = non_finite(params)
+            if name is not None:
+                raise NumericError(f"{kind} epoch {epoch}: non-finite {name} after the last step")
 
-        metric = None
-        if validate is not None and epoch % cfg.valid_every == 0:
-            shipped = params.astype(np.float64)
-            metric = validate(shipped)
-            if metric > best_metric:
-                best_metric = metric
-                best_params = shipped
-                best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-        history.append(EpochStats(epoch=epoch, loss=epoch_loss, valid_metric=metric))
-        if log is not None:
-            shown = "-" if metric is None else f"{metric:.4f}"
-            log(f"[{kind}] epoch {epoch:4d}  loss {epoch_loss:.6f}  valid R@10 {shown}")
-        if validate is not None and stale >= cfg.patience:
-            break
+            metric = None
+            if validate is not None and epoch % cfg.valid_every == 0:
+                shipped = params.astype(np.float64)
+                metric = validate(shipped)
+                if metric > best_metric:
+                    best_metric = metric
+                    best_params = shipped
+                    best_epoch = epoch
+                    stale = 0
+                else:
+                    stale += 1
+            history.append(EpochStats(epoch=epoch, loss=epoch_loss, valid_metric=metric))
+            if log is not None:
+                shown = "-" if metric is None else f"{metric:.4f}"
+                log(f"[{kind}] epoch {epoch:4d}  loss {epoch_loss:.6f}  valid R@10 {shown}")
+            if validate is not None and stale >= cfg.patience:
+                break
 
     if validate is None or not np.isfinite(best_metric):
         # No validation signal ever arrived; ship the final parameters.

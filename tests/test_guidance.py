@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 import cgsorec
 from cgsorec import guidance, trainer
+from cgsorec.blas import _openblas
 from cgsorec.corpus import (
     InteractionMatrix,
     SocialMatrix,
@@ -32,7 +33,6 @@ from cgsorec.guidance import (
     STAGE_ITEM_COND,
     STAGE_SOCIAL,
     STAGE_SOCIAL_COND,
-    _blas_threads,
     _chain_rows,
     binarize_social,
     build_item_condition,
@@ -646,21 +646,21 @@ class TestJointInference:
 
 def blas_threads():
     """NumPy's OpenBLAS thread count, as _chain_rows' hold reads it."""
-    return _blas_threads()[0]()
+    return _openblas().get()
 
 
 @pytest.fixture
 def two_blas_threads():
     """NumPy's OpenBLAS at two threads for the test, so that the hold's
     one thread shows; the count the test found is put back after."""
-    get, put = _blas_threads()
+    get, put = _openblas().get, _openblas().put
     before = get()
     put(2)
     yield
     put(before)
 
 
-@pytest.mark.skipif(_blas_threads() is None, reason="no settable NumPy OpenBLAS here")
+@pytest.mark.skipif(_openblas() is None, reason="no settable NumPy OpenBLAS here")
 @pytest.mark.usefixtures("two_blas_threads")
 class TestOneBlasThread:
     """_chain_rows holds NumPy's OpenBLAS to one thread from its first

@@ -1,7 +1,10 @@
 """Training loop, optimizer, and checkpoint persistence."""
 
+import ctypes
 import json
 import math
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,11 +18,23 @@ from cgsorec.guidance import STAGE_VALID
 from cgsorec.schedule import loss_weights, make_schedule
 from cgsorec.synth import planted
 from cgsorec import pipeline, trainer
+from cgsorec.blas import _openblas
 from cgsorec.store import Checkpoint, EpochStats, TrainConfig, load_checkpoint, save_checkpoint
 from cgsorec.trainer import ADAM_BLOCK, AdamState, optimizer_step, train_model
 
 from conftest import whole_scores
 from reference import to_matrices
+
+
+def blas_server_avail():
+    """OpenBLAS's exported blas_server_avail (nonzero while its worker
+    threads run), found through the program's own lookup; None where the
+    library or the symbol is not there."""
+    found = _openblas()
+    try:
+        return None if found is None else ctypes.c_int.in_dll(found.lib, "blas_server_avail")
+    except ValueError:
+        return None
 
 
 def zero_grads(params) -> ParamGrads:
@@ -377,9 +392,13 @@ class TestTrainModel:
                 hidden_dims=(6,), time_embed_dim=4, resume=previous,
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_an_epochs_last_step_is_refused(self, rng):
         # one batch per epoch and no validation: no later loss sees the
-        # step, and float32 weights overflow to inf at this learning rate
+        # step, and float32 weights overflow to inf at this learning rate.
+        # The update runs on a helper thread, in the caller's context: in
+        # another, the errstate here would not hold, and the overflow would
+        # warn "overflow encountered in cast"
         data = lowrank_rows(rng)
         cfg = self.make_cfg(epochs=1, batch_size=len(data), learning_rate=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -388,6 +407,47 @@ class TestTrainModel:
                     "CGD", data, cfg, make_schedule(3, 0.05, 0.2),
                     hidden_dims=(6,), time_embed_dim=4,
                 )
+
+    @pytest.mark.skipif(blas_server_avail() is None, reason="no NumPy OpenBLAS server here")
+    def test_blas_workers_are_released_at_every_adam_update(self, rng, monkeypatch):
+        # no OpenBLAS worker is left spinning while an update runs; the
+        # run starts with the workers up, at two threads
+        server, blas = blas_server_avail(), _openblas()
+        step, seen = trainer.optimizer_step, []
+
+        def optimizer_step(*args):
+            seen.append(server.value)
+            return step(*args)
+
+        monkeypatch.setattr(trainer, "optimizer_step", optimizer_step)
+        before = blas.get()
+        blas.put(2)
+        try:
+            train_model(
+                "CGD", lowrank_rows(rng), self.make_cfg(epochs=2), make_schedule(3, 0.05, 0.2),
+                hidden_dims=(6,), time_embed_dim=4,
+            )
+        finally:
+            blas.put(before)
+        assert seen == [0] * (2 * -(-20 // 8))
+
+    @pytest.mark.parametrize("diverges", [False, True])
+    def test_no_thread_outlives_training(self, rng, diverges):
+        # at learning rate 1e200 the first update overflows, and the
+        # second batch's loss is refused, naming its epoch and batch
+        before = set(threading.enumerate())
+        cfg = self.make_cfg(epochs=2, learning_rate=1e200 if diverges else 5e-3)
+        run = partial(
+            train_model, "CGD", lowrank_rows(rng), cfg, make_schedule(3, 0.05, 0.2),
+            hidden_dims=(6,), time_embed_dim=4,
+        )
+        if diverges:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericError, match=r"^CGD epoch 1 batch 2: non-finite"):
+                    run()
+        else:
+            assert [h.epoch for h in run().history] == [1, 2]
+        assert set(threading.enumerate()) == before
 
     def test_validation_scores_the_saved_checkpoint(self, tmp_path):
         # training steps in float32, and both validation and the checkpoint
