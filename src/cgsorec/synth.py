@@ -135,8 +135,6 @@ def community_dataset(
     max_k = min(n_items, max(2 * n_interactions // n_users, MIN_DEGREE + 1))
     k_user = _user_counts(rng, n_users, n_interactions, MIN_DEGREE, max_k)
 
-    users: list[int] = []
-    items: list[int] = []
     chosen: list[np.ndarray] = []
     for u in range(n_users):
         k = int(k_user[u])
@@ -172,14 +170,11 @@ def community_dataset(
                     picks.append(
                         rng.choice(rest, size=k_noise - k_circ, replace=False)
                     )
-        row = np.concatenate(picks)
-        chosen.append(row)
-        users.extend([u] * len(row))
-        items.extend(row)
+        chosen.append(np.concatenate(picks))
 
     # Every item must appear at least once: swap uncovered items in for a
     # well-covered item of some user, keeping totals and row sizes exact.
-    counts = np.bincount(np.asarray(items), minlength=n_items)
+    counts = np.bincount(np.concatenate(chosen), minlength=n_items)
     donors = rng.permutation(n_users)
     d = 0
     for j in np.flatnonzero(counts == 0):

@@ -10,16 +10,14 @@ upcast of the float32 weights, so the `<f8` checkpoint layout and
 float64 inference are unchanged.  The records a run takes and returns,
 TrainConfig and Checkpoint, and their files belong to `store`.
 
-Two cores, used only where they pay: the gradient steps run at
-OpenBLAS's default thread count, and after each one its workers are
-released (blas.release_blas_workers) instead of spinning through the
-one-core work that follows.  Each batch's Adam update runs on one
-helper thread, in the caller's context (so under its np.errstate),
-while this thread draws the next batch's timesteps and noise from the
-same stream in the same order and gathers its rows; the next gradient
-step waits for the update.  Every update reads and writes what it would
-have in a loop on one thread, so checkpoints and logs are the same
-bytes.  The helper lives as long as train_model.
+Two cores, one BLAS thread: NumPy's OpenBLAS is held to one thread for
+the whole of train_model (blas.one_blas_thread), as inference's chains
+are, so checkpoints and logs do not depend on OPENBLAS_NUM_THREADS.  One
+helper thread, living as long as train_model and working in the
+caller's context (so under its np.errstate), steps the second half of
+each batch (_step), then runs its Adam update while this thread draws
+the next batch's timesteps and noise from the same stream in the same
+order; the next gradient step waits for the update.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.sparse as sp
 
-from .blas import release_blas_workers
+from .blas import one_blas_thread
 from .corpus import canonical_rows
 from .denoiser import DenoiserParams, ParamGrads, init_params, loss_and_grad
 from .errors import ConfigError, NumericError
@@ -112,6 +110,29 @@ def optimizer_step(
     return params, state
 
 
+def _step(params, x0, t, eps, sched, helper: ThreadPoolExecutor):
+    """loss_and_grad over the batch (x0, t, eps): its first ceil(B/2) rows
+    on this thread and the rest on `helper`, each half's loss and
+    gradients scaled by its share of the batch and added first to second.
+    A one-row batch runs on this thread alone.  Returns, or raises the
+    error of a half that failed, once both halves are done."""
+    B = x0.shape[0]
+    h = -(-B // 2)
+    if h == B:
+        return loss_and_grad(params, x0, t, eps, sched)
+    second = helper.submit(copy_context().run, loss_and_grad, params, x0[h:], t[h:], eps[h:], sched)
+    try:
+        loss, grads = loss_and_grad(params, x0[:h], t[:h], eps[:h], sched)
+    finally:
+        loss2, grads2 = second.result()
+    share, share2 = h / B, (B - h) / B
+    for g, g2 in zip(grads.weights + grads.biases, grads2.weights + grads2.biases):
+        g *= share
+        g2 *= share2
+        g += g2
+    return loss * share + loss2 * share2, grads
+
+
 def _train_epoch(
     kind: str,
     epoch: int,
@@ -142,12 +163,11 @@ def _train_epoch(
             if update is not None:
                 update.result()
             try:
-                loss, grads = loss_and_grad(params, x0, t, eps, sched)
+                loss, grads = _step(params, x0, t, eps, sched, helper)
             except NumericError as err:
                 raise NumericError(
                     f"{kind} epoch {epoch} batch {n_batches + 1}: {err}"
                 ) from err
-            release_blas_workers()
             # the caller's np.errstate, a context variable, covers the update
             update = helper.submit(copy_context().run, optimizer_step, params, grads, state, cfg)
             total += loss
@@ -252,7 +272,7 @@ def train_model(
     stale = 0
     history = []
 
-    with ThreadPoolExecutor(1) as helper:
+    with one_blas_thread(), ThreadPoolExecutor(1) as helper:
         for epoch in range(start_epoch, cfg.epochs + 1):
             epoch_loss = _train_epoch(kind, epoch, params, state, rows, cfg, sched, helper)
             # the next batch's loss checks every other step; the epoch's last

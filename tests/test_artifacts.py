@@ -8,11 +8,13 @@ match its pinned digest in `pinned_artifacts.json`.  A change meant to
 keep outputs byte-identical changes no digest; a change that moves
 numbers on purpose updates only the digests it must, file by file.
 
-OpenBLAS rounds some products differently by thread count.  Inference
-holds it to one thread, but training runs at the count it finds, so
-the count is part of the pins: each script runs in a child process
-(`python tests/test_artifacts.py NAME`, which prints the digests as
-JSON) with OPENBLAS_NUM_THREADS set to THREADS, whatever the caller's.
+OpenBLAS rounds some products differently by thread count.  Training
+and inference hold it to one thread, so where that hold is taken the
+count changes no digest; where it cannot be (another BLAS), products
+run at the count found, so the count is still part of the pins: each
+script runs in a child process (`python tests/test_artifacts.py NAME`,
+which prints the digests as JSON) with OPENBLAS_NUM_THREADS set to
+THREADS, whatever the caller's.
 The wheel's OpenBLAS is a DYNAMIC_ARCH build that picks its kernel for
 the CPU it runs on (`get_corename()`; SkylakeX where the pins were
 taken), so a CPU of another family may round differently.

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -644,6 +646,18 @@ class TestJointInference:
         assert np.all(np.isfinite(out))
 
 
+def cli_child(threads: int, cwd, *argv) -> str:
+    """The stdout of `python -m cgsorec.cli *argv` run in `cwd` in a child
+    process at OPENBLAS_NUM_THREADS=threads, which must exit 0."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])
+    ))
+    child = subprocess.run([sys.executable, "-m", "cgsorec.cli", *argv], cwd=cwd, env=env,
+                           capture_output=True, text=True, check=False)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
 def blas_threads():
     """NumPy's OpenBLAS thread count, as _chain_rows' hold reads it."""
     return _openblas().get()
@@ -709,25 +723,36 @@ class TestOneBlasThread:
             unconditional_scores(ckpt.params, ckpt.sched, rows, None, 1, STAGE_ITEM, reduce)
         assert blas_threads() == 2
 
-    def test_training_steps_after_a_validation_keep_the_default_count(self, monkeypatch):
-        # validation runs the chains under the hold; the gradient steps
-        # before and after it run at the count training found
+    def test_training_steps_run_at_one_thread_and_restore_the_count(self, monkeypatch):
+        # both halves of every gradient step, before and after each
+        # validation's own hold, run at one thread, and the count training
+        # found is back once it returns, and once it raises (at learning
+        # rate 1e200 the second batch's loss is refused)
         R = to_matrices(planted(seed=0))[0].matrix
         traced, seen = trainer.loss_and_grad, []
 
         def loss_and_grad(*args, **kwargs):
-            seen.append(blas_threads())
+            seen.append((threading.current_thread() is threading.main_thread(), blas_threads()))
             return traced(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "loss_and_grad", loss_and_grad)
         sched = make_schedule(3, 1e-4, 0.02)
         validate = recall_validator(R, R, sp.csr_matrix(R.shape), sched, seed=3)
         cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=64, seed=1, valid_every=1)
-        ckpt = trainer.train_model("CGD", R, cfg, sched, hidden_dims=(8,), time_embed_dim=4,
-                                   validate=validate)
+        run = partial(trainer.train_model, "CGD", R, sched=sched, hidden_dims=(8,),
+                      time_embed_dim=4, validate=validate)
+        ckpt = run(cfg=cfg)
         assert [e.valid_metric is not None for e in ckpt.history] == [True, True]
-        steps = -(-R.shape[0] // 64)
-        assert seen == [2] * (2 * steps)
+        steps = 2 * -(-R.shape[0] // 64)
+        assert sorted(seen) == [(False, 1)] * steps + [(True, 1)] * steps
+        assert blas_threads() == 2
+
+        seen.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"^CGD epoch 1 batch 2: non-finite"):
+                run(cfg=replace(cfg, learning_rate=1e200))
+        assert sorted(seen) == [(False, 1)] * 2 + [(True, 1)] * 2
+        assert blas_threads() == 2
 
     @pytest.mark.parametrize("w", [0.0, 0.5])
     def test_one_worker_and_two_give_the_same_bytes(self, rng, monkeypatch, w):
@@ -776,17 +801,33 @@ class TestOneBlasThread:
         lists = {}
         for threads in (1, 2):
             out = f"lists-{threads}.tsv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
-                filter(None, [SRC, os.environ.get("PYTHONPATH")])
-            ))
-            child = subprocess.run(
-                [sys.executable, "-m", "cgsorec.cli", "infer", "cfg.json", "--ckpt-cgd", "ck-item",
-                 "--ckpt-csd", "ck-social", "--out", out],
-                cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
-            )
-            assert child.returncode == 0, child.stderr
+            cli_child(threads, tmp_path, "infer", "cfg.json", "--ckpt-cgd", "ck-item",
+                      "--ckpt-csd", "ck-social", "--out", out)
             lists[threads] = (tmp_path / out).read_bytes()
         assert lists[1] == lists[2]
+
+    def test_trained_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # train's stdout and checkpoint at one BLAS thread and two, at
+        # lastfm_like's shapes and the benchmark's hidden width (the
+        # products of planted's shapes may round alike at both counts)
+        ds = lastfm_like(seed=0)
+        got = {}
+        for threads in (1, 2):
+            run = tmp_path / f"threads-{threads}"
+            run.mkdir()
+            write_dataset(ds, run / "r.tsv", run / "s.tsv")
+            (run / "cfg.json").write_text(json.dumps({
+                "seed": 1,
+                "output_dir": "run",
+                "dataset": {"interactions": "r.tsv", "social": "s.tsv"},
+                "cgd": {"T": 5, "hidden_dims": [200], "epochs": 2},
+            }))
+            stdout = cli_child(threads, run, "train", "cfg.json", "--model", "cgd", "--verbose")
+            ckpt = run / "run" / "ckpt-cgd"
+            got[threads] = [stdout] + [
+                (ckpt / name).read_bytes() for name in ("params.bin", "manifest.json")
+            ]
+        assert got[1] == got[2]
 
 
 class TestGoldenTrace:

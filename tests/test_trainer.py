@@ -1,6 +1,5 @@
 """Training loop, optimizer, and checkpoint persistence."""
 
-import ctypes
 import json
 import math
 import threading
@@ -18,23 +17,11 @@ from cgsorec.guidance import STAGE_VALID
 from cgsorec.schedule import loss_weights, make_schedule
 from cgsorec.synth import planted
 from cgsorec import pipeline, trainer
-from cgsorec.blas import _openblas
 from cgsorec.store import Checkpoint, EpochStats, TrainConfig, load_checkpoint, save_checkpoint
 from cgsorec.trainer import ADAM_BLOCK, AdamState, optimizer_step, train_model
 
 from conftest import whole_scores
 from reference import to_matrices
-
-
-def blas_server_avail():
-    """OpenBLAS's exported blas_server_avail (nonzero while its worker
-    threads run), found through the program's own lookup; None where the
-    library or the symbol is not there."""
-    found = _openblas()
-    try:
-        return None if found is None else ctypes.c_int.in_dll(found.lib, "blas_server_avail")
-    except ValueError:
-        return None
 
 
 def zero_grads(params) -> ParamGrads:
@@ -94,10 +81,28 @@ def dense_loss_and_grad_f32(params, x0, t, eps, sched):
     return loss, grads_w, grads_b
 
 
+def halved_step(params, x0, t, eps, sched):
+    """The batch's step as train_model splits it: the first ceil(B/2) rows,
+    then the rest (none when B is 1), each through the dense float32 step,
+    with its loss and gradients scaled by its share of the batch and
+    added.  Returns (loss, weight and bias gradients)."""
+    B = len(x0)
+    h = -(-B // 2)
+    loss, grads = 0.0, [0] * (2 * len(params.weights))
+    for half in (slice(0, h), slice(h, B)):
+        if half.start == half.stop:
+            continue
+        share = (half.stop - half.start) / B
+        part, gw, gb = dense_loss_and_grad_f32(params, x0[half], t[half], eps[half], sched)
+        loss += part * share
+        grads = [g + d * share for g, d in zip(grads, gw + gb)]
+    return loss, grads[: len(params.weights)], grads[len(params.weights) :]
+
+
 def reference_train(data, cfg, sched, hidden, time_embed_dim, valid_target, valid_mask):
     """train_model restated on dense batches, with the dense float32 step
-    and textbook Adam in float32, validating the float64 upcast; returns
-    (best params, per-epoch losses)."""
+    in halves (halved_step) and textbook Adam in float32, validating the
+    float64 upcast; returns (best params, per-epoch losses)."""
     dense = data.toarray()
     n_rows, width = dense.shape
     params = init_params(
@@ -115,7 +120,7 @@ def reference_train(data, cfg, sched, hidden, time_embed_dim, valid_target, vali
             x0 = dense[perm[start : start + cfg.batch_size]]
             t = rng_noise.integers(1, sched.T + 1, size=len(x0))
             eps = rng_noise.standard_normal(x0.shape, dtype=np.float32)
-            loss, gw, gb = dense_loss_and_grad_f32(params, x0, t, eps, sched)
+            loss, gw, gb = halved_step(params, x0, t, eps, sched)
             step += 1
             textbook_adam(params, ParamGrads(gw, gb), m, v, step, cfg)
             total += loss
@@ -275,30 +280,46 @@ class TestTrainModel:
         for wa, wb in zip(a.params.weights, b.params.weights):
             assert wa.tobytes() == wb.tobytes()
 
-    def test_equals_dense_reference_loop(self):
-        # 200 rows in batches of 64: the last batch is partial
+    def check_reference_loop(self, n_users: int, batch_size: int):
+        """train_model with a validation every epoch equals reference_train
+        bitwise on planted(0)'s first n_users rows: losses, the best epoch's
+        metric and the weights it ships."""
         R, _ = to_matrices(planted(seed=0))
         bundle = split(R, (0.8, 0.1, 0.1), seed=0)
-        cfg = self.make_cfg(epochs=2, batch_size=64, patience=5)
+        train, valid = bundle.train.matrix[:n_users], bundle.valid.matrix[:n_users]
+        assert train.shape[0] == n_users and n_users % batch_size  # the last batch is partial
+        cfg = self.make_cfg(epochs=2, batch_size=batch_size, patience=5)
         sched = make_schedule(5, 1e-4, 0.02)
         ckpt = train_model(
-            "CGD", bundle.train.matrix, cfg, sched, hidden_dims=(16,),
-            time_embed_dim=8, validate=pipeline.recall_validator(
-                bundle.train.matrix, bundle.valid.matrix, bundle.train.matrix, sched, cfg.seed
-            ),
+            "CGD", train, cfg, sched, hidden_dims=(16,), time_embed_dim=8,
+            validate=pipeline.recall_validator(train, valid, train, sched, cfg.seed),
         )
         history = ckpt.history
-        best, losses = reference_train(
-            bundle.train.matrix, cfg, sched, (16,), 8,
-            bundle.valid.matrix, bundle.train.matrix,
-        )
-        assert bundle.train.n_users % cfg.batch_size
+        best, losses = reference_train(train, cfg, sched, (16,), 8, valid, train)
         assert [h.valid_metric for h in history][ckpt.epoch - 1] == ckpt.valid_metric
         assert np.array(losses).tobytes() == np.array([h.loss for h in history]).tobytes()
         for got, want in zip(
             ckpt.params.weights + ckpt.params.biases, best.weights + best.biases
         ):
             assert got.tobytes() == want.tobytes()
+
+    def test_equals_dense_reference_loop(self):
+        # 200 rows in batches of 64: the last batch is partial
+        self.check_reference_loop(200, 64)
+
+    def test_a_one_row_last_batch_runs_on_the_calling_thread(self, monkeypatch):
+        # 131 rows in batches of 65: each full batch steps 33 rows on this
+        # thread and 32 on the helper, and the last batch's one row has no
+        # second half
+        traced, seen = trainer.loss_and_grad, []
+
+        def loss_and_grad(params, x0, *args):
+            seen.append((threading.current_thread() is threading.main_thread(), x0.shape[0]))
+            return traced(params, x0, *args)
+
+        monkeypatch.setattr(trainer, "loss_and_grad", loss_and_grad)
+        self.check_reference_loop(131, 65)
+        assert sorted(seen) == sorted([(True, 33), (False, 32)] * 4 + [(True, 1)] * 2)
 
     def test_validation_tracks_best_and_stops(self, rng):
         data = lowrank_rows(rng, n_users=15, n_items=60)
@@ -408,40 +429,30 @@ class TestTrainModel:
                     hidden_dims=(6,), time_embed_dim=4,
                 )
 
-    @pytest.mark.skipif(blas_server_avail() is None, reason="no NumPy OpenBLAS server here")
-    def test_blas_workers_are_released_at_every_adam_update(self, rng, monkeypatch):
-        # no OpenBLAS worker is left spinning while an update runs; the
-        # run starts with the workers up, at two threads
-        server, blas = blas_server_avail(), _openblas()
-        step, seen = trainer.optimizer_step, []
-
-        def optimizer_step(*args):
-            seen.append(server.value)
-            return step(*args)
-
-        monkeypatch.setattr(trainer, "optimizer_step", optimizer_step)
-        before = blas.get()
-        blas.put(2)
-        try:
-            train_model(
-                "CGD", lowrank_rows(rng), self.make_cfg(epochs=2), make_schedule(3, 0.05, 0.2),
-                hidden_dims=(6,), time_embed_dim=4,
-            )
-        finally:
-            blas.put(before)
-        assert seen == [0] * (2 * -(-20 // 8))
-
-    @pytest.mark.parametrize("diverges", [False, True])
-    def test_no_thread_outlives_training(self, rng, diverges):
+    @pytest.mark.parametrize("diverges", [False, True, "helper"])
+    def test_no_thread_outlives_training(self, rng, monkeypatch, diverges):
         # at learning rate 1e200 the first update overflows, and the
-        # second batch's loss is refused, naming its epoch and batch
+        # second batch's loss is refused, naming its epoch and batch;
+        # "helper": only the half of the first batch that the helper
+        # steps is refused, and the message names that batch
         before = set(threading.enumerate())
-        cfg = self.make_cfg(epochs=2, learning_rate=1e200 if diverges else 5e-3)
+        cfg = self.make_cfg(epochs=2, learning_rate=1e200 if diverges is True else 5e-3)
         run = partial(
             train_model, "CGD", lowrank_rows(rng), cfg, make_schedule(3, 0.05, 0.2),
             hidden_dims=(6,), time_embed_dim=4,
         )
-        if diverges:
+        if diverges == "helper":
+            traced = trainer.loss_and_grad
+
+            def loss_and_grad(*args):
+                if threading.current_thread() is not threading.main_thread():
+                    raise NumericError("non-finite training loss")
+                return traced(*args)
+
+            monkeypatch.setattr(trainer, "loss_and_grad", loss_and_grad)
+            with pytest.raises(NumericError, match=r"^CGD epoch 1 batch 1: non-finite"):
+                run()
+        elif diverges:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NumericError, match=r"^CGD epoch 1 batch 2: non-finite"):
                     run()
