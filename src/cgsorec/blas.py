@@ -52,15 +52,16 @@ def _openblas() -> _OpenBlas | None:
 @contextmanager
 def one_blas_thread():
     """Holds NumPy's OpenBLAS to one thread while the block runs, then
-    restores the count it had; yields whether the hold was taken."""
+    restores the count it had; does nothing where _openblas finds no
+    such library."""
     found = _openblas()
     if found is None:
-        yield False
+        yield
         return
     before = found.get()
     found.put(1)
     try:
-        yield True
+        yield
     finally:
         found.put(before)
 

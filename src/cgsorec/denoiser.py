@@ -213,8 +213,9 @@ def loss_and_grad(
     corrupt_rows(x0, sched.alpha_bar[t - 1][:, None], eps, out=h[:, :n])
     h[:, n:] = timestep_embedding(t, params.time_embed_dim)
 
-    # A diverged model overflows here, and the loss check below refuses
-    # it, so NumPy's overflow warnings would only repeat that refusal.
+    # A diverged model overflows here, and the loss check below, or the
+    # trainer's checks of the weights its gradients move, refuses it, so
+    # NumPy's overflow warnings would only repeat that refusal.
     with np.errstate(over="ignore", invalid="ignore"):
         acts = [h]
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
@@ -232,19 +233,19 @@ def loss_and_grad(
         if not np.isfinite(loss):
             raise NumericError("non-finite training loss")
 
-    # Backprop: linear head, tanh hidden layers; the residual becomes the
-    # output gradient and each activation its tanh derivative, in place.
-    g = diff
-    g *= ((2.0 / B) * w).astype(dtype)[:, None]
-    grads_w = [np.empty(0)] * len(params.weights)
-    grads_b = [np.empty(0)] * len(params.biases)
-    for l in range(len(params.weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ g
-        grads_b[l] = g.sum(axis=0)
-        if l > 0:
-            g = g @ params.weights[l].T
-            a = acts[l]
-            a *= a
-            np.subtract(1.0, a, out=a)
-            g *= a
+        # Backprop: linear head, tanh hidden layers; the residual becomes the
+        # output gradient and each activation its tanh derivative, in place.
+        g = diff
+        g *= ((2.0 / B) * w).astype(dtype)[:, None]
+        grads_w = [np.empty(0)] * len(params.weights)
+        grads_b = [np.empty(0)] * len(params.biases)
+        for l in range(len(params.weights) - 1, -1, -1):
+            grads_w[l] = acts[l].T @ g
+            grads_b[l] = g.sum(axis=0)
+            if l > 0:
+                g = g @ params.weights[l].T
+                a = acts[l]
+                a *= a
+                np.subtract(1.0, a, out=a)
+                g *= a
     return loss, ParamGrads(weights=grads_w, biases=grads_b)

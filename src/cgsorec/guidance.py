@@ -28,10 +28,11 @@ a pair's chains run, NumPy's OpenBLAS is held to one thread
 (blas.one_blas_thread), since it rounds some products differently at
 other thread counts: inference bytes do not depend on
 OPENBLAS_NUM_THREADS.
-Up to WORKERS threads run the chunks, each chunk wholly on one worker,
-and blocks come back in chunk order, so a chunk's bytes do not depend on
-the worker count either.  Where the hold cannot be taken, one worker
-runs the chunks, one at a time.
+WORKERS threads run the chunks, each chunk wholly on one worker, and
+blocks come back in chunk order, so a chunk's bytes do not depend on the
+worker count either.  A chain's arithmetic runs with NumPy's overflow
+warnings off, since every block is checked for finiteness on the calling
+thread.
 
 Memory: _chain_rows yields a pair's chains chunk by chunk, building
 each chunk's condition rows as it goes, since both condition graphs are
@@ -175,9 +176,12 @@ def _chain_rows(
         block += b_out
 
     def pair(span, x0, c, a, b):
-        chain(x0, a, span, c @ w0x if guided else None, stage)
-        if paired:
-            chain(c, b, span, None, stage + 1)
+        # finite() refuses what overflows here, so NumPy's warnings would
+        # only repeat that refusal
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain(x0, a, span, c @ w0x if guided else None, stage)
+            if paired:
+                chain(c, b, span, None, stage + 1)
         return span, a, b
 
     def finite(span, a, b):
@@ -213,18 +217,18 @@ def _chain_rows(
     # The hold starts before the first product and ends, pool drained,
     # when the chains finish, raise or are closed.  No name here or in
     # the callers' loops keeps a block once it is passed on.
-    with one_blas_thread() as held:
-        workers = WORKERS if held else 1
-        pool = ThreadPoolExecutor(workers)
+    with one_blas_thread():
+        pool = ThreadPoolExecutor(WORKERS)
         try:
-            head_z = w_out @ w0x
-            bias_z = b_out @ w0x
+            with np.errstate(over="ignore", invalid="ignore"):  # as in pair
+                head_z = w_out @ w0x
+                bias_z = b_out @ w0x
             spans = (slice(i, min(i + CHUNK, n_rows)) for i in range(0, n_rows, CHUNK))
             pending = deque()
             while True:
                 for span in spans:
                     pending.append(submit(pool, span))
-                    if len(pending) == workers:
+                    if len(pending) == WORKERS:
                         break
                 if not pending:
                     return

@@ -13,17 +13,18 @@ TrainConfig and Checkpoint, and their files belong to `store`.
 Two cores, one BLAS thread: NumPy's OpenBLAS is held to one thread for
 the whole of train_model (blas.one_blas_thread), as inference's chains
 are, so checkpoints and logs do not depend on OPENBLAS_NUM_THREADS.  One
-helper thread, living as long as train_model and working in the
-caller's context (so under its np.errstate), steps the second half of
+helper thread, living as long as train_model, steps the second half of
 each batch (_step), then runs its Adam update while this thread draws
 the next batch's timesteps and noise from the same stream in the same
-order; the next gradient step waits for the update.
+order; the next gradient step waits for the update.  The helper runs
+plain functions: loss_and_grad and optimizer_step each turn off NumPy's
+overflow and invalid-value warnings for their own arithmetic, since the
+loss and weight checks refuse what overflows.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,27 +60,15 @@ class AdamState:
         )
 
 
-# Entries per block of an in-place Adam update: a block of theta, g, m, v
-# and the scratch stays in cache through all of its operations.
-ADAM_BLOCK = 16384
-
-
-def _blocks(a: np.ndarray, rows: int):
-    """Views of `a` along its first axis, `rows` slices at a time."""
-    return (a[i : i + rows] for i in range(0, len(a), rows))
-
-
 def optimizer_step(
     params: DenoiserParams, grads: ParamGrads, state: AdamState, cfg: TrainConfig
-) -> tuple[DenoiserParams, AdamState]:
-    """One Adam update with bias correction; mutates params/state in place.
-
-    Each tensor is updated in blocks of about ADAM_BLOCK entries through
-    one scratch buffer, with the operations of the textbook update in
-    the same order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    theta -= lr*(m/corr1) / (sqrt(v/corr2) + eps_hat).  It computes in
-    the dtype of params, which the moments share, so the result is
-    bitwise that of the whole-tensor expressions in that dtype.
+) -> None:
+    """One Adam update with bias correction, in place on params and state:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, theta -= lr*(m/corr1) /
+    (sqrt(v/corr2) + eps_hat), on whole tensors in the dtype of params,
+    which the moments share.  A diverged update overflows here, and
+    train_model's weight check or the next batch's loss refuses it, so
+    NumPy's overflow warnings would only repeat that refusal.
     """
     state.step += 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -87,27 +76,13 @@ def optimizer_step(
     corr2 = 1.0 - b2**state.step
     tensors = list(params.weights) + list(params.biases)
     gradients = list(grads.weights) + list(grads.biases)
-    # Slices along the first axis per block, and the largest block.
-    rows = [max(1, ADAM_BLOCK // max(a[:1].size, 1)) for a in tensors]
-    scratch = np.empty((2, max(r * a[:1].size for r, a in zip(rows, tensors))), tensors[0].dtype)
-    for theta, g, m, v, r in zip(tensors, gradients, state.m, state.v, rows):
-        for th, gb, mb, vb in zip(*(_blocks(a, r) for a in (theta, g, m, v))):
-            s1, s2 = (s[: gb.size].reshape(gb.shape) for s in scratch)
-            np.multiply(1.0 - b1, gb, out=s1)
-            mb *= b1
-            mb += s1
-            np.multiply(1.0 - b2, gb, out=s1)
-            s1 *= gb
-            vb *= b2
-            vb += s1
-            np.divide(mb, corr1, out=s1)
-            s1 *= cfg.learning_rate
-            np.divide(vb, corr2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += cfg.epsilon_hat
-            s1 /= s2
-            th -= s1
-    return params, state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for theta, g, m, v in zip(tensors, gradients, state.m, state.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            theta -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.epsilon_hat)
 
 
 def _step(params, x0, t, eps, sched, helper: ThreadPoolExecutor):
@@ -120,7 +95,7 @@ def _step(params, x0, t, eps, sched, helper: ThreadPoolExecutor):
     h = -(-B // 2)
     if h == B:
         return loss_and_grad(params, x0, t, eps, sched)
-    second = helper.submit(copy_context().run, loss_and_grad, params, x0[h:], t[h:], eps[h:], sched)
+    second = helper.submit(loss_and_grad, params, x0[h:], t[h:], eps[h:], sched)
     try:
         loss, grads = loss_and_grad(params, x0[:h], t[:h], eps[:h], sched)
     finally:
@@ -168,8 +143,7 @@ def _train_epoch(
                 raise NumericError(
                     f"{kind} epoch {epoch} batch {n_batches + 1}: {err}"
                 ) from err
-            # the caller's np.errstate, a context variable, covers the update
-            update = helper.submit(copy_context().run, optimizer_step, params, grads, state, cfg)
+            update = helper.submit(optimizer_step, params, grads, state, cfg)
             total += loss
             n_batches += 1
     finally:

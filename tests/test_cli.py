@@ -59,7 +59,6 @@ def nan_planted_checkpoint(tmp_path, value=np.nan, at=0):
     return cfg_path
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_divergent_training_exits_4_without_checkpoint(tmp_path, capsys):
     # the step checks the loss before Adam touches the weights, so the
     # second batch of an exploding run stops the command, and no
@@ -82,7 +81,7 @@ def test_divergent_training_exits_4_without_checkpoint(tmp_path, capsys):
         "--set", "cgd.learning_rate=1e200",
     )
     assert code == 4
-    assert "CGD epoch 1 batch 2: non-finite training loss" in err
+    assert err == "numeric error: CGD epoch 1 batch 2: non-finite training loss\n"
     assert not (tmp_path / "run" / "ckpt-cgd").exists()
 
 
@@ -522,6 +521,19 @@ class TestInfer:
         code, _, err = run(capsys, "infer", str(cfg_path), "--out", str(out))
         assert code == 4
         assert "item chain" in err and "user 0" in err
+        assert not out.exists()
+
+    def test_overflowing_chain_exits_4_with_one_line(self, tmp_path, capsys):
+        # every output-head weight finite but so large that head_z = W_out @ W0x
+        # overflows (one such entry would not): the chains' own check is the
+        # only report, with no NumPy warning before it (pyproject makes
+        # RuntimeWarning an error, so one would end main in a traceback)
+        W0 = (300 + 8) * 16 + 16  # W0 and b0 come first in params.bin
+        cfg_path = nan_planted_checkpoint(tmp_path, value=1.5e308, at=slice(W0, W0 + 16 * 300))
+        out = tmp_path / "lists.tsv"
+        code, _, err = run(capsys, "infer", str(cfg_path), "--out", str(out))
+        assert code == 4
+        assert err == "numeric error: non-finite item chain output, first at user 0\n"
         assert not out.exists()
 
 

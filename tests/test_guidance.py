@@ -748,9 +748,8 @@ class TestOneBlasThread:
         assert blas_threads() == 2
 
         seen.clear()
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match=r"^CGD epoch 1 batch 2: non-finite"):
-                run(cfg=replace(cfg, learning_rate=1e200))
+        with pytest.raises(NumericError, match=r"^CGD epoch 1 batch 2: non-finite"):
+            run(cfg=replace(cfg, learning_rate=1e200))
         assert sorted(seen) == [(False, 1)] * 2 + [(True, 1)] * 2
         assert blas_threads() == 2
 

@@ -74,17 +74,32 @@ def test_no_compiled_pattern_needs_python_3_11():
 
 
 
-def test_trainer_imports_no_module_that_ranks_or_runs_chains():
-    # validation comes in as a function (pipeline.recall_validator), so
-    # the trainer, function bodies included, imports none of these
+def imported_modules(module: str) -> set[str]:
+    """Each part of each module name cgsorec.<module> imports, function
+    bodies included, and each name a `from` import takes."""
     parts = set()
-    for node in ast.walk(module_tree("trainer")):
+    for node in ast.walk(module_tree(module)):
         if isinstance(node, ast.ImportFrom):
             parts |= set((node.module or "").split(".")) | {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             parts |= {part for alias in node.names for part in alias.name.split(".")}
+    return parts
+
+
+def test_trainer_imports_no_module_that_ranks_or_runs_chains():
+    # validation comes in as a function (pipeline.recall_validator), so
+    # the trainer, function bodies included, imports none of these
+    parts = imported_modules("trainer")
     assert {"denoiser", "schedule"} <= parts  # the walk sees the trainer's imports
     assert not parts & {"guidance", "evaluation", "pipeline", "cli"}, sorted(parts)
+
+
+def test_no_module_imports_contextvars():
+    # a helper thread runs plain functions: none depends on its caller's
+    # context (np.errstate among it), since each checked stage sets its own
+    assert "concurrent" in imported_modules("trainer")  # the walk sees the imports
+    users = [module for module in MODULES if "contextvars" in imported_modules(module)]
+    assert not users, users
 
 
 def sibling_names(module: str) -> list[tuple[str, str]]:

@@ -84,7 +84,6 @@ def snapshot(root) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from weights that overflow
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_mutated_state_exits_0_2_3_or_4(tmp_path, capsys, monkeypatch, workspace, name):
     original = (workspace / name).read_bytes()
