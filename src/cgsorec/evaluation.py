@@ -50,7 +50,7 @@ class RankedLists:
     scores: np.ndarray
 
 
-ROW_BLOCK = 256
+ROW_BLOCK = 64
 
 
 def _checked_mask(mask, shape, k: int) -> sp.csr_matrix:
@@ -76,7 +76,10 @@ def top_k_rows(
     row's unmasked count is a config error.
 
     Rows are ranked ROW_BLOCK at a time in one buffer holding the block's
-    blend, negated, with +inf at the masked positions.  An argpartition
+    blend, negated, with +inf at the masked positions; at 64 rows of a
+    few thousand columns that buffer, the blend's other term and
+    argpartition's ids each fit a core's L2 cache.  Ranking is row-local,
+    so the block size moves no byte.  An argpartition
     picks each row's k smallest.  When the k-th is below +inf and every
     entry equal to it was picked, the picks sorted by id and then stably
     by value are the row's list.  Any other row (ties straddling the cut,
@@ -133,15 +136,17 @@ def top_k_grid(
     a: np.ndarray, b: np.ndarray | None, ws, k: int, mask=None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """[top_k_rows(a, k, mask, b, w) for w in ws], bit for bit, from one
-    ROW_BLOCK pass over the rows.
+    ROW_BLOCK pass over the rows that holds three blocks of bounds and a
+    block of survivor flags, never a whole (rows, n) array.
 
     For 0 <= w < 1 the blend is (1 - w) * (a + lam * b), lam = w / (1 - w),
     so a row ranks at every such w of the grid as a + lam * b does, and
     that lies between its values at the grid's smallest and largest lam.
     An unmasked item whose upper bound is below its row's k-th largest
     lower bound by more than rounding can bridge is beaten by k items at
-    every w, ties included, so it is dropped.  The survivors, gathered in
-    ascending id order (padding masked), are ranked per w by top_k_rows,
+    every w, ties included, so it is dropped.  Each block's survivors are
+    taken as soon as it is bounded, row by row in ascending id order;
+    gathered (padding masked), they are ranked per w by top_k_rows,
     which keeps the blend and the tie rules in one place.  Every w goes to
     top_k_rows on all the rows when there is no b or the grid holds fewer
     than two w in [0, 1), a w outside [0, 1) always does, and a block
@@ -162,9 +167,12 @@ def top_k_grid(
     ]
     lams = [ws[j] / (1.0 - ws[j]) for j in bounded]
     lam_lo, lam_hi = min(lams), max(lams)
-    keep = np.zeros((n_rows, n), dtype=bool)
-    bound = np.zeros(n_rows, dtype=bool)
+    # each bounded block's rows, survivor counts and survivor ids, after
+    # an empty head in case no block is bounded
+    none = np.empty(0, dtype=np.intp)
+    users, count, cols = [none], [none], [none]
     buf = np.empty((3, min(ROW_BLOCK, n_rows), n))
+    keep = np.empty((min(ROW_BLOCK, n_rows), n), dtype=bool)
     for start in range(0, n_rows, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n_rows))
         a_blk, b_blk = a[rows], b[rows]
@@ -189,13 +197,13 @@ def top_k_grid(
         lo.reshape(-1)[masked] = -np.inf
         lo.partition(n - k, axis=1)
         floor = lo[:, n - k] - _SLACK * (size + (1.0 + lam_hi) * _TINY)
-        np.greater_equal(hi, floor[:, None], out=keep[rows])
-        keep[rows].reshape(-1)[masked] = False
-        bound[rows] = True
-    users = np.flatnonzero(bound)
-    keep = keep[users]
-    count = np.count_nonzero(keep, axis=1)
-    at, cols = np.nonzero(keep)
+        kept = np.greater_equal(hi, floor[:, None], out=keep[: len(a_blk)])
+        kept.reshape(-1)[masked] = False
+        users.append(np.arange(rows.start, rows.stop))
+        count.append(np.count_nonzero(kept, axis=1))
+        cols.append(np.nonzero(kept)[1])
+    users, count, cols = map(np.concatenate, (users, count, cols))
+    at = np.repeat(np.arange(len(users)), count)
     sub = np.zeros((len(users), count.max(initial=0)), dtype=np.intp)
     sub[at, np.arange(len(cols)) - np.repeat(np.cumsum(count) - count, count)] = cols
     pad = sp.csr_matrix(np.arange(sub.shape[1]) >= count[:, None])

@@ -23,7 +23,7 @@ rtol 1e-10.
 Determinism: corruption noise comes from a stream keyed by
 (seed XOR user_id, stage), so results do not depend on which chains
 are skipped; every reverse step takes its mean; rows are processed in
-fixed 256-row chunks so BLAS sees the same shapes on every run.  While
+fixed 128-row chunks so BLAS sees the same shapes on every run.  While
 a pair's chains run, NumPy's OpenBLAS is held to one thread
 (blas.one_blas_thread), since it rounds some products differently at
 other thread counts: inference bytes do not depend on
@@ -38,12 +38,14 @@ Memory: _chain_rows yields a pair's chains chunk by chunk, building
 each chunk's condition rows as it goes, since both condition graphs are
 row-local; each phase reduces a chunk as soon as it is made: the social
 phase into re-binarized graph rows, and infer and validation into
-ranked lists.  Only a sweep's item pair is whole.  At most WORKERS
-chunks are alive at a time, the one being reduced included.  The
-calling thread allocates each chunk's blocks, which hold its noise
-until the output head overwrites it, and checks them; a worker allocates
-no chunk-sized array, since glibc keeps what a thread frees in that
-thread's arena.
+ranked lists.  Only a sweep's item pair is whole: item_phase allocates
+it once, and each chunk's blocks are that chunk's rows of it, filled in
+place, so no block is copied.  At most WORKERS chunks are alive at a
+time, the one being reduced included: 256 rows of each chain at CHUNK
+128.  The calling thread allocates each chunk's blocks (or the whole
+pair), which hold its noise until the output head overwrites it, and
+checks them; a worker allocates no chunk-sized array, since glibc keeps
+what a thread frees in that thread's arena.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ STAGE_ITEM_COND = 3
 STAGE_VALID = 4
 STAGE_NAMES = ("social", "social-condition", "item", "item-condition", "validation")
 
-CHUNK = 256
+CHUNK = 128
 WORKERS = 2
 
 
@@ -134,7 +136,7 @@ def _user_eps(seed: int, stage: int, users, out: np.ndarray) -> None:
 
 def _chain_rows(
     params: DenoiserParams, sched: NoiseSchedule, rows, cond, mix: float, cfg: GuidanceConfig,
-    seed: int, stage: int, w: float = 0.0,
+    seed: int, stage: int, w: float = 0.0, out_a=None, out_b=None,
 ):
     """The chains of a pair over the same users, one CHUNK-row block at a
     time: yields (span, a, b) for each block in order.
@@ -148,8 +150,10 @@ def _chain_rows(
     run on z = x @ W0x (module docstring); the output head is applied
     once, at t = 1, into the block that held the noise.  The calling
     thread builds each chunk's rows and blocks, and the workers fill
-    them (module docstring).  Raises NumericError naming the stage and
-    the first user of the first block whose output is not finite.
+    them (module docstring); given whole arrays out_a and out_b, a
+    chunk's blocks are its rows of them, so they fill in place.  Raises
+    NumericError naming the stage and the first user of the first block
+    whose output is not finite.
     """
     T_inf = resolve_T_inf(cfg, sched)
     ab = sched.alpha_bar[T_inf - 1]
@@ -207,7 +211,8 @@ def _chain_rows(
             if c is not None and c.shape != shape:
                 raise ConfigError(f"condition rows {c.shape} != rows {shape}")
             c = None if c is None else canonical_rows(c)
-            a, b = np.empty(shape), np.empty(shape) if paired else None
+            a = np.empty(shape) if out_a is None else out_a[span]
+            b = (np.empty(shape) if out_b is None else out_b[span]) if paired else None
             return pool.submit(pair, span, canonical_rows(rows[span]), c, a, b)
         except Exception as err:
             failed = Future()
@@ -237,21 +242,12 @@ def _chain_rows(
             pool.shutdown(cancel_futures=True)
 
 
-def _gather(chunks, shape=None, paired: bool = False, reduce=None):
-    """The list of reduce(span, a, b) over _chain_rows' blocks or, without
-    `reduce`, the whole chains A and B (None unless `paired`).  The chains
-    are closed however this ends, so their hold on BLAS ends with it."""
+def _gather(chunks, reduce):
+    """The list of reduce(span, a, b) over _chain_rows' blocks.  The
+    chains are closed however this ends, so their hold on BLAS ends with
+    it."""
     with closing(chunks):
-        if reduce is not None:
-            return list(starmap(reduce, chunks))
-        out_a = np.empty(shape)
-        out_b = np.empty(shape) if paired else None
-        for span, a, b in chunks:
-            out_a[span] = a
-            if paired:
-                out_b[span] = b
-            del a, b
-        return out_a, out_b
+        return list(starmap(reduce, chunks))
 
 
 def unconditional_scores(
@@ -318,13 +314,20 @@ def item_phase(
     condition rows cond(span) by gamma, B over those rows when w_r > 0.
 
     Without `reduce`, the whole pair (b None when w_r = 0), so callers
-    can blend any w_r.  Otherwise each block goes through reduce(span,
-    a, b) as it is made, and the list of what it returns comes back.
+    can blend any w_r; the pair is allocated here, and each chunk's
+    chains fill their rows of it in place.  Otherwise each block goes
+    through reduce(span, a, b) as it is made, and the list of what it
+    returns comes back.
     """
-    chunks = _chain_rows(
-        ckpt.params, ckpt.sched, R.matrix, cond, cfg.gamma, cfg, seed, STAGE_ITEM, cfg.w_r
+    chains = partial(
+        _chain_rows, ckpt.params, ckpt.sched, R.matrix, cond, cfg.gamma, cfg, seed, STAGE_ITEM,
+        cfg.w_r,
     )
-    return _gather(chunks, R.matrix.shape, cfg.w_r > 0.0, reduce)
+    if reduce is not None:
+        return _gather(chains(), reduce)
+    pair = np.empty(R.matrix.shape), np.empty(R.matrix.shape) if cfg.w_r > 0.0 else None
+    _gather(chains(*pair), lambda span, a, b: None)  # each chunk fills its rows of the pair
+    return pair
 
 
 def build_social_condition(

@@ -2,11 +2,17 @@
 
 The script runs every command in a temporary directory, with relative
 paths, on two datasets: `planted(0)`, and `lastfm_like(0)` under a tiny
-model, whose 1853 users run as eight 256-row chunks, the last one
-partial.  Each file the script leaves, and each command's stdout, must
-match its pinned digest in `pinned_artifacts.json`.  A change meant to
-keep outputs byte-identical changes no digest; a change that moves
-numbers on purpose updates only the digests it must, file by file.
+model, whose 1853 users run as fifteen 128-row chunks, the last one
+partial.  A shorter script (`prepare`, both trainings, guided and
+unguided `infer`, a `w_r` sweep) runs `lastfm_like(0)` again at the
+benchmark's model (hidden [200], T 20, 2 epochs), so the bytes of the
+shape the benchmark runs are pinned too: its products are 200 wide and
+its chains 20 steps long, and a change can round differently there than
+at the tiny model's widths.  Each file a script leaves, and each
+command's stdout, must match its pinned digest in
+`pinned_artifacts.json`.  A change meant to keep outputs byte-identical
+changes no digest; a change that moves numbers on purpose updates only
+the digests it must, file by file.
 
 OpenBLAS rounds some products differently by thread count.  Training
 and inference hold it to one thread, so where that hold is taken the
@@ -56,15 +62,32 @@ SCRIPT = [
     ["sweep", "--param", "guidance.w_r", "--values", "0,0.2,0.5,1"],
     ["sweep", "--param", "eval.ks", "--values", "[5],[20],[10]"],
 ]
+WIDE_SCRIPT = [
+    ["prepare"],
+    ["train", "--model", "cgd", "--verbose"],
+    ["train", "--model", "csd", "--verbose"],
+    ["infer", "--out", "run/lists-guided.tsv"],
+    ["infer", "--out", "run/lists-unguided.tsv", *UNGUIDED],
+    ["sweep", "--param", "guidance.w_r", "--values", "0,0.2,0.5,1"],
+]
 
 DATASETS = {
     "planted": (
         planted,
         {"T": 5, "hidden_dims": [16], "epochs": 2, "batch_size": 64},
+        SCRIPT,
     ),
     "lastfm": (
         lastfm_like,
         {"T": 3, "hidden_dims": [4], "time_embed_dim": 4, "epochs": 2, "batch_size": 400},
+        SCRIPT,
+    ),
+    # bench/workloads.py's MODEL, trained as its inference set-up does
+    "lastfm-wide": (
+        lastfm_like,
+        {"T": 20, "hidden_dims": [200], "time_embed_dim": 16, "learning_rate": 1e-3,
+         "epochs": 2, "batch_size": 400},
+        WIDE_SCRIPT,
     ),
 }
 
@@ -74,10 +97,10 @@ def sha256(data: bytes) -> str:
 
 
 def run_script(name: str, root: Path) -> dict:
-    """The digests of every file the script leaves under `root`, the
+    """The digests of every file `name`'s script leaves under `root`, the
     working directory, and of each command's stdout, keyed by path and
     by command line."""
-    make, model = DATASETS[name]
+    make, model, script = DATASETS[name]
     write_dataset(make(seed=0), "r.tsv", "s.tsv")
     Path("config.json").write_text(json.dumps({
         "seed": 1,
@@ -88,7 +111,7 @@ def run_script(name: str, root: Path) -> dict:
         "guidance": GUIDANCE,
     }))
     stdout = {}
-    for argv in SCRIPT:
+    for argv in script:
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = main([argv[0], "config.json", *argv[1:]])

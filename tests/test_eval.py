@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cgsorec import evaluation
 from cgsorec.corpus import InteractionMatrix, partition_items
 from cgsorec.errors import ConfigError, DataError
 from cgsorec.evaluation import (
@@ -309,8 +310,8 @@ class TestTopKGrid:
         b = rng.integers(-3, 4, size=(n_rows, n)).astype(np.float64)
         a[a == 0] = rng.choice([0.0, -0.0], size=np.count_nonzero(a == 0))
         b[:, ::3] = -0.0
-        # NaN in the first block, +inf in the second; the third is finite
-        a[5, 7], b[300, 2] = np.nan, np.inf
+        # NaN in the first block, +inf in the second; the rest are finite
+        a[5, 7], b[ROW_BLOCK + 44, 2] = np.nan, np.inf
         mask = messy_mask(rng, n_rows, n, 0.2)
         assert not mask.has_canonical_format
         for k in (1, 10, int(free_counts(mask, n).min())):
@@ -385,6 +386,37 @@ class TestTopKGrid:
             assert np.array_equal(lists.users, one.users)
             assert np.array_equal(lists.items, one.items)
             assert lists.scores.tobytes() == one.scores.tobytes()
+
+
+class TestRowBlock:
+    """Ranking is row-local, so no list or score depends on ROW_BLOCK:
+    at one row a block, at blocks that split the rows unevenly, and at
+    one block holding every row."""
+
+    def test_lists_do_not_depend_on_the_block_size(self, rng, monkeypatch):
+        n_rows, n = 150, 40
+        a = rng.integers(-3, 4, size=(n_rows, n)).astype(np.float64)
+        b = np.round(rng.standard_normal((n_rows, n)), 1)
+        a[100, 7], b[20, 3] = np.nan, np.inf  # blocks holding a non-finite score
+        mask = messy_mask(rng, n_rows, n, 0.2)
+        ws = [0.0, 1 / 3, 0.99, 1.0]
+
+        def ranked():
+            with np.errstate(invalid="ignore"):  # 0 * inf at w = 1
+                return [
+                    top_k_rows(a, 10), top_k_rows(a, 10, mask), top_k_rows(a, 10, None, b, 0.35),
+                    top_k_rows(a, 10, mask, b, 0.35), *top_k_grid(a, b, ws, 10, mask),
+                ]
+
+        rankings = {}
+        for size in (1, 7, 64, 256, n_rows + 1):
+            monkeypatch.setattr(evaluation, "ROW_BLOCK", size)
+            rankings[size] = ranked()
+        want = rankings.pop(1)
+        for size, got in rankings.items():
+            for (ids, top), (want_ids, want_top) in zip(got, want, strict=True):
+                assert ids.dtype == want_ids.dtype and ids.tobytes() == want_ids.tobytes(), size
+                assert top.tobytes() == want_top.tobytes(), size
 
 
 class TestRecall:

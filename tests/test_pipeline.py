@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cgsorec import guidance
+from cgsorec import evaluation, guidance
 from cgsorec.corpus import (
     InteractionMatrix,
     SocialMatrix,
@@ -21,11 +21,13 @@ from cgsorec.corpus import (
     split,
 )
 from cgsorec.errors import DataError
-from cgsorec.evaluation import topk_lists
+from cgsorec.evaluation import top_k_grid, topk_lists
 from cgsorec.guidance import (
     CHUNK,
     GuidanceConfig,
+    build_item_condition,
     build_social_condition,
+    item_phase,
     joint_chains,
     social_phase,
 )
@@ -196,7 +198,10 @@ class TestPeakMemory:
 
     Both condition graphs are built a chunk at a time, inside the chain
     loop.  On `planted` R' is about 45% dense, so building it whole grew
-    the guided lists' peak by more than one dense matrix."""
+    the guided lists' peak by more than one dense matrix.
+
+    A sweep holds the whole item pair, but fills it in place, and ranks
+    its w_r grid without a whole survivor mask."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -244,3 +249,28 @@ class TestPeakMemory:
             _, bundle = planted_bundle(n)
             peaks[n] = traced_peak(lambda: train_item_model(cfg, bundle))
         assert peaks[800] - peaks[200] < 800 * bundle.train.n_items * 8, peaks
+
+    def test_sweep_pair_is_filled_in_place(self, rng):
+        # a pair gathered from its chunks would hold two chunks' blocks,
+        # chain A's and chain B's, beside it while copying them in
+        n_users, n_items = 300, 2000
+        R = InteractionMatrix(rand_binary_csr(rng, n_users, n_items, 0.03))
+        ckpt = untrained_checkpoint(n_items, T=3, seed=1)
+        cfg = GuidanceConfig(gamma=0.5, w_r=0.2)
+        cond = partial(build_item_condition, None, R, 0.0)
+        peak = traced_peak(lambda: item_phase(ckpt, R, cond, cfg, 0))
+        pair, blocks = 2 * n_users * n_items * 8, 2 * guidance.CHUNK * n_items * 8
+        assert peak < pair + blocks, (peak, pair, blocks)
+
+    def test_sweep_grid_holds_no_whole_mask(self, rng, monkeypatch):
+        # each row's top 10 lead every other item at every w of the grid,
+        # as a sweep's chains mostly do, so few items survive the bounds;
+        # small blocks keep their buffers far below one whole bool mask
+        # of the rows, so the bound fails a grid that holds one
+        monkeypatch.setattr(evaluation, "ROW_BLOCK", 16)
+        n_rows, n = 2000, 2500
+        a, b = rng.random((n_rows, n)), rng.random((n_rows, n))
+        top = (np.arange(n_rows)[:, None] + 250 * np.arange(10)) % n
+        np.put_along_axis(a, top, 3.0, axis=1)
+        peak = traced_peak(lambda: top_k_grid(a, b, [0.0, 0.5], 10))
+        assert peak < n_rows * n, peak
