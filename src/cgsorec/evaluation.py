@@ -8,20 +8,22 @@ each user's relevant count, and users with none are left out.  The
 popularity histogram is one bincount.  Test, train and mask rows are
 read as corpus.canonical_rows, so an entry stored twice counts once.
 
-Every ranking goes through top_k_rows: the top-K lists evaluated here and
-at each validation epoch, the re-binarized social graph
-(guidance.binarize_social), and infer's lists, which it ranks straight
-from the two item chains, blending each block of rows as it ranks it.
-A block costs about one pass over its scores: an argpartition picks
-each row's k best, and only rows whose ties straddle the k-th value (or
-whose k-th score is NaN, -inf or masked) are lexsorted whole.  Ties
-break toward the lower id and masked ids rank last, so every ranking is
-reproducible bit for bit and lists no masked id.
+Every ranking goes through top_k_grid, ROW_BLOCK rows at a time: the
+top-K lists evaluated here and at each validation epoch, the
+re-binarized social graph (guidance.binarize_social), infer's lists,
+which it ranks straight from the two item chains, blending each block
+as it ranks it, and a sweep's whole w_r grid; top_k_rows is the grid at
+one value.  A block costs about one pass over its scores per value: an
+argpartition picks each row's k best, and only rows whose ties straddle
+the k-th value (or whose k-th score is NaN, -inf or masked) are
+lexsorted whole.  Ties break toward the lower id and masked ids rank
+last, so every ranking is reproducible bit for bit and lists no masked
+id.
 
-A sweep's whole w_r grid is ranked in one pass by top_k_grid: it bounds
-each item's blend over the grid, drops the items that cannot reach a
-row's top k at any value, and has top_k_rows rank the few survivors
-once per value, so every list is the one top_k_rows gives on its own.
+When a grid holds two or more w with 0 <= w < 1, each finite block is
+bounded first: the items that cannot reach a row's top k at any such w
+are dropped, and each such w ranks only the block's survivors, which
+gives the lists the whole block gives.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ class RankedLists:
     scores: np.ndarray
 
 
+# Rows ranked at a time: 64 rows of a few thousand columns, their blend
+# term and argpartition's ids each fit a core's L2 cache.  Ranking is
+# row-local, so the size moves no byte.
 ROW_BLOCK = 64
 
 
@@ -73,144 +78,133 @@ def top_k_rows(
     column id and NaN ranks after every number.  Masked entries (a sparse
     matrix of already-seen (row, column) positions, duplicates allowed)
     rank after everything, so no masked id is listed; k larger than a
-    row's unmasked count is a config error.
-
-    Rows are ranked ROW_BLOCK at a time in one buffer holding the block's
-    blend, negated, with +inf at the masked positions; at 64 rows of a
-    few thousand columns that buffer, the blend's other term and
-    argpartition's ids each fit a core's L2 cache.  Ranking is row-local,
-    so the block size moves no byte.  An argpartition
-    picks each row's k smallest.  When the k-th is below +inf and every
-    entry equal to it was picked, the picks sorted by id and then stably
-    by value are the row's list.  Any other row (ties straddling the cut,
-    a k-th value of NaN or +inf) is lexsorted whole by (masked, value);
-    lexsort is stable, so ties keep id order.
+    row's unmasked count is a config error.  This is top_k_grid at the
+    one value w.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    n_rows, n = scores.shape
-    other = None if other is None or w == 0.0 else np.asarray(other, dtype=np.float64)
-    mask = _checked_mask(mask, scores.shape, k)
-    ids = np.empty((n_rows, k), dtype=np.intp)
-    top = np.empty((n_rows, k))
-    if k == 0:
-        return ids, top
-    buf = np.empty((min(ROW_BLOCK, n_rows), n))
-    term = None if other is None else np.empty_like(buf)
-    for start in range(0, n_rows, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, n_rows)
-        neg = buf[: stop - start]
-        if other is None:
-            np.negative(scores[start:stop], out=neg)
-        else:
-            np.multiply(1.0 - w, scores[start:stop], out=neg)
-            neg += np.multiply(w, other[start:stop], out=term[: stop - start])
-            np.negative(neg, out=neg)
-        ptr = mask.indptr[start : stop + 1]
-        rows = np.repeat(np.arange(stop - start), np.diff(ptr))
-        neg.reshape(-1)[rows * n + mask.indices[ptr[0] : ptr[-1]]] = np.inf
-        cols = np.argpartition(neg, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(neg, cols[:, k - 1 :], axis=1)
-        cols.sort(axis=1)
-        picked = np.count_nonzero(np.take_along_axis(neg, cols, axis=1) == kth, axis=1)
-        fast = (kth[:, 0] < np.inf) & (np.count_nonzero(neg == kth, axis=1) == picked)
-        slow = np.flatnonzero(~fast)
-        if slow.size:
-            sub = mask[start + slow]
-            masked = np.zeros((len(slow), n), dtype=bool)
-            masked[np.repeat(np.arange(len(slow)), np.diff(sub.indptr)), sub.indices] = True
-            cols[slow] = np.lexsort((neg[slow], masked))[:, :k]
-        vals = np.take_along_axis(neg, cols, axis=1)
-        order = np.argsort(vals, axis=1, kind="stable")
-        ids[start:stop] = np.take_along_axis(cols, order, axis=1)
-        top[start:stop] = -np.take_along_axis(vals, order, axis=1)
-    return ids, top
+    return top_k_grid(scores, other, [w], k, mask)[0]
 
 
-# top_k_grid's margin, in units of a row's size: 2**13 times the dozen
+def _rank(a: np.ndarray, b: np.ndarray | None, w: float, masked: np.ndarray, k: int):
+    """Each row's k best column ids and their scores, best first, in the
+    block (1 - w) * a + w * b (a alone when b is None or w is 0), with the
+    flat positions `masked` ranking after everything.
+
+    The block's blend is negated and +inf set at the masked positions.
+    An argpartition picks each row's k smallest.  When the k-th is below
+    +inf and every entry equal to it was picked, the picks sorted by id
+    and then stably by value are the row's list.  Any other row (ties
+    straddling the cut, a k-th value of NaN or +inf) is lexsorted whole
+    by (masked, value); lexsort is stable, so ties keep id order.
+    """
+    if b is None or w == 0.0:
+        neg = np.negative(a)
+    else:
+        neg = np.multiply(1.0 - w, a)
+        neg += np.multiply(w, b)
+        np.negative(neg, out=neg)
+    neg.reshape(-1)[masked] = np.inf
+    cols = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(neg, cols[:, k - 1 :], axis=1)
+    cols.sort(axis=1)
+    picked = np.count_nonzero(np.take_along_axis(neg, cols, axis=1) == kth, axis=1)
+    fast = (kth[:, 0] < np.inf) & (np.count_nonzero(neg == kth, axis=1) == picked)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        flags = np.zeros(neg.shape, dtype=bool)
+        flags.reshape(-1)[masked] = True
+        cols[slow] = np.lexsort((neg[slow], flags[slow]))[:, :k]
+    vals = np.take_along_axis(neg, cols, axis=1)
+    order = np.argsort(vals, axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1), -np.take_along_axis(vals, order, axis=1)
+
+
+# _survivors' margin, in units of a row's size: 2**13 times the dozen
 # or so roundings that can separate a bound from a ranked blend.
 _SLACK = 2.0**-40
 _TINY = 2.0**-1022
 
 
+def _survivors(a: np.ndarray, b: np.ndarray, lams, masked: np.ndarray, k: int, buf):
+    """The columns of each row of a block that can reach the row's top k
+    of a + lam * b at some lam in `lams`, ascending and padded to one
+    width, and the flat positions of the padding; None when the block
+    holds a non-finite score.  buf is scratch of at least (3, *a.shape).
+
+    A row's a + lam * b lies between its values at the smallest and the
+    largest lam.  An unmasked item whose upper bound is below its row's
+    k-th largest lower bound by more than rounding can bridge is beaten
+    by k items at every lam, ties included, so it is dropped.
+    """
+    lam_lo, lam_hi = min(lams), max(lams)
+    lo, hi, f = buf[:, : len(a)]
+    # the row's largest |a| + lam * |b| over the grid: each rounding
+    # of a bound, a blend or a lam moves a + lam * b by at most 2**-53
+    # of it (or by 2**-1075 times 1 + lam below the normal range)
+    size = np.abs(a, out=lo).max(axis=1) + lam_hi * np.abs(b, out=hi).max(axis=1)
+    if not np.isfinite(size).all():
+        return None
+    np.multiply(b, lam_lo, out=f)
+    f += a
+    np.multiply(b, lam_hi, out=hi)
+    hi += a
+    np.minimum(f, hi, out=lo)
+    np.maximum(f, hi, out=hi)
+    lo.reshape(-1)[masked] = -np.inf
+    n = a.shape[1]
+    lo.partition(n - k, axis=1)
+    floor = lo[:, n - k] - _SLACK * (size + (1.0 + lam_hi) * _TINY)
+    kept = hi >= floor[:, None]
+    kept.reshape(-1)[masked] = False
+    count = np.count_nonzero(kept, axis=1)
+    pad = np.arange(count.max()) >= count[:, None]
+    cols = np.zeros(pad.shape, dtype=np.intp)
+    cols[~pad] = np.nonzero(kept)[1]
+    return cols, np.flatnonzero(pad)
+
+
 def top_k_grid(
     a: np.ndarray, b: np.ndarray | None, ws, k: int, mask=None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """[top_k_rows(a, k, mask, b, w) for w in ws], bit for bit, from one
-    ROW_BLOCK pass over the rows that holds three blocks of bounds and a
-    block of survivor flags, never a whole (rows, n) array.
+    """[top_k_rows(a, k, mask, b, w) for w in ws], ranked ROW_BLOCK rows
+    at a time; no value but the outputs outlives a block.
 
     For 0 <= w < 1 the blend is (1 - w) * (a + lam * b), lam = w / (1 - w),
-    so a row ranks at every such w of the grid as a + lam * b does, and
-    that lies between its values at the grid's smallest and largest lam.
-    An unmasked item whose upper bound is below its row's k-th largest
-    lower bound by more than rounding can bridge is beaten by k items at
-    every w, ties included, so it is dropped.  Each block's survivors are
-    taken as soon as it is bounded, row by row in ascending id order;
-    gathered (padding masked), they are ranked per w by top_k_rows,
-    which keeps the blend and the tie rules in one place.  Every w goes to
-    top_k_rows on all the rows when there is no b or the grid holds fewer
-    than two w in [0, 1), a w outside [0, 1) always does, and a block
-    holding a non-finite score is ranked per w on the whole block.
+    so a row ranks at such a w as a + lam * b does.  When the grid holds
+    two or more such w and a block is finite, each such w ranks only the
+    block's survivors (_survivors), padding masked; every other w, and
+    every w of a block holding a non-finite score, ranks the whole block.
+    A row's list depends only on its values, its mask and k, so neither
+    the view nor the block size moves a byte.
     """
+    a = np.asarray(a)
+    b = None if b is None else np.asarray(b)
     ws = [float(w) for w in ws]
-    bounded = [j for j, w in enumerate(ws) if 0.0 <= w < 1.0]
-    if b is None or len(bounded) < 2 or k == 0:
-        return [top_k_rows(a, k, mask, b, w) for w in ws]
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     n_rows, n = a.shape
     mask = _checked_mask(mask, a.shape, k)
-    out = [
-        (np.empty((n_rows, k), dtype=np.intp), np.empty((n_rows, k))) if j in bounded
-        else top_k_rows(a, k, mask, b, w)
-        for j, w in enumerate(ws)
-    ]
-    lams = [ws[j] / (1.0 - ws[j]) for j in bounded]
-    lam_lo, lam_hi = min(lams), max(lams)
-    # each bounded block's rows, survivor counts and survivor ids, after
-    # an empty head in case no block is bounded
-    none = np.empty(0, dtype=np.intp)
-    users, count, cols = [none], [none], [none]
-    buf = np.empty((3, min(ROW_BLOCK, n_rows), n))
-    keep = np.empty((min(ROW_BLOCK, n_rows), n), dtype=bool)
+    out = [(np.empty((n_rows, k), dtype=np.intp), np.empty((n_rows, k))) for _ in ws]
+    lams = [w / (1.0 - w) for w in ws if 0.0 <= w < 1.0]
+    if k == 0:
+        return out
+    # _survivors' scratch, written over by each block before it is read
+    buf = np.empty((3, min(ROW_BLOCK, n_rows), n)) if b is not None and len(lams) > 1 else None
     for start in range(0, n_rows, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n_rows))
-        a_blk, b_blk = a[rows], b[rows]
-        lo, hi, f = buf[:, : len(a_blk)]
-        # the row's largest |a| + lam * |b| over the grid: each rounding
-        # of a bound, a blend or a lam moves a + lam * b by at most 2**-53
-        # of it (or by 2**-1075 times 1 + lam below the normal range)
-        size = np.abs(a_blk, out=lo).max(axis=1) + lam_hi * np.abs(b_blk, out=hi).max(axis=1)
-        if not np.isfinite(size).all():
-            for j in bounded:
-                out[j][0][rows], out[j][1][rows] = top_k_rows(a_blk, k, mask[rows], b_blk, ws[j])
-            continue
-        np.multiply(b_blk, lam_lo, out=f)
-        f += a_blk
-        np.multiply(b_blk, lam_hi, out=hi)
-        hi += a_blk
-        np.minimum(f, hi, out=lo)
-        np.maximum(f, hi, out=hi)
+        a_blk = np.asarray(a[rows], dtype=np.float64)
+        b_blk = None if b is None else np.asarray(b[rows], dtype=np.float64)
         ptr = mask.indptr[rows.start : rows.stop + 1]
         masked = np.repeat(np.arange(len(a_blk)) * n, np.diff(ptr))
         masked += mask.indices[ptr[0] : ptr[-1]]
-        lo.reshape(-1)[masked] = -np.inf
-        lo.partition(n - k, axis=1)
-        floor = lo[:, n - k] - _SLACK * (size + (1.0 + lam_hi) * _TINY)
-        kept = np.greater_equal(hi, floor[:, None], out=keep[: len(a_blk)])
-        kept.reshape(-1)[masked] = False
-        users.append(np.arange(rows.start, rows.stop))
-        count.append(np.count_nonzero(kept, axis=1))
-        cols.append(np.nonzero(kept)[1])
-    users, count, cols = map(np.concatenate, (users, count, cols))
-    at = np.repeat(np.arange(len(users)), count)
-    sub = np.zeros((len(users), count.max(initial=0)), dtype=np.intp)
-    sub[at, np.arange(len(cols)) - np.repeat(np.cumsum(count) - count, count)] = cols
-    pad = sp.csr_matrix(np.arange(sub.shape[1]) >= count[:, None])
-    a_sub, b_sub = a[users[:, None], sub], b[users[:, None], sub]
-    for j in bounded:
-        ids, out[j][1][users] = top_k_rows(a_sub, k, pad, b_sub, ws[j])
-        out[j][0][users] = np.take_along_axis(sub, ids, axis=1)
+        bound = None if buf is None else _survivors(a_blk, b_blk, lams, masked, k, buf)
+        if bound is not None:
+            cols, pad = bound
+            a_sub = np.take_along_axis(a_blk, cols, axis=1)
+            b_sub = np.take_along_axis(b_blk, cols, axis=1)
+        for (ids, top), w in zip(out, ws):
+            if bound is None or not 0.0 <= w < 1.0:
+                ids[rows], top[rows] = _rank(a_blk, b_blk, w, masked, k)
+            else:
+                at, top[rows] = _rank(a_sub, b_sub, w, pad, k)
+                ids[rows] = np.take_along_axis(cols, at, axis=1)
     return out
 
 

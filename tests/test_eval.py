@@ -275,7 +275,12 @@ GRIDS = [[0.0, 1 / 3, 0.99, 1.0], [0.99, 0.0, 1 / 3, 1 / 3], [0.0, 1.0], [1 / 3]
 
 
 def assert_grid_is_rows(a, b, ws, k, mask):
-    """top_k_grid's entry j is top_k_rows(a, k, mask, b, ws[j]), bit for bit."""
+    """top_k_grid's entry j is top_k_rows(a, k, mask, b, ws[j]), bit for bit,
+    and the per-row lexsort of reference.blend(a, b, ws[j]).
+
+    top_k_rows is the grid at one value, so it ranks every block whole:
+    the first comparison holds the survivors to the whole block, and the
+    loop holds both to an independent ranking."""
     with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf at w = 1; huge scores
         grid = top_k_grid(a, b, ws, k, mask)
         assert len(grid) == len(ws)
@@ -283,6 +288,9 @@ def assert_grid_is_rows(a, b, ws, k, mask):
             want_ids, want_top = top_k_rows(a, k, mask, b, w)
             assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids), w
             assert np.array_equal(top.view(np.int64), want_top.view(np.int64)), w
+            loop_ids, loop_top = loop_topk(blend(a, b, w), mask, k)
+            assert np.array_equal(ids, np.array(loop_ids).reshape(ids.shape)), w
+            assert top.tobytes() == np.array(loop_top).tobytes(), w
 
 
 def messy_mask(rng, n_rows, n, density):

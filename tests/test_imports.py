@@ -7,8 +7,8 @@ compile must also compile on Python 3.10, the oldest that
 pyproject.toml supports.  The trainer takes its validation as a
 function, so it imports no module that ranks or runs chains.  The state
 files have one owner, `store`, and no module reaches into another's
-underscore names.  There is one exception class per exit code, and no
-public name that only the tests use.
+underscore names.  There is one exception class per exit code, no
+public name that only the tests use, and one loop over ranking blocks.
 """
 
 import ast
@@ -214,3 +214,15 @@ def test_every_public_name_has_a_user_outside_its_own_body():
         )
     )
     assert not unused, unused
+
+
+def test_evaluation_ranks_through_one_block_loop():
+    # top_k_rows is top_k_grid at one value: a second ranking loop would
+    # read ROW_BLOCK in a second function, or loop inside top_k_rows
+    functions = {node.name: node for node in module_tree("evaluation").body
+                 if isinstance(node, ast.FunctionDef)}
+    readers = sorted(name for name, node in functions.items()
+                     if "ROW_BLOCK" in {found for found, _ in names_read(node)})
+    assert readers == ["top_k_grid"], readers
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [node for node in ast.walk(functions["top_k_rows"]) if isinstance(node, loops)]

@@ -201,7 +201,9 @@ class TestPeakMemory:
     the guided lists' peak by more than one dense matrix.
 
     A sweep holds the whole item pair, but fills it in place, and ranks
-    its w_r grid without a whole survivor mask."""
+    its w_r grid a block at a time, each block's survivors gathered at
+    that block's widest row, so the grid holds no array of all the rows
+    but its outputs, even when one row's items all tie."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -262,7 +264,8 @@ class TestPeakMemory:
         pair, blocks = 2 * n_users * n_items * 8, 2 * guidance.CHUNK * n_items * 8
         assert peak < pair + blocks, (peak, pair, blocks)
 
-    def test_sweep_grid_holds_no_whole_mask(self, rng, monkeypatch):
+    @staticmethod
+    def grid_pair(rng, monkeypatch):
         # each row's top 10 lead every other item at every w of the grid,
         # as a sweep's chains mostly do, so few items survive the bounds;
         # small blocks keep their buffers far below one whole bool mask
@@ -272,5 +275,18 @@ class TestPeakMemory:
         a, b = rng.random((n_rows, n)), rng.random((n_rows, n))
         top = (np.arange(n_rows)[:, None] + 250 * np.arange(10)) % n
         np.put_along_axis(a, top, 3.0, axis=1)
+        return a, b
+
+    def test_sweep_grid_holds_no_whole_mask(self, rng, monkeypatch):
+        a, b = self.grid_pair(rng, monkeypatch)
         peak = traced_peak(lambda: top_k_grid(a, b, [0.0, 0.5], 10))
-        assert peak < n_rows * n, peak
+        assert peak < a.size, peak
+
+    def test_a_tied_row_widens_only_its_block(self, rng, monkeypatch):
+        # every item of row 7 ties at every w, so all of them survive: a
+        # grid that gathers every row's survivors at the widest row's
+        # width holds several whole (rows, n) arrays
+        a, b = self.grid_pair(rng, monkeypatch)
+        a[7], b[7] = 0.5, 0.5
+        peak = traced_peak(lambda: top_k_grid(a, b, [0.0, 0.5], 10))
+        assert peak < a.size, peak
