@@ -23,7 +23,7 @@ from .config import SCHEMA, ExperimentConfig, apply_set, load_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import RankedLists, report_json
 from .evaluation import frequency_histogram, group_metrics  # noqa: F401  (bench/spans.py wraps them here)
-from .guidance import joint_chains
+from .guidance import check_chain_inputs, joint_chains
 from .store import load_checkpoint, resolved_cap, save_checkpoint
 from .trainer import float32_params
 
@@ -177,8 +177,9 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         apply_set(raw, f"{param}={json.dumps(v)}")
         cfgs.append(ExperimentConfig(raw).validate())
     S, bundle, ckpt_social, ckpt_item = _inference_inputs(cfg, args, cfgs)
-    for cfg_v in cfgs:  # and so is its hot/tail split, which needs the data
+    for cfg_v in cfgs:  # and so are its hot/tail split and chain inputs, which need the data
         pipeline.eval_target(cfg_v, bundle)
+        check_chain_inputs(ckpt_social, ckpt_item, S, bundle.train, cfg_v.guidance())
     out_dir = args.out_dir or os.path.join(
         cfg["output_dir"], "sweep-" + param.replace(".", "-")
     )

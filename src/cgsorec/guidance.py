@@ -34,28 +34,26 @@ worker count either.  A chain's arithmetic runs with NumPy's overflow
 warnings off, since every block is checked for finiteness on the calling
 thread.
 
-Memory: _chain_rows yields a pair's chains chunk by chunk, building
+Memory: _chain_rows runs a pair's chains chunk by chunk, building
 each chunk's condition rows as it goes, since both condition graphs are
-row-local; each phase reduces a chunk as soon as it is made: the social
-phase into re-binarized graph rows, and infer and validation into
-ranked lists.  Only a sweep's item pair is whole: item_phase allocates
-it once, and each chunk's blocks are that chunk's rows of it, filled in
-place, so no block is copied.  At most WORKERS chunks are alive at a
-time, the one being reduced included: 256 rows of each chain at CHUNK
-128.  The calling thread allocates each chunk's blocks (or the whole
-pair), which hold its noise until the output head overwrites it, and
-checks them; a worker allocates no chunk-sized array, since glibc keeps
-what a thread frees in that thread's arena.
+row-local, and reduces each chunk on the calling thread as soon as it
+is made: the social phase into re-binarized graph rows, and infer and
+validation into ranked lists.  Only a sweep's item pair is whole:
+item_phase allocates it once, and each chunk's blocks are that chunk's
+rows of it, filled in place, so no block is copied.  At most WORKERS
+chunks are alive at a time, the one being reduced included: 256 rows of
+each chain at CHUNK 128.  The calling thread allocates each chunk's
+blocks (or the whole pair), which hold its noise until the output head
+overwrites it, and checks them; a worker allocates no chunk-sized
+array, since glibc keeps what a thread frees in that thread's arena.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
-from itertools import starmap
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,12 +117,12 @@ class GuidanceConfig:
             raise ConfigError(f"social_keep must be >= 0, got {self.social_keep}")
 
 
-def resolve_T_inf(cfg: GuidanceConfig, sched: NoiseSchedule) -> int:
-    if cfg.T_inf is None:
+def resolve_T_inf(T_inf: int | None, sched: NoiseSchedule) -> int:
+    if T_inf is None:
         return sched.T
-    if cfg.T_inf > sched.T:
-        raise ConfigError(f"guidance.T_inf={cfg.T_inf} exceeds schedule length {sched.T}")
-    return cfg.T_inf
+    if T_inf > sched.T:
+        raise ConfigError(f"guidance.T_inf={T_inf} exceeds schedule length {sched.T}")
+    return T_inf
 
 
 def _user_eps(seed: int, stage: int, users, out: np.ndarray) -> None:
@@ -135,33 +133,34 @@ def _user_eps(seed: int, stage: int, users, out: np.ndarray) -> None:
 
 
 def _chain_rows(
-    params: DenoiserParams, sched: NoiseSchedule, rows, cond, mix: float, cfg: GuidanceConfig,
-    seed: int, stage: int, w: float = 0.0, out_a=None, out_b=None,
-):
+    params: DenoiserParams, sched: NoiseSchedule, rows, T_inf: int | None, cond, mix: float,
+    paired: bool, seed: int, stage: int, reduce, out_a=None, out_b=None,
+) -> list:
     """The chains of a pair over the same users, one CHUNK-row block at a
-    time: yields (span, a, b) for each block in order.
+    time: the list of reduce(span, a, b) over the blocks, each called on
+    this thread as its block is made, in order.
 
     Chain A runs reverse chains over clean `rows` (corrupted here to
-    T_inf), each step's mean mixed with weight `mix` toward the mean at
-    the clean condition row; cond(span) builds a block's condition rows
-    (CSR) when a chain reads them.  Chain B runs over those rows, unguided,
-    at stage + 1, only when its blend weight w is > 0; b is None otherwise.
-    Each block's noise is corrupted in place (corrupt_rows), and steps
-    run on z = x @ W0x (module docstring); the output head is applied
-    once, at t = 1, into the block that held the noise.  The calling
-    thread builds each chunk's rows and blocks, and the workers fill
-    them (module docstring); given whole arrays out_a and out_b, a
-    chunk's blocks are its rows of them, so they fill in place.  Raises
-    NumericError naming the stage and the first user of the first block
-    whose output is not finite.
+    T_inf, the whole schedule when None), each step's mean mixed with
+    weight `mix` toward the mean at the clean condition row; cond(span)
+    builds a block's condition rows (CSR) when a chain reads them.  Chain
+    B runs over those rows, unguided, at stage + 1, only when `paired`;
+    b is None otherwise.  Each block's noise is corrupted in place
+    (corrupt_rows), and steps run on z = x @ W0x (module docstring); the
+    output head is applied once, at t = 1, into the block that held the
+    noise.  The calling thread builds each chunk's rows and blocks, and
+    the workers fill them (module docstring); given whole arrays out_a
+    and out_b, a chunk's blocks are its rows of them, so they fill in
+    place.  The BLAS hold and the workers last only for this call.
+    Raises NumericError naming the stage and the first user of the first
+    block whose output is not finite.
     """
-    T_inf = resolve_T_inf(cfg, sched)
+    T_inf = resolve_T_inf(T_inf, sched)
     ab = sched.alpha_bar[T_inf - 1]
     n_rows, width = rows.shape
     if width != params.in_dim:
         raise ConfigError(f"row width {width} != model width {params.in_dim}")
     guided = cond is not None and mix > 0.0
-    paired = cond is not None and w > 0.0
     w0x = params.weights[0][:width]
     w_out, b_out = params.weights[-1], params.biases[-1]
 
@@ -219,35 +218,21 @@ def _chain_rows(
             failed.set_exception(err)
             return failed
 
-    # The hold starts before the first product and ends, pool drained,
-    # when the chains finish, raise or are closed.  No name here or in
-    # the callers' loops keeps a block once it is passed on.
-    with one_blas_thread():
-        pool = ThreadPoolExecutor(WORKERS)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # as in pair
-                head_z = w_out @ w0x
-                bias_z = b_out @ w0x
-            spans = (slice(i, min(i + CHUNK, n_rows)) for i in range(0, n_rows, CHUNK))
-            pending = deque()
-            while True:
-                for span in spans:
-                    pending.append(submit(pool, span))
-                    if len(pending) == WORKERS:
-                        break
-                if not pending:
-                    return
-                yield finite(*pending.popleft().result())
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-
-def _gather(chunks, reduce):
-    """The list of reduce(span, a, b) over _chain_rows' blocks.  The
-    chains are closed however this ends, so their hold on BLAS ends with
-    it."""
-    with closing(chunks):
-        return list(starmap(reduce, chunks))
+    # No name here keeps a block once it is passed to reduce.
+    with one_blas_thread(), ThreadPoolExecutor(WORKERS) as pool:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in pair
+            head_z = w_out @ w0x
+            bias_z = b_out @ w0x
+        spans = (slice(i, min(i + CHUNK, n_rows)) for i in range(0, n_rows, CHUNK))
+        pending, reduced = deque(), []
+        while True:
+            for span in spans:
+                pending.append(submit(pool, span))
+                if len(pending) == WORKERS:
+                    break
+            if not pending:
+                return reduced
+            reduced.append(reduce(*finite(*pending.popleft().result())))
 
 
 def unconditional_scores(
@@ -255,9 +240,8 @@ def unconditional_scores(
     reduce,
 ) -> list:
     """Plain diffusion denoising of every row, the no-guidance baseline:
-    the list of reduce(span, a, None) over its blocks, as in item_phase."""
-    chunks = _chain_rows(params, sched, rows, None, 0.0, GuidanceConfig(T_inf=T_inf), seed, stage)
-    return _gather(chunks, reduce=reduce)
+    the list of reduce(span, a, None) over its blocks, as in _chain_rows."""
+    return _chain_rows(params, sched, rows, T_inf, None, 0.0, False, seed, stage, reduce)
 
 
 def binarize_social(
@@ -297,14 +281,15 @@ def social_phase(
     guided toward the condition rows cond(span) by eta) and B (over
     those rows) is blended by w_s and re-binarized as it is made, so no
     dense n x n score matrix is held."""
-    chunks = _chain_rows(
-        ckpt.params, ckpt.sched, S.matrix, cond, cfg.eta, cfg, seed, STAGE_SOCIAL, cfg.w_s
-    )
 
     def rebinarize(span, a, b):
         return binarize_social(S, a, cfg.social_keep, span.start, other=b, w=cfg.w_s).matrix
 
-    return SocialMatrix(sp.vstack(_gather(chunks, reduce=rebinarize), format="csr"))
+    blocks = _chain_rows(
+        ckpt.params, ckpt.sched, S.matrix, cfg.T_inf, cond, cfg.eta, cfg.w_s > 0.0, seed,
+        STAGE_SOCIAL, rebinarize,
+    )
+    return SocialMatrix(sp.vstack(blocks, format="csr"))
 
 
 def item_phase(
@@ -320,13 +305,13 @@ def item_phase(
     returns comes back.
     """
     chains = partial(
-        _chain_rows, ckpt.params, ckpt.sched, R.matrix, cond, cfg.gamma, cfg, seed, STAGE_ITEM,
-        cfg.w_r,
+        _chain_rows, ckpt.params, ckpt.sched, R.matrix, cfg.T_inf, cond, cfg.gamma,
+        cfg.w_r > 0.0, seed, STAGE_ITEM,
     )
     if reduce is not None:
-        return _gather(chains(), reduce)
+        return chains(reduce)
     pair = np.empty(R.matrix.shape), np.empty(R.matrix.shape) if cfg.w_r > 0.0 else None
-    _gather(chains(*pair), lambda span, a, b: None)  # each chunk fills its rows of the pair
+    chains(lambda span, a, b: None, *pair)  # each chunk fills its rows of the pair
     return pair
 
 
@@ -353,6 +338,25 @@ def build_item_condition(
     return pruned(lam * inv + R.matrix[rows])
 
 
+def check_chain_inputs(
+    ckpt_social: Checkpoint | None, ckpt_item: Checkpoint, S: SocialMatrix | None,
+    R: InteractionMatrix, cfg: GuidanceConfig,
+) -> None:
+    """Refuses joint_chains' inputs before any chain runs: user counts that
+    differ, lam > 0 without the social side, and a T_inf beyond a schedule
+    `cfg` runs (the social one first, as the chains run)."""
+    if S is not None and S.n_users != R.n_users:
+        raise ConfigError(f"social users {S.n_users} != interaction users {R.n_users}")
+    if cfg.lam > 0:
+        if ckpt_social is None or S is None:
+            raise ConfigError(
+                "lam > 0 builds the item condition from the denoised social "
+                "graph; a social model checkpoint and a social matrix are required"
+            )
+        resolve_T_inf(cfg.T_inf, ckpt_social.sched)
+    resolve_T_inf(cfg.T_inf, ckpt_item.sched)
+
+
 def joint_chains(
     ckpt_social: Checkpoint | None,
     ckpt_item: Checkpoint,
@@ -373,15 +377,9 @@ def joint_chains(
     pipeline's scores, bitwise unconditional_scores on R when every
     coefficient is zero.  The social side may be None when lam = 0.
     """
-    if S is not None and S.n_users != R.n_users:
-        raise ConfigError(f"social users {S.n_users} != interaction users {R.n_users}")
+    check_chain_inputs(ckpt_social, ckpt_item, S, R, cfg)
     S_bar = None
     if cfg.lam > 0:
-        if ckpt_social is None or S is None:
-            raise ConfigError(
-                "lam > 0 builds the item condition from the denoised social "
-                "graph; a social model checkpoint and a social matrix are required"
-            )
         s_cond = partial(build_social_condition, S, long_tail(R, hot), cfg.delta)
         S_bar = social_phase(ckpt_social, S, s_cond, cfg, seed)
     # lam = 0 zeroes the social term of the item condition, so the

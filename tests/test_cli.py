@@ -1275,6 +1275,63 @@ class TestSweepReusesChains:
         assert [row.split("\t")[0] for row in rows] == ["value", "[5]", "[10]", "[5, 10]"]
 
 
+@pytest.fixture(scope="module")
+def short_schedules(tmp_path_factory):
+    """(root, config path) of prepared `planted` data with an untrained CGD
+    at T 3 in root/ck-item and an untrained CSD at T 2 in root/ck-social."""
+    root = tmp_path_factory.mktemp("schedules")
+    ds = planted(seed=0)
+    write_dataset(ds, root / "r.tsv", root / "s.tsv")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "seed": 1,
+        "output_dir": str(root / "run"),
+        "dataset": {"interactions": str(root / "r.tsv"), "social": str(root / "s.tsv")},
+    }))
+    save_checkpoint(untrained_checkpoint(ds.n_items, T=3, seed=21), root / "ck-item")
+    save_checkpoint(untrained_checkpoint(ds.n_users, T=2, seed=22, tag="CSD"), root / "ck-social")
+    assert main(["prepare", str(cfg_path)]) == 0
+    return root, str(cfg_path)
+
+
+class TestChainInputRefusals:
+    @pytest.mark.parametrize("settings, length", [
+        (["guidance.T_inf=4"], 3),  # beyond the CGD's schedule
+        (["guidance.T_inf=3", "guidance.lambda=1"], 2),  # the CSD's, which runs first
+    ])
+    def test_T_inf_beyond_a_schedule_exits_2(self, short_schedules, capsys, settings, length):
+        root, cfg = short_schedules
+        out = root / "lists.tsv"
+        code, _, err = run(
+            capsys, "infer", cfg, "--ckpt-cgd", str(root / "ck-item"),
+            "--ckpt-csd", str(root / "ck-social"), "--out", str(out),
+            *(f"--set={setting}" for setting in settings),
+        )
+        assert code == 2
+        T_inf = settings[0].partition("=")[2]
+        assert err == f"config error: guidance.T_inf={T_inf} exceeds schedule length {length}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, values, shown", [
+        ("T_inf", "2,4", "guidance.T_inf=4 exceeds schedule length 3"),
+        ("lambda", "0,1", "a social model checkpoint and a social matrix are required"),
+    ])
+    def test_sweep_refuses_a_later_value_before_scoring_any(self, short_schedules, capsys,
+                                                            tmp_path, param, values, shown):
+        # the refusals that need the checkpoints come before any value is
+        # scored too; the lambda sweep finds no CSD checkpoint
+        root, cfg = short_schedules
+        out_dir = tmp_path / "sweep"
+        code, out, err = run(
+            capsys, "sweep", cfg, "--param", param, "--values", values,
+            "--ckpt-cgd", str(root / "ck-item"), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert shown in err
+        assert out == ""
+        assert not out_dir.exists()
+
+
 class TestBiasReport:
     def test_bias_report_files(self, ws, capsys):
         lists = ws["root"] / "bias_lists.tsv"

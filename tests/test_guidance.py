@@ -83,7 +83,8 @@ def rows_of(m):
 def whole_pair(params, sched, rows, cond, mix, cfg, seed, stage, w=0.0):
     """Chains A and B of _chain_rows' blocks under the condition matrix
     `cond`, whole (B None when w = 0)."""
-    blocks = list(_chain_rows(params, sched, rows, rows_of(cond), mix, cfg, seed, stage, w))
+    blocks = _chain_rows(params, sched, rows, cfg.T_inf, rows_of(cond), mix, w > 0, seed, stage,
+                         reduce=lambda *block: block)
     a = np.vstack([a for _, a, _ in blocks])
     return a, np.vstack([b for _, _, b in blocks]) if w > 0 else None
 
@@ -678,8 +679,9 @@ def two_blas_threads():
 @pytest.mark.usefixtures("two_blas_threads")
 class TestOneBlasThread:
     """_chain_rows holds NumPy's OpenBLAS to one thread from its first
-    product until it finishes, raises or is closed, and runs its chunks on
-    WORKERS threads with bytes and errors as one worker gives them."""
+    product until it returns or raises, and runs its chunks on WORKERS
+    threads, none outliving the call, with bytes and errors as one
+    worker gives them."""
 
     def test_chains_run_at_one_thread_and_restore_the_count(self, rng, monkeypatch):
         seen = []
@@ -702,16 +704,6 @@ class TestOneBlasThread:
             whole_scores(ckpt.params, ckpt.sched, rows)
         assert blas_threads() == 2
 
-    def test_restored_when_the_chains_are_closed_early(self, rng):
-        ckpt = untrained_checkpoint(7, T=3, seed=8)
-        rows = rand_binary_csr(rng, 3 * CHUNK, 7, 0.3)
-        chunks = _chain_rows(ckpt.params, ckpt.sched, rows, None, 0.0, GuidanceConfig(), 1, 0)
-        assert blas_threads() == 2  # nothing runs before the first block is asked for
-        next(chunks)
-        assert blas_threads() == 1
-        chunks.close()
-        assert blas_threads() == 2
-
     def test_restored_when_a_reduce_raises(self, rng):
         ckpt = untrained_checkpoint(7, T=3, seed=8)
         rows = rand_binary_csr(rng, 3 * CHUNK, 7, 0.3)
@@ -721,6 +713,31 @@ class TestOneBlasThread:
 
         with pytest.raises(ValueError, match="reduce failed"):
             unconditional_scores(ckpt.params, ckpt.sched, rows, None, 1, STAGE_ITEM, reduce)
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("ends", ["returns", "non-finite", "reduce raises"])
+    def test_no_chain_worker_outlives_the_call(self, rng, ends):
+        # the workers are joined and the count put back however the call
+        # ends: chunk 1 holds a NaN, and reduce fails on chunk 1
+        before = set(threading.enumerate())
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rng.random((3 * CHUNK, 7))
+        if ends == "non-finite":
+            rows[CHUNK + 3, 2] = np.nan
+
+        def reduce(span, a, b):
+            if ends == "reduce raises" and span.start == CHUNK:
+                raise ValueError("reduce failed")
+            return span.start
+
+        call = partial(unconditional_scores, ckpt.params, ckpt.sched, rows, None, 1, STAGE_ITEM,
+                       reduce)
+        if ends == "returns":
+            assert call() == [0, CHUNK, 2 * CHUNK]
+        else:
+            with pytest.raises(NumericError if ends == "non-finite" else ValueError):
+                call()
+        assert set(threading.enumerate()) == before
         assert blas_threads() == 2
 
     def test_training_steps_run_at_one_thread_and_restore_the_count(self, monkeypatch):

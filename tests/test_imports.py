@@ -226,3 +226,20 @@ def test_evaluation_ranks_through_one_block_loop():
     assert readers == ["top_k_grid"], readers
     loops = (ast.For, ast.While, ast.comprehension)
     assert not [node for node in ast.walk(functions["top_k_rows"]) if isinstance(node, loops)]
+
+
+def test_the_chain_driver_is_a_plain_function():
+    # _chain_rows reduces its own blocks, so its BLAS hold and its workers
+    # end with the call: no guidance function is a generator, and the
+    # driver takes the chain knobs it reads, not a whole GuidanceConfig
+    tree = module_tree("guidance")
+    yields = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert not yields, yields
+    driver = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_chain_rows")
+    args = driver.args.args + driver.args.kwonlyargs
+    assert "reduce" in [arg.arg for arg in args]  # the walk sees the driver's parameters
+    configs = [arg.arg for arg in args if arg.annotation is not None
+               and "GuidanceConfig" in {found for found, _ in names_read(arg.annotation)}]
+    assert not configs, configs

@@ -113,6 +113,42 @@ def test_training_sites_record_calls(tmp_path):
         assert tracer.stats[label]["calls"] >= 1, label
 
 
+def test_validation_runs_its_chains_inside_unconditional_scores(tmp_path, monkeypatch):
+    # each validation chain step, on whichever thread it runs, happens
+    # while guidance.unconditional_scores is open, so the span the tracer
+    # puts there still measures lastfm_train's validation chains
+    ds = planted(seed=0)
+    write_dataset(ds, tmp_path / "r.tsv", tmp_path / "s.tsv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "output_dir": str(tmp_path / "run"),
+        "dataset": {"interactions": str(tmp_path / "r.tsv")},
+        "cgd": {"T": 3, "hidden_dims": [8], "time_embed_dim": 4, "epochs": 1,
+                "batch_size": 64, "valid_every": 1},
+    }))
+    assert main(["prepare", str(cfg)]) == 0
+    traced, model_mean = guidance.unconditional_scores, guidance.model_mean
+    open_calls, steps = [], []
+
+    def unconditional_scores(*args, **kwargs):
+        open_calls.append("unconditional_scores")
+        try:
+            return traced(*args, **kwargs)
+        finally:
+            open_calls.remove("unconditional_scores")
+
+    def mean(*args):
+        steps.append(tuple(open_calls))  # list.append is atomic across threads
+        return model_mean(*args)
+
+    monkeypatch.setattr(guidance, "unconditional_scores", unconditional_scores)
+    monkeypatch.setattr(guidance, "model_mean", mean)
+    assert main(["train", str(cfg), "--model", "cgd"]) == 0
+    # one validation over every user's chunks, T - 1 = 2 mean steps each
+    chunks = -(-ds.n_users // guidance.CHUNK)
+    assert Counter(steps) == {("unconditional_scores",): 2 * chunks}
+
+
 def test_guided_infer_records_the_chain_work(tmp_path, monkeypatch):
     # the phases run their chains inside their own spans, one block at a
     # time, so their row counts and self time still measure the chains;
