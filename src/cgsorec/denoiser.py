@@ -176,7 +176,7 @@ def loss_and_grad(
     params: DenoiserParams,
     x0,
     t: np.ndarray,
-    eps: np.ndarray,
+    h: np.ndarray,
     sched: NoiseSchedule,
 ) -> tuple[float, ParamGrads]:
     """Weighted denoising loss over a batch and its exact gradients.
@@ -186,31 +186,33 @@ def loss_and_grad(
     the mean, so the learning rate is batch-size invariant.
 
     x0 (B x n) may be sparse or dense; it is read as canonical CSR and
-    never densified.  The corrupted rows are written straight into the
-    embedded input (corrupt_rows), and the residual is the prediction
-    minus x0 at x0's stored entries.  Every product and sum is the IEEE
-    operation of the dense formulas (q_sample, then pred - x0), since an
-    entry where x0 = 0 contributes +0, so the loss and gradients equal
-    theirs bitwise.  No argument is written to.  It computes in params'
-    dtype: eps, every batch-sized array and the gradients take it, the
-    schedule's float64 coefficients are rounded to it once, and the loss
-    is reduced in float64.
+    never densified.  h is the (B, n + time_embed_dim) input buffer, in
+    params' dtype, whose first n columns hold the noise eps: it is
+    overwritten with the embedded input [x_t, emb(t)], the noise corrupted
+    in place (corrupt_rows) and the time embedding written beside it.  The
+    residual is the prediction minus x0 at x0's stored entries, and it is
+    dropped once the output layer's gradients are taken.  Every product
+    and sum is the IEEE operation of the dense formulas (q_sample, then
+    pred - x0), since an entry where x0 = 0 contributes +0, so the loss
+    and gradients equal theirs bitwise.  It computes in params' dtype:
+    every batch-sized array and the gradients take it, the schedule's
+    float64 coefficients are rounded to it once, and the loss is reduced
+    in float64.
     """
     dtype = params.weights[0].dtype
     x0 = canonical_rows(x0)
     t = np.asarray(t)
-    eps = np.asarray(eps, dtype=dtype)
     B, n = x0.shape
-    if eps.shape != x0.shape:
-        raise ConfigError(f"eps shape {eps.shape} does not match x0 shape {x0.shape}")
     if n != params.in_dim:
         raise ConfigError(f"input width {n} != model width {params.in_dim}")
+    shape = (B, n + params.time_embed_dim)
+    if h.shape != shape or h.dtype != dtype:
+        raise ConfigError(f"input buffer {h.shape} {h.dtype} != {shape} {np.dtype(dtype)}")
     if np.any(t < 1) or np.any(t > sched.T):
         raise ConfigError(f"timestep array outside [1, {sched.T}]")
 
-    # Embedded input h = [x_t, emb(t)], built in place.
-    h = np.empty((B, n + params.time_embed_dim), dtype=dtype)
-    corrupt_rows(x0, sched.alpha_bar[t - 1][:, None], eps, out=h[:, :n])
+    eps = h[:, :n]
+    corrupt_rows(x0, sched.alpha_bar[t - 1][:, None], eps, out=eps)
     h[:, n:] = timestep_embedding(t, params.time_embed_dim)
 
     # A diverged model overflows here, and the loss check below, or the
@@ -223,19 +225,19 @@ def loss_and_grad(
             z += b
             np.tanh(z, out=z)
             acts.append(z)
-        diff = acts[-1] @ params.weights[-1]
-        diff += params.biases[-1]
+        g = acts[-1] @ params.weights[-1]
+        g += params.biases[-1]
         row_of = np.repeat(np.arange(B), np.diff(x0.indptr))
-        diff.reshape(-1)[row_of * n + x0.indices] -= x0.data.astype(dtype, copy=False)
+        g.reshape(-1)[row_of * n + x0.indices] -= x0.data.astype(dtype, copy=False)
 
         w = loss_weights(sched)[t - 1]
-        loss = float(np.mean(w * np.sum(diff * diff, axis=1, dtype=np.float64)))
+        loss = float(np.mean(w * np.sum(g * g, axis=1, dtype=np.float64)))
         if not np.isfinite(loss):
             raise NumericError("non-finite training loss")
 
-        # Backprop: linear head, tanh hidden layers; the residual becomes the
-        # output gradient and each activation its tanh derivative, in place.
-        g = diff
+        # Backprop: linear head, tanh hidden layers; the residual g becomes
+        # the output gradient and each activation its tanh derivative, in
+        # place, and each layer's g is freed as the next one replaces it.
         g *= ((2.0 / B) * w).astype(dtype)[:, None]
         grads_w = [np.empty(0)] * len(params.weights)
         grads_b = [np.empty(0)] * len(params.biases)

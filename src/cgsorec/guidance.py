@@ -343,18 +343,23 @@ def check_chain_inputs(
     R: InteractionMatrix, cfg: GuidanceConfig,
 ) -> None:
     """Refuses joint_chains' inputs before any chain runs: user counts that
-    differ, lam > 0 without the social side, and a T_inf beyond a schedule
-    `cfg` runs (the social one first, as the chains run)."""
+    differ, lam > 0 without the social side, and, for each model `cfg`
+    runs (the social one first, as the chains run), a T_inf beyond its
+    schedule or a width other than its rows' (as _chain_rows words it)."""
     if S is not None and S.n_users != R.n_users:
         raise ConfigError(f"social users {S.n_users} != interaction users {R.n_users}")
+    runs = [(ckpt_item, R.n_items)]
     if cfg.lam > 0:
         if ckpt_social is None or S is None:
             raise ConfigError(
                 "lam > 0 builds the item condition from the denoised social "
                 "graph; a social model checkpoint and a social matrix are required"
             )
-        resolve_T_inf(cfg.T_inf, ckpt_social.sched)
-    resolve_T_inf(cfg.T_inf, ckpt_item.sched)
+        runs.insert(0, (ckpt_social, S.n_users))
+    for ckpt, width in runs:
+        resolve_T_inf(cfg.T_inf, ckpt.sched)
+        if width != ckpt.params.in_dim:
+            raise ConfigError(f"row width {width} != model width {ckpt.params.in_dim}")
 
 
 def joint_chains(

@@ -20,6 +20,16 @@ order; the next gradient step waits for the update.  The helper runs
 plain functions: loss_and_grad and optimizer_step each turn off NumPy's
 overflow and invalid-value warnings for their own arithmetic, since the
 loss and weight checks refuse what overflows.
+
+Memory: besides the float32 params and Adam moments, an epoch holds one
+(batch_size, n + time_embed_dim) input buffer.  Each batch's noise is
+drawn into it row by row (the stream of one (B, n) draw), and each half
+of the step corrupts its rows in place and writes the time embedding
+beside them, so no copy of the noise is made.  A half holds its residual
+until the output layer's gradients are taken; Adam reads the summed
+gradients and two scratch arrays the size of the largest tensor.  No
+other array of a batch lives on when the next is drawn.  Validation,
+which scores the float64 upcast in item-width chain blocks, peaks higher.
 """
 
 from __future__ import annotations
@@ -64,11 +74,13 @@ def optimizer_step(
     params: DenoiserParams, grads: ParamGrads, state: AdamState, cfg: TrainConfig
 ) -> None:
     """One Adam update with bias correction, in place on params and state:
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, theta -= lr*(m/corr1) /
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, theta -= (lr*(m/corr1)) /
     (sqrt(v/corr2) + eps_hat), on whole tensors in the dtype of params,
-    which the moments share.  A diverged update overflows here, and
-    train_model's weight check or the next batch's loss refuses it, so
-    NumPy's overflow warnings would only repeat that refusal.
+    which the moments share.  Each operation is the textbook one, in its
+    order, written through `out=` into two scratch arrays the size of the
+    largest tensor.  A diverged update overflows here, and train_model's
+    weight check or the next batch's loss refuses it, so NumPy's overflow
+    warnings would only repeat that refusal.
     """
     state.step += 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -76,31 +88,36 @@ def optimizer_step(
     corr2 = 1.0 - b2**state.step
     tensors = list(params.weights) + list(params.biases)
     gradients = list(grads.weights) + list(grads.biases)
+    scratch = np.empty((2, max(theta.size for theta in tensors)), dtype=tensors[0].dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for theta, g, m, v in zip(tensors, gradients, state.m, state.v):
+            a, b = (s[: theta.size].reshape(theta.shape) for s in scratch)
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=a)
             v *= b2
-            v += (1.0 - b2) * g * g
-            theta -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.epsilon_hat)
+            np.multiply(1.0 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.multiply(cfg.learning_rate, np.divide(m, corr1, out=a), out=a)
+            np.sqrt(np.divide(v, corr2, out=b), out=b)
+            theta -= np.divide(a, np.add(b, cfg.epsilon_hat, out=b), out=a)
 
 
-def _step(params, x0, t, eps, sched, helper: ThreadPoolExecutor):
-    """loss_and_grad over the batch (x0, t, eps): its first ceil(B/2) rows
-    on this thread and the rest on `helper`, each half's loss and
-    gradients scaled by its share of the batch and added first to second.
-    A one-row batch runs on this thread alone.  Returns, or raises the
-    error of a half that failed, once both halves are done."""
+def _step(params, x0, t, h, sched, helper: ThreadPoolExecutor):
+    """loss_and_grad over the batch (x0, t) and its input buffer h: its
+    first ceil(B/2) rows on this thread and the rest on `helper`, each
+    half's loss and gradients scaled by its share of the batch and added
+    first to second.  A one-row batch runs on this thread alone.  Returns,
+    or raises the error of a half that failed, once both halves are done."""
     B = x0.shape[0]
-    h = -(-B // 2)
-    if h == B:
-        return loss_and_grad(params, x0, t, eps, sched)
-    second = helper.submit(loss_and_grad, params, x0[h:], t[h:], eps[h:], sched)
+    half = -(-B // 2)
+    if half == B:
+        return loss_and_grad(params, x0, t, h, sched)
+    second = helper.submit(loss_and_grad, params, x0[half:], t[half:], h[half:], sched)
     try:
-        loss, grads = loss_and_grad(params, x0[:h], t[:h], eps[:h], sched)
+        loss, grads = loss_and_grad(params, x0[:half], t[:half], h[:half], sched)
     finally:
         loss2, grads2 = second.result()
-    share, share2 = h / B, (B - h) / B
+    share, share2 = half / B, (B - half) / B
     for g, g2 in zip(grads.weights + grads.biases, grads2.weights + grads2.biases):
         g *= share
         g2 *= share2
@@ -114,15 +131,16 @@ def _train_epoch(
     params: DenoiserParams,
     state: AdamState,
     rows: sp.csr_matrix,
+    buffer: np.ndarray,
     cfg: TrainConfig,
     sched: NoiseSchedule,
     helper: ThreadPoolExecutor,
 ) -> float:
     """One pass over `rows` in the epoch's seeded batches; returns the mean
-    batch loss.  Each batch goes to the step as sparse rows, and every
-    batch array is freed on return, before the epoch's validation.  Each
-    Adam update runs on `helper` (module docstring); the next gradient
-    step waits for it, and so does every way out of the epoch."""
+    batch loss.  Each batch goes to the step as sparse rows and its noise
+    in the input buffer (module docstring).  Each Adam update runs on
+    `helper`; the next gradient step waits for it, and so does every way
+    out of the epoch."""
     n_rows, width = rows.shape
     perm = np.random.default_rng([cfg.seed, 1, epoch]).permutation(n_rows)
     rng_noise = np.random.default_rng([cfg.seed, 2, epoch])
@@ -132,18 +150,21 @@ def _train_epoch(
     try:
         for start in range(0, n_rows, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            t = rng_noise.integers(1, sched.T + 1, size=len(idx))
-            eps = rng_noise.standard_normal((len(idx), width), dtype=TRAIN_DTYPE)
             x0 = rows[idx]
+            t = rng_noise.integers(1, sched.T + 1, size=len(idx))
+            h = buffer[: len(idx)]
+            for row in h:
+                rng_noise.standard_normal(out=row[:width], dtype=TRAIN_DTYPE)
             if update is not None:
                 update.result()
             try:
-                loss, grads = _step(params, x0, t, eps, sched, helper)
+                loss, grads = _step(params, x0, t, h, sched, helper)
             except NumericError as err:
                 raise NumericError(
                     f"{kind} epoch {epoch} batch {n_batches + 1}: {err}"
                 ) from err
             update = helper.submit(optimizer_step, params, grads, state, cfg)
+            del grads  # the update holds them, and frees them when done
             total += loss
             n_batches += 1
     finally:
@@ -246,9 +267,15 @@ def train_model(
     stale = 0
     history = []
 
+    buffer = None
     with one_blas_thread(), ThreadPoolExecutor(1) as helper:
         for epoch in range(start_epoch, cfg.epochs + 1):
-            epoch_loss = _train_epoch(kind, epoch, params, state, rows, cfg, sched, helper)
+            if buffer is None:
+                buffer = np.empty((min(cfg.batch_size, rows.shape[0]), width + time_embed_dim),
+                                  dtype=TRAIN_DTYPE)
+            epoch_loss = _train_epoch(
+                kind, epoch, params, state, rows, buffer, cfg, sched, helper
+            )
             # the next batch's loss checks every other step; the epoch's last
             # step could otherwise ship an overflowed weight
             name = non_finite(params)
@@ -257,6 +284,7 @@ def train_model(
 
             metric = None
             if validate is not None and epoch % cfg.valid_every == 0:
+                buffer = None  # validation, training's peak, holds no batch
                 shipped = params.astype(np.float64)
                 metric = validate(shipped)
                 if metric > best_metric:

@@ -1,6 +1,7 @@
 """Small readers the tests share that the program itself never calls: a
 config from a dict, the exact reverse posterior, NDCG@k alone, a
-synthetic dataset's two matrices, and the blend of a chain pair."""
+synthetic dataset's two matrices, the blend of a chain pair, and a
+training step's input buffer."""
 
 import numpy as np
 
@@ -44,3 +45,14 @@ def blend(a: np.ndarray, b: np.ndarray | None, w: float) -> np.ndarray:
     if b is None or w == 0.0:
         return a
     return (1.0 - w) * a + w * b
+
+
+def input_buffer(params, eps) -> np.ndarray:
+    """A fresh (B, n + time_embed_dim) buffer in params' dtype whose first
+    n columns hold eps: the input denoiser.loss_and_grad takes, and
+    overwrites, as the trainer hands it a batch's noise."""
+    eps = np.asarray(eps)
+    B, n = eps.shape
+    h = np.empty((B, n + params.time_embed_dim), dtype=params.weights[0].dtype)
+    h[:, :n] = eps
+    return h

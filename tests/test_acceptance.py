@@ -22,7 +22,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import rand_binary_csr, record_acceptance, untrained_checkpoint, whole_scores
-from reference import blend, config_from_dict, ndcg_at_k, posterior_params
+from reference import blend, config_from_dict, input_buffer, ndcg_at_k, posterior_params
 from cgsorec import pipeline
 from cgsorec.corpus import InteractionMatrix, SocialMatrix, partition_items
 from cgsorec.denoiser import init_params, loss_and_grad
@@ -310,7 +310,7 @@ def test_criterion_2_gradient_finite_differences():
     x0 = (rng.random((3, 6)) < 0.5).astype(np.float64)
     t = rng.integers(1, 6, size=3)
     eps = rng.standard_normal((3, 6))
-    _, grads = loss_and_grad(params, x0, t, eps, sched)
+    _, grads = loss_and_grad(params, x0, t, input_buffer(params, eps), sched)
 
     h = 1e-5
     worst = 0.0
@@ -325,9 +325,9 @@ def test_criterion_2_gradient_finite_differences():
                 idx = it.multi_index
                 orig = W[idx]
                 W[idx] = orig + h
-                lp, _ = loss_and_grad(params, x0, t, eps, sched)
+                lp, _ = loss_and_grad(params, x0, t, input_buffer(params, eps), sched)
                 W[idx] = orig - h
-                lm, _ = loss_and_grad(params, x0, t, eps, sched)
+                lm, _ = loss_and_grad(params, x0, t, input_buffer(params, eps), sched)
                 W[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 rel = abs(G[idx] - fd) / max(abs(G[idx]), abs(fd), 1e-8)

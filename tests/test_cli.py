@@ -1331,6 +1331,31 @@ class TestChainInputRefusals:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("model", ["csd", "cgd"])
+    def test_sweep_refuses_a_checkpoint_of_another_width_before_scoring_any(
+        self, short_schedules, capsys, tmp_path, model
+    ):
+        # lambda 0 runs no social chain, so only the up-front check of
+        # every value's chain inputs finds the CSD one column too wide
+        root, cfg = short_schedules
+        ds = planted(seed=0)
+        ckpts = {"cgd": root / "ck-item", "csd": root / "ck-social"}
+        width = {"cgd": ds.n_items, "csd": ds.n_users}[model]
+        ckpts[model] = tmp_path / "wide"
+        save_checkpoint(
+            untrained_checkpoint(width + 1, T=3, seed=23, tag=model.upper()), ckpts[model]
+        )
+        out_dir = tmp_path / "sweep"
+        code, out, err = run(
+            capsys, "sweep", cfg, "--param", "lambda", "--values", "0,1",
+            "--ckpt-cgd", str(ckpts["cgd"]), "--ckpt-csd", str(ckpts["csd"]),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert err == f"config error: row width {width} != model width {width + 1}\n"
+        assert out == ""
+        assert not out_dir.exists()
+
 
 class TestBiasReport:
     def test_bias_report_files(self, ws, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cgsorec import corpus
+from cgsorec import corpus, pipeline
 from cgsorec.corpus import (
     InteractionMatrix,
     SocialMatrix,
@@ -25,9 +25,11 @@ from cgsorec.corpus import (
     split,
 )
 from cgsorec.errors import ConfigError, DataError
+from cgsorec.evaluation import RankedLists
 from cgsorec.guidance import build_item_condition, build_social_condition
 
 from conftest import decimal, digits, line_loop, rand_binary_csr
+from test_pipeline import traced_peak
 
 
 def im(dense) -> InteractionMatrix:
@@ -317,6 +319,37 @@ class TestGrammar:
         assert len(passes) == 1
         assert got == outcome(reference_interactions, path)
         assert got[0] == (2, 2)  # the row rated 0.0 counts toward no dimension
+
+    @pytest.mark.parametrize("piece", [0, 7])
+    def test_matching_in_pieces_ends_where_one_match_does(self, tmp_path, monkeypatch, piece):
+        # a cut after every line, or after the line that crosses each 7th
+        # byte: each file reads, or is refused at its line, as the line
+        # loop reads or refuses it
+        monkeypatch.setattr(corpus, "GRAMMAR_PIECE", piece)
+        rng = np.random.default_rng(19)
+        for k in range(200):
+            path = tmp_path / f"f{k}.tsv"
+            path.write_bytes(random_file(rng, 2 + k % 2))
+            got = outcome(load_interactions, path)
+            assert got == outcome(reference_interactions, path), path.read_bytes()
+
+    def test_a_long_file_is_matched_in_bounded_memory(self, tmp_path):
+        # the grammar's repeated group keeps a frame for each line one
+        # match reads, about 1 KB a lists line: one whole-file match of
+        # these 20,000 lines traces 22 MB.  Beyond the file's bytes and
+        # the columns returned, the read holds under 1 MB.
+        rng = np.random.default_rng(5)
+        n_users, k = 2000, 10
+        items = np.argsort(rng.random((n_users, 300)), axis=1)[:, :k]
+        scores = -np.sort(-rng.random((n_users, k)), axis=1)
+        path = tmp_path / "lists.tsv"
+        pipeline.write_lists(RankedLists(np.arange(n_users), items, scores), path)
+        columns = []
+        peak = traced_peak(lambda: columns.append(
+            corpus.read_columns(path, "lists", (pipeline._LISTS, 3, np.float64))
+        ))
+        assert columns[0].shape == (3, n_users * k)
+        assert peak < path.stat().st_size + columns[0].nbytes + 1_000_000, peak
 
     @pytest.mark.parametrize("text", ["\n \t\n", " \t", "\r\n\t\r\n"])
     def test_whitespace_alone_is_no_rows(self, tmp_path, text):

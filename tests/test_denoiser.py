@@ -16,6 +16,7 @@ from cgsorec.denoiser import (
 from cgsorec.errors import ConfigError, NumericError
 from cgsorec.schedule import loss_weights, make_schedule, q_sample
 
+from reference import input_buffer
 from test_pipeline import traced_peak
 
 
@@ -176,7 +177,7 @@ class TestLossAndGrad:
         x0 = np.zeros((2, 3))
         t = np.array([1, 3])
         eps = np.zeros((2, 3))
-        loss, grads = loss_and_grad(p, x0, t, eps, sched)
+        loss, grads = loss_and_grad(p, x0, t, input_buffer(p, eps), sched)
         assert loss == 0.0
         assert np.array_equal(grads.weights[-1], np.zeros_like(grads.weights[-1]))
         assert np.array_equal(grads.biases[-1], np.zeros_like(grads.biases[-1]))
@@ -187,7 +188,7 @@ class TestLossAndGrad:
         x0 = rng.standard_normal((3, 4))
         t = np.array([1, 2, 5])
         eps = rng.standard_normal((3, 4))
-        loss, _ = loss_and_grad(p, x0, t, eps, sched)
+        loss, _ = loss_and_grad(p, x0, t, input_buffer(p, eps), sched)
         w = loss_weights(sched)
         total = 0.0
         for i in range(3):
@@ -204,10 +205,10 @@ class TestLossAndGrad:
         t = np.array([1, 3, 5])
         eps = rng.standard_normal((3, 6))
 
-        _, grads = loss_and_grad(p, x0, t, eps, sched)
+        _, grads = loss_and_grad(p, x0, t, input_buffer(p, eps), sched)
 
         def loss_at(params):
-            val, _ = loss_and_grad(params, x0, t, eps, sched)
+            val, _ = loss_and_grad(params, x0, t, input_buffer(params, eps), sched)
             return val
 
         h = 1e-5
@@ -236,13 +237,21 @@ class TestLossAndGrad:
         p = init_params((3, 2, 3), 2, seed=1)
         p.weights[-1][0, 0] = np.inf
         with pytest.raises(NumericError):
-            loss_and_grad(p, np.ones((1, 3)), np.array([2]), np.zeros((1, 3)), sched)
+            loss_and_grad(p, np.ones((1, 3)), np.array([2]), input_buffer(p, np.zeros((1, 3))), sched)
+
+    @pytest.mark.parametrize("shape, dtype", [((1, 4), np.float64), ((1, 5), np.float32)])
+    def test_input_buffer_of_another_shape_or_dtype_rejected(self, shape, dtype):
+        # the buffer holds the noise and the time embedding, in params' dtype
+        sched = make_schedule(3, 0.1, 0.2)
+        p = init_params((3, 2, 3), 2, seed=1)
+        with pytest.raises(ConfigError, match=r"input buffer .* != \(1, 5\) float64"):
+            loss_and_grad(p, np.ones((1, 3)), np.array([2]), np.zeros(shape, dtype), sched)
 
     def test_step_out_of_range_rejected(self):
         sched = make_schedule(3, 0.1, 0.2)
         p = init_params((3, 2, 3), 2, seed=1)
         with pytest.raises(Exception):
-            loss_and_grad(p, np.ones((1, 3)), np.array([4]), np.zeros((1, 3)), sched)
+            loss_and_grad(p, np.ones((1, 3)), np.array([4]), input_buffer(p, np.zeros((1, 3))), sched)
 
 
 def _batch(kind: str, rng, n: int):
@@ -279,19 +288,25 @@ def _snapshot(x):
 
 class TestStepBitwise:
     """loss_and_grad builds x_t and the residual from the sparse batch in
-    place; it must equal the dense formulas to the last bit."""
+    place; it must equal the dense formulas to the last bit.  It writes
+    only its input buffer, which ends holding the embedded input."""
 
     SCHED = make_schedule(5, 0.05, 0.3)
 
     def check(self, params, x0, t, eps):
         before = _snapshot(x0) + _snapshot(eps)
-        loss, grads = loss_and_grad(params, x0, t, eps, self.SCHED)
+        h = input_buffer(params, eps)
+        loss, grads = loss_and_grad(params, x0, t, h, self.SCHED)
         ref_loss, ref_w, ref_b = dense_loss_and_grad(params, x0, t, eps, self.SCHED)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         for got, ref in zip(grads.weights + grads.biases, ref_w + ref_b):
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
         assert _snapshot(x0) + _snapshot(eps) == before
+        dense = np.asarray(x0.todense() if sp.issparse(x0) else x0, dtype=np.float64)
+        x_t = q_sample(dense, t, eps, self.SCHED)
+        embedded = np.concatenate([x_t, timestep_embedding(t, params.time_embed_dim)], axis=1)
+        assert h.tobytes() == embedded.tobytes()
 
     @pytest.mark.parametrize("hidden", [(6,), (5, 4)])
     @pytest.mark.parametrize(
@@ -334,11 +349,10 @@ class TestFloat32Step:
     @pytest.mark.parametrize("hidden", [(6,), (5, 4)])
     def test_matches_the_float64_step_to_float32_rounding(self, hidden):
         params, x0, t, eps = self.batch(40, hidden, 16, 0.3)
-        loss, grads = loss_and_grad(params, x0, t, eps, self.SCHED)
+        loss, grads = loss_and_grad(params, x0, t, input_buffer(params, eps), self.SCHED)
         # the same inputs, exactly: the float64 upcasts
-        ref_loss, ref = loss_and_grad(
-            params.astype(np.float64), x0, t, eps.astype(np.float64), self.SCHED
-        )
+        wide = params.astype(np.float64)
+        ref_loss, ref = loss_and_grad(wide, x0, t, input_buffer(wide, eps), self.SCHED)
         assert all(g.dtype == np.float32 for g in grads.weights + grads.biases)
         tol = 64 * np.finfo(np.float32).eps
         assert abs(loss - ref_loss) <= tol * ref_loss
@@ -348,8 +362,8 @@ class TestFloat32Step:
 
     def test_holds_half_the_float64_steps_bytes(self):
         params, x0, t, eps = self.batch(2000, (16,), 100, 0.02)
-        wide = params.astype(np.float64), eps.astype(np.float64)
         peaks = {}
-        for name, (p, e) in (("f32", (params, eps)), ("f64", wide)):
-            peaks[name] = traced_peak(lambda: loss_and_grad(p, x0, t, e, self.SCHED))
+        for name, p in (("f32", params), ("f64", params.astype(np.float64))):
+            h = input_buffer(p, eps)
+            peaks[name] = traced_peak(lambda: loss_and_grad(p, x0, t, h, self.SCHED))
         assert peaks["f32"] <= 0.55 * peaks["f64"], peaks

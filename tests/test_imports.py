@@ -8,7 +8,8 @@ pyproject.toml supports.  The trainer takes its validation as a
 function, so it imports no module that ranks or runs chains.  The state
 files have one owner, `store`, and no module reaches into another's
 underscore names.  There is one exception class per exit code, no
-public name that only the tests use, and one loop over ranking blocks.
+public name that only the tests use, one loop over ranking blocks, and
+one function that matches a file's grammar.
 """
 
 import ast
@@ -72,6 +73,22 @@ def test_no_compiled_pattern_needs_python_3_11():
     }
     assert not newer, newer
 
+
+def test_only_read_columns_matches_a_file_grammar():
+    # a grammar's repeated group keeps a frame for each line one match
+    # reads, so read_columns matches a file a piece at a time; another
+    # caller of a pattern's match would hold a frame for every line again
+    matching = ("match", "fullmatch", "search", "finditer", "findall")
+    callers = sorted(
+        f"{module}.{node.name}"
+        for module in MODULES
+        for node in ast.walk(module_tree(module))
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(call, ast.Call) and getattr(call.func, "attr", None) in matching
+            for call in ast.walk(node)
+        )
+    )
+    assert callers == ["corpus.read_columns"], callers
 
 
 def imported_modules(module: str) -> set[str]:

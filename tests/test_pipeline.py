@@ -1,5 +1,6 @@
 """The social-edge holdout that early-stops the social model, the split
-manifest's two read paths, and the streamed ranking's lists and memory."""
+manifest's two read paths, the streamed ranking's lists and memory, and
+the memory of a training batch."""
 
 import json
 import tracemalloc
@@ -32,8 +33,10 @@ from cgsorec.guidance import (
     social_phase,
 )
 from cgsorec.pipeline import chain_args, joint_lists, social_holdout, train_item_model
-from cgsorec.store import load_manifest, write_manifest
+from cgsorec.schedule import make_schedule
+from cgsorec.store import TrainConfig, load_manifest, write_manifest
 from cgsorec.synth import planted
+from cgsorec.trainer import train_model
 
 from conftest import rand_binary_csr, untrained_checkpoint
 from reference import config_from_dict, to_matrices
@@ -203,7 +206,10 @@ class TestPeakMemory:
     A sweep holds the whole item pair, but fills it in place, and ranks
     its w_r grid a block at a time, each block's survivors gathered at
     that block's widest row, so the grid holds no array of all the rows
-    but its outputs, even when one row's items all tie."""
+    but its outputs, even when one row's items all tie.
+
+    A training batch holds, beside the params and Adam moments, the
+    epoch's one input buffer and each half's residual and gradients."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -251,6 +257,24 @@ class TestPeakMemory:
             _, bundle = planted_bundle(n)
             peaks[n] = traced_peak(lambda: train_item_model(cfg, bundle))
         assert peaks[800] - peaks[200] < 800 * bundle.train.n_items * 8, peaks
+
+    def test_training_batch(self, rng):
+        # a batch's step holds the float32 params and Adam moments, the
+        # epoch's input buffer, and each half's residual and gradients;
+        # noise drawn apart from the buffer, a copy of it per half, or the
+        # last batch's gradients kept into the next step each add about
+        # one (B, n) array, which the 1 MiB slack does not cover
+        n_rows, n, B, H, temb = 800, 1500, 400, 200, 16
+        data = rand_binary_csr(rng, n_rows, n, 0.05)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, seed=0, batch_size=B)
+        peak = traced_peak(lambda: train_model(
+            "CGD", data, cfg, make_schedule(3, 1e-4, 0.02), hidden_dims=(H,),
+            time_embed_dim=temb,
+        ))
+        params = ((n + temb) * H + H + H * n + n) * 4
+        buffer = B * (n + temb) * 4
+        half = B // 2 * n * 4 + params
+        assert peak < 3 * params + buffer + 2 * half + (1 << 20), peak
 
     def test_sweep_pair_is_filled_in_place(self, rng):
         # a pair gathered from its chunks would hold two chunks' blocks,
