@@ -137,21 +137,6 @@ def predict_x0(params: DenoiserParams, x_t: np.ndarray, t) -> np.ndarray:
     return out[0] if single else out
 
 
-def last_hidden(params: DenoiserParams, z: np.ndarray, t: int) -> np.ndarray:
-    """Last hidden activation for rows whose input is already projected.
-
-    z = x @ weights[0][:in_dim], shape (B, first hidden width); the
-    timestep embedding enters through the remaining rows of weights[0].
-    The prediction is last_hidden(...) @ weights[-1] + biases[-1].
-    """
-    w0 = params.weights[0]
-    emb = timestep_embedding(t, params.time_embed_dim)
-    h = np.tanh(z + (emb @ w0[params.in_dim :] + params.biases[0]))
-    for w, b in zip(params.weights[1:-1], params.biases[1:-1]):
-        h = np.tanh(h @ w + b)
-    return h
-
-
 def corrupt_rows(x0: sp.csr_matrix, ab, eps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """q_sample(x0, t, eps) written into `out`, which may be eps itself.
 

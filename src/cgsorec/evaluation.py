@@ -52,10 +52,11 @@ class RankedLists:
     scores: np.ndarray
 
 
-# Rows ranked at a time: 64 rows of a few thousand columns, their blend
-# term and argpartition's ids each fit a core's L2 cache.  Ranking is
+# Rows ranked at a time: 32 rows of a few thousand columns, their blend
+# term and argpartition's ids each fit a core's L2 cache, and two chain
+# workers ranking at once hold what one 64-row block holds.  Ranking is
 # row-local, so the size moves no byte.
-ROW_BLOCK = 64
+ROW_BLOCK = 32
 
 
 def _checked_mask(mask, shape, k: int) -> sp.csr_matrix:

@@ -11,14 +11,15 @@ corrupted condition vector is blended into the final output.
 
 The chain runs in the denoiser's first hidden width.  The denoiser sees
 a row x only through z = x @ W0x, W0x being the rows of its first
-weight matrix that multiply x; the posterior mean is linear in x_t and
-the output head is linear, so a step maps z to
-c_xt * z + c_x0 * (h_t(z) @ head_z + bias_z), with head_z = W_out @ W0x
-and bias_z = b_out @ W0x.  Since c_xt(1) = 0, the chain leaves hidden
-width once, through the output head at t = 1.  It equals stepping
-full-width rows with predict_x0 and model_mean up to rounding in the
-order of sums; the tests hold it to that item-space stepper at
-rtol 1e-10.
+weight matrix that multiply x, and step t only through e_t, its timestep
+embedding times W0's other rows plus b0, computed once per call; the
+posterior mean is linear in x_t and the output head is linear, so a step
+maps z to c_xt * z + c_x0 * (h_t(z) @ head_z + bias_z), with h_t(z) the
+last hidden layer at z + e_t, head_z = W_out @ W0x and bias_z =
+b_out @ W0x.  Since c_xt(1) = 0, the chain leaves hidden width once,
+through the output head at t = 1.  It equals stepping full-width rows
+with predict_x0 and model_mean up to rounding in the order of sums; the
+tests hold it to that item-space stepper at rtol 1e-10.
 
 Determinism: corruption noise comes from a stream keyed by
 (seed XOR user_id, stage), so results do not depend on which chains
@@ -29,29 +30,29 @@ a pair's chains run, NumPy's OpenBLAS is held to one thread
 other thread counts: inference bytes do not depend on
 OPENBLAS_NUM_THREADS.
 WORKERS threads run the chunks, each chunk wholly on one worker, and
-blocks come back in chunk order, so a chunk's bytes do not depend on the
-worker count either.  A chain's arithmetic runs with NumPy's overflow
-warnings off, since every block is checked for finiteness on the calling
-thread.
+blocks and errors come back in chunk order, so a chunk's bytes do not
+depend on the worker count either.  A chain's arithmetic runs with
+NumPy's overflow warnings off, since every block is checked for
+finiteness before it is reduced.
 
-Memory: _chain_rows runs a pair's chains chunk by chunk, building
-each chunk's condition rows as it goes, since both condition graphs are
-row-local, and reduces each chunk on the calling thread as soon as it
-is made: the social phase into re-binarized graph rows, and infer and
-validation into ranked lists.  Only a sweep's item pair is whole:
-item_phase allocates it once, and each chunk's blocks are that chunk's
-rows of it, filled in place, so no block is copied.  At most WORKERS
-chunks are alive at a time, the one being reduced included: 256 rows of
-each chain at CHUNK 128.  The calling thread allocates each chunk's
-blocks (or the whole pair), which hold its noise until the output head
-overwrites it, and checks them; a worker allocates no chunk-sized
-array, since glibc keeps what a thread frees in that thread's arena.
+Memory: each chunk is one task on a worker, which builds the chunk's
+condition rows (both condition graphs are row-local), runs its chains,
+checks them and reduces them at once: the social phase into
+re-binarized graph rows, and infer and validation into ranked lists.
+Only a sweep's item pair is whole: item_phase allocates it once, and
+each chunk's blocks are that chunk's rows of it, filled in place, so no
+block is copied.  At most WORKERS chunks are alive at a time: 256 rows
+of each chain at CHUNK 128.  The calling thread only allocates each
+chunk's blocks (or the whole pair), which hold its noise until the
+output head overwrites it, since glibc keeps what a thread frees in
+that thread's arena; a worker allocates hidden-width arrays, sparse
+rows and reduce's scratch, such as a ranking block.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -61,7 +62,7 @@ import scipy.sparse as sp
 from .blas import one_blas_thread
 from .corpus import InteractionMatrix, SocialMatrix, binary_rows, canonical_rows, copurchase
 from .corpus import long_tail, pruned, social_preference
-from .denoiser import DenoiserParams, corrupt_rows, last_hidden
+from .denoiser import DenoiserParams, corrupt_rows, timestep_embedding
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError
 from .evaluation import top_k_rows
@@ -137,8 +138,7 @@ def _chain_rows(
     paired: bool, seed: int, stage: int, reduce, out_a=None, out_b=None,
 ) -> list:
     """The chains of a pair over the same users, one CHUNK-row block at a
-    time: the list of reduce(span, a, b) over the blocks, each called on
-    this thread as its block is made, in order.
+    time: the list of reduce(span, a, b) over the blocks, in chunk order.
 
     Chain A runs reverse chains over clean `rows` (corrupted here to
     T_inf, the whole schedule when None), each step's mean mixed with
@@ -148,12 +148,13 @@ def _chain_rows(
     b is None otherwise.  Each block's noise is corrupted in place
     (corrupt_rows), and steps run on z = x @ W0x (module docstring); the
     output head is applied once, at t = 1, into the block that held the
-    noise.  The calling thread builds each chunk's rows and blocks, and
-    the workers fill them (module docstring); given whole arrays out_a
-    and out_b, a chunk's blocks are its rows of them, so they fill in
-    place.  The BLAS hold and the workers last only for this call.
-    Raises NumericError naming the stage and the first user of the first
-    block whose output is not finite.
+    noise.  A worker runs each chunk whole (module docstring) in blocks
+    the calling thread allocates, or, given whole arrays out_a and
+    out_b, in its rows of them, so they fill in place.  The BLAS hold
+    and the workers last only for this call.  The first error in chunk
+    order is raised: what cond or reduce raised, or a NumericError
+    naming the stage and the first user of a block whose output is not
+    finite.
     """
     T_inf = resolve_T_inf(T_inf, sched)
     ab = sched.alpha_bar[T_inf - 1]
@@ -162,34 +163,56 @@ def _chain_rows(
         raise ConfigError(f"row width {width} != model width {params.in_dim}")
     guided = cond is not None and mix > 0.0
     w0x = params.weights[0][:width]
+    deep = list(zip(params.weights[1:-1], params.biases[1:-1]))
     w_out, b_out = params.weights[-1], params.biases[-1]
 
-    def hidden(z, zc, t):
-        h = last_hidden(params, z, t)
-        return h if zc is None else (1.0 - mix) * h + mix * last_hidden(params, zc, t)
+    def last(z, e, out):
+        """The last hidden activation of rows projected to z, e being the
+        step's embedding row; written into out with one hidden layer."""
+        np.tanh(np.add(z, e, out=out), out=out)
+        for w, b in deep:
+            out = np.tanh(out @ w + b)
+        return out
 
-    def chain(x0, block, span, zc, stage):
+    def hidden(z, zc, e, h, hc):
+        """last() of z, blended by mix with zc's when guided."""
+        h = last(z, e, h)
+        if zc is not None:
+            h *= 1.0 - mix
+            hc = last(zc, e, hc)
+            hc *= mix
+            h += hc
+        return h
+
+    def chain(x0, block, span, zc, stage, h, hc, x0_hat):
         _user_eps(seed, stage, range(span.start, span.stop), block)
         z = corrupt_rows(x0, ab, block, out=block) @ w0x
+        zc_mix = None if zc is None else mix * zc
         for t in range(T_inf, 1, -1):
-            z_mix = z if zc is None else (1.0 - mix) * z + mix * zc
-            z = model_mean(z_mix, hidden(z, zc, t) @ head_z + bias_z, t, sched)
+            np.matmul(hidden(z, zc, emb[t - 1], h, hc), head_z, out=x0_hat)
+            x0_hat += bias_z
+            if zc is not None:
+                z *= 1.0 - mix
+                z += zc_mix
+            z = model_mean(z, x0_hat, t, sched)
         # c_xt(1) = 0 and c_x0(1) = 1: the last mean is the mixed prediction.
-        np.matmul(hidden(z, zc, 1), w_out, out=block)
+        np.matmul(hidden(z, zc, emb[0], h, hc), w_out, out=block)
         block += b_out
 
-    def pair(span, x0, c, a, b):
-        # finite() refuses what overflows here, so NumPy's warnings would
-        # only repeat that refusal
+    def run(span, a, b):
+        """A chunk's task: its condition rows, its chains into its blocks,
+        their check (chain A's block, then chain B's), and reduce."""
+        c = canonical_rows(cond(span)) if guided or paired else None
+        if c is not None and c.shape != a.shape:
+            raise ConfigError(f"condition rows {c.shape} != rows {a.shape}")
+        h, hc, x0_hat = np.empty((3, len(a), w0x.shape[1]))
+        # the check below refuses what overflows here, so NumPy's
+        # warnings would only repeat that refusal
         with np.errstate(over="ignore", invalid="ignore"):
-            chain(x0, a, span, c @ w0x if guided else None, stage)
+            zc = c @ w0x if guided else None
+            chain(canonical_rows(rows[span]), a, span, zc, stage, h, hc, x0_hat)
             if paired:
-                chain(c, b, span, None, stage + 1)
-        return span, a, b
-
-    def finite(span, a, b):
-        """The chunk as a worker made it, once chain A's block, then chain
-        B's, is checked on this thread."""
+                chain(c, b, span, None, stage + 1, h, hc, x0_hat)
         for block, block_stage in ((a, stage), (b, stage + 1)):
             if block is None:
                 continue
@@ -199,40 +222,31 @@ def _chain_rows(
                 raise NumericError(
                     f"non-finite {STAGE_NAMES[block_stage]} chain output, first at user {user}"
                 )
-        return span, a, b
+        return reduce(span, a, b)
 
-    def submit(pool, span):
-        """Builds a chunk's rows and blocks and hands them to a worker; an
-        error here is raised by the future's result(), in chunk order."""
-        try:
-            c = cond(span) if guided or paired else None
-            shape = (span.stop - span.start, width)
-            if c is not None and c.shape != shape:
-                raise ConfigError(f"condition rows {c.shape} != rows {shape}")
-            c = None if c is None else canonical_rows(c)
-            a = np.empty(shape) if out_a is None else out_a[span]
-            b = (np.empty(shape) if out_b is None else out_b[span]) if paired else None
-            return pool.submit(pair, span, canonical_rows(rows[span]), c, a, b)
-        except Exception as err:
-            failed = Future()
-            failed.set_exception(err)
-            return failed
+    def blocks(span):
+        shape = (span.stop - span.start, width)
+        a = np.empty(shape) if out_a is None else out_a[span]
+        return a, (np.empty(shape) if out_b is None else out_b[span]) if paired else None
 
-    # No name here keeps a block once it is passed to reduce.
+    # No name here keeps a block once its task is submitted.
     with one_blas_thread(), ThreadPoolExecutor(WORKERS) as pool:
-        with np.errstate(over="ignore", invalid="ignore"):  # as in pair
+        with np.errstate(over="ignore", invalid="ignore"):  # as in run
             head_z = w_out @ w0x
             bias_z = b_out @ w0x
+            # the timestep embedding enters through W0's rows past W0x
+            w0t, temb, b0 = params.weights[0][width:], params.time_embed_dim, params.biases[0]
+            emb = [timestep_embedding(t, temb) @ w0t + b0 for t in range(1, T_inf + 1)]
         spans = (slice(i, min(i + CHUNK, n_rows)) for i in range(0, n_rows, CHUNK))
         pending, reduced = deque(), []
         while True:
             for span in spans:
-                pending.append(submit(pool, span))
+                pending.append(pool.submit(run, span, *blocks(span)))
                 if len(pending) == WORKERS:
                     break
             if not pending:
                 return reduced
-            reduced.append(reduce(*finite(*pending.popleft().result())))
+            reduced.append(pending.popleft().result())
 
 
 def unconditional_scores(

@@ -1,4 +1,5 @@
-"""Peak memory of each command of a benchmark round: a report, not a test.
+"""Peak memory and core use of each command of a benchmark round: a
+report, not a test.
 
 Run from the repository root:
 
@@ -9,8 +10,10 @@ It builds the workspace of a `bench/workloads.py` workload
 benchmark's model (hidden [200], T 20) and config.  Then it runs the
 workload's set-up and one measured round, each command as
 `python -m cgsorec.cli` in a child process of its own, and prints each
-command's wall time and peak resident set (`ru_maxrss` of that child,
-read with `os.wait4`), in the benchmark's MB.
+command's peak resident set (`ru_maxrss` of that child, read with
+`os.wait4`, in the benchmark's MB), its wall time and its CPU time
+(`ru_utime + ru_stime` of the same usage), so CPU over wall shows how
+many cores the command kept busy.
 
 The benchmark's `peak_rss_mb` is one high-water mark of the process
 that runs every set-up and every round, so it cannot say which command
@@ -34,7 +37,8 @@ import workloads  # noqa: E402  (found through the path set above)
 
 class ChildWorkspace(workloads.Workspace):
     """A workspace whose commands each run in a child process; every
-    command's (argv, wall seconds, peak MB) is kept in `peaks`."""
+    command's (argv, wall seconds, CPU seconds, peak MB) is kept in
+    `peaks`."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -52,7 +56,8 @@ class ChildWorkspace(workloads.Workspace):
                 raise workloads.CommandFailed(f"{' '.join(argv)} exited {child.returncode}")
             out.seek(0)
             stdout = out.read().decode()
-        self.peaks.append((argv, wall, usage.ru_maxrss / 1024.0))  # Linux reports KiB
+        cpu = usage.ru_utime + usage.ru_stime
+        self.peaks.append((argv, wall, cpu, usage.ru_maxrss / 1024.0))  # Linux reports KiB
         return wall, stdout
 
 
@@ -65,10 +70,10 @@ def main(argv) -> int:
         workload.setup(ws)
         set_up = len(ws.peaks)
         workload.measure(ws)
-        for i, (args, wall, peak) in enumerate(ws.peaks):
+        for i, (args, wall, cpu, peak) in enumerate(ws.peaks):
             shown = " ".join(a.replace(ws.out, "run") for a in args)
             part = "setup" if i < set_up else "round"
-            print(f"{name}\t{part}\t{peak:7.1f} MB\t{wall:6.2f} s\t{shown}")
+            print(f"{name}\t{part}\t{peak:7.1f} MB\t{wall:6.2f} s\t{cpu:6.2f} s CPU\t{shown}")
     return 0
 
 

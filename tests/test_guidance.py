@@ -664,6 +664,66 @@ def blas_threads():
     return _openblas().get()
 
 
+class TestChunkTasks:
+    """Each chunk is one task on a chain worker, which builds its
+    condition rows, runs its chains, checks them and reduces them; blocks
+    and errors reach the caller in chunk order."""
+
+    def test_cond_and_reduce_run_whole_on_a_worker(self, rng, monkeypatch):
+        monkeypatch.setattr(guidance, "WORKERS", 2)
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rand_binary_csr(rng, 3 * CHUNK + 40, 7, 0.3)
+        seen = []
+
+        def cond(span):
+            seen.append(("cond", span.start, threading.current_thread()))
+            return rows[span]
+
+        def reduce(span, a, b):
+            seen.append(("reduce", span.start, threading.current_thread()))
+            return span.start
+
+        got = _chain_rows(ckpt.params, ckpt.sched, rows, None, cond, 0.4, True, 5, STAGE_ITEM,
+                          reduce)
+        starts = list(range(0, 4 * CHUNK, CHUNK))
+        assert got == starts
+        where = {(name, start): thread for name, start, thread in seen}
+        assert len(seen) == len(where) == 2 * len(starts)
+        for start in starts:
+            assert where["cond", start] is where["reduce", start]
+            assert where["cond", start] is not threading.current_thread()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("later", ["non-finite", "bad condition rows"])
+    def test_the_first_chunk_error_wins(self, rng, monkeypatch, workers, later):
+        # chunk 1's reduce fails; chunk 2 holds a NaN row or gets condition
+        # rows of the wrong shape, and at two workers chunk 1's reduce
+        # waits until chunk 2 has started, so chunk 2 may fail first
+        monkeypatch.setattr(guidance, "WORKERS", workers)
+        ckpt = untrained_checkpoint(7, T=3, seed=8)
+        rows = rng.random((3 * CHUNK + 40, 7))
+        if later == "non-finite":
+            rows[2 * CHUNK + 5, 3] = np.nan
+        started = threading.Event()
+
+        def cond(span):
+            if span.start == 2 * CHUNK:
+                started.set()
+                if later == "bad condition rows":
+                    return sp.csr_matrix((3, 7))
+            return sp.csr_matrix(rows[span])
+
+        def reduce(span, a, b):
+            if span.start == CHUNK:
+                started.wait(10 if workers == 2 else 0)
+                raise ValueError("chunk 1's reduce failed")
+            return span.start
+
+        with pytest.raises(ValueError, match="chunk 1's reduce failed"):
+            _chain_rows(ckpt.params, ckpt.sched, rows, None, cond, 0.4, False, 5, STAGE_ITEM,
+                        reduce)
+
+
 @pytest.fixture
 def two_blas_threads():
     """NumPy's OpenBLAS at two threads for the test, so that the hold's

@@ -32,7 +32,14 @@ from cgsorec.guidance import (
     joint_chains,
     social_phase,
 )
-from cgsorec.pipeline import chain_args, joint_lists, social_holdout, train_item_model
+from cgsorec.denoiser import init_params
+from cgsorec.pipeline import (
+    chain_args,
+    joint_lists,
+    recall_validator,
+    social_holdout,
+    train_item_model,
+)
 from cgsorec.schedule import make_schedule
 from cgsorec.store import TrainConfig, load_manifest, write_manifest
 from cgsorec.synth import planted
@@ -209,7 +216,10 @@ class TestPeakMemory:
     but its outputs, even when one row's items all tie.
 
     A training batch holds, beside the params and Adam moments, the
-    epoch's one input buffer and each half's residual and gradients."""
+    epoch's one input buffer and each half's residual and gradients.
+
+    Validation at the real CHUNK holds, beside the params, each chain
+    worker's chunk and one small ranking block per worker."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -275,6 +285,26 @@ class TestPeakMemory:
         buffer = B * (n + temb) * 4
         half = B // 2 * n * 4 + params
         assert peak < 3 * params + buffer + 2 * half + (1 << 20), peak
+
+    def test_validation_ranks_one_small_block_per_worker(self, rng, monkeypatch):
+        # each chain worker ranks its own chunk, so two rankings run at
+        # once: the bound allows each worker its chunk's block and one
+        # 32-row ranking block's scratch (the negated blend and
+        # argpartition's ids, 8 bytes an entry, and a 1-byte tie mask),
+        # which two 64-row blocks ranked at once exceed; the 1 MiB slack
+        # covers the hidden-width chain arrays, the slices and the lists
+        monkeypatch.setattr(guidance, "CHUNK", CHUNK)
+        monkeypatch.setattr(guidance, "WORKERS", 2)
+        n = 3000
+        rows = rand_binary_csr(rng, 2 * CHUNK, n, 0.02)
+        params = init_params((n, 8, n), 4, seed=1).astype(np.float32)
+        validate = recall_validator(rows, rows, sp.csr_matrix(rows.shape),
+                                    make_schedule(3, 1e-4, 0.02), seed=3)
+        # the trainer hands validate a float64 copy of its float32 params
+        peak = traced_peak(lambda: validate(params.astype(np.float64)))
+        params64 = sum(x.size for x in (*params.weights, *params.biases)) * 8
+        block, scratch = CHUNK * n * 8, 32 * n * 17
+        assert peak < params64 + 2 * (block + scratch) + (1 << 20), peak
 
     def test_sweep_pair_is_filled_in_place(self, rng):
         # a pair gathered from its chunks would hold two chunks' blocks,
