@@ -73,6 +73,8 @@ def cmd_prepare(cfg: ExperimentConfig, args) -> int:
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     kind = args.model
+    if kind == "csd" and cfg["dataset.social"] is None:
+        raise ConfigError("csd training needs dataset.social")
     if kind == "cgd":
         R, S = pipeline.load_interaction_data(cfg), None
     else:
@@ -91,8 +93,6 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         bundle = pipeline.ensure_bundle(cfg, R)
         ckpt = pipeline.train_item_model(cfg, bundle, resume=resume, log=log)
     else:
-        if S is None:
-            raise DataError("csd training needs dataset.social")
         ckpt = pipeline.train_social_model(cfg, S, resume=resume, log=log)
     save_checkpoint(ckpt, out_dir)
     metric = "-" if math.isnan(ckpt.valid_metric) else f"{ckpt.valid_metric:.6f}"

@@ -8,14 +8,14 @@ each user's relevant count, and users with none are left out.  The
 popularity histogram is one bincount.  Test, train and mask rows are
 read as corpus.canonical_rows, so an entry stored twice counts once.
 
-Every ranking goes through top_k_grid, ROW_BLOCK rows at a time: the
+Every ranking goes through topk_lists, ROW_BLOCK rows at a time: the
 top-K lists evaluated here and at each validation epoch, the
 re-binarized social graph (guidance.binarize_social), infer's lists,
 which it ranks straight from the two item chains, blending each block
-as it ranks it, and a sweep's whole w_r grid; top_k_rows is the grid at
-one value.  A block costs about one pass over its scores per value: an
-argpartition picks each row's k best, and only rows whose ties straddle
-the k-th value (or whose k-th score is NaN, -inf or masked) are
+as it ranks it, and a sweep's whole w_r grid, ranked in one pass.  A
+block costs about one pass over its scores per value: an argpartition
+picks each row's k best, and only rows whose ties straddle the k-th
+value (or whose k-th score is NaN, -inf or masked) are
 lexsorted whole.  Ties break toward the lower id and masked ids rank
 last, so every ranking is reproducible bit for bit and lists no masked
 id.
@@ -67,22 +67,6 @@ def _checked_mask(mask, shape, k: int) -> sp.csr_matrix:
     if (free < k).any():
         raise ConfigError(f"K={k} exceeds {free[free < k][0]} unmasked items")
     return mask
-
-
-def top_k_rows(
-    scores: np.ndarray, k: int, mask=None, other=None, w: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k best column ids and their scores, best first.
-
-    The rows ranked are the blend (1 - w) * scores + w * other, or scores
-    alone when there is no other or w is 0.  Ties break toward the lower
-    column id and NaN ranks after every number.  Masked entries (a sparse
-    matrix of already-seen (row, column) positions, duplicates allowed)
-    rank after everything, so no masked id is listed; k larger than a
-    row's unmasked count is a config error.  This is top_k_grid at the
-    one value w.
-    """
-    return top_k_grid(scores, other, [w], k, mask)[0]
 
 
 def _rank(a: np.ndarray, b: np.ndarray | None, w: float, masked: np.ndarray, k: int):
@@ -163,63 +147,59 @@ def _survivors(a: np.ndarray, b: np.ndarray, lams, masked: np.ndarray, k: int, b
     return cols, np.flatnonzero(pad)
 
 
-def top_k_grid(
-    a: np.ndarray, b: np.ndarray | None, ws, k: int, mask=None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """[top_k_rows(a, k, mask, b, w) for w in ws], ranked ROW_BLOCK rows
-    at a time; no value but the outputs outlives a block.
+def topk_lists(
+    scores: np.ndarray, K: int, mask=None, other=None, w=0.0
+) -> RankedLists | list[RankedLists]:
+    """Each row's K best column ids and their scores, best first, as the
+    lists of users 0..n-1; for a sequence w, one RankedLists per value,
+    ranked in one pass, ROW_BLOCK rows at a time.  No value but the
+    outputs outlives a block.
 
-    For 0 <= w < 1 the blend is (1 - w) * (a + lam * b), lam = w / (1 - w),
-    so a row ranks at such a w as a + lam * b does.  When the grid holds
-    two or more such w and a block is finite, each such w ranks only the
-    block's survivors (_survivors), padding masked; every other w, and
-    every w of a block holding a non-finite score, ranks the whole block.
-    A row's list depends only on its values, its mask and k, so neither
-    the view nor the block size moves a byte.
+    The rows ranked are the blend (1 - w) * scores + w * other, or scores
+    alone when there is no other or w is 0.  Ties break toward the lower
+    column id and NaN ranks after every number.  Masked entries (a sparse
+    matrix of already-seen (row, column) positions, duplicates allowed)
+    rank after everything, so no masked id is listed; K larger than a
+    row's unmasked count is a config error.
+
+    For 0 <= w < 1 the blend is (1 - w) * (scores + lam * other),
+    lam = w / (1 - w), so a row ranks at such a w as scores + lam * other
+    does.  When a grid holds two or more such w and a block is finite,
+    each such w ranks only the block's survivors (_survivors), padding
+    masked; every other w, and every w of a block holding a non-finite
+    score, ranks the whole block.  A row's list depends only on its
+    values, its mask and K, so neither the view nor the block size moves
+    a byte.
     """
-    a = np.asarray(a)
-    b = None if b is None else np.asarray(b)
-    ws = [float(w) for w in ws]
+    a = np.asarray(scores)
+    b = None if other is None else np.asarray(other)
+    ws = [float(v) for v in w] if np.ndim(w) else [float(w)]
     n_rows, n = a.shape
-    mask = _checked_mask(mask, a.shape, k)
-    out = [(np.empty((n_rows, k), dtype=np.intp), np.empty((n_rows, k))) for _ in ws]
-    lams = [w / (1.0 - w) for w in ws if 0.0 <= w < 1.0]
-    if k == 0:
-        return out
+    mask = _checked_mask(mask, a.shape, K)
+    out = [(np.empty((n_rows, K), dtype=np.intp), np.empty((n_rows, K))) for _ in ws]
+    lams = [v / (1.0 - v) for v in ws if 0.0 <= v < 1.0]
     # _survivors' scratch, written over by each block before it is read
     buf = np.empty((3, min(ROW_BLOCK, n_rows), n)) if b is not None and len(lams) > 1 else None
-    for start in range(0, n_rows, ROW_BLOCK):
+    for start in range(0, n_rows if K else 0, ROW_BLOCK):  # _rank needs K >= 1
         rows = slice(start, min(start + ROW_BLOCK, n_rows))
         a_blk = np.asarray(a[rows], dtype=np.float64)
         b_blk = None if b is None else np.asarray(b[rows], dtype=np.float64)
         ptr = mask.indptr[rows.start : rows.stop + 1]
         masked = np.repeat(np.arange(len(a_blk)) * n, np.diff(ptr))
         masked += mask.indices[ptr[0] : ptr[-1]]
-        bound = None if buf is None else _survivors(a_blk, b_blk, lams, masked, k, buf)
+        bound = None if buf is None else _survivors(a_blk, b_blk, lams, masked, K, buf)
         if bound is not None:
             cols, pad = bound
             a_sub = np.take_along_axis(a_blk, cols, axis=1)
             b_sub = np.take_along_axis(b_blk, cols, axis=1)
-        for (ids, top), w in zip(out, ws):
-            if bound is None or not 0.0 <= w < 1.0:
-                ids[rows], top[rows] = _rank(a_blk, b_blk, w, masked, k)
+        for (ids, top), v in zip(out, ws):
+            if bound is None or not 0.0 <= v < 1.0:
+                ids[rows], top[rows] = _rank(a_blk, b_blk, v, masked, K)
             else:
-                at, top[rows] = _rank(a_sub, b_sub, w, pad, k)
+                at, top[rows] = _rank(a_sub, b_sub, v, pad, K)
                 ids[rows] = np.take_along_axis(cols, at, axis=1)
-    return out
-
-
-def topk_lists(
-    score_matrix: np.ndarray, K: int, mask=None, other=None, w=0.0
-) -> RankedLists | list[RankedLists]:
-    """top_k_rows(score_matrix, K, mask, other, w) as the lists of users
-    0..n-1; for a sequence w, one RankedLists per value, ranked in one
-    pass by top_k_grid."""
-    users = np.arange(len(score_matrix))
-    if np.ndim(w):
-        grid = top_k_grid(score_matrix, other, w, K, mask)
-        return [RankedLists(users, *ranked) for ranked in grid]
-    return RankedLists(users, *top_k_rows(score_matrix, K, mask, other, w))
+    lists = [RankedLists(np.arange(n_rows), *ranked) for ranked in out]
+    return lists if np.ndim(w) else lists[0]
 
 
 def _ranking_metrics(lists: RankedLists, test, ks, in_groups=(None,)) -> list:

@@ -2,7 +2,7 @@
 
 Layout of a run: the social model denoises each user's neighbor row
 under a co-interaction condition, the denoised rows are re-binarized
-(degree-preserving, ranked by evaluation.top_k_rows like every top-K
+(degree-preserving, ranked by evaluation.topk_lists like every top-K
 list), the rebuilt graph produces an inverted-popularity
 item condition, and the item model denoises interaction rows under it.
 Guidance mixes the model mean toward the mean evaluated at the clean
@@ -65,7 +65,7 @@ from .corpus import long_tail, pruned, social_preference
 from .denoiser import DenoiserParams, corrupt_rows, timestep_embedding
 from .denoiser import predict_x0  # noqa: F401  (bench/spans.py wraps it here)
 from .errors import ConfigError, NumericError
-from .evaluation import top_k_rows
+from .evaluation import topk_lists
 from .schedule import NoiseSchedule, model_mean
 from .schedule import q_sample  # noqa: F401  (bench/spans.py wraps it here)
 from .store import Checkpoint
@@ -265,12 +265,12 @@ def binarize_social(
     """Turn denoised score rows back into 0/1 graph rows.
 
     Row j of s_bar holds the scores of user start + j, blended with
-    other's row j by w as top_k_rows blends, and the result holds those
+    other's row j by w as topk_lists blends, and the result holds those
     users' rows of the graph: the whole score matrix gives the whole
     graph, and row blocks give blocks that stack to it.  Each user keeps
     its `keep` highest-scoring other users (its degree in S when keep is
     None), at most n - 1; ties break toward the lower user id, as in
-    every ranking (evaluation.top_k_rows).
+    every ranking (evaluation.topk_lists).
     """
     if keep is not None and keep < 0:
         raise ConfigError(f"keep must be >= 0, got {keep}")
@@ -281,7 +281,7 @@ def binarize_social(
         degrees = np.full(rows, keep)
     keep_u = np.minimum(degrees, max(n - 1, 0))
     itself = sp.eye(rows, n, k=start, format="csr")
-    ids, _ = top_k_rows(s_bar, int(keep_u.max(initial=0)), itself, other, w)
+    ids = topk_lists(s_bar, int(keep_u.max(initial=0)), itself, other, w).items
     # Ids past a row's own keep become n, so they sort behind the kept ones.
     kept = np.arange(ids.shape[1]) < keep_u[:, None]
     neigh = np.sort(np.where(kept, ids, n), axis=1)[kept]

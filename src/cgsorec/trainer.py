@@ -238,7 +238,8 @@ def train_model(
     `resume.epoch + 1`, with its valid_metric as the one to beat unless
     NaN) replays the batches an unbroken run would have seen.  Optimizer
     moments restart at zero.  A resumed run that never beats the
-    checkpoint returns its params unrounded.  A checkpoint of another
+    checkpoint returns its params unrounded; one that trains no epoch
+    also keeps its epoch and valid_metric.  A checkpoint of another
     model (tag, widths or schedule) or training config (any field but
     epochs) is a ConfigError naming each field that differs; one whose
     values float32 cannot hold is a NumericError (float32_params).
@@ -301,7 +302,10 @@ def train_model(
             if validate is not None and stale >= cfg.patience:
                 break
 
-    if validate is None or not np.isfinite(best_metric):
+    if not history:
+        # epochs <= resume.epoch: the resumed checkpoint stands as saved
+        best_metric = resume.valid_metric
+    elif validate is None or not np.isfinite(best_metric):
         # No validation signal ever arrived; ship the final parameters.
         best_params, best_metric, best_epoch = params.astype(np.float64), float("nan"), cfg.epochs
     return Checkpoint(

@@ -41,7 +41,7 @@ def to_matrices(ds: SyntheticDataset) -> tuple[InteractionMatrix, SocialMatrix]:
 
 def blend(a: np.ndarray, b: np.ndarray | None, w: float) -> np.ndarray:
     """(1 - w) * a + w * b; `a` itself when there is no b or w is 0: the
-    scores evaluation.top_k_rows ranks for (a, b, w)."""
+    scores evaluation.topk_lists ranks for (a, b, w)."""
     if b is None or w == 0.0:
         return a
     return (1.0 - w) * a + w * b

@@ -271,15 +271,18 @@ class TestTrain:
         assert code == 0
         assert "resuming from epoch" in out
 
-    def test_csd_needs_social(self, ws, tmp_path, capsys):
+    def test_csd_needs_social(self, ws, tmp_path, capsys, monkeypatch):
+        # an unset setting is a config error, refused before any file is read
         cfg = json.loads((ws["root"] / "config.json").read_text())
         cfg["dataset"]["social"] = None
         cfg["output_dir"] = str(tmp_path / "run")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code, _, err = run(capsys, "train", str(path), "--model", "csd")
-        assert code == 3
-        assert "social" in err
+        monkeypatch.setattr(pipeline, "load_interaction_data", lambda cfg: pytest.fail("read"))
+        code, out, err = run(capsys, "train", str(path), "--model", "csd")
+        assert code == 2
+        assert "dataset.social" in err and out == ""
+        assert not (tmp_path / "run").exists()
 
     def test_lr_zero_is_config_error(self, ws, capsys):
         code, _, err = run(

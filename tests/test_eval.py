@@ -17,8 +17,6 @@ from cgsorec.evaluation import (
     group_metrics,
     recall_at_k,
     report_json,
-    top_k_grid,
-    top_k_rows,
     topk_lists,
 )
 from cgsorec.pipeline import read_lists, write_lists
@@ -90,6 +88,15 @@ def one_row(scores, masked, K):
     )
     lists = topk_lists(np.asarray(scores, dtype=np.float64)[None], K, mask=mask)
     return lists.items[0], lists.scores[0]
+
+
+def top_k(scores, k, mask=None, other=None, w=0.0):
+    """topk_lists' (items, scores): one pair for a scalar w, a list of
+    pairs, one per value, for a sequence w."""
+    lists = topk_lists(scores, k, mask=mask, other=other, w=w)
+    if np.ndim(w):
+        return [(one.items, one.scores) for one in lists]
+    return lists.items, lists.scores
 
 
 def loop_topk(scores, mask, K):
@@ -205,11 +212,11 @@ class TestTopKAgainstLoop:
     def test_masked_id_never_listed_at_minus_inf(self):
         # item 1 is masked; the unmasked -inf at item 2 ranks before it
         mask = sp.csr_matrix(([1.0], [1], [0, 1]), shape=(1, 3))
-        ids, top = top_k_rows(np.array([[5.0, -np.inf, -np.inf]]), 2, mask)
+        ids, top = top_k(np.array([[5.0, -np.inf, -np.inf]]), 2, mask)
         assert np.array_equal(ids, [[0, 2]])
         assert np.array_equal(top, [[5.0, -np.inf]])
         # masked entries also rank after NaN
-        ids, _ = top_k_rows(np.array([[np.nan, 9.0, 1.0]]), 2, mask)
+        ids, _ = top_k(np.array([[np.nan, 9.0, 1.0]]), 2, mask)
         assert np.array_equal(ids, [[2, 0]])
 
     def fast_and_fallback_rows(self, n_rows):
@@ -234,7 +241,7 @@ class TestTopKAgainstLoop:
     def test_fast_and_fallback_rows_in_one_block(self):
         scores, mask = self.fast_and_fallback_rows(8)
         assert_same_as_loop(scores, mask, 3)
-        ids, _ = top_k_rows(scores, 3, mask)
+        ids, _ = top_k(scores, 3, mask)
         assert np.array_equal(ids[:4], [[1, 3, 4], [0, 1, 2], [2, 1, 3], [1, 0, 3]])
 
     def test_partial_last_block(self):
@@ -265,9 +272,9 @@ class TestTopKAgainstLoop:
         assert fused.scores.tobytes() == plain.scores.tobytes()
 
     def test_k_zero_and_empty_rows(self, rng):
-        ids, top = top_k_rows(rng.standard_normal((3, 5)), 0)
+        ids, top = top_k(rng.standard_normal((3, 5)), 0)
         assert ids.shape == top.shape == (3, 0)
-        ids, top = top_k_rows(np.empty((0, 5)), 2)
+        ids, top = top_k(np.empty((0, 5)), 2)
         assert ids.shape == (0, 2)
 
 
@@ -275,17 +282,17 @@ GRIDS = [[0.0, 1 / 3, 0.99, 1.0], [0.99, 0.0, 1 / 3, 1 / 3], [0.0, 1.0], [1 / 3]
 
 
 def assert_grid_is_rows(a, b, ws, k, mask):
-    """top_k_grid's entry j is top_k_rows(a, k, mask, b, ws[j]), bit for bit,
-    and the per-row lexsort of reference.blend(a, b, ws[j]).
+    """The grid's entry j is the ranking at the one value ws[j], bit for
+    bit, and the per-row lexsort of reference.blend(a, b, ws[j]).
 
-    top_k_rows is the grid at one value, so it ranks every block whole:
-    the first comparison holds the survivors to the whole block, and the
-    loop holds both to an independent ranking."""
+    A single value ranks every block whole: the first comparison holds
+    the survivors to the whole block, and the loop holds both to an
+    independent ranking."""
     with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf at w = 1; huge scores
-        grid = top_k_grid(a, b, ws, k, mask)
+        grid = top_k(a, k, mask, b, ws)
         assert len(grid) == len(ws)
         for w, (ids, top) in zip(ws, grid):
-            want_ids, want_top = top_k_rows(a, k, mask, b, w)
+            want_ids, want_top = top_k(a, k, mask, b, w)
             assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids), w
             assert np.array_equal(top.view(np.int64), want_top.view(np.int64)), w
             loop_ids, loop_top = loop_topk(blend(a, b, w), mask, k)
@@ -309,7 +316,7 @@ def free_counts(mask, n):
 
 
 class TestTopKGrid:
-    """One pass over a w grid equals one top_k_rows call per value."""
+    """One pass over a w grid equals one topk_lists call per value."""
 
     @pytest.mark.parametrize("ws", GRIDS)
     def test_integer_ties_signed_zeros_and_non_finite_rows(self, rng, ws):
@@ -340,9 +347,9 @@ class TestTopKGrid:
             ws = GRIDS[case % len(GRIDS)]
             assert_grid_is_rows(a, b, ws, k, mask)
             with pytest.raises(ConfigError) as grid_err:
-                top_k_grid(a, b, ws, free + 1, mask)
+                top_k(a, free + 1, mask, b, ws)
             with pytest.raises(ConfigError) as rows_err:
-                top_k_rows(a, free + 1, mask, b, ws[0])
+                top_k(a, free + 1, mask, b, ws[0])
             assert str(grid_err.value) == str(rows_err.value)
 
     def test_neighbours_that_the_blend_rounds_into_a_tie(self, rng):
@@ -354,13 +361,13 @@ class TestTopKGrid:
         for low in (normal, subnormal):
             a = np.column_stack((low, np.nextafter(low, np.inf)))
             b = np.zeros_like(a)
-            assert (top_k_rows(a, 1, None, b, 0.6)[0] == 0).any()
+            assert (top_k(a, 1, None, b, 0.6)[0] == 0).any()
             assert_grid_is_rows(a, b, [0.0, 0.6], 1, None)
 
     def test_without_b_every_value_ranks_a(self, rng):
         a = rng.integers(0, 3, size=(9, 8)).astype(np.float64)
-        for ids, top in top_k_grid(a, None, GRIDS[0], 4):
-            want_ids, want_top = top_k_rows(a, 4)
+        for ids, top in top_k(a, 4, None, None, GRIDS[0]):
+            want_ids, want_top = top_k(a, 4)
             assert np.array_equal(ids, want_ids) and top.tobytes() == want_top.tobytes()
 
     def test_a_longer_list_cut_is_the_shorter_list(self, rng):
@@ -378,8 +385,8 @@ class TestTopKGrid:
             k = int(rng.integers(0, K + 1))
             ws = GRIDS[case % len(GRIDS)]
             with np.errstate(invalid="ignore"):  # 0 * inf at w = 1
-                longer = [top_k_rows(a, K, mask, b, ws[0]), *top_k_grid(a, b, ws, K, mask)]
-                shorter = [top_k_rows(a, k, mask, b, ws[0]), *top_k_grid(a, b, ws, k, mask)]
+                longer = [top_k(a, K, mask, b, ws[0]), *top_k(a, K, mask, b, ws)]
+                shorter = [top_k(a, k, mask, b, ws[0]), *top_k(a, k, mask, b, ws)]
             for (ids, top), (want_ids, want_top) in zip(longer, shorter):
                 assert np.array_equal(ids[:, :k], want_ids)
                 assert top[:, :k].tobytes() == want_top.tobytes()
@@ -412,8 +419,8 @@ class TestRowBlock:
         def ranked():
             with np.errstate(invalid="ignore"):  # 0 * inf at w = 1
                 return [
-                    top_k_rows(a, 10), top_k_rows(a, 10, mask), top_k_rows(a, 10, None, b, 0.35),
-                    top_k_rows(a, 10, mask, b, 0.35), *top_k_grid(a, b, ws, 10, mask),
+                    top_k(a, 10), top_k(a, 10, mask), top_k(a, 10, None, b, 0.35),
+                    top_k(a, 10, mask, b, 0.35), *top_k(a, 10, mask, b, ws),
                 ]
 
         rankings = {}

@@ -200,6 +200,15 @@ def public_definitions(tree: ast.Module):
                     yield f"{node.name}.{method.name}", method
 
 
+def spans_sites() -> dict:
+    """bench/spans.py's SITES, read without importing bench/."""
+    tree = parse(os.path.join(REPO, "bench", "spans.py"))
+    return ast.literal_eval(next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SITES"
+    ))
+
+
 def names_used_outside_src() -> set[str]:
     """The names bench/ reads, the last part of each label in
     bench/spans.py's SITES (the tracer wraps what it names), and the words
@@ -207,9 +216,7 @@ def names_used_outside_src() -> set[str]:
     names = set()
     for path in glob.glob(os.path.join(REPO, "bench", "*.py")):
         names |= {name for name, _ in names_read(parse(path))}
-    sites = next(node.value for node in parse(os.path.join(REPO, "bench", "spans.py")).body
-                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SITES")
-    names |= {label.rpartition(".")[2] for label in ast.literal_eval(sites)}
+    names |= {label.rpartition(".")[2] for label in spans_sites()}
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
         code = re.findall(r"```.*?```|`[^`\n]*`", fh.read(), re.S)
     return names | set(re.findall(r"\w+", " ".join(code)))
@@ -234,15 +241,44 @@ def test_every_public_name_has_a_user_outside_its_own_body():
 
 
 def test_evaluation_ranks_through_one_block_loop():
-    # top_k_rows is top_k_grid at one value: a second ranking loop would
-    # read ROW_BLOCK in a second function, or loop inside top_k_rows
+    # topk_lists ranks one w and a grid alike: a second ranking loop would
+    # read ROW_BLOCK, or call the block ranker, in a second function
     functions = {node.name: node for node in module_tree("evaluation").body
                  if isinstance(node, ast.FunctionDef)}
     readers = sorted(name for name, node in functions.items()
                      if "ROW_BLOCK" in {found for found, _ in names_read(node)})
-    assert readers == ["top_k_grid"], readers
-    loops = (ast.For, ast.While, ast.comprehension)
-    assert not [node for node in ast.walk(functions["top_k_rows"]) if isinstance(node, loops)]
+    assert readers == ["topk_lists"], readers
+    callers = sorted(name for name, node in functions.items() if any(
+        isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_rank"
+        for call in ast.walk(node)
+    ))
+    assert callers == ["topk_lists"], callers
+
+
+def test_every_noqa_import_is_a_site_or_a_bench_import():
+    # a name imported only for bench/ to find: once bench/spans.py stops
+    # wrapping it there and no bench/ script imports it, the re-export goes
+    wrapped = {tuple(pair) for pairs in spans_sites().values() for pair in pairs}
+    imported = {
+        (node.module.partition(".")[2], alias.name)
+        for path in glob.glob(os.path.join(REPO, "bench", "*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cgsorec.")
+        for alias in node.names
+    }
+    reexports = []
+    for module in MODULES:
+        with open(os.path.join(SRC, "cgsorec", f"{module}.py"), encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        reexports += [
+            (module, alias.name)
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ImportFrom)
+            if "# noqa: F401" in "".join(lines[node.lineno - 1 : node.end_lineno])
+            for alias in node.names
+        ]
+    unused = sorted(pair for pair in reexports if pair not in wrapped | imported)
+    assert not unused, unused
 
 
 def test_the_chain_driver_is_a_plain_function():

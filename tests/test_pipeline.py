@@ -22,7 +22,7 @@ from cgsorec.corpus import (
     split,
 )
 from cgsorec.errors import DataError
-from cgsorec.evaluation import top_k_grid, topk_lists
+from cgsorec.evaluation import topk_lists
 from cgsorec.guidance import (
     CHUNK,
     GuidanceConfig,
@@ -333,7 +333,7 @@ class TestPeakMemory:
 
     def test_sweep_grid_holds_no_whole_mask(self, rng, monkeypatch):
         a, b = self.grid_pair(rng, monkeypatch)
-        peak = traced_peak(lambda: top_k_grid(a, b, [0.0, 0.5], 10))
+        peak = traced_peak(lambda: topk_lists(a, 10, other=b, w=[0.0, 0.5]))
         assert peak < a.size, peak
 
     def test_a_tied_row_widens_only_its_block(self, rng, monkeypatch):
@@ -342,5 +342,5 @@ class TestPeakMemory:
         # width holds several whole (rows, n) arrays
         a, b = self.grid_pair(rng, monkeypatch)
         a[7], b[7] = 0.5, 0.5
-        peak = traced_peak(lambda: top_k_grid(a, b, [0.0, 0.5], 10))
+        peak = traced_peak(lambda: topk_lists(a, 10, other=b, w=[0.0, 0.5]))
         assert peak < a.size, peak

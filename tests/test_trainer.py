@@ -366,6 +366,26 @@ class TestTrainModel:
         assert [h.epoch for h in first.history] == [1, 2]
         assert [h.epoch for h in resumed.history] == [3, 4]
 
+    @pytest.mark.parametrize("validated, metric", [(False, np.nan), (True, np.nan), (True, 0.25)])
+    def test_a_resume_that_trains_no_epoch_returns_its_checkpoint(self, rng, validated, metric):
+        # epochs at or below the checkpoint's train nothing, so the epoch a
+        # later resume starts from, the metric and the params stay put
+        data = lowrank_rows(rng)
+        sched = make_schedule(3, 0.05, 0.2)
+        init = init_params((30, 6, 30), 4, seed=0, model_tag="CGD")
+        previous = Checkpoint(init, sched, self.make_cfg(), epoch=3, valid_metric=metric)
+        for epochs in (2, 3):
+            ckpt = train_model(
+                "CGD", data, self.make_cfg(epochs=epochs), sched,
+                hidden_dims=(6,), time_embed_dim=4, resume=previous,
+                validate=(lambda params: 1.0) if validated else None,
+            )
+            assert ckpt.epoch == 3 and ckpt.history == []
+            assert np.array_equal(ckpt.valid_metric, metric, equal_nan=True)
+            # float64 values, not their float32 rounding
+            for w_out, w_in in zip(ckpt.params.weights, init.weights):
+                assert w_out.tobytes() == w_in.tobytes()
+
     def test_resume_keeps_better_baseline(self, rng):
         data = lowrank_rows(rng, n_items=60)
         holdout = np.zeros_like(data)
